@@ -45,8 +45,8 @@ from typing import Iterable
 from .enumeration import (Bound, enumerate_pforests, enumerate_ptrees,
                           graft_class_assignments)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
-                       PTree, aut_order, forest_key_str, graft_decorated,
-                       prune_decorated, representative)
+                       PTree, forest_key_str, graft_decorated, intern,
+                       prune_decorated, representative, tree_class)
 from .trees import enumerate_cuts
 
 Profile = tuple[tuple[str, int], ...]
@@ -145,15 +145,6 @@ def _merge_key(a: ForestKey, b: ForestKey) -> ForestKey:
     return tuple(sorted(a + b))
 
 
-def _forest_sizes(spec: EndofunctorSpec, key: ForestKey) -> tuple[int, int]:
-    edges = nodes = 0
-    for k in key:
-        t = representative(spec, k)
-        edges += t.edge_count
-        nodes += t.node_count
-    return edges, nodes
-
-
 # ---------------------------------------------------------------------------
 # coproduct and counit
 
@@ -161,20 +152,17 @@ def _forest_sizes(spec: EndofunctorSpec, key: ForestKey) -> tuple[int, int]:
 def cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
     """Multiplicity of each (crown class, stump class) over the cuts of t.
 
-    Memoised per spec by the tree's canonical key.
+    Computed once per class and kept in the class record.
     """
-    memo = t.spec._cut_memo
-    key = t.key()
-    got = memo.get(key)
-    if got is not None:
-        return got
-    counter: dict[tuple[ForestKey, str], int] = {}
-    for cut in enumerate_cuts(t.shape):
-        comps, stump, _ = prune_decorated(t, cut.kept)
-        pair = (tuple(sorted(c.key() for c in comps)), stump.key())
-        counter[pair] = counter.get(pair, 0) + 1
-    memo[key] = counter
-    return counter
+    record = intern(t)
+    if record.cuts is None:
+        counter: dict[tuple[ForestKey, str], int] = {}
+        for cut in enumerate_cuts(t.shape):
+            comps, stump, _ = prune_decorated(t, cut.kept)
+            pair = (tuple(sorted(c.key() for c in comps)), stump.key())
+            counter[pair] = counter.get(pair, 0) + 1
+        record.cuts = counter
+    return record.cuts
 
 
 def delta_tree(t: PTree, bound: Bound | None = None) -> TensorSeries:
@@ -195,9 +183,8 @@ def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
         for (l2, r2), c2 in b.coeffs.items():
             left = _merge_key(l1, l2)
             right = _merge_key(r1, r2)
-            if not bound.admits(*_forest_sizes(spec, left)):
-                continue
-            if not bound.admits(*_forest_sizes(spec, right)):
+            if not (bound.admits_forest(PForest(spec, left))
+                    and bound.admits_forest(PForest(spec, right))):
                 continue
             key = (left, right)
             out[key] = out.get(key, ZERO) + c1 * c2
@@ -209,8 +196,7 @@ def delta_monomial(spec: EndofunctorSpec, forest: PForest | ForestKey,
     """Coproduct of a forest monomial: product of the tree coproducts."""
     keys = forest.keys if isinstance(forest, PForest) else tuple(forest)
     if bound is None:
-        edges, _ = _forest_sizes(spec, tuple(sorted(keys)))
-        bound = Bound(max(edges, 1))
+        bound = Bound(max(PForest(spec, keys).edge_count(), 1))
     acc = TensorSeries(spec, bound, {(EMPTY_FOREST_KEY, EMPTY_FOREST_KEY): ONE})
     for k in keys:
         acc = tensor_mul(acc, delta_tree(representative(spec, k), bound))
@@ -231,7 +217,7 @@ def delta_series(s: Series) -> TensorSeries:
 def counit_key(spec: EndofunctorSpec, key: ForestKey) -> Fraction:
     """1 when every tree in the monomial is trivial, else 0."""
     for k in key:
-        if representative(spec, k).node_count != 0:
+        if tree_class(spec, k).nodes != 0:
             return ZERO
     return ONE
 
@@ -270,11 +256,10 @@ def green(spec: EndofunctorSpec, bound: Bound,
 
     Selectors restrict to a root colour or a leaf profile before weighting.
     """
-    coeffs: dict[ForestKey, Fraction] = {}
-    for t in enumerate_ptrees(spec, bound, root_colour=root_colour,
-                              leaf_profile=leaf_profile):
-        coeffs[(t.key(),)] = Fraction(1, aut_order(t))
-    return Series(spec, bound, coeffs)
+    trees = enumerate_ptrees(spec, bound, root_colour=root_colour,
+                             leaf_profile=leaf_profile)
+    return Series(spec, bound, {(c.key,): Fraction(1, c.aut)
+                                for c in map(intern, trees)})
 
 
 def series_mul(a: Series, b: Series) -> Series:
@@ -285,7 +270,7 @@ def series_mul(a: Series, b: Series) -> Series:
     for k1, c1 in a.coeffs.items():
         for k2, c2 in b.coeffs.items():
             key = _merge_key(k1, k2)
-            if not bound.admits(*_forest_sizes(spec, key)):
+            if not bound.admits_forest(PForest(spec, key)):
                 continue
             out[key] = out.get(key, ZERO) + c1 * c2
     return Series(spec, bound, out)
@@ -314,25 +299,24 @@ def series_add(a: Series, b: Series) -> Series:
     return Series(a.spec, a.bound, out)
 
 
-def series_restrict(a: Series, tree_keys: Iterable[str]) -> Series:
-    """Drop monomials containing a tree class outside the allowed set."""
-    allowed = set(tree_keys)
-    return Series(a.spec, a.bound,
-                  {k: v for k, v in a.coeffs.items() if all(x in allowed for x in k)})
-
-
 def series_pow_profile(spec: EndofunctorSpec, bound: Bound, profile: Profile,
                        restrict_to: Iterable[str] | None = None) -> Series:
     """Product over colours of the root-coloured Green function powers.
 
     With ``restrict_to`` the factors keep only the listed tree classes, so a
-    single coefficient can be read off without a global truncation.
+    single coefficient can be read off without a global truncation; they
+    are then built from those classes' records, not by enumeration.
     """
+    listed = (None if restrict_to is None
+              else [tree_class(spec, k) for k in set(restrict_to)])
     acc = series_one(spec, bound)
     for colour, n in profile:
-        g = green(spec, bound, root_colour=colour)
-        if restrict_to is not None:
-            g = series_restrict(g, restrict_to)
+        if listed is None:
+            g = green(spec, bound, root_colour=colour)
+        else:
+            g = Series(spec, bound, {(c.key,): Fraction(1, c.aut) for c in listed
+                                     if c.root == colour
+                                     and bound.admits(c.edges, c.nodes)})
         acc = series_mul(acc, series_pow(g, n))
     return acc
 
@@ -345,28 +329,16 @@ def fdb_rhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree,
                         _cache: dict | None = None) -> Fraction:
     """Coefficient of crown in the leaf-profile power of Green functions,
     divided by the stump's automorphism order."""
-    profile = stump.leaf_profile()
-    crown_keys = crown.keys
-    edges, nodes = _forest_sizes(spec, crown_keys)
-    bound = Bound(max(edges, 1), nodes)
-    cache_key = (profile, tuple(sorted(set(crown_keys))), bound)
-    power = None
-    if _cache is not None:
-        power = _cache.get(cache_key)
+    s = intern(stump)
+    bound = Bound(max(crown.edge_count(), 1), crown.node_count())
+    cache_key = (s.leaf_profile, tuple(sorted(set(crown.keys))), bound)
+    power = None if _cache is None else _cache.get(cache_key)
     if power is None:
-        restricted: dict[str, Fraction] = {}
-        for k in set(crown_keys):
-            restricted[k] = Fraction(1, aut_order(representative(spec, k)))
-        acc = series_one(spec, bound)
-        for colour, n in profile:
-            g = Series(spec, bound,
-                       {(k,): v for k, v in restricted.items()
-                        if representative(spec, k).root_colour == colour})
-            acc = series_mul(acc, series_pow(g, n))
-        power = acc
+        power = series_pow_profile(spec, bound, s.leaf_profile,
+                                   restrict_to=crown.keys)
         if _cache is not None:
             _cache[cache_key] = power
-    return power.coefficient(crown_keys) / aut_order(stump)
+    return power.coefficient(crown.keys) / s.aut
 
 
 def graft_classes(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> list[str]:
@@ -383,10 +355,10 @@ def fdb_lhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> 
     target = (crown.keys, stump.key())
     total = ZERO
     for key in graft_classes(spec, crown, stump):
-        t = representative(spec, key)
-        mult = cut_summary(t).get(target, 0)
+        c = tree_class(spec, key)
+        mult = cut_summary(c.tree).get(target, 0)
         if mult:
-            total += Fraction(mult, aut_order(t))
+            total += Fraction(mult, c.aut)
     return total
 
 
@@ -444,20 +416,20 @@ class FdbReport:
 
 def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
                     max_edges_side: int, rooted: str | None):
-    """Stumps, crowns indexed by (root profile, node count), and the total
-    number of in-budget pairs."""
+    """Stump classes, (node count, crown) lists indexed by root profile, and
+    the total number of in-budget pairs."""
     side_bound = Bound(max_edges_side, max_total_nodes)
-    stumps = enumerate_ptrees(spec, side_bound, root_colour=rooted)
-    crowns = enumerate_pforests(spec, side_bound)
-    by_profile: dict[Profile, list[PForest]] = {}
+    stumps = [intern(t) for t in enumerate_ptrees(spec, side_bound,
+                                                  root_colour=rooted)]
+    by_profile: dict[Profile, list[tuple[int, PForest]]] = {}
     crowns_by_nodes: dict[int, int] = {}
-    for f in crowns:
-        by_profile.setdefault(f.root_profile(), []).append(f)
+    for f in enumerate_pforests(spec, side_bound):
         n = f.node_count()
+        by_profile.setdefault(f.root_profile(), []).append((n, f))
         crowns_by_nodes[n] = crowns_by_nodes.get(n, 0) + 1
     total_pairs = 0
     for s in stumps:
-        room = max_total_nodes - s.node_count
+        room = max_total_nodes - s.nodes
         total_pairs += sum(m for n, m in crowns_by_nodes.items() if n <= room)
     return stumps, by_profile, total_pairs
 
@@ -474,14 +446,14 @@ def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
     """Coproduct of the Green function accumulated tree by tree."""
     acc: dict[tuple[ForestKey, str], Fraction] = {}
     for t in enumerate_ptrees(spec, Bound(max_edges, max_total_nodes)):
-        w = Fraction(1, aut_order(t))
+        w = Fraction(1, intern(t).aut)
         for pair, mult in cut_summary(t).items():
             acc[pair] = acc.get(pair, ZERO) + mult * w
     return acc
 
 
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
-               rooted: str | None = None, jobs: int = 1,
+               rooted: str | None = None,
                list_all: bool = False, mismatch_sample: int = 200) -> FdbReport:
     """Check the coefficient identity over every in-budget pair.
 
@@ -499,27 +471,23 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     sampled: list[tuple[PTree, PForest]] = []
     per_stump = max(1, mismatch_sample // max(len(stumps), 1))
     for s in stumps:
-        room = max_total_nodes - s.node_count
-        profile = s.leaf_profile()
-        for f in by_profile.get(profile, ()):
-            if f.node_count() <= room:
-                tasks.append((s, f))
+        room = max_total_nodes - s.nodes
+        for n, f in by_profile.get(s.leaf_profile, ()):
+            if n <= room:
+                tasks.append((s.tree, f))
         if len(sampled) < mismatch_sample:
             taken = 0
             for other, fs in by_profile.items():
-                if other == profile or taken >= per_stump:
+                if other == s.leaf_profile or taken >= per_stump:
                     continue
-                for f in fs:
-                    if f.node_count() <= room:
-                        sampled.append((s, f))
+                for n, f in fs:
+                    if n <= room:
+                        sampled.append((s.tree, f))
                         taken += 1
                         break
 
-    if jobs > 1 and len(tasks) > 1:
-        results = _run_pairs_parallel(spec, tasks, jobs)
-    else:
-        rhs_cache: dict = {}
-        results = [check_fdb_pair(spec, f, s, rhs_cache) for s, f in tasks]
+    rhs_cache: dict = {}
+    results = [check_fdb_pair(spec, f, s, rhs_cache) for s, f in tasks]
 
     results.sort(key=lambda p: (p.stump, p.crown))
     failed = sum(1 for p in results if not p.passed)
@@ -537,9 +505,8 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     lhs_map = {(p.crown, p.stump): p.lhs for p in results}
     cross_checked = cross_failed = 0
     for p in results:
-        e_crown, _ = _forest_sizes(spec, p.crown)
-        s_rep = representative(spec, p.stump)
-        graft_edges = e_crown + s_rep.edge_count - s_rep.leaf_count()
+        s = tree_class(spec, p.stump)
+        graft_edges = PForest(spec, p.crown).edge_count() + s.edges - s.leaves
         if graft_edges <= max_edges_side:
             cross_checked += 1
             if acc.get((p.crown, p.stump), ZERO) != p.lhs:
@@ -555,39 +522,3 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     return FdbReport(spec.name, max_total_nodes, max_edges_side, rooted,
                      pairs, total_pairs, failed,
                      total_pairs - len(results), cross_checked, cross_failed)
-
-
-# ---------------------------------------------------------------------------
-# optional process-based parallelism (deterministic after sorting)
-
-_WORKER_SPEC: EndofunctorSpec | None = None
-
-
-def _worker_init(spec_doc: dict, name: str):
-    global _WORKER_SPEC
-    _WORKER_SPEC = EndofunctorSpec.from_dict(spec_doc, name=name)
-
-
-def _worker_pair(args: tuple[str, tuple[str, ...]]) -> tuple[str, tuple[str, ...], str, str]:
-    stump_key, crown_keys = args
-    spec = _WORKER_SPEC
-    stump = representative(spec, stump_key)
-    crown = PForest(spec, crown_keys)
-    chk = check_fdb_pair(spec, crown, stump)
-    return (stump_key, crown_keys, str(chk.lhs), str(chk.rhs))
-
-
-def _run_pairs_parallel(spec: EndofunctorSpec, tasks, jobs: int) -> list[PairCheck]:
-    import multiprocessing as mp
-
-    args = [(s.key(), f.keys) for s, f in tasks]
-    try:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(jobs, initializer=_worker_init,
-                      initargs=(spec.to_dict(), spec.name)) as pool:
-            raw = pool.map(_worker_pair, args, chunksize=max(1, len(args) // (jobs * 8)))
-    except (ImportError, OSError, ValueError):
-        rhs_cache: dict = {}
-        return [check_fdb_pair(spec, f, s, rhs_cache) for s, f in tasks]
-    return [PairCheck(crown, stump, Fraction(lhs), Fraction(rhs))
-            for stump, crown, lhs, rhs in raw]

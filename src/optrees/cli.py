@@ -7,7 +7,7 @@ Exit status: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage or parse error.  Results go to standard output only;
 diagnostics and timings go to standard error.  Structured output is a
 single JSON document with sorted keys and a ``schema_version`` field, so
-identical invocations are byte-identical regardless of worker count.
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .enumeration import enumerate_ptrees
 from .groupoid_suite import run_suite
 from .groupoids import GroupoidError, groupoid_from_doc
 from .pfunctor import (EndofunctorSpec, SpecError, aut_order, builtin,
-                       forest_key_str, load_spec, parse_ptree_or_shape)
+                       forest_key_str, intern, load_spec, parse_ptree_or_shape)
 from .trees import GrammarError
 
 SCHEMA_VERSION = 1
@@ -87,9 +87,9 @@ def cmd_enumerate(args) -> int:
         _check_colour(spec, args.root_colour)
     trees = enumerate_ptrees(spec, bound, root_colour=args.root_colour,
                              leaf_profile=profile)
-    rows = [{"key": t.key(), "tree": t.key(), "aut_order": aut_order(t),
-             "root": t.root_colour, "leaf_profile": profile_str(t.leaf_profile()),
-             "edges": t.edge_count, "nodes": t.node_count} for t in trees]
+    rows = [{"key": c.key, "tree": c.key, "aut_order": c.aut, "root": c.root,
+             "leaf_profile": profile_str(c.leaf_profile), "edges": c.edges,
+             "nodes": c.nodes} for c in map(intern, trees)]
     if args.format == "structured":
         emit_structured("enumerate", {"spec": spec.name, "bound": bound.label(),
                                       "classes": rows, "count": len(rows)})
@@ -174,8 +174,7 @@ def cmd_verify_fdb(args) -> int:
     if args.rooted:
         _check_colour(spec, args.rooted)
     report = verify_fdb(spec, max_total_nodes=args.max_nodes,
-                        max_edges_side=args.max_edges, rooted=args.rooted,
-                        jobs=args.jobs)
+                        max_edges_side=args.max_edges, rooted=args.rooted)
     if args.format == "structured":
         emit_structured("verify-fdb", report.as_doc())
     else:
@@ -297,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=5,
                    help="total node bound per pair")
     p.add_argument("--rooted", help="restrict stumps to this root colour")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     _add_common(p)
     p.set_defaults(func=cmd_verify_fdb)
 

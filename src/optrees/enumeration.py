@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .pfunctor import (EndofunctorSpec, ForestKey, PForest, PTree,
-                       build_ptree, representative, trivial_ptree)
+from .pfunctor import (EndofunctorSpec, ForestKey, PForest, PTree, TreeClass,
+                       build_ptree, intern, representative, trivial_ptree)
 from .trees import ForestDiagram, disjoint_union
 
 
@@ -34,6 +34,9 @@ class Bound:
         return edges <= self.max_edges and (self.max_nodes is None
                                             or nodes <= self.max_nodes)
 
+    def admits_forest(self, f: PForest) -> bool:
+        return self.admits(f.edge_count(), f.node_count())
+
     def label(self) -> str:
         if self.max_nodes is None:
             return f"edges<={self.max_edges}"
@@ -51,8 +54,12 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
             yield (first,) + rest
 
 
-def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, PTree]]:
-    """Trees grouped by exact edge count: strata[e] maps key -> representative."""
+def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
+    """Classes grouped by exact edge count: strata[e] maps key -> record.
+
+    Classes are interned with the trees built here; a class already in the
+    table keeps its record.
+    """
     cache_key = ("strata", bound.max_edges, bound.max_nodes)
     cached = spec._enum_cache.get(cache_key)
     if cached is not None:
@@ -69,7 +76,7 @@ def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, PTree]]:
         return trimmed
 
     max_nodes = bound.max_nodes
-    strata: list[dict[str, PTree]] = [dict() for _ in range(bound.max_edges + 1)]
+    strata: list[dict[str, TreeClass]] = [dict() for _ in range(bound.max_edges + 1)]
     by_colour: list[dict[str, list[PTree]]] = [dict() for _ in range(bound.max_edges + 1)]
 
     def add(e: int, t: PTree):
@@ -78,8 +85,8 @@ def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, PTree]]:
             return
         if max_nodes is not None and t.node_count > max_nodes:
             return
-        strata[e][key] = t
-        by_colour[e].setdefault(t.root_colour, []).append(t)
+        c = strata[e][key] = intern(t)
+        by_colour[e].setdefault(c.root, []).append(c.tree)
 
     for colour in spec.colours:
         add(1, trivial_ptree(spec, colour))
@@ -124,16 +131,14 @@ def enumerate_ptrees(spec: EndofunctorSpec, bound: Bound,
                      leaf_profile: tuple[tuple[str, int], ...] | None = None,
                      ) -> list[PTree]:
     """One representative per tree class within the bound, sorted by key."""
-    out = []
-    for stratum in _strata(spec, bound)[1:]:
-        out.extend(stratum.values())
+    out = [c for stratum in _strata(spec, bound)[1:] for c in stratum.values()]
     if root_colour is not None:
-        out = [t for t in out if t.root_colour == root_colour]
+        out = [c for c in out if c.root == root_colour]
     if leaf_profile is not None:
         want = tuple(sorted((c, m) for c, m in leaf_profile if m))
-        out = [t for t in out if t.leaf_profile() == want]
-    out.sort(key=lambda t: t.key())
-    return out
+        out = [c for c in out if c.leaf_profile == want]
+    out.sort(key=lambda c: c.key)
+    return [c.tree for c in out]
 
 
 def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
@@ -145,7 +150,8 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
     realise exactly that profile are returned (the empty profile gives the
     empty forest alone).
     """
-    trees = enumerate_ptrees(spec, bound)
+    classes = [(c.edges, c.nodes, c.root, c.key)
+               for c in map(intern, enumerate_ptrees(spec, bound))]
     want: dict[str, int] | None = None
     if root_profile is not None:
         want = {c: m for c, m in root_profile if m}
@@ -157,16 +163,15 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
     def rec(start: int, edges_left: int, nodes_left: int | None):
         if want is None or counts == want:
             out.append(tuple(chosen))
-        for i in range(start, len(trees)):
-            t = trees[i]
-            e, n, c = t.edge_count, t.node_count, t.root_colour
+        for i in range(start, len(classes)):
+            e, n, c, key = classes[i]
             if e > edges_left:
                 continue
             if nodes_left is not None and n > nodes_left:
                 continue
             if want is not None and counts.get(c, 0) >= want.get(c, 0):
                 continue
-            chosen.append(t.key())
+            chosen.append(key)
             counts[c] = counts.get(c, 0) + 1
             rec(i, edges_left - e,
                 None if nodes_left is None else nodes_left - n)
@@ -175,7 +180,7 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
                 del counts[c]
             chosen.pop()
 
-    # trees come in key order and indices never decrease, so every multiset
+    # classes come in key order and indices never decrease, so every multiset
     # is produced exactly once, sorted
     rec(0, bound.max_edges, bound.max_nodes)
     out.sort()
@@ -264,8 +269,8 @@ def graft_class_assignments(stump: PTree, crown: PForest) -> Iterator[dict[int, 
     """Assignments of crown component classes to stump leaves, up to
     permuting equal classes (enough to reach every graft class)."""
     by_colour: dict[str, list[str]] = {}
-    for t in crown.trees():
-        by_colour.setdefault(t.root_colour, []).append(t.key())
+    for c in crown.classes():
+        by_colour.setdefault(c.root, []).append(c.key)
     leaves_by_colour: dict[str, list[int]] = {}
     for e in sorted(stump.shape.leaves):
         leaves_by_colour.setdefault(stump.edge_colour[e], []).append(e)

@@ -32,7 +32,9 @@ GROUP_CATALOG: list[Group] = [
     Group.symmetric(3),
 ]
 
-_HOM_CACHE: dict[tuple[int, int], list[dict]] = {}
+# Keyed by object ids; each entry keeps its groups alive, so an id in the
+# key cannot be reused by another group while the entry exists.
+_HOM_CACHE: dict[tuple[int, int], tuple[Group, Group, list[dict]]] = {}
 
 
 def all_homs(g: Group, h: Group) -> list[dict]:
@@ -40,7 +42,7 @@ def all_homs(g: Group, h: Group) -> list[dict]:
     key = (id(g), id(h))
     got = _HOM_CACHE.get(key)
     if got is not None:
-        return got
+        return got[2]
     out: list[dict] = []
     els = list(g.elements)
 
@@ -68,7 +70,7 @@ def all_homs(g: Group, h: Group) -> list[dict]:
     rec(0, {g.identity: h.identity} if els and els[0] == g.identity else {})
     # ensure the identity constraint even when identity is not first
     out = [hom for hom in out if hom[g.identity] == h.identity]
-    _HOM_CACHE[key] = out
+    _HOM_CACHE[key] = (g, h, out)
     return out
 
 

@@ -32,8 +32,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .trees import (Cut, GrammarError, TreeDiagram, _Scanner,
-                    ideal_subtree, prune)
+from .trees import (Cut, GrammarError, MatchingNotBijective, TreeDiagram,
+                    _Scanner, ideal_subtree, prune)
 
 
 class SpecError(ValueError):
@@ -96,8 +96,11 @@ class OpType:
 class EndofunctorSpec:
     """Colours plus typed operations with input symmetry groups.
 
-    Immutable after construction; symmetry-group closures and various
-    canonical-form memo tables are cached on the instance.
+    Immutable after construction apart from caches: the symmetry-group
+    closures, the enumeration strata, and ``classes``, the class table.  The
+    table maps each canonical key to its :class:`TreeClass` record, the one
+    tree and the invariants of that class; every class is interned there
+    once, by the enumeration or on first sight of its key.
     """
 
     def __init__(self, colours: Sequence[str], ops: Sequence[OpType], name: str = "custom"):
@@ -126,10 +129,8 @@ class EndofunctorSpec:
                         raise SpecError(f"op {op.name!r}: generator {g} breaks input colours")
             self.by_name[op.name] = op
         self._groups: dict[str, tuple[Perm, ...]] = {}
-        self._aut_memo: dict[str, int] = {}
-        self._cut_memo: dict[str, dict] = {}
         self._enum_cache: dict = {}
-        self._rep_cache: dict[str, "PTree"] = {}
+        self.classes: dict[str, TreeClass] = {}
 
     @property
     def one_colour(self) -> bool:
@@ -416,14 +417,6 @@ def build_ptree(spec: EndofunctorSpec, opname: str, children: Sequence[PTree]) -
     return PTree(spec, shape, edge_colour, node_op)
 
 
-def subtree_above(t: PTree, edge: int) -> PTree:
-    """The decorated ideal subtree generated by an edge (ids preserved)."""
-    sub = ideal_subtree(t.shape, edge)
-    return PTree(t.spec, sub,
-                 {e: t.edge_colour[e] for e in sub.edges},
-                 {n: t.node_op[n] for n in sub.node_inputs})
-
-
 # ---------------------------------------------------------------------------
 # automorphism order
 
@@ -433,9 +426,10 @@ def aut_order(t: PTree) -> int:
 
     Recursively: the order at a node is the number of symmetry-group
     elements that permute slots within equal child classes, times the
-    product of the child orders.  Memoised per spec by canonical code.
+    product of the child orders.  A subtree whose class is in the spec's
+    class table is not descended into: its record holds the order.
     """
-    memo = t.spec._aut_memo
+    classes = t.spec.classes
     codes = t.edge_codes()
     shape = t.shape
 
@@ -443,9 +437,9 @@ def aut_order(t: PTree) -> int:
         code = codes.get(edge)
         if code is None:
             return 1
-        got = memo.get(code)
-        if got is not None:
-            return got
+        known = classes.get(code)
+        if known is not None:
+            return known.aut
         n = shape.node_above[edge]
         ins = shape.node_inputs[n]
         child_codes = tuple(codes.get(e, "_") for e in ins)
@@ -455,7 +449,6 @@ def aut_order(t: PTree) -> int:
         total = h
         for e in ins:
             total *= rec(e)
-        memo[code] = total
         return total
 
     return rec(shape.root)
@@ -677,13 +670,51 @@ def parse_ptree_or_shape(spec: EndofunctorSpec, text: str) -> PTree:
         return decorate_shape(spec, shape)
 
 
+# ---------------------------------------------------------------------------
+# the class table
+
+
+class TreeClass:
+    """One isomorphism class of decorated trees: its tree and invariants.
+
+    ``cuts`` is the class's cut summary, filled in on first use by
+    ``bialgebra.cut_summary``.
+    """
+
+    __slots__ = ("key", "tree", "edges", "nodes", "leaves", "root",
+                 "leaf_profile", "aut", "cuts")
+
+    def __init__(self, t: PTree):
+        self.key = t.key()
+        self.tree = t
+        self.edges = t.edge_count
+        self.nodes = t.node_count
+        self.leaves = t.leaf_count()
+        self.root = t.root_colour
+        self.leaf_profile = t.leaf_profile()
+        self.aut = aut_order(t)
+        self.cuts: dict | None = None
+
+
+def intern(t: PTree) -> TreeClass:
+    """The record of t's class, made from t when the class has none yet."""
+    classes = t.spec.classes
+    key = t.key()
+    c = classes.get(key)
+    if c is None:
+        c = classes[key] = TreeClass(t)
+    return c
+
+
+def tree_class(spec: EndofunctorSpec, key: str) -> TreeClass:
+    """The record of a canonical key's class, parsing the key on first sight."""
+    c = spec.classes.get(key)
+    return c if c is not None else intern(parse_ptree(spec, key))
+
+
 def representative(spec: EndofunctorSpec, key: str) -> PTree:
-    """A representative tree for a canonical key (cached per spec)."""
-    rep = spec._rep_cache.get(key)
-    if rep is None:
-        rep = parse_ptree(spec, key)
-        spec._rep_cache[key] = rep
-    return rep
+    """The tree of a canonical key's class."""
+    return tree_class(spec, key).tree
 
 
 # ---------------------------------------------------------------------------
@@ -731,27 +762,29 @@ class PForest:
                 out.append((k, 1))
         return tuple(out)
 
+    def classes(self) -> list[TreeClass]:
+        return [tree_class(self.spec, k) for k in self.keys]
+
     def trees(self) -> list[PTree]:
-        return [representative(self.spec, k) for k in self.keys]
+        return [c.tree for c in self.classes()]
 
     def edge_count(self) -> int:
-        return sum(t.edge_count for t in self.trees())
+        return sum(c.edges for c in self.classes())
 
     def node_count(self) -> int:
-        return sum(t.node_count for t in self.trees())
+        return sum(c.nodes for c in self.classes())
 
     def root_profile(self) -> tuple[tuple[str, int], ...]:
         counts: dict[str, int] = {}
-        for t in self.trees():
-            c = t.root_colour
-            counts[c] = counts.get(c, 0) + 1
+        for c in self.classes():
+            counts[c.root] = counts.get(c.root, 0) + 1
         return tuple(sorted(counts.items()))
 
     def leaf_profile(self) -> tuple[tuple[str, int], ...]:
         counts: dict[str, int] = {}
-        for t in self.trees():
-            for c, m in t.leaf_profile():
-                counts[c] = counts.get(c, 0) + m
+        for c in self.classes():
+            for colour, m in c.leaf_profile:
+                counts[colour] = counts.get(colour, 0) + m
         return tuple(sorted(counts.items()))
 
 
@@ -765,7 +798,7 @@ def aut_order_forest(f: PForest) -> int:
     """Product over classes of mult! times the tree orders to that power."""
     total = 1
     for key, mult in f.items:
-        a = aut_order(representative(f.spec, key))
+        a = tree_class(f.spec, key).aut
         for i in range(2, mult + 1):
             total *= i
         total *= a ** mult

@@ -91,6 +91,13 @@ def test_classical_verify_passes():
     assert doc["summary"]["failed"] == 0
 
 
+def test_classical_verify_counts_a_grading_violation(monkeypatch):
+    monkeypatch.setattr("optrees.classical.degree", lambda c: 0)
+    rep = classical_verify(3)
+    assert rep.passed is False
+    assert rep.failed > 0
+
+
 def test_classical_identity_fails_with_unweighted_series():
     # the substitution identity needs the 1/k! weights: the coefficient of
     # (a1 a2) (x) a2 is 3/3! on the left but would be 2/2! unweighted

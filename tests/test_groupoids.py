@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -46,6 +47,15 @@ def test_all_homs_counts():
         for a in s3.elements:
             for b in s3.elements:
                 assert hom[s3.mul[(a, b)]] == c2.mul[(hom[a], hom[b])]
+
+
+def test_all_homs_never_answers_for_a_freed_group():
+    # freed groups give their ids to the next ones built; the cache must
+    # not hand one group's homomorphisms to another
+    c4 = Group.cyclic(4)
+    for i in range(200):
+        n = 2 + i % 3
+        assert len(all_homs(Group.cyclic(n), c4)) == math.gcd(n, 4)
 
 
 # -- basic groupoids -------------------------------------------------------------

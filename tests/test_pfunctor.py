@@ -10,11 +10,13 @@ from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
                               UnknownOp, aut_order, aut_order_forest,
                               automorphisms, builtin,
                               decorate_shape, decorated_automorphism,
-                              forest_mul, isomorphic, isomorphisms_brute,
-                              parse_pforest, parse_ptree, parse_ptree_or_shape,
-                              print_ptree, representative, save_spec,
-                              load_spec, trivial_ptree, validate_ptree)
-from optrees.trees import GrammarError, parse_tree, validate_tree
+                              forest_mul, graft_decorated, isomorphic,
+                              isomorphisms_brute, parse_pforest, parse_ptree,
+                              parse_ptree_or_shape, print_ptree,
+                              representative, save_spec, load_spec,
+                              trivial_ptree, validate_ptree)
+from optrees.trees import (GrammarError, MatchingNotBijective, parse_tree,
+                           validate_tree)
 
 
 # -- specs --------------------------------------------------------------------
@@ -228,6 +230,38 @@ def test_symmetry_subgroup_order_divides():
         assert len(group) % h == 0
 
 
+# -- the class table -----------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [builtin("exp", max_arity=3), two_colour_spec()],
+                         ids=["exp3", "two-colour"])
+def test_class_records_match_a_fresh_parse(spec):
+    trees = enumerate_ptrees(spec, Bound(6))
+    assert trees
+    for t in trees:
+        k = t.key()
+        c = spec.classes[k]
+        fresh = parse_ptree(spec, k)
+        assert c.key == fresh.key() == k
+        assert c.edges == fresh.edge_count
+        assert c.nodes == fresh.node_count
+        assert c.leaves == fresh.leaf_count()
+        assert c.root == fresh.root_colour
+        assert c.leaf_profile == fresh.leaf_profile()
+        assert c.aut == len(automorphisms(fresh))
+        assert representative(spec, k) is representative(spec, k)
+        assert representative(spec, k) is t
+
+
+def test_class_interned_once_on_first_sight_of_its_key():
+    spec = builtin("exp", max_arity=3)
+    k = "(n2:(n2:__)_)"
+    t = representative(spec, k)
+    assert spec.classes[k].tree is t
+    assert representative(spec, k) is t
+    # enumeration keeps the record it finds instead of making a second one
+    assert t in enumerate_ptrees(spec, Bound(5))
+
+
 # -- forests ------------------------------------------------------------------
 
 def test_forest_aut_orders():
@@ -296,3 +330,14 @@ def test_decorate_shape():
         decorate_shape(both, parse_tree("(_)"))
     assert parse_ptree_or_shape(ident, "((_))").key() == "(n1:(n1:_))"
     assert parse_ptree_or_shape(ident, "(n1:_)").key() == "(n1:_)"
+
+
+# -- grafting -------------------------------------------------------------------
+
+def test_graft_decorated_rejects_an_assignment_missing_a_leaf():
+    stump = parse_ptree(builtin("binary"), "(n2:__)")
+    with pytest.raises(MatchingNotBijective):
+        graft_decorated(stump, {})
+    leaf = min(stump.shape.leaves)
+    with pytest.raises(MatchingNotBijective):
+        graft_decorated(stump, {leaf: trivial_ptree(stump.spec)})
