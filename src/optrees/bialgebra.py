@@ -18,6 +18,22 @@ ideal subtrees over the stump's leaves.  It is multiplicative on forest
 monomials.  The counit sends a monomial to 1 when all its trees are
 trivial, else 0 (forced by the counit laws, which the tests verify).
 
+``cut_summary`` computes it by recursion on the root node, the Hochschild
+1-cocycle property of grafting:
+
+    Δ(op(T₁…T_k)) = T ⊗ | + op(ΔT₁, …, ΔT_k),   Δ(|) = | ⊗ |.
+
+A cut either cuts the root edge (crown T, trivial stump) or keeps the root
+node and cuts each input subtree independently.  In the second case the
+crown is the union of the input crowns, and the stump is ``op`` on the
+input stumps, whose code is the least arrangement of the input stump
+codes over the op's symmetry group (the rule of ``PTree.edge_codes``).  The
+multiplicity is the product of the input multiplicities.  Subtree classes
+are keyed by the representative's edge codes and their summaries are kept
+in their class records, so nothing is re-canonicalised.
+``flat_cut_summary`` is the brute-force count: every cut is enumerated,
+pruned and both parts canonicalised.
+
 Green functions
 ---------------
 ``green`` is the series with coefficient ``1/|Aut T|`` on each single-tree
@@ -33,11 +49,14 @@ function can be computed two independent ways:
 
 ``verify_fdb`` checks exact equality over every pair within a budget of
 (max total nodes, max edges per side), with a third cross-check that
-accumulates the coproducts of all trees within the edge budget directly.
+accumulates the coproducts of all trees within the edge budget directly,
+counting their cuts flat, so it shares no cut count with the first route.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -152,17 +171,96 @@ def _merge_key(a: ForestKey, b: ForestKey) -> ForestKey:
 def cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
     """Multiplicity of each (crown class, stump class) over the cuts of t.
 
-    Computed once per class and kept in the class record.
+    Computed once per class, by recursion on the root node (see the module
+    docstring), and kept in the class record.
     """
     record = intern(t)
     if record.cuts is None:
-        counter: dict[tuple[ForestKey, str], int] = {}
-        for cut in enumerate_cuts(t.shape):
-            comps, stump, _ = prune_decorated(t, cut.kept)
-            pair = (tuple(sorted(c.key() for c in comps)), stump.key())
-            counter[pair] = counter.get(pair, 0) + 1
-        record.cuts = counter
+        record.cuts = _rooted_cuts(t)
     return record.cuts
+
+
+def _rooted_cuts(t: PTree) -> dict[tuple[ForestKey, str], int]:
+    """Cut summary of t from the summaries of the subtrees on its root node.
+
+    The subtree above edge e is keyed by ``t.edge_codes()[e]``, so no
+    subtree is rebuilt.  A subtree whose class record already holds its
+    summary is not descended into; a summary computed here for a subtree
+    whose class has a record is stored there.  Inside the walk a trivial
+    stump is written ``_``, its code inside other codes.
+    """
+    spec, shape = t.spec, t.shape
+    classes = spec.classes
+    codes = t.edge_codes()
+    if shape.root not in codes:  # the trivial tree has one cut
+        return {((t.key(),), t.key()): 1}
+
+    def trivial(e: int) -> str:
+        return "_" if spec.one_colour else "_" + t.edge_colour[e]
+
+    def known(code: str) -> dict | None:
+        c = classes.get(code)
+        return None if c is None else c.cuts
+
+    # nodes whose subtree summary is not known yet, each before its inputs
+    todo: list[int] = []
+    stack = [shape.root]
+    while stack:
+        e = stack.pop()
+        n = shape.node_above.get(e)
+        if n is not None and known(codes[e]) is None:
+            todo.append(n)
+            stack.extend(shape.node_inputs[n])
+
+    # edge -> [(crown, stump code, multiplicity)], taken by the node above
+    done: dict[int, list[tuple[ForestKey, str, int]]] = {}
+
+    def summary_above(e: int) -> list[tuple[ForestKey, str, int]]:
+        got = done.pop(e, None)
+        if got is not None:
+            return got
+        code = codes.get(e)
+        if code is None:
+            return [((trivial(e),), "_", 1)]
+        return [(crown, stump if stump[0] == "(" else "_", m)
+                for (crown, stump), m in known(code).items()]
+
+    out: dict[tuple[ForestKey, str], int] = {}
+    for n in reversed(todo):  # the root node comes last
+        e = shape.node_output[n]
+        code = codes[e]
+        op = t.node_op[n]
+        group = spec.sym_group(op)
+        ins = shape.node_inputs[n]
+        kept: dict[tuple[ForestKey, str], int] = {}
+        for combo in itertools.product(*map(summary_above, ins)):
+            crown = tuple(sorted(itertools.chain.from_iterable(
+                c for c, _, _ in combo)))
+            child = tuple(s for _, s, _ in combo)
+            if len(child) > 1 and len(group) > 1:
+                child = min(tuple(child[g[i]] for i in range(len(child)))
+                            for g in group)
+            stump = "(" + op + (":" + "".join(child) if child else "") + ")"
+            pair = (crown, stump)
+            kept[pair] = kept.get(pair, 0) + math.prod(m for _, _, m in combo)
+        out = {((code,), trivial(e)): 1, **kept}
+        record = classes.get(code)
+        if record is not None and record.cuts is None:
+            record.cuts = out
+        done[e] = [((code,), "_", 1)] + [(c, s, m) for (c, s), m in kept.items()]
+    return out
+
+
+def flat_cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
+    """Cut summary counted cut by cut: every cut of t is pruned and both
+    parts are canonicalised from scratch.  The flat oracle for
+    ``cut_summary``, and the cut count of the accumulation route."""
+    counter: dict[tuple[ForestKey, str], int] = {}
+    for cut in enumerate_cuts(t.shape):
+        comps, stump, _ = prune_decorated(t, cut.kept)
+        pair = (tuple(sorted(c.key() for c in comps)), stump.key())
+        counter[pair] = counter.get(pair, 0) + 1
+    return counter
 
 
 def delta_tree(t: PTree, bound: Bound | None = None) -> TensorSeries:
@@ -443,11 +541,12 @@ def check_fdb_pair(spec: EndofunctorSpec, crown: PForest, stump: PTree,
 
 def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
                          max_edges: int) -> dict[tuple[ForestKey, str], Fraction]:
-    """Coproduct of the Green function accumulated tree by tree."""
+    """Coproduct of the Green function accumulated tree by tree, with each
+    tree's cuts counted flat."""
     acc: dict[tuple[ForestKey, str], Fraction] = {}
     for t in enumerate_ptrees(spec, Bound(max_edges, max_total_nodes)):
         w = Fraction(1, intern(t).aut)
-        for pair, mult in cut_summary(t).items():
+        for pair, mult in flat_cut_summary(t).items():
             acc[pair] = acc.get(pair, ZERO) + mult * w
     return acc
 
@@ -461,9 +560,15 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     no grafts and no monomial in the profile power, so both sides vanish;
     they are counted in bulk (a deterministic sample of them is pushed
     through the full computation as a spot check) but only profile-matched
-    pairs, and any failures, are listed.  A third, independent route
-    accumulates the coproducts of all trees within the edge budget and must
-    agree with the listed pairs whose graft size stays within it.
+    pairs, and any failures, are listed.
+
+    The LHS reads ``cut_summary``, the recursive coproduct.  A third route
+    accumulates the coproducts of all trees within the budget, counting
+    each tree's cuts flat (``flat_cut_summary``: enumerate, prune,
+    canonicalise), so it tests the recursion against the brute-force
+    count.  It must agree with the listed pairs whose graft size stays
+    within the budget, and every pair it finds must be listed; in rooted
+    mode, every pair whose stump has the rooted colour.
     """
     stumps, by_profile, total_pairs = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
@@ -511,11 +616,11 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
             cross_checked += 1
             if acc.get((p.crown, p.stump), ZERO) != p.lhs:
                 cross_failed += 1
-    if rooted is None:
-        # every accumulated pair must be among the checked ones
-        for pair, val in acc.items():
-            if val and pair not in lhs_map:
-                cross_failed += 1
+    # every accumulated pair (with a stump of the rooted colour) is checked
+    for pair, val in acc.items():
+        if val and pair not in lhs_map and (
+                rooted is None or tree_class(spec, pair[1]).root == rooted):
+            cross_failed += 1
 
     pairs = results if list_all else [p for p in results if not p.passed
                                       or p.lhs or p.rhs]

@@ -216,6 +216,8 @@ def cmd_verify_phi(args) -> int:
 
 
 def cmd_verify_groupoid(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     report = run_suite(count=args.count, seed=args.seed)
     if args.format == "structured":
         emit_structured("verify-groupoid", report.as_doc())

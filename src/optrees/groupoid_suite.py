@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -378,12 +379,22 @@ class SuiteReport:
 
 
 def run_suite(count: int = 200, seed: int = 0) -> SuiteReport:
-    """Run every law on ``count`` random instances (spread over the laws)."""
+    """Run every law on ``count`` random instances (spread over the laws).
+
+    An instance whose law raises counts as failed; the law and the
+    exception are named on standard error.
+    """
     rng = random.Random(seed)
     results = {name: [0, 0] for name, _ in LAWS}
     for k in range(count):
         name, law = LAWS[k % len(LAWS)]
         results[name][0] += 1
-        if not law(rng):
+        try:
+            held = law(rng)
+        except Exception as exc:
+            print(f"law {name}: instance {k} raised {type(exc).__name__}: "
+                  f"{exc}", file=sys.stderr)
+            held = False
+        if not held:
             results[name][1] += 1
     return SuiteReport(seed, count, {n: (i, f) for n, (i, f) in results.items()})

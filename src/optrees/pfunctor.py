@@ -32,8 +32,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .trees import (Cut, GrammarError, MatchingNotBijective, TreeDiagram,
-                    _Scanner, ideal_subtree, prune)
+from .trees import (MAX_PARSE_DEPTH, Cut, GrammarError, MatchingNotBijective,
+                    TreeDiagram, _Scanner, ideal_subtree, prune)
 
 
 class SpecError(ValueError):
@@ -552,7 +552,7 @@ def _scan_ident(sc: _Scanner) -> str:
 
 
 def _parse_decorated(spec: EndofunctorSpec, sc: _Scanner,
-                     expect_colour: str | None) -> PTree:
+                     expect_colour: str | None, depth: int = 0) -> PTree:
     sc.skip_ws()
     ch = sc.peek()
     if ch == "_":
@@ -573,6 +573,8 @@ def _parse_decorated(spec: EndofunctorSpec, sc: _Scanner,
             raise sc.error(f"colour {colour!r} does not match slot colour {expect_colour!r}")
         return trivial_ptree(spec, colour)
     if ch == "(":
+        if depth >= MAX_PARSE_DEPTH:
+            raise sc.error(f"nodes nested deeper than {MAX_PARSE_DEPTH}")
         sc.advance()
         sc.skip_ws()
         opname = _scan_ident(sc)
@@ -591,7 +593,7 @@ def _parse_decorated(spec: EndofunctorSpec, sc: _Scanner,
                     raise sc.error("unexpected end of input, expected ')'")
                 i = len(children)
                 want = op.ins[i] if i < op.arity else None
-                children.append(_parse_decorated(spec, sc, want))
+                children.append(_parse_decorated(spec, sc, want, depth + 1))
         sc.skip_ws()
         if sc.peek() != ")":
             raise sc.error("expected ')'")
@@ -677,8 +679,9 @@ def parse_ptree_or_shape(spec: EndofunctorSpec, text: str) -> PTree:
 class TreeClass:
     """One isomorphism class of decorated trees: its tree and invariants.
 
-    ``cuts`` is the class's cut summary, filled in on first use by
-    ``bialgebra.cut_summary``.
+    ``cuts`` is the class's cut summary, filled in by
+    ``bialgebra.cut_summary`` on first use, for this class or for a tree
+    that has this class as a subtree.
     """
 
     __slots__ = ("key", "tree", "edges", "nodes", "leaves", "root",

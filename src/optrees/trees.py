@@ -495,13 +495,21 @@ class _TreeBuilder:
         return e
 
 
-def _parse_subtree(sc: _Scanner, b: _TreeBuilder, out_edge: int):
+# Deepest node nesting the parsers accept.  The parsers, ``node_depth`` and
+# ``pfunctor.aut_order`` recurse once per level, so much deeper input would
+# exhaust Python's default recursion limit of 1000; it is a GrammarError.
+MAX_PARSE_DEPTH = 500
+
+
+def _parse_subtree(sc: _Scanner, b: _TreeBuilder, out_edge: int, depth: int = 0):
     sc.skip_ws()
     ch = sc.peek()
     if ch == "_":
         sc.advance()
         return
     if ch == "(":
+        if depth >= MAX_PARSE_DEPTH:
+            raise sc.error(f"nodes nested deeper than {MAX_PARSE_DEPTH}")
         sc.advance()
         node = b.node_n
         b.node_n += 1
@@ -519,7 +527,7 @@ def _parse_subtree(sc: _Scanner, b: _TreeBuilder, out_edge: int):
                 raise sc.error(f"unexpected character {ch!r}")
             e = b.new_edge()
             ins.append(e)
-            _parse_subtree(sc, b, e)
+            _parse_subtree(sc, b, e, depth + 1)
         b.node_inputs[node] = tuple(ins)
         return
     if ch is None:

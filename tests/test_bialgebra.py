@@ -6,16 +6,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_builtin_specs, two_colour_spec
+from optrees import bialgebra
 from optrees.bialgebra import (Bound, BoundMismatch, counit, counit_left,
-                               counit_right, delta_monomial, delta_series,
-                               delta_tree, fdb_lhs_coefficient,
-                               fdb_rhs_coefficient, format_rational, green,
-                               series_mul, series_pow, series_pow_profile,
-                               tensor_mul, verify_fdb)
+                               counit_right, cut_summary, delta_monomial,
+                               delta_series, delta_tree, fdb_lhs_coefficient,
+                               fdb_rhs_coefficient, flat_cut_summary,
+                               format_rational, green, series_mul, series_pow,
+                               series_pow_profile, tensor_mul, verify_fdb)
 from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
-from optrees.pfunctor import (EMPTY_FOREST_KEY, PForest, aut_order,
-                              automorphisms, builtin, parse_ptree,
-                              representative, trivial_ptree)
+from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, OpType,
+                              PForest, aut_order, automorphisms, builtin,
+                              parse_ptree, representative, trivial_ptree)
 
 EMPTY = EMPTY_FOREST_KEY
 
@@ -152,6 +153,77 @@ def test_node_grading_preserved(exp3):
             nodes = sum(representative(exp3, k).node_count for k in left)
             nodes += sum(representative(exp3, k).node_count for k in right)
             assert nodes == t.node_count
+
+
+def symmetric_two_colour_spec():
+    """Two colours, with a symmetric op whose group swaps two of its slots."""
+    return EndofunctorSpec(
+        ["a", "b"],
+        [OpType("f", "a", ("a", "b")),
+         OpType("g", "b", ("a", "a", "b"), ((1, 0, 2),)),
+         OpType("h", "b", ())],
+        name="symmetric-two-colour")
+
+
+CUT_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec()]
+
+
+@pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
+def test_recursive_cut_summary_equals_flat_count(template):
+    # A fresh copy of the spec, so no class record holds a summary yet.  The
+    # largest trees go first: their walks fill the records of their subtree
+    # classes, which the smaller trees then read.
+    spec = EndofunctorSpec(template.colours, template.ops, name=template.name)
+    trees = sorted(enumerate_ptrees(spec, Bound(8)),
+                   key=lambda t: -t.edge_count)
+    for t in trees:
+        assert cut_summary(t) == flat_cut_summary(t), t.key()
+
+
+def test_recursive_cut_summary_of_trees_outside_the_table():
+    # No enumeration: no subtree class has a record to read or fill.
+    for spec, text in [
+            (builtin("exp", max_arity=3),
+             "(n3:(n2:(n1:_)(n1:_))(n2:(n1:_)(n1:_))(n2:(n1:_)(n1:_)))"),
+            (builtin("cyclic", max_arity=3), "(n3:(n2:__)(n2:__)(n3:___))"),
+            (symmetric_two_colour_spec(), "(g:(f:_(h))(f:_(h))(g:(f:_a_b)_a(h)))"),
+            (builtin("identity"), "(n1:" * 40 + "_" + ")" * 40)]:
+        t = parse_ptree(spec, text)
+        assert cut_summary(t) == flat_cut_summary(t), text
+
+
+def test_cross_check_detects_a_wrong_recursive_count():
+    # The accumulation route counts cuts flat, so a wrong multiplicity in
+    # the recursive summary read by the LHS route shows as a cross failure.
+    spec = builtin("binary")
+    t = parse_ptree(spec, "(n2:(n2:__)_)")
+    pair = (("(n2:__)", "_"), "(n2:__)")
+    summary = cut_summary(t)
+    assert summary[pair] == 1
+    summary[pair] += 1
+    rep = verify_fdb(spec, max_total_nodes=3, max_edges_side=5)
+    assert rep.cross_failed > 0
+    assert any(p.crown == pair[0] and p.stump == pair[1] and not p.passed
+               for p in rep.pairs)
+
+
+def test_rooted_mode_checks_every_accumulated_pair(monkeypatch, two_colour):
+    # A pair the accumulation finds but no route checks is a cross failure
+    # when its stump has the rooted colour.
+    accumulate = bialgebra._direct_accumulation
+    unchecked = (("_a", "_a"), "_a")
+
+    def with_unchecked_pair(*args):
+        acc = accumulate(*args)
+        assert unchecked not in acc
+        acc[unchecked] = Fraction(1)
+        return acc
+
+    monkeypatch.setattr(bialgebra, "_direct_accumulation", with_unchecked_pair)
+    assert verify_fdb(two_colour, max_total_nodes=3, max_edges_side=4,
+                      rooted="a").cross_failed >= 1
+    assert verify_fdb(two_colour, max_total_nodes=3, max_edges_side=4,
+                      rooted="b").cross_failed == 0
 
 
 # -- green functions -----------------------------------------------------------

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from conftest import two_colour_spec
+from optrees import groupoid_suite
 from optrees.cli import main
 from optrees.groupoids import (Group, discrete, disjoint_union_groupoids,
                                groupoid_to_doc, one_object)
@@ -180,3 +181,43 @@ def test_timings_go_to_stderr():
     assert code == 0
     assert "elapsed_ms" in err
     assert "elapsed" not in out
+
+
+def test_verify_groupoid_count_below_one_is_usage_error(capsys):
+    for count in ("0", "-3"):
+        assert main(["verify", "groupoid", "--count", count,
+                     "--format", "structured"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--count" in captured.err
+
+
+def test_law_that_raises_counts_as_failed_instance(monkeypatch, capsys):
+    def raising(rng):
+        raise ZeroDivisionError("broken law")
+
+    monkeypatch.setattr(groupoid_suite, "LAWS",
+                        [("holds", lambda rng: True), ("raises", raising)])
+    code = main(["verify", "groupoid", "--count", "5", "--format", "structured"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    assert {row["law"]: (row["instances"], row["failed"])
+            for row in doc["laws"]} == {"holds": (3, 0), "raises": (2, 2)}
+    assert doc["summary"]["failed"] == 2
+    assert "raises" in captured.err and "ZeroDivisionError" in captured.err
+
+
+def test_deep_input_is_a_parse_error_without_traceback():
+    ladder = lambda n: "(n1:" * n + "_" + ")" * n
+    for command in ("aut", "delta"):
+        code, out, err = run_cli([command, "--functor", "identity",
+                                  "--tree", ladder(1200)])
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert "line 1, column" in err
+        assert out == ""
+    code, out, err = run_cli(["delta", "--functor", "identity",
+                              "--tree", ladder(500), "--format", "structured"])
+    assert code == 0, err
+    assert json.loads(out)["count"] == 501

@@ -308,6 +308,19 @@ def test_parse_errors_have_positions():
         assert "line" in str(err.value)
 
 
+def test_decorated_parse_limits_nesting_depth():
+    spec = builtin("identity")
+    deep = parse_ptree(spec, "(n1:" * 500 + "_" + ")" * 500)
+    assert deep.node_count == 500
+    for n in (501, 1200):
+        text = "(n1:" * n + "_" + ")" * n
+        with pytest.raises(GrammarError) as err:
+            parse_ptree(spec, text)
+        assert "line 1, column 2001" in str(err.value)
+        with pytest.raises(GrammarError):
+            parse_pforest(spec, "_·" + text)
+
+
 def test_multicolour_leaf_annotation():
     spec = two_colour_spec()
     t = parse_ptree(spec, "(f:_a_b)")

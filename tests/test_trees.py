@@ -310,6 +310,17 @@ def test_parse_reports_position():
         parse_forest("_·")
 
 
+def test_parse_limits_nesting_depth():
+    deep = parse_tree("(" * 500 + "_" + ")" * 500)
+    assert deep.node_count == 500
+    for n in (501, 1200):
+        with pytest.raises(GrammarError) as err:
+            parse_tree("(" * n + "_" + ")" * n)
+        assert "line 1, column 501" in str(err.value)
+        with pytest.raises(GrammarError):
+            parse_forest("_·" + "(" * n + "_" + ")" * n)
+
+
 def test_parse_assigns_contiguous_ids():
     t = parse_tree("((_)_)")
     assert set(t.edges) == set(range(t.edge_count))
