@@ -26,8 +26,8 @@ trivial, else 0 (forced by the counit laws, which the tests verify).
 A cut either cuts the root edge (crown T, trivial stump) or keeps the root
 node and cuts each input subtree independently.  In the second case the
 crown is the union of the input crowns, and the stump is ``op`` on the
-input stumps, whose code is the least arrangement of the input stump
-codes over the op's symmetry group (the rule of ``PTree.edge_codes``).  The
+input stumps, coded by ``EndofunctorSpec.node_code`` from the input stump
+codes, the one rule that also codes every node of a tree.  The
 multiplicity is the product of the input multiplicities.  Subtree classes
 are keyed by the representative's edge codes and their summaries are kept
 in their class records, so nothing is re-canonicalised.
@@ -195,9 +195,6 @@ def _rooted_cuts(t: PTree) -> dict[tuple[ForestKey, str], int]:
     if shape.root not in codes:  # the trivial tree has one cut
         return {((t.key(),), t.key()): 1}
 
-    def trivial(e: int) -> str:
-        return "_" if spec.one_colour else "_" + t.edge_colour[e]
-
     def known(code: str) -> dict | None:
         c = classes.get(code)
         return None if c is None else c.cuts
@@ -221,7 +218,7 @@ def _rooted_cuts(t: PTree) -> dict[tuple[ForestKey, str], int]:
             return got
         code = codes.get(e)
         if code is None:
-            return [((trivial(e),), "_", 1)]
+            return [((spec.trivial_key(t.edge_colour[e]),), "_", 1)]
         return [(crown, stump if stump[0] == "(" else "_", m)
                 for (crown, stump), m in known(code).items()]
 
@@ -230,20 +227,14 @@ def _rooted_cuts(t: PTree) -> dict[tuple[ForestKey, str], int]:
         e = shape.node_output[n]
         code = codes[e]
         op = t.node_op[n]
-        group = spec.sym_group(op)
-        ins = shape.node_inputs[n]
         kept: dict[tuple[ForestKey, str], int] = {}
-        for combo in itertools.product(*map(summary_above, ins)):
+        for combo in itertools.product(*map(summary_above, shape.node_inputs[n])):
             crown = tuple(sorted(itertools.chain.from_iterable(
                 c for c, _, _ in combo)))
-            child = tuple(s for _, s, _ in combo)
-            if len(child) > 1 and len(group) > 1:
-                child = min(tuple(child[g[i]] for i in range(len(child)))
-                            for g in group)
-            stump = "(" + op + (":" + "".join(child) if child else "") + ")"
+            stump, _ = spec.node_code(op, tuple(s for _, s, _ in combo))
             pair = (crown, stump)
             kept[pair] = kept.get(pair, 0) + math.prod(m for _, _, m in combo)
-        out = {((code,), trivial(e)): 1, **kept}
+        out = {((code,), spec.trivial_key(t.edge_colour[e])): 1, **kept}
         record = classes.get(code)
         if record is not None and record.cuts is None:
             record.cuts = out

@@ -4,7 +4,9 @@ Subcommands: ``enumerate``, ``aut``, ``delta``, ``green``, ``groupoid`` and
 the verification suites ``verify fdb|classical|phi|groupoid``.
 
 Exit status: 0 on success or all checks passing, 1 on a verification
-failure, 2 on a usage or parse error.  Results go to standard output only;
+failure, 2 on an input error (usage, spec, grammar, groupoid document,
+decoding, bound range, unreadable file), 3 on an internal error, reported
+in one ``internal error:`` line.  Results go to standard output only;
 diagnostics and timings go to standard error.  Structured output is a
 single JSON document with sorted keys and a ``schema_version`` field, so
 identical invocations are byte-identical.
@@ -20,7 +22,7 @@ import time
 from .bialgebra import (Bound, delta_tree, format_rational, green,
                         profile_str, verify_fdb)
 from .classical import classical_verify, verify_phi
-from .enumeration import enumerate_ptrees
+from .enumeration import BoundError, enumerate_ptrees
 from .groupoid_suite import run_suite
 from .groupoids import GroupoidError, groupoid_from_doc
 from .pfunctor import (EndofunctorSpec, SpecError, aut_order, builtin,
@@ -333,10 +335,13 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except (UsageError, SpecError, GrammarError, GroupoidError,
-            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, SpecError, GrammarError, GroupoidError, BoundError,
+            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     elapsed_ms = int((time.monotonic() - started) * 1000)
     print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
     return code

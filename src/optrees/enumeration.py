@@ -17,6 +17,10 @@ from .pfunctor import (EndofunctorSpec, ForestKey, PForest, PTree, TreeClass,
 from .trees import ForestDiagram, disjoint_union
 
 
+class BoundError(ValueError):
+    """A bound out of range."""
+
+
 @dataclass(frozen=True)
 class Bound:
     """Resource bounds for enumeration and series truncation."""
@@ -26,9 +30,9 @@ class Bound:
 
     def __post_init__(self):
         if self.max_edges < 1:
-            raise ValueError("max_edges must be >= 1")
+            raise BoundError("max_edges must be >= 1")
         if self.max_nodes is not None and self.max_nodes < 0:
-            raise ValueError("max_nodes must be >= 0")
+            raise BoundError("max_nodes must be >= 0")
 
     def admits(self, edges: int, nodes: int) -> bool:
         return edges <= self.max_edges and (self.max_nodes is None

@@ -698,7 +698,7 @@ def groupoid_from_doc(doc: Mapping) -> FiniteGroupoid:
         objects = tuple(doc["objects"])
         arrows = {a["label"]: (a["src"], a["dst"]) for a in doc["arrows"]}
         compose = {(f, h): k for f, h, k in doc["compose"]}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidError(f"malformed groupoid document: {exc}") from None
     identities: dict = {}
     by_src: dict = {}

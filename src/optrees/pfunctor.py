@@ -13,11 +13,17 @@ of that operation's symmetry group.
 
 Canonical form
 --------------
-``canon`` computes a complete isomorphism invariant bottom-up: the code of
-a node is its operation name followed by the lexicographically least
-arrangement of its children's codes over the symmetry group.  Since the
-group is given explicitly and closed here, the minimisation is exact.  The
-canonical key doubles as the canonical string of the textual grammar
+``canon`` computes a complete isomorphism invariant bottom-up, by one rule,
+``EndofunctorSpec.node_code``: the code of a node is its operation name
+followed by the lexicographically least arrangement of its children's codes
+over the op's symmetry group.  The group is given explicitly and closed
+here, so one scan of it collects the whole orbit of the child codes and the
+minimisation is exact.  The same scan gives the stabiliser of the child
+codes, of order |group| / |orbit| (orbit–stabiliser).  Since
+|Aut op(T₁…T_k)| = |stabiliser| · ∏ |Aut T_i|, the automorphism order of a
+tree is the product of its node stabiliser orders, kept by the same pass
+that codes the nodes.  The canonical key doubles as the canonical string of
+the textual grammar
 
     ptree  := "_" colour? | "(" opname (":" ptree*)? ")"
 
@@ -162,6 +168,25 @@ class EndofunctorSpec:
                 full *= i
         return len(self.sym_group(name)) == full
 
+    def node_code(self, name: str, codes: Sequence[str]) -> tuple[str, int]:
+        """Code of a node of op ``name`` whose slots hold subtrees with the
+        given codes, and the order of the stabiliser of those codes.
+
+        One scan of the op's group collects the orbit of the code tuple.
+        Its least element is the canonical arrangement, and by
+        orbit–stabiliser the stabiliser has |group| / |orbit| elements.
+        """
+        group = self.sym_group(name)
+        orbit = {tuple(map(codes.__getitem__, g)) for g in group}
+        least = min(orbit)
+        return ("(" + name + (":" + "".join(least) if least else "") + ")",
+                len(group) // len(orbit))
+
+    def trivial_key(self, colour: str) -> str:
+        """Key of the trivial tree of a colour; the colour is written only
+        when the spec has several."""
+        return "_" if self.one_colour else "_" + colour
+
     def to_dict(self) -> dict:
         return {
             "colours": list(self.colours),
@@ -176,7 +201,7 @@ class EndofunctorSpec:
             ops = [OpType(str(o["name"]), str(o["out"]), tuple(str(c) for c in o["in"]),
                           tuple(tuple(int(i) for i in g) for g in o.get("sym", [])))
                    for o in doc["ops"]]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed spec document: {exc}") from None
         return cls([str(c) for c in colours], ops, name=name)
 
@@ -257,7 +282,8 @@ CanonKey = str
 class PTree:
     """A decorated tree over a fixed spec.  Immutable by convention."""
 
-    __slots__ = ("spec", "shape", "edge_colour", "node_op", "_key", "_codes")
+    __slots__ = ("spec", "shape", "edge_colour", "node_op", "_key", "_codes",
+                 "_aut")
 
     def __init__(self, spec: EndofunctorSpec, shape: TreeDiagram,
                  edge_colour: dict[int, str], node_op: dict[int, str]):
@@ -267,6 +293,7 @@ class PTree:
         self.node_op = node_op
         self._key: str | None = None
         self._codes: dict[int, str] | None = None
+        self._aut: int | None = None
 
     # basic views -----------------------------------------------------------
     @property
@@ -293,32 +320,31 @@ class PTree:
 
     # canonical form --------------------------------------------------------
     def edge_codes(self) -> dict[int, str]:
-        """Canonical code of the subtree above each edge (leaf code is '_')."""
-        if self._codes is not None:
-            return self._codes
-        spec = self.spec
-        shape = self.shape
-        codes: dict[int, str] = {}
-        depth = shape.node_depth()
-        for n in sorted(shape.node_inputs, key=lambda n: (-depth[n], n)):
-            op = self.node_op[n]
-            ins = shape.node_inputs[n]
-            child = tuple(codes.get(e, "_") for e in ins)
-            group = spec.sym_group(op)
-            if len(child) > 1 and len(group) > 1:
-                child = min(tuple(child[g[i]] for i in range(len(child))) for g in group)
-            body = op + (":" + "".join(child) if child else "")
-            codes[shape.node_output[n]] = "(" + body + ")"
-        self._codes = codes
-        return codes
+        """Canonical code of the subtree above each edge (leaf code is '_').
+
+        One pass over the nodes, children first, with
+        ``EndofunctorSpec.node_code``; the pass also keeps the product of
+        the node stabiliser orders, which ``aut_order`` reads.
+        """
+        if self._codes is None:
+            node_code = self.spec.node_code
+            shape = self.shape
+            codes: dict[int, str] = {}
+            aut = 1
+            for n in reversed(shape.nodes_top_down):
+                code, stabiliser = node_code(self.node_op[n], tuple(
+                    codes.get(e, "_") for e in shape.node_inputs[n]))
+                codes[shape.node_output[n]] = code
+                aut *= stabiliser
+            self._codes, self._aut = codes, aut
+        return self._codes
 
     def key(self) -> str:
         if self._key is None:
             root = self.shape.root
             code = self.edge_codes().get(root)
-            if code is None:  # trivial tree
-                code = "_" if self.spec.one_colour else "_" + self.edge_colour[root]
-            self._key = code
+            self._key = (code if code is not None
+                         else self.spec.trivial_key(self.edge_colour[root]))
         return self._key
 
     def __repr__(self):
@@ -422,36 +448,11 @@ def build_ptree(spec: EndofunctorSpec, opname: str, children: Sequence[PTree]) -
 
 
 def aut_order(t: PTree) -> int:
-    """Order of the decorated automorphism group.
-
-    Recursively: the order at a node is the number of symmetry-group
-    elements that permute slots within equal child classes, times the
-    product of the child orders.  A subtree whose class is in the spec's
-    class table is not descended into: its record holds the order.
-    """
-    classes = t.spec.classes
-    codes = t.edge_codes()
-    shape = t.shape
-
-    def rec(edge: int) -> int:
-        code = codes.get(edge)
-        if code is None:
-            return 1
-        known = classes.get(code)
-        if known is not None:
-            return known.aut
-        n = shape.node_above[edge]
-        ins = shape.node_inputs[n]
-        child_codes = tuple(codes.get(e, "_") for e in ins)
-        group = t.spec.sym_group(t.node_op[n])
-        h = sum(1 for g in group
-                if all(child_codes[g[i]] == child_codes[i] for i in range(len(ins))))
-        total = h
-        for e in ins:
-            total *= rec(e)
-        return total
-
-    return rec(shape.root)
+    """Order of the decorated automorphism group: the product of the node
+    stabiliser orders (see the module docstring), kept by the pass of
+    ``PTree.edge_codes``."""
+    t.edge_codes()
+    return t._aut
 
 
 def decorated_automorphism(t1: PTree, t2: PTree, edge_map: Mapping[int, int]) -> bool:

@@ -140,21 +140,14 @@ class ForestDiagram:
         """Node directly below ``n`` (towards the roots), if any."""
         return self.node_below.get(self.node_output[n])
 
-    def node_depth(self) -> dict[int, int]:
-        """Number of nodes strictly below each node."""
-        depth = {}
-
-        def rec(n):
-            if n in depth:
-                return depth[n]
-            p = self.parent_node(n)
-            d = 0 if p is None else rec(p) + 1
-            depth[n] = d
-            return d
-
-        for n in self.node_inputs:
-            rec(n)
-        return depth
+    @cached_property
+    def nodes_top_down(self) -> tuple[int, ...]:
+        """Nodes breadth first from the roots: each after the node below it."""
+        above = self.node_above
+        order = [above[r] for r in self.roots if r in above]
+        for n in order:  # grows while it is walked
+            order.extend(above[e] for e in self.node_inputs[n] if e in above)
+        return tuple(order)
 
 
 @dataclass(eq=False)
@@ -290,23 +283,10 @@ def enumerate_cuts(tree: TreeDiagram) -> list[Cut]:
     The empty kept set (the root-edge cut) and the full node set are always
     included; the trivial tree has exactly one cut.
     """
-    depth = tree.node_depth()
-    order = sorted(tree.node_inputs, key=lambda n: (depth[n], n))
-    kept_sets: list[frozenset[int]] = []
-
-    def rec(i: int, current: set[int]):
-        if i == len(order):
-            kept_sets.append(frozenset(current))
-            return
-        n = order[i]
-        rec(i + 1, current)
+    kept_sets = [frozenset()]
+    for n in tree.nodes_top_down:  # a node may join the sets holding its parent
         p = tree.parent_node(n)
-        if p is None or p in current:
-            current.add(n)
-            rec(i + 1, current)
-            current.remove(n)
-
-    rec(0, set())
+        kept_sets += [s | {n} for s in kept_sets if p is None or p in s]
     kept_sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return [Cut(tree, s) for s in kept_sets]
 
@@ -495,9 +475,10 @@ class _TreeBuilder:
         return e
 
 
-# Deepest node nesting the parsers accept.  The parsers, ``node_depth`` and
-# ``pfunctor.aut_order`` recurse once per level, so much deeper input would
-# exhaust Python's default recursion limit of 1000; it is a GrammarError.
+# Deepest node nesting the parsers accept.  The two parsers (this one and
+# ``pfunctor._parse_decorated``) recurse once per level, so much deeper input
+# would exhaust Python's default recursion limit of 1000; it is a
+# GrammarError.  Printing, cuts, codes and automorphism orders are iterative.
 MAX_PARSE_DEPTH = 500
 
 
@@ -570,10 +551,16 @@ def parse_forest(text: str) -> ForestDiagram:
 
 
 def _print_from_edge(d: ForestDiagram, edge: int) -> str:
-    n = d.node_above.get(edge)
-    if n is None:
-        return "_"
-    return "(" + "".join(_print_from_edge(d, e) for e in d.node_inputs[n]) + ")"
+    out, stack = [], [edge]  # the stack holds edges and ")" to close nodes
+    while stack:
+        e = stack.pop()
+        n = d.node_above.get(e)
+        if n is not None:
+            out.append("(")
+            stack += [")", *reversed(d.node_inputs[n])]
+        else:  # a leaf, or the end of a node
+            out.append(")" if e == ")" else "_")
+    return "".join(out)
 
 
 def print_tree(t: TreeDiagram) -> str:

@@ -27,6 +27,16 @@ def two_colour_spec():
     )
 
 
+def symmetric_two_colour_spec():
+    """Two colours, with a symmetric op whose group swaps two of its slots."""
+    return EndofunctorSpec(
+        ["a", "b"],
+        [OpType("f", "a", ("a", "b")),
+         OpType("g", "b", ("a", "a", "b"), ((1, 0, 2),)),
+         OpType("h", "b", ())],
+        name="symmetric-two-colour")
+
+
 @pytest.fixture
 def exp3():
     return builtin("exp", max_arity=3)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_builtin_specs, two_colour_spec
+from conftest import (all_builtin_specs, symmetric_two_colour_spec,
+                      two_colour_spec)
 from optrees import bialgebra
 from optrees.bialgebra import (Bound, BoundMismatch, counit, counit_left,
                                counit_right, cut_summary, delta_monomial,
@@ -14,9 +15,9 @@ from optrees.bialgebra import (Bound, BoundMismatch, counit, counit_left,
                                format_rational, green, series_mul, series_pow,
                                series_pow_profile, tensor_mul, verify_fdb)
 from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
-from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, OpType,
-                              PForest, aut_order, automorphisms, builtin,
-                              parse_ptree, representative, trivial_ptree)
+from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
+                              aut_order, automorphisms, builtin, parse_ptree,
+                              representative, trivial_ptree)
 
 EMPTY = EMPTY_FOREST_KEY
 
@@ -153,16 +154,6 @@ def test_node_grading_preserved(exp3):
             nodes = sum(representative(exp3, k).node_count for k in left)
             nodes += sum(representative(exp3, k).node_count for k in right)
             assert nodes == t.node_count
-
-
-def symmetric_two_colour_spec():
-    """Two colours, with a symmetric op whose group swaps two of its slots."""
-    return EndofunctorSpec(
-        ["a", "b"],
-        [OpType("f", "a", ("a", "b")),
-         OpType("g", "b", ("a", "a", "b"), ((1, 0, 2),)),
-         OpType("h", "b", ())],
-        name="symmetric-two-colour")
 
 
 CUT_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec()]

@@ -2,12 +2,16 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import two_colour_spec
-from optrees import groupoid_suite
+from optrees import cli, groupoid_suite
+from optrees.bialgebra import BoundMismatch
 from optrees.cli import main
 from optrees.groupoids import (Group, discrete, disjoint_union_groupoids,
                                groupoid_to_doc, one_object)
 from optrees.pfunctor import save_spec
+from optrees.trees import DiagramError
 
 
 def run_cli(args):
@@ -221,3 +225,43 @@ def test_deep_input_is_a_parse_error_without_traceback():
                               "--tree", ladder(500), "--format", "structured"])
     assert code == 0, err
     assert json.loads(out)["count"] == 501
+
+
+def test_input_errors_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"colours": ["o"], "ops": [{"name": "f", "out": "o", '
+                    '"in": ["o"], "sym": [["x"]]}]}')
+    doc = tmp_path / "g.json"
+    doc.write_text('{"objects": [1], "arrows": [{"src": 1, "dst": 1, '
+                   '"label": "e"}], "compose": [["e", "e"]]}')
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for args in (["groupoid", "--file", str(tmp_path)],
+                 ["enumerate", "--spec-file", str(tmp_path), "--max-edges", "3"],
+                 ["enumerate", "--spec-file", str(spec), "--max-edges", "3"],
+                 ["groupoid", "--file", str(doc)],
+                 ["groupoid", "--file", str(binary)],
+                 ["enumerate", "--functor", "binary", "--max-edges", "0"],
+                 ["enumerate", "--functor", "binary", "--max-edges", "3",
+                  "--max-nodes", "-1"]):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("error", [DiagramError("broken diagram"),
+                                   BoundMismatch("bounds differ"),
+                                   ZeroDivisionError("division by zero")],
+                         ids=lambda e: type(e).__name__)
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys, error):
+    def broken(t):
+        raise error
+
+    monkeypatch.setattr(cli, "delta_tree", broken)
+    assert main(["delta", "--functor", "identity", "--tree", "(_)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"internal error: {type(error).__name__}: {error}"]

@@ -3,12 +3,13 @@ import math
 
 import pytest
 
-from conftest import all_builtin_specs, two_colour_spec
+from conftest import (all_builtin_specs, symmetric_two_colour_spec,
+                      two_colour_spec)
 from optrees.enumeration import Bound, enumerate_ptrees
 from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
                               OpType, PForest, SpecError, UnknownBuiltin,
                               UnknownOp, aut_order, aut_order_forest,
-                              automorphisms, builtin,
+                              automorphisms, build_ptree, builtin,
                               decorate_shape, decorated_automorphism,
                               forest_mul, graft_decorated, isomorphic,
                               isomorphisms_brute, parse_pforest, parse_ptree,
@@ -193,8 +194,10 @@ def test_planar_and_binary_are_rigid():
 
 
 def test_aut_order_equals_explicit_automorphism_count():
+    # the last spec's group is a proper subgroup of the slot permutations
+    # that keep colours, on slots of mixed colours
     for spec in [builtin("exp", max_arity=3), builtin("cyclic", max_arity=3),
-                 two_colour_spec()]:
+                 two_colour_spec(), symmetric_two_colour_spec()]:
         for t in enumerate_ptrees(spec, Bound(5)):
             maps = automorphisms(t)
             assert len(maps) == aut_order(t)
@@ -202,6 +205,22 @@ def test_aut_order_equals_explicit_automorphism_count():
                 assert decorated_automorphism(t, t, m)
             # no duplicates
             assert len({tuple(sorted(m.items())) for m in maps}) == len(maps)
+
+
+def test_aut_order_and_key_of_trees_deeper_than_the_recursion_limit():
+    identity = builtin("identity")
+    ladder = trivial_ptree(identity)
+    for _ in range(1200):
+        ladder = build_ptree(identity, "n1", [ladder])
+    assert aut_order(ladder) == 1
+    assert ladder.key() == "(n1:" * 1200 + "_" + ")" * 1200
+    exp2 = builtin("exp", max_arity=2)
+    capped = parse_ptree(exp2, "(n2:__)")
+    for _ in range(1199):
+        capped = build_ptree(exp2, "n2", [trivial_ptree(exp2), capped])
+    assert capped.node_count == 1200
+    assert aut_order(capped) == 2
+    assert capped.key() == "(n2:" * 1199 + "(n2:__)" + "_)" * 1199
 
 
 def test_aut_order_flat_brute_force_small():

@@ -1,0 +1,77 @@
+"""Property tests of the canonical-code rule on random small trees.
+
+An isomorphism of decorated trees may permute each node's slots by any
+element of its op's group, so rebuilding a tree with such a permutation at
+every node must keep its key and its automorphism order.  The examples are
+derandomised, so every run checks the same trees.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import symmetric_two_colour_spec, two_colour_spec
+from optrees.pfunctor import (aut_order, build_ptree, builtin, parse_ptree,
+                              trivial_ptree)
+from optrees.trees import parse_tree, print_tree
+
+SPECS = [builtin("exp", max_arity=3), builtin("cyclic", max_arity=3),
+         two_colour_spec(), symmetric_two_colour_spec()]
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None,
+                    derandomize=True)
+
+
+@st.composite
+def ptrees(draw, spec, max_nodes=6):
+    """A tree of the spec with at most ``max_nodes`` nodes."""
+    budget = [max_nodes]
+
+    def grow(colour):
+        ops = [op for op in spec.ops if op.out == colour]
+        if not ops or budget[0] == 0 or not draw(st.booleans()):
+            return trivial_ptree(spec, colour)
+        op = draw(st.sampled_from(ops))
+        budget[0] -= 1
+        return build_ptree(spec, op.name, [grow(c) for c in op.ins])
+
+    return grow(draw(st.sampled_from(spec.colours)))
+
+
+def rebuilt_with_permuted_slots(t, draw):
+    """t rebuilt bottom-up, each node's children permuted by a group element
+    drawn for that node: slot i gets the child of slot g[i]."""
+    spec, shape = t.spec, t.shape
+
+    def rebuild(e):
+        n = shape.node_above.get(e)
+        if n is None:
+            return trivial_ptree(spec, t.edge_colour[e])
+        op = t.node_op[n]
+        g = draw(st.sampled_from(spec.sym_group(op)))
+        ins = shape.node_inputs[n]
+        return build_ptree(spec, op, [rebuild(ins[i]) for i in g])
+
+    return rebuild(shape.root)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+@PROPERTY
+@given(data=st.data())
+def test_key_and_aut_order_invariant_under_slot_permutations(spec, data):
+    t = data.draw(ptrees(spec))
+    twin = rebuilt_with_permuted_slots(t, data.draw)
+    assert twin.key() == t.key()
+    assert aut_order(twin) == aut_order(t)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+@PROPERTY
+@given(data=st.data())
+def test_key_parses_back_to_its_class(spec, data):
+    t = data.draw(ptrees(spec))
+    back = parse_ptree(spec, t.key())
+    assert back.key() == t.key()
+    assert aut_order(back) == aut_order(t)
+    shape = print_tree(t.shape)
+    assert print_tree(parse_tree(shape)) == shape

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from optrees.trees import (Cut, CycleDetected, DiagramError, ForestDiagram,
-                           GrammarError, MatchingNotBijective, MultipleRoots,
+from optrees.trees import (MAX_PARSE_DEPTH, Cut, CycleDetected, DiagramError,
+                           ForestDiagram, GrammarError, MatchingNotBijective,
+                           MultipleRoots,
                            NoRoot, NonInjectiveS, NonInjectiveT,
                            disjoint_union, empty_forest, enumerate_cuts,
                            forest_components, graft, ideal_subtree,
@@ -149,6 +150,11 @@ def test_cut_enumeration_matches_brute_force():
         assert t.node_count <= 12
         got = {c.kept for c in enumerate_cuts(t)}
         assert got == brute_force_cuts(t)
+
+
+def test_cuts_of_a_ladder_deeper_than_the_recursion_limit():
+    cuts = enumerate_cuts(linear_tree(1200))
+    assert [len(c.kept) for c in cuts] == list(range(1201))
 
 
 def test_cut_order_is_by_size_then_ids():
@@ -319,6 +325,12 @@ def test_parse_limits_nesting_depth():
         assert "line 1, column 501" in str(err.value)
         with pytest.raises(GrammarError):
             parse_forest("_·" + "(" * n + "_" + ")" * n)
+
+
+def test_print_roundtrip_at_the_deepest_nesting_parsed():
+    text = "(" * MAX_PARSE_DEPTH + "_" + ")" * MAX_PARSE_DEPTH
+    assert print_tree(parse_tree(text)) == text
+    assert print_forest(parse_forest("_·" + text)) == "_·" + text
 
 
 def test_parse_assigns_contiguous_ids():
