@@ -58,10 +58,17 @@ def _parse_profile(text: str, spec: EndofunctorSpec) -> tuple[tuple[str, int], .
         colour = colour.strip()
         _check_colour(spec, colour)
         try:
-            out.append((colour, int(count)))
+            n = int(count)
         except ValueError:
             raise UsageError(f"bad count in profile entry {part!r}") from None
+        out.append((colour, _at_least(n, 0, f"count in profile entry {part!r}")))
     return tuple(sorted(out))
+
+
+def _at_least(value: int, least: int, what: str) -> int:
+    if value < least:
+        raise UsageError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def _check_colour(spec: EndofunctorSpec, colour: str):
@@ -191,7 +198,7 @@ def cmd_verify_fdb(args) -> int:
 
 
 def cmd_verify_classical(args) -> int:
-    report = classical_verify(args.max_degree)
+    report = classical_verify(_at_least(args.max_degree, 0, "--max-degree"))
     if args.format == "structured":
         emit_structured("verify-classical", report.as_doc())
     else:
@@ -205,7 +212,8 @@ def cmd_verify_classical(args) -> int:
 
 def cmd_verify_phi(args) -> int:
     spec = _spec_from_args(args)
-    report = verify_phi(spec, max_n=args.max_n, bound=Bound(args.max_edges))
+    report = verify_phi(spec, max_n=_at_least(args.max_n, 0, "--max-n"),
+                        bound=Bound(args.max_edges))
     if args.format == "structured":
         emit_structured("verify-phi", report.as_doc())
     else:
@@ -218,9 +226,8 @@ def cmd_verify_phi(args) -> int:
 
 
 def cmd_verify_groupoid(args) -> int:
-    if args.count < 1:
-        raise UsageError(f"--count must be at least 1, got {args.count}")
-    report = run_suite(count=args.count, seed=args.seed)
+    report = run_suite(count=_at_least(args.count, 1, "--count"),
+                       seed=args.seed)
     if args.format == "structured":
         emit_structured("verify-groupoid", report.as_doc())
     else:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from .groupoids import (FiniteGroupoid, Group, GroupAction, GroupoidMap,
                         compose_maps, constant_map,
                         disjoint_union_groupoids, fibre_family,
-                        groth_equivalence, homotopy_fiber, homotopy_quotient,
+                        groth_equivalence, groupoid_from_labels,
+                        homotopy_fiber, homotopy_quotient,
                         homotopy_sum, identity_map, is_equivalence,
                         product_groupoid, pushforward_cardinality,
                         relative_cardinality, standard_component, terminal,
@@ -168,21 +169,12 @@ def coloured_set_groupoid(colours: tuple[str, ...],
     for c in sorted(profile):
         pool.extend([c] * profile[c])
     objects = sorted(set(itertools.permutations(pool)))
-    arrows = {}
-    compose = {}
-    for src in objects:
-        for dst in objects:
-            for perm in itertools.permutations(range(m)):
-                if all(dst[perm[i]] == src[i] for i in range(m)):
-                    arrows[(src, dst, perm)] = (src, dst)
-    for (s1, t1, p1) in list(arrows):
-        for (s2, t2, p2) in list(arrows):
-            if t1 != s2:
-                continue
-            comp = tuple(p2[p1[i]] for i in range(m))
-            compose[((s1, t1, p1), (s2, t2, p2))] = (s1, t2, comp)
-    idents = {o: (o, o, tuple(range(m))) for o in objects}
-    return FiniteGroupoid(tuple(objects), arrows, compose, idents)
+    # perm moves the point at position i of src to position perm[i] of dst
+    return groupoid_from_labels(
+        objects, [(src, tuple(src[perm.index(j)] for j in range(m)), perm)
+                  for src in objects for perm in itertools.permutations(range(m))],
+        lambda a1, a2: tuple(a2[2][a1[2][i]] for i in range(m)),
+        lambda o: tuple(range(m)))
 
 
 # ---------------------------------------------------------------------------

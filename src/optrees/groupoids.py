@@ -3,12 +3,18 @@
 Groupoids are stored extensionally: objects, labelled arrows with source
 and target, a total composition table on composable pairs, and identity
 arrows.  Every arrow must be invertible and composition associative; the
-``check`` method verifies all of it.  All constructions (pullbacks, fibres,
-quotients, Grothendieck sums) build explicit groupoids whose arrow labels
-are structured tuples; ``relabel`` maps them to plain integers.
+``check`` method verifies all of it.
 
-Composition convention: ``compose[(f, g)]`` is "f then g", defined when
-``target(f) == source(g)``.
+Composition convention: ``compose[(f, g)]`` is "f then g", defined exactly
+when ``target(f) == source(g)``; the table holds no other pairs.
+
+Arrow convention of the constructions: ``standard_component``, pullbacks,
+fibres, quotients and Grothendieck sums name each arrow by a triple
+``(src, dst, label)``, and ``groupoid_from_labels`` builds all of them.  A
+construction states its arrows, the label of "a1 then a2" and the label of
+an identity once; the builder forms composites only over the pairs where
+a2 leaves the target of a1, found through ``FiniteGroupoid.arrows_from``.
+``relabel`` maps any groupoid's ids to plain integers.
 
 Cardinality is the sum over components of the inverse vertex-group order,
 an exact rational.  The relative cardinality of a map p: X -> B is the
@@ -109,6 +115,7 @@ class FiniteGroupoid:
     identities: dict  # object -> label
 
     _hom: dict = field(default_factory=dict, repr=False)
+    _from: dict = field(default_factory=dict, repr=False)
     _pi0: list | None = field(default=None, repr=False)
     _class_of: dict | None = field(default=None, repr=False)
 
@@ -127,9 +134,13 @@ class FiniteGroupoid:
                 index[k] = tuple(sorted(index[k], key=repr))
         return index.get((x, y), ())
 
-    def then(self, f, g):
-        """Composite "f then g"."""
-        return self.compose[(f, g)]
+    def arrows_from(self, x) -> list:
+        """Arrows with source x, in the order of ``arrows``."""
+        index = self._from
+        if not index:
+            for a, (s, _) in self.arrows.items():
+                index.setdefault(s, []).append(a)
+        return index.get(x, [])
 
     def inverse(self, a):
         s, t = self.arrows[a]
@@ -151,12 +162,9 @@ class FiniteGroupoid:
         for x, e in self.identities.items():
             if self.arrows.get(e) != (x, x):
                 raise GroupoidError(f"identity of {x!r} is not an endo-arrow")
-        by_src: dict = {}
-        for a, (s, t) in self.arrows.items():
-            by_src.setdefault(s, []).append(a)
         composable = 0
         for f, (sf, tf) in self.arrows.items():
-            for g in by_src.get(tf, ()):
+            for g in self.arrows_from(tf):
                 composable += 1
                 h = self.compose.get((f, g))
                 if h is None:
@@ -171,10 +179,9 @@ class FiniteGroupoid:
             if self.compose[(a, self.identities[t])] != a:
                 raise GroupoidError("right identity law fails")
         for f, (sf, tf) in self.arrows.items():
-            for g in by_src.get(tf, ()):
+            for g in self.arrows_from(tf):
                 fg = self.compose[(f, g)]
-                tg = self.arrows[g][1]
-                for h in by_src.get(tg, ()):
+                for h in self.arrows_from(self.arrows[g][1]):
                     if self.compose[(fg, h)] != self.compose[(f, self.compose[(g, h)])]:
                         raise GroupoidError("associativity fails")
         for a in self.arrows:
@@ -241,6 +248,23 @@ def _build(objects, arrows, compose, identities) -> FiniteGroupoid:
                           dict(identities))
 
 
+def groupoid_from_labels(objects: Iterable, arrows: Iterable[tuple],
+                         mul, identity_label) -> FiniteGroupoid:
+    """The groupoid whose arrows are ``(src, dst, label)`` triples.
+
+    "a1 then a2" is ``(a1[0], a2[1], mul(a1, a2))``, formed for each arrow
+    a2 leaving the target of a1; the identity of x is
+    ``(x, x, identity_label(x))``, which must be among the arrows.
+    """
+    objects = tuple(objects)
+    g = FiniteGroupoid(objects, {a: (a[0], a[1]) for a in arrows}, {},
+                       {x: (x, x, identity_label(x)) for x in objects})
+    for a1 in g.arrows:
+        for a2 in g.arrows_from(a1[1]):
+            g.compose[(a1, a2)] = (a1[0], a2[1], mul(a1, a2))
+    return g
+
+
 # ---------------------------------------------------------------------------
 # basic constructors
 
@@ -262,18 +286,10 @@ def one_object(group: Group, obj="*") -> FiniteGroupoid:
 def standard_component(objects: Sequence, group: Group) -> FiniteGroupoid:
     """Connected groupoid on the given objects with the given vertex group:
     arrows x -> y are group elements, composed by multiplying labels."""
-    objects = tuple(objects)
-    arrows = {(x, y, g): (x, y) for x in objects for y in objects
-              for g in group.elements}
-    compose = {}
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                for g in group.elements:
-                    for h in group.elements:
-                        compose[((x, y, g), (y, z, h))] = (x, z, group.mul[(g, h)])
-    idents = {x: (x, x, group.identity) for x in objects}
-    return _build(objects, arrows, compose, idents)
+    return groupoid_from_labels(
+        objects, [(x, y, g) for x in objects for y in objects
+                  for g in group.elements],
+        lambda a1, a2: group.mul[(a1[2], a2[2])], lambda x: group.identity)
 
 
 def disjoint_union_groupoids(parts: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
@@ -389,33 +405,24 @@ def homotopy_pullback(f: GroupoidMap, g: GroupoidMap
     if f.cod is not g.cod:
         raise GroupoidError("pullback needs a common codomain")
     X, Y, S = f.dom, g.dom, f.cod
-    objects = []
-    for x in X.objects:
-        for y in Y.objects:
-            for phi in S.hom(f.obj_map[x], g.obj_map[y]):
-                objects.append((x, y, phi))
-    arrows = {}
-    for (x, y, phi) in objects:
-        for (x2, y2, phi2) in objects:
-            for alpha in X.hom(x, x2):
-                fa = f.arrow_map[alpha]
-                for beta in Y.hom(y, y2):
-                    gb = g.arrow_map[beta]
-                    # phi then g(beta) == f(alpha) then phi2
-                    if S.compose[(phi, gb)] == S.compose[(fa, phi2)]:
-                        arrows[((x, y, phi), (x2, y2, phi2), (alpha, beta))] = \
-                            ((x, y, phi), (x2, y2, phi2))
-    compose = {}
-    for a1, (s1, t1) in arrows.items():
-        for a2, (s2, t2) in arrows.items():
-            if t1 != s2:
-                continue
-            alpha = X.compose[(a1[2][0], a2[2][0])]
-            beta = Y.compose[(a1[2][1], a2[2][1])]
-            compose[(a1, a2)] = (s1, t2, (alpha, beta))
-    idents = {o: (o, o, (X.identities[o[0]], Y.identities[o[1]]))
-              for o in objects}
-    pb = _build(objects, arrows, compose, idents)
+    objects = [(x, y, phi) for x in X.objects for y in Y.objects
+               for phi in S.hom(f.obj_map[x], g.obj_map[y])]
+    arrows = []
+    for o in objects:
+        x, y, phi = o
+        for alpha in X.arrows_from(x):
+            x2, fa = X.target(alpha), f.arrow_map[alpha]
+            for beta in Y.arrows_from(y):
+                y2, pg = Y.target(beta), S.compose[(phi, g.arrow_map[beta])]
+                # phi then g(beta) == f(alpha) then phi2
+                for phi2 in S.hom(f.obj_map[x2], g.obj_map[y2]):
+                    if S.compose[(fa, phi2)] == pg:
+                        arrows.append((o, (x2, y2, phi2), (alpha, beta)))
+    pb = groupoid_from_labels(
+        objects, arrows,
+        lambda a1, a2: (X.compose[(a1[2][0], a2[2][0])],
+                        Y.compose[(a1[2][1], a2[2][1])]),
+        lambda o: (X.identities[o[0]], Y.identities[o[1]]))
     p1 = GroupoidMap(pb, X, {o: o[0] for o in objects},
                      {a: a[2][0] for a in arrows})
     p2 = GroupoidMap(pb, Y, {o: o[1] for o in objects},
@@ -428,25 +435,18 @@ def homotopy_fiber(p: GroupoidMap, b) -> tuple[FiniteGroupoid, GroupoidMap]:
     if b not in set(p.cod.objects):
         raise GroupoidError(f"unknown object {b!r}")
     E, B = p.dom, p.cod
-    objects = []
-    for e in E.objects:
-        for phi in B.hom(p.obj_map[e], b):
-            objects.append((e, phi))
-    arrows = {}
-    for (e, phi) in objects:
-        for (e2, phi2) in objects:
-            for alpha in E.hom(e, e2):
-                # phi == p(alpha) then phi2
-                if B.compose[(p.arrow_map[alpha], phi2)] == phi:
-                    arrows[((e, phi), (e2, phi2), alpha)] = ((e, phi), (e2, phi2))
-    compose = {}
-    for a1, (s1, t1) in arrows.items():
-        for a2, (s2, t2) in arrows.items():
-            if t1 != s2:
-                continue
-            compose[(a1, a2)] = (s1, t2, E.compose[(a1[2], a2[2])])
-    idents = {o: (o, o, E.identities[o[0]]) for o in objects}
-    fib = _build(objects, arrows, compose, idents)
+    objects = [(e, phi) for e in E.objects for phi in B.hom(p.obj_map[e], b)]
+    arrows = []
+    for o in objects:
+        for alpha in E.arrows_from(o[0]):
+            e2 = E.target(alpha)
+            # phi == p(alpha) then phi2
+            for phi2 in B.hom(p.obj_map[e2], b):
+                if B.compose[(p.arrow_map[alpha], phi2)] == o[1]:
+                    arrows.append((o, (e2, phi2), alpha))
+    fib = groupoid_from_labels(objects, arrows,
+                               lambda a1, a2: E.compose[(a1[2], a2[2])],
+                               lambda o: E.identities[o[0]])
     incl = GroupoidMap(fib, E, {o: o[0] for o in objects},
                        {a: a[2] for a in arrows})
     return fib, incl
@@ -497,27 +497,18 @@ class GroupAction:
 def homotopy_quotient(action: GroupAction) -> tuple[FiniteGroupoid, GroupoidMap]:
     """Objects of the space; an arrow x -> y is (g, phi: x.g -> y)."""
     G, X = action.group, action.space
-    objects = tuple(X.objects)
-    arrows = {}
-    for x in objects:
-        for g in G.elements:
-            xg = action.obj_act[(x, g)]
-            for y in objects:
-                for phi in X.hom(xg, y):
-                    arrows[(x, y, (g, phi))] = (x, y)
-    compose = {}
-    for a1, (x, y) in arrows.items():
-        g1, phi1 = a1[2]
-        for a2, (y2, z) in arrows.items():
-            if y2 != y:
-                continue
-            g2, phi2 = a2[2]
-            g = G.mul[(g1, g2)]
-            # x.(g1 g2) --phi1.g2--> y.g2 --phi2--> z
-            phi = X.compose[(action.arrow_act[(phi1, g2)], phi2)]
-            compose[(a1, a2)] = (x, z, (g, phi))
-    idents = {x: (x, x, (G.identity, X.identities[x])) for x in objects}
-    quot = _build(objects, arrows, compose, idents)
+
+    def mul(a1, a2):
+        (g1, phi1), (g2, phi2) = a1[2], a2[2]
+        # x.(g1 g2) --phi1.g2--> y.g2 --phi2--> z
+        return (G.mul[(g1, g2)],
+                X.compose[(action.arrow_act[(phi1, g2)], phi2)])
+
+    quot = groupoid_from_labels(
+        X.objects,
+        [(x, X.target(phi), (g, phi)) for x in X.objects for g in G.elements
+         for phi in X.arrows_from(action.obj_act[(x, g)])],
+        mul, lambda x: (G.identity, X.identities[x]))
     proj = GroupoidMap(X, quot, {x: x for x in X.objects},
                        {a: (X.arrows[a][0], X.arrows[a][1], (G.identity, a))
                         for a in X.arrows})
@@ -553,35 +544,22 @@ def homotopy_sum(base: FiniteGroupoid,
             if mg.arrow_map[mf.arrow_map[a]] != mh.arrow_map[a]:
                 raise GroupoidError("family is not strictly functorial on arrows")
 
+    def mul(a1, a2):
+        (sigma1, phi1), (sigma2, phi2) = a1[2], a2[2]
+        fib = fam[base.arrows[sigma2][1]]
+        return (base.compose[(sigma1, sigma2)],
+                fib.compose[(arrowact[sigma2].arrow_map[phi1], phi2)])
+
     objects = [(b, x) for b in base.objects for x in fam[b].objects]
-    arrows = {}
+    arrows = []
     for (b, x) in objects:
-        for sigma in base.arrows:
-            sb, tb = base.arrows[sigma]
-            if sb != b:
-                continue
-            moved = arrowact[sigma].obj_map[x]
-            for (b2, x2) in objects:
-                if b2 != tb:
-                    continue
-                for phi in fam[tb].hom(moved, x2):
-                    arrows[((b, x), (b2, x2), (sigma, phi))] = ((b, x), (b2, x2))
-    compose = {}
-    for a1, (s1, t1) in arrows.items():
-        sigma1, phi1 = a1[2]
-        for a2, (s2, t2) in arrows.items():
-            if t1 != s2:
-                continue
-            sigma2, phi2 = a2[2]
-            sigma = base.compose[(sigma1, sigma2)]
-            fib = fam[base.arrows[sigma2][1]]
-            phi = fib.compose[(arrowact[sigma2].arrow_map[phi1], phi2)]
-            compose[(a1, a2)] = (s1, t2, (sigma, phi))
-    idents = {}
-    for (b, x) in objects:
-        idents[(b, x)] = ((b, x), (b, x),
-                          (base.identities[b], fam[b].identities[x]))
-    total = _build(objects, arrows, compose, idents)
+        for sigma in base.arrows_from(b):
+            tb = base.arrows[sigma][1]
+            for phi in fam[tb].arrows_from(arrowact[sigma].obj_map[x]):
+                arrows.append(((b, x), (tb, fam[tb].target(phi)), (sigma, phi)))
+    total = groupoid_from_labels(
+        objects, arrows, mul,
+        lambda o: (base.identities[o[0]], fam[o[0]].identities[o[1]]))
     proj = GroupoidMap(total, base, {o: o[0] for o in objects},
                        {a: a[2][0] for a in arrows})
     return total, proj
@@ -694,30 +672,35 @@ def groupoid_to_doc(g: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_doc(doc: Mapping) -> FiniteGroupoid:
+    """Groupoid from an interchange document; every object id, endpoint and
+    arrow label must be a JSON scalar (not an array or object)."""
     try:
-        objects = tuple(doc["objects"])
-        arrows = {a["label"]: (a["src"], a["dst"]) for a in doc["arrows"]}
-        compose = {(f, h): k for f, h, k in doc["compose"]}
+        objects = tuple(map(_doc_id, doc["objects"]))
+        arrows = {_doc_id(a["label"]): (_doc_id(a["src"]), _doc_id(a["dst"]))
+                  for a in doc["arrows"]}
+        compose = {(_doc_id(f), _doc_id(h)): _doc_id(k)
+                   for f, h, k in doc["compose"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidError(f"malformed groupoid document: {exc}") from None
-    identities: dict = {}
-    by_src: dict = {}
+    g = FiniteGroupoid(objects, arrows, compose, {})
     by_dst: dict = {}
     for a, (s, t) in arrows.items():
-        by_src.setdefault(s, []).append(a)
         by_dst.setdefault(t, []).append(a)
     for x in objects:
-        units = []
-        for e in arrows:
-            if arrows[e] != (x, x):
-                continue
-            if all(compose.get((e, a)) == a for a in by_src.get(x, ())) and \
-                    all(compose.get((a, e)) == a for a in by_dst.get(x, ())):
-                units.append(e)
+        out = g.arrows_from(x)
+        units = [e for e in out if arrows[e] == (x, x)
+                 and all(compose.get((e, a)) == a for a in out)
+                 and all(compose.get((a, e)) == a for a in by_dst.get(x, ()))]
         if len(units) != 1:
             raise GroupoidError(f"object {x!r} has {len(units)} two-sided units")
-        identities[x] = units[0]
-    return FiniteGroupoid(objects, arrows, compose, identities).check()
+        g.identities[x] = units[0]
+    return g.check()
+
+
+def _doc_id(value):
+    if isinstance(value, (list, dict)):
+        raise GroupoidError(f"id {value!r} is not a JSON scalar")
+    return value
 
 
 def groth_equivalence(p: GroupoidMap) -> tuple[FiniteGroupoid, GroupoidMap, GroupoidMap]:

@@ -196,14 +196,28 @@ class EndofunctorSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping, name: str = "custom") -> "EndofunctorSpec":
+        """Spec from a JSON document: colours, op names and input colours are
+        strings, ``sym`` entries integers; anything else is a SpecError."""
         try:
-            colours = list(doc["colours"])
-            ops = [OpType(str(o["name"]), str(o["out"]), tuple(str(c) for c in o["in"]),
-                          tuple(tuple(int(i) for i in g) for g in o.get("sym", [])))
+            colours = _checked(doc["colours"], list, "colours", str)
+            ops = [OpType(_checked(o["name"], str, "op name"),
+                          _checked(o["out"], str, "op output colour"),
+                          _checked(o["in"], list, "op inputs", str),
+                          tuple(_checked(g, list, "sym entry", int)
+                                for g in _checked(o.get("sym", []), list, "sym")))
                    for o in doc["ops"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed spec document: {exc}") from None
-        return cls([str(c) for c in colours], ops, name=name)
+        return cls(colours, ops, name=name)
+
+
+def _checked(value, kind: type, what: str, item: type | None = None):
+    """``value`` if its type is ``kind`` (a bool is not an int here), as a
+    tuple of items of type ``item`` when one is given."""
+    if type(value) is not kind:
+        raise SpecError(f"{what} {value!r}: expected {kind.__name__}, "
+                        f"got {type(value).__name__}")
+    return value if item is None else tuple(_checked(v, item, what) for v in value)
 
 
 def load_spec(path: str) -> EndofunctorSpec:

@@ -234,12 +234,16 @@ def test_input_errors_exit_2(tmp_path, capsys):
     doc = tmp_path / "g.json"
     doc.write_text('{"objects": [1], "arrows": [{"src": 1, "dst": 1, '
                    '"label": "e"}], "compose": [["e", "e"]]}')
+    array_ids = tmp_path / "array_ids.json"
+    array_ids.write_text('{"objects": [[0]], "arrows": [{"src": [0], '
+                         '"dst": [0], "label": "e"}], "compose": [["e", "e", "e"]]}')
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe")
     for args in (["groupoid", "--file", str(tmp_path)],
                  ["enumerate", "--spec-file", str(tmp_path), "--max-edges", "3"],
                  ["enumerate", "--spec-file", str(spec), "--max-edges", "3"],
                  ["groupoid", "--file", str(doc)],
+                 ["groupoid", "--file", str(array_ids)],
                  ["groupoid", "--file", str(binary)],
                  ["enumerate", "--functor", "binary", "--max-edges", "0"],
                  ["enumerate", "--functor", "binary", "--max-edges", "3",
@@ -265,3 +269,32 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys, error):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"internal error: {type(error).__name__}: {error}"]
+
+
+@pytest.mark.parametrize("doc", [
+    '{"colours": "ab", "ops": []}',
+    '{"colours": [["o"]], "ops": []}',
+    '{"colours": ["o"], "ops": [{"name": "f", "out": "o", "in": "oo"}]}',
+    '{"colours": ["o"], "ops": [{"name": "f", "out": "o", "in": ["o", "o"], '
+    '"sym": [[1.5, 0]]}]}',
+], ids=["colours-string", "colour-array", "inputs-string", "sym-float"])
+def test_malformed_spec_document_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    assert main(["enumerate", "--spec-file", str(path), "--max-edges", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed spec document")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "classical", "--max-degree", "-1"],
+    ["verify", "phi", "--functor", "stable", "--max-arity", "2", "--max-n", "-1"],
+    ["enumerate", "--functor", "binary", "--max-edges", "3",
+     "--leaf-profile", "o:-1"],
+], ids=["max-degree", "max-n", "leaf-profile-count"])
+def test_negative_count_is_usage_error(capsys, args):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 0, got -1" in captured.err

@@ -11,7 +11,7 @@ from optrees.groupoid_suite import (GROUP_CATALOG, all_homs, build_groupoid,
 from optrees.groupoids import (FiniteGroupoid, Group, GroupAction,
                                GroupoidError, GroupoidMap, compose_maps,
                                constant_map, discrete,
-                               disjoint_union_groupoids,
+                               disjoint_union_groupoids, fibre_family,
                                groupoid_from_doc, groupoid_to_doc,
                                groth_equivalence, homotopy_fiber,
                                homotopy_pullback, homotopy_quotient,
@@ -312,6 +312,20 @@ def test_homotopy_sum_rejects_non_functorial_family():
         homotopy_sum(base, fam, bad2)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_fibre_family_constructions_are_groupoids(seed):
+    # endpoints, composites on composable pairs only, identities,
+    # associativity and inverses of the groupoids built from a random map
+    rng = random.Random(seed)
+    p = random_map(rng, random_components(rng, max_group_order=3),
+                   random_components(rng, max_group_order=3)).check()
+    total, proj = homotopy_sum(p.cod, *fibre_family(p)[::2])
+    total.check(), proj.check()
+    pb, p1, p2 = homotopy_pullback(p, p)
+    pb.check(), p1.check(), p2.check()
+    groth_equivalence(p)[0].check()
+
+
 def test_groth_equivalence_randomized():
     rng = random.Random(5)
     for _ in range(8):
@@ -409,6 +423,19 @@ def test_interchange_rejects_bad_docs():
     with pytest.raises(GroupoidError):
         groupoid_from_doc({"objects": [0], "arrows": [
             {"src": 0, "dst": 0, "label": "e"}], "compose": []})
+
+
+@pytest.mark.parametrize("doc", [
+    {"objects": [[0]], "arrows": [{"src": [0], "dst": [0], "label": "e"}],
+     "compose": [["e", "e", "e"]]},
+    {"objects": [0], "arrows": [{"src": 0, "dst": 0, "label": {"e": 1}}],
+     "compose": [[{"e": 1}, {"e": 1}, {"e": 1}]]},
+    {"objects": [0], "arrows": [{"src": 0, "dst": 0, "label": "e"}],
+     "compose": [["e", "e", ["e"]]]},
+], ids=["array-object", "object-label", "array-composite"])
+def test_interchange_rejects_non_scalar_ids(doc):
+    with pytest.raises(GroupoidError, match="not a JSON scalar"):
+        groupoid_from_doc(doc)
 
 
 # -- the family groupoid ---------------------------------------------------------------
