@@ -69,9 +69,7 @@ def all_homs(g: Group, h: Group) -> list[dict]:
                 rec(i + 1, hom)
         del hom[a]
 
-    rec(0, {g.identity: h.identity} if els and els[0] == g.identity else {})
-    # ensure the identity constraint even when identity is not first
-    out = [hom for hom in out if hom[g.identity] == h.identity]
+    rec(0, {})
     _HOM_CACHE[key] = (g, h, out)
     return out
 

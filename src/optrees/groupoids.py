@@ -1,20 +1,18 @@
 """A calculus of explicitly finite groupoids.
 
-Groupoids are stored extensionally: objects, labelled arrows with source
-and target, a total composition table on composable pairs, and identity
-arrows.  Every arrow must be invertible and composition associative; the
-``check`` method verifies all of it.
-
-Composition convention: ``compose[(f, g)]`` is "f then g", defined exactly
-when ``target(f) == source(g)``; the table holds no other pairs.
+Objects and labelled arrows with source and target are stored
+extensionally; composition is a rule, ``mul(f, g)`` = "f then g", defined
+exactly when ``target(f) == source(g)``; each object names its identity
+arrow.  No table of composites is kept: components, vertex groups and
+cardinality read only the arrows.  Every arrow must be invertible and
+composition associative; ``check`` verifies all of it by calling the rule
+on every composable pair and triple, found through ``composable_pairs``.
 
 Arrow convention of the constructions: ``standard_component``, pullbacks,
 fibres, quotients and Grothendieck sums name each arrow by a triple
 ``(src, dst, label)``, and ``groupoid_from_labels`` builds all of them.  A
 construction states its arrows, the label of "a1 then a2" and the label of
-an identity once; the builder forms composites only over the pairs where
-a2 leaves the target of a1, found through ``FiniteGroupoid.arrows_from``.
-``relabel`` maps any groupoid's ids to plain integers.
+an identity once.  ``relabel`` maps any groupoid's ids to plain integers.
 
 Cardinality is the sum over components of the inverse vertex-group order,
 an exact rational.  The relative cardinality of a map p: X -> B is the
@@ -32,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 ObjId = Hashable
 ArrId = Hashable
@@ -111,7 +109,7 @@ class Group:
 class FiniteGroupoid:
     objects: tuple
     arrows: dict  # label -> (src, dst)
-    compose: dict  # (f, g) -> g.f  ("f then g")
+    mul: Callable  # mul(f, g) is "f then g", for target(f) == source(g)
     identities: dict  # object -> label
 
     _hom: dict = field(default_factory=dict, repr=False)
@@ -142,10 +140,16 @@ class FiniteGroupoid:
                 index.setdefault(s, []).append(a)
         return index.get(x, [])
 
+    def composable_pairs(self) -> Iterable[tuple]:
+        """Every pair (f, g) with target(f) == source(g)."""
+        for f, (_, t) in self.arrows.items():
+            for g in self.arrows_from(t):
+                yield f, g
+
     def inverse(self, a):
         s, t = self.arrows[a]
         for b in self.hom(t, s):
-            if self.compose[(a, b)] == self.identities[s]:
+            if self.mul(a, b) == self.identities[s]:
                 return b
         raise GroupoidError(f"arrow {a!r} has no inverse")
 
@@ -162,28 +166,21 @@ class FiniteGroupoid:
         for x, e in self.identities.items():
             if self.arrows.get(e) != (x, x):
                 raise GroupoidError(f"identity of {x!r} is not an endo-arrow")
-        composable = 0
-        for f, (sf, tf) in self.arrows.items():
-            for g in self.arrows_from(tf):
-                composable += 1
-                h = self.compose.get((f, g))
-                if h is None:
-                    raise GroupoidError(f"composition missing on ({f!r}, {g!r})")
-                if self.arrows.get(h) != (sf, self.arrows[g][1]):
-                    raise GroupoidError("composite has wrong endpoints")
-        if len(self.compose) != composable:
-            raise GroupoidError("composition defined on non-composable pairs")
+        for f, g in self.composable_pairs():
+            if self.arrows.get(self.mul(f, g)) != (self.arrows[f][0],
+                                                   self.arrows[g][1]):
+                raise GroupoidError(
+                    f"composite of ({f!r}, {g!r}) has wrong endpoints")
         for a, (s, t) in self.arrows.items():
-            if self.compose[(self.identities[s], a)] != a:
+            if self.mul(self.identities[s], a) != a:
                 raise GroupoidError("left identity law fails")
-            if self.compose[(a, self.identities[t])] != a:
+            if self.mul(a, self.identities[t]) != a:
                 raise GroupoidError("right identity law fails")
-        for f, (sf, tf) in self.arrows.items():
-            for g in self.arrows_from(tf):
-                fg = self.compose[(f, g)]
-                for h in self.arrows_from(self.arrows[g][1]):
-                    if self.compose[(fg, h)] != self.compose[(f, self.compose[(g, h)])]:
-                        raise GroupoidError("associativity fails")
+        for f, g in self.composable_pairs():
+            fg = self.mul(f, g)
+            for h in self.arrows_from(self.arrows[g][1]):
+                if self.mul(fg, h) != self.mul(f, self.mul(g, h)):
+                    raise GroupoidError("associativity fails")
         for a in self.arrows:
             self.inverse(a)  # raises when not invertible
         return self
@@ -223,7 +220,7 @@ class FiniteGroupoid:
         if x not in set(self.objects):
             raise GroupoidError(f"unknown object {x!r}")
         els = self.hom(x, x)
-        mul = {(a, b): self.compose[(a, b)] for a in els for b in els}
+        mul = {(a, b): self.mul(a, b) for a in els for b in els}
         return Group(els, mul, self.identities[x])
 
     def cardinality(self) -> Fraction:
@@ -235,34 +232,26 @@ class FiniteGroupoid:
     def relabel(self) -> tuple["FiniteGroupoid", dict, dict]:
         """Copy with integer object/arrow ids; returns (copy, obj map, arrow map)."""
         omap = {x: i for i, x in enumerate(sorted(self.objects, key=repr))}
-        amap = {a: i for i, a in enumerate(sorted(self.arrows, key=repr))}
+        labels = sorted(self.arrows, key=repr)
+        amap = {a: i for i, a in enumerate(labels)}
         return (FiniteGroupoid(
             tuple(range(len(self.objects))),
             {amap[a]: (omap[s], omap[t]) for a, (s, t) in self.arrows.items()},
-            {(amap[f], amap[g]): amap[h] for (f, g), h in self.compose.items()},
+            lambda f, g: amap.get(self.mul(labels[f], labels[g])),
             {omap[x]: amap[e] for x, e in self.identities.items()}), omap, amap)
-
-
-def _build(objects, arrows, compose, identities) -> FiniteGroupoid:
-    return FiniteGroupoid(tuple(objects), dict(arrows), dict(compose),
-                          dict(identities))
 
 
 def groupoid_from_labels(objects: Iterable, arrows: Iterable[tuple],
                          mul, identity_label) -> FiniteGroupoid:
     """The groupoid whose arrows are ``(src, dst, label)`` triples.
 
-    "a1 then a2" is ``(a1[0], a2[1], mul(a1, a2))``, formed for each arrow
-    a2 leaving the target of a1; the identity of x is
+    "a1 then a2" is ``(a1[0], a2[1], mul(a1, a2))``; the identity of x is
     ``(x, x, identity_label(x))``, which must be among the arrows.
     """
     objects = tuple(objects)
-    g = FiniteGroupoid(objects, {a: (a[0], a[1]) for a in arrows}, {},
-                       {x: (x, x, identity_label(x)) for x in objects})
-    for a1 in g.arrows:
-        for a2 in g.arrows_from(a1[1]):
-            g.compose[(a1, a2)] = (a1[0], a2[1], mul(a1, a2))
-    return g
+    return FiniteGroupoid(objects, {a: (a[0], a[1]) for a in arrows},
+                          lambda a1, a2: (a1[0], a2[1], mul(a1, a2)),
+                          {x: (x, x, identity_label(x)) for x in objects})
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +260,14 @@ def groupoid_from_labels(objects: Iterable, arrows: Iterable[tuple],
 
 def discrete(objects: Iterable) -> FiniteGroupoid:
     objects = tuple(objects)
-    arrows = {("id", x): (x, x) for x in objects}
-    compose = {(("id", x), ("id", x)): ("id", x) for x in objects}
-    return _build(objects, arrows, compose, {x: ("id", x) for x in objects})
+    return FiniteGroupoid(objects, {("id", x): (x, x) for x in objects},
+                          lambda f, g: f, {x: ("id", x) for x in objects})
 
 
 def one_object(group: Group, obj="*") -> FiniteGroupoid:
-    arrows = {("g", g): (obj, obj) for g in group.elements}
-    compose = {(("g", a), ("g", b)): ("g", group.mul[(a, b)])
-               for a in group.elements for b in group.elements}
-    return _build((obj,), arrows, compose, {obj: ("g", group.identity)})
+    return FiniteGroupoid((obj,), {("g", g): (obj, obj) for g in group.elements},
+                          lambda f, g: ("g", group.mul[(f[1], g[1])]),
+                          {obj: ("g", group.identity)})
 
 
 def standard_component(objects: Sequence, group: Group) -> FiniteGroupoid:
@@ -293,34 +280,31 @@ def standard_component(objects: Sequence, group: Group) -> FiniteGroupoid:
 
 
 def disjoint_union_groupoids(parts: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
+    parts = tuple(parts)
     objects = []
     arrows = {}
-    compose = {}
     idents = {}
     for i, g in enumerate(parts):
         objects.extend((i, x) for x in g.objects)
         for a, (s, t) in g.arrows.items():
             arrows[(i, a)] = ((i, s), (i, t))
-        for (f, h), k in g.compose.items():
-            compose[((i, f), (i, h))] = (i, k)
         for x, e in g.identities.items():
             idents[(i, x)] = (i, e)
-    return _build(objects, arrows, compose, idents)
+    return FiniteGroupoid(tuple(objects), arrows,
+                          lambda f, g: (f[0], parts[f[0]].mul(f[1], g[1])),
+                          idents)
 
 
 def product_groupoid(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
-    objects = [(x, y) for x in a.objects for y in b.objects]
-    arrows = {}
-    compose = {}
-    for f, (sf, tf) in a.arrows.items():
-        for g, (sg, tg) in b.arrows.items():
-            arrows[(f, g)] = ((sf, sg), (tf, tg))
-    for (f1, f2), h1 in a.compose.items():
-        for (g1, g2), h2 in b.compose.items():
-            compose[((f1, g1), (f2, g2))] = (h1, h2)
+    objects = tuple((x, y) for x in a.objects for y in b.objects)
+    arrows = {(f, g): ((sf, sg), (tf, tg))
+              for f, (sf, tf) in a.arrows.items()
+              for g, (sg, tg) in b.arrows.items()}
     idents = {(x, y): (a.identities[x], b.identities[y])
               for x in a.objects for y in b.objects}
-    return _build(objects, arrows, compose, idents)
+    return FiniteGroupoid(objects, arrows,
+                          lambda f, g: (a.mul(f[0], g[0]), b.mul(f[1], g[1])),
+                          idents)
 
 
 def terminal() -> FiniteGroupoid:
@@ -354,9 +338,9 @@ class GroupoidMap:
         for x, e in self.dom.identities.items():
             if self.arrow_map[e] != self.cod.identities[self.obj_map[x]]:
                 raise GroupoidError("identities not preserved")
-        for (f, g), h in self.dom.compose.items():
-            if self.cod.compose[(self.arrow_map[f], self.arrow_map[g])] != \
-                    self.arrow_map[h]:
+        amap = self.arrow_map
+        for f, g in self.dom.composable_pairs():
+            if self.cod.mul(amap[f], amap[g]) != amap[self.dom.mul(f, g)]:
                 raise GroupoidError("composition not preserved")
         return self
 
@@ -413,15 +397,14 @@ def homotopy_pullback(f: GroupoidMap, g: GroupoidMap
         for alpha in X.arrows_from(x):
             x2, fa = X.target(alpha), f.arrow_map[alpha]
             for beta in Y.arrows_from(y):
-                y2, pg = Y.target(beta), S.compose[(phi, g.arrow_map[beta])]
+                y2, pg = Y.target(beta), S.mul(phi, g.arrow_map[beta])
                 # phi then g(beta) == f(alpha) then phi2
                 for phi2 in S.hom(f.obj_map[x2], g.obj_map[y2]):
-                    if S.compose[(fa, phi2)] == pg:
+                    if S.mul(fa, phi2) == pg:
                         arrows.append((o, (x2, y2, phi2), (alpha, beta)))
     pb = groupoid_from_labels(
         objects, arrows,
-        lambda a1, a2: (X.compose[(a1[2][0], a2[2][0])],
-                        Y.compose[(a1[2][1], a2[2][1])]),
+        lambda a1, a2: (X.mul(a1[2][0], a2[2][0]), Y.mul(a1[2][1], a2[2][1])),
         lambda o: (X.identities[o[0]], Y.identities[o[1]]))
     p1 = GroupoidMap(pb, X, {o: o[0] for o in objects},
                      {a: a[2][0] for a in arrows})
@@ -442,10 +425,10 @@ def homotopy_fiber(p: GroupoidMap, b) -> tuple[FiniteGroupoid, GroupoidMap]:
             e2 = E.target(alpha)
             # phi == p(alpha) then phi2
             for phi2 in B.hom(p.obj_map[e2], b):
-                if B.compose[(p.arrow_map[alpha], phi2)] == o[1]:
+                if B.mul(p.arrow_map[alpha], phi2) == o[1]:
                     arrows.append((o, (e2, phi2), alpha))
     fib = groupoid_from_labels(objects, arrows,
-                               lambda a1, a2: E.compose[(a1[2], a2[2])],
+                               lambda a1, a2: E.mul(a1[2], a2[2]),
                                lambda o: E.identities[o[0]])
     incl = GroupoidMap(fib, E, {o: o[0] for o in objects},
                        {a: a[2] for a in arrows})
@@ -483,10 +466,11 @@ class GroupAction:
                 s, t = X.arrows[a]
                 if X.arrows[b] != (self.obj_act[(s, g)], self.obj_act[(t, g)]):
                     raise GroupoidError("arrow action breaks endpoints")
-        for g in G.elements:
-            for (f, h), k in X.compose.items():
-                if X.compose[(self.arrow_act[(f, g)], self.arrow_act[(h, g)])] != \
-                        self.arrow_act[(k, g)]:
+        act = self.arrow_act
+        for f, h in X.composable_pairs():
+            k = X.mul(f, h)
+            for g in G.elements:
+                if X.mul(act[(f, g)], act[(h, g)]) != act[(k, g)]:
                     raise GroupoidError("group elements must act functorially")
         return self
 
@@ -502,7 +486,7 @@ def homotopy_quotient(action: GroupAction) -> tuple[FiniteGroupoid, GroupoidMap]
         (g1, phi1), (g2, phi2) = a1[2], a2[2]
         # x.(g1 g2) --phi1.g2--> y.g2 --phi2--> z
         return (G.mul[(g1, g2)],
-                X.compose[(action.arrow_act[(phi1, g2)], phi2)])
+                X.mul(action.arrow_act[(phi1, g2)], phi2))
 
     quot = groupoid_from_labels(
         X.objects,
@@ -535,8 +519,8 @@ def homotopy_sum(base: FiniteGroupoid,
         m = arrowact[e]
         if m.obj_map != {o: o for o in fam[x].objects}:
             raise GroupoidError("identity arrows must act as identity functors")
-    for (f, g), h in base.compose.items():
-        mf, mg, mh = arrowact[f], arrowact[g], arrowact[h]
+    for f, g in base.composable_pairs():
+        mf, mg, mh = arrowact[f], arrowact[g], arrowact[base.mul(f, g)]
         for o in fam[base.arrows[f][0]].objects:
             if mg.obj_map[mf.obj_map[o]] != mh.obj_map[o]:
                 raise GroupoidError("family is not strictly functorial")
@@ -547,8 +531,8 @@ def homotopy_sum(base: FiniteGroupoid,
     def mul(a1, a2):
         (sigma1, phi1), (sigma2, phi2) = a1[2], a2[2]
         fib = fam[base.arrows[sigma2][1]]
-        return (base.compose[(sigma1, sigma2)],
-                fib.compose[(arrowact[sigma2].arrow_map[phi1], phi2)])
+        return (base.mul(sigma1, sigma2),
+                fib.mul(arrowact[sigma2].arrow_map[phi1], phi2))
 
     objects = [(b, x) for b in base.objects for x in fam[b].objects]
     arrows = []
@@ -584,7 +568,7 @@ def fibre_family(p: GroupoidMap) -> tuple[dict, dict, dict]:
         src, dst = fibres[b], fibres[b2]
         omap = {}
         for (e, phi) in src.objects:
-            omap[(e, phi)] = (e, B.compose[(phi, sigma)])
+            omap[(e, phi)] = (e, B.mul(phi, sigma))
         amap = {}
         for a in src.arrows:
             (e, phi), (e2, phi2), alpha = a
@@ -666,31 +650,44 @@ def groupoid_to_doc(g: FiniteGroupoid) -> dict:
         "objects": sorted(g.objects, key=repr),
         "arrows": [{"src": s, "dst": t, "label": a}
                    for a, (s, t) in sorted(g.arrows.items(), key=lambda kv: repr(kv[0]))],
-        "compose": sorted(([f, h, k] for (f, h), k in g.compose.items()),
+        "compose": sorted(([f, h, g.mul(f, h)] for f, h in g.composable_pairs()),
                           key=repr),
     }
 
 
 def groupoid_from_doc(doc: Mapping) -> FiniteGroupoid:
     """Groupoid from an interchange document; every object id, endpoint and
-    arrow label must be a JSON scalar (not an array or object)."""
+    arrow label must be a JSON scalar (not an array or object).  Arrow
+    labels are unique, and the compose rows name each composable pair of
+    arrows exactly once and no other pair."""
     try:
         objects = tuple(map(_doc_id, doc["objects"]))
         arrows = {_doc_id(a["label"]): (_doc_id(a["src"]), _doc_id(a["dst"]))
                   for a in doc["arrows"]}
-        compose = {(_doc_id(f), _doc_id(h)): _doc_id(k)
-                   for f, h, k in doc["compose"]}
+        table = {(_doc_id(f), _doc_id(h)): _doc_id(k)
+                 for f, h, k in doc["compose"]}
+        if len(arrows) != len(doc["arrows"]):
+            raise GroupoidError("duplicate arrow label")
+        if len(table) != len(doc["compose"]):
+            raise GroupoidError("duplicate compose row")
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidError(f"malformed groupoid document: {exc}") from None
-    g = FiniteGroupoid(objects, arrows, compose, {})
+    g = FiniteGroupoid(objects, arrows, lambda f, h: table[(f, h)], {})
+    pairs = set(g.composable_pairs())
+    stray = sorted(table.keys() - pairs, key=repr)
+    if stray:
+        raise GroupoidError(f"compose row {stray[0]!r} is not a composable pair")
+    missing = sorted(pairs - table.keys(), key=repr)
+    if missing:
+        raise GroupoidError(f"composition missing on {missing[0]!r}")
     by_dst: dict = {}
     for a, (s, t) in arrows.items():
         by_dst.setdefault(t, []).append(a)
     for x in objects:
         out = g.arrows_from(x)
         units = [e for e in out if arrows[e] == (x, x)
-                 and all(compose.get((e, a)) == a for a in out)
-                 and all(compose.get((a, e)) == a for a in by_dst.get(x, ()))]
+                 and all(table[(e, a)] == a for a in out)
+                 and all(table[(a, e)] == a for a in by_dst.get(x, ()))]
         if len(units) != 1:
             raise GroupoidError(f"object {x!r} has {len(units)} two-sided units")
         g.identities[x] = units[0]

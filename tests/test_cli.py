@@ -237,6 +237,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     array_ids = tmp_path / "array_ids.json"
     array_ids.write_text('{"objects": [[0]], "arrows": [{"src": [0], '
                          '"dst": [0], "label": "e"}], "compose": [["e", "e", "e"]]}')
+    duplicate_label = tmp_path / "duplicate_label.json"
+    duplicate_label.write_text('{"objects": [0], "arrows": [{"src": 0, "dst": 0, '
+                               '"label": "e"}, {"src": 0, "dst": 0, "label": "e"}], '
+                               '"compose": [["e", "e", "e"]]}')
+    duplicate_row = tmp_path / "duplicate_row.json"
+    duplicate_row.write_text('{"objects": [0], "arrows": [{"src": 0, "dst": 0, '
+                             '"label": "e"}], "compose": [["e", "e", "zz"], '
+                             '["e", "e", "e"]]}')
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe")
     for args in (["groupoid", "--file", str(tmp_path)],
@@ -244,6 +252,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
                  ["enumerate", "--spec-file", str(spec), "--max-edges", "3"],
                  ["groupoid", "--file", str(doc)],
                  ["groupoid", "--file", str(array_ids)],
+                 ["groupoid", "--file", str(duplicate_label)],
+                 ["groupoid", "--file", str(duplicate_row)],
                  ["groupoid", "--file", str(binary)],
                  ["enumerate", "--functor", "binary", "--max-edges", "0"],
                  ["enumerate", "--functor", "binary", "--max-edges", "3",

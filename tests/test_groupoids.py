@@ -18,7 +18,8 @@ from optrees.groupoids import (FiniteGroupoid, Group, GroupAction,
                                homotopy_sum, identity_map, is_equivalence,
                                name_map, one_object, product_groupoid,
                                pushforward_cardinality, relative_cardinality,
-                               terminal, vector_scale, vectors_equal)
+                               standard_component, terminal, vector_scale,
+                               vectors_equal)
 
 
 # -- groups ---------------------------------------------------------------------
@@ -119,10 +120,25 @@ def test_cardinality_examples():
     assert prod.check().cardinality() == Fraction(5, 6)
 
 
-def test_check_catches_broken_composition():
-    g = discrete([0])
-    broken = FiniteGroupoid(g.objects, dict(g.arrows), {}, dict(g.identities))
-    with pytest.raises(GroupoidError):
+_C3 = one_object(Group.cyclic(3))
+
+
+def _skewed_c3(f, g):
+    # C3 with 1 then 1 sent to 0: units and endpoints hold, but
+    # (1 then 1) then 2 = 2 while 1 then (1 then 2) = 1
+    return ("g", 0) if f == g == ("g", 1) else _C3.mul(f, g)
+
+
+@pytest.mark.parametrize("groupoid, rule, message", [
+    (discrete([0]), lambda f, g: None, "wrong endpoints"),
+    (standard_component([0, 1], Group.cyclic(2)), lambda f, g: f,
+     "wrong endpoints"),
+    (_C3, _skewed_c3, "associativity"),
+], ids=["rule-returns-none", "wrong-endpoints", "not-associative"])
+def test_check_catches_broken_composition(groupoid, rule, message):
+    broken = FiniteGroupoid(groupoid.objects, dict(groupoid.arrows), rule,
+                            dict(groupoid.identities))
+    with pytest.raises(GroupoidError, match=message):
         broken.check()
 
 
@@ -406,20 +422,82 @@ def test_is_equivalence_positive_and_negative():
 
 # -- interchange documents -------------------------------------------------------------
 
-def test_interchange_roundtrip():
-    g = disjoint_union_groupoids([one_object(Group.cyclic(2)),
-                                  discrete([0])]).relabel()[0]
+def _swap_quotient():
+    c2 = Group.cyclic(2)
+    space = discrete([0, 1, 2])
+    swap = {0: 1, 1: 0, 2: 2}
+    obj_act = {(x, g): swap[x] if g else x for x in space.objects for g in (0, 1)}
+    arrow_act = {(("id", x), g): ("id", obj_act[(x, g)])
+                 for x in space.objects for g in (0, 1)}
+    return homotopy_quotient(GroupAction(c2, space, obj_act, arrow_act).check())[0]
+
+
+def _loop_pullback():
+    bg = one_object(Group.cyclic(3))
+    return homotopy_pullback(name_map(bg, "*"), name_map(bg, "*"))[0]
+
+
+def _groth_total():
+    # the C2-labelled arrows of a two-object component, sent to BC2
+    c2 = Group.cyclic(2)
+    dom = standard_component([0, 1], c2)
+    p = GroupoidMap(dom, one_object(c2), {x: "*" for x in dom.objects},
+                    {a: ("g", a[2]) for a in dom.arrows}).check()
+    return groth_equivalence(p)[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: disjoint_union_groupoids([one_object(Group.cyclic(2)),
+                                      discrete([0])]),
+    lambda: product_groupoid(one_object(Group.cyclic(2)),
+                             standard_component([0, 1], Group.cyclic(2))),
+    _swap_quotient,
+    _loop_pullback,
+    _groth_total,
+    lambda: coloured_set_groupoid(("a", "b"), {"a": 2, "b": 1}),
+], ids=["disjoint-union", "product", "quotient", "pullback", "groth-total",
+        "coloured-set"])
+def test_interchange_roundtrip(build):
+    g = build().relabel()[0]
+    assert len(g.objects) <= 4
     doc = groupoid_to_doc(g)
     back = groupoid_from_doc(doc)
+    back.check()
     assert back.cardinality() == g.cardinality()
     assert len(back.pi0()) == len(g.pi0())
+    # one row per composable pair: sum over objects of (arrows in) x (arrows out)
+    ends = list(g.arrows.values())
+    assert len(doc["compose"]) == sum(
+        sum(t == x for _, t in ends) * sum(s == x for s, _ in ends)
+        for x in g.objects)
     assert groupoid_to_doc(back) == doc
+
+
+_E = {"src": 0, "dst": 0, "label": "e"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"objects": [0], "arrows": [_E, _E], "compose": [["e", "e", "e"]]},
+     "duplicate arrow label"),
+    ({"objects": [0], "arrows": [_E], "compose": [["e", "e", "zz"],
+                                                  ["e", "e", "e"]]},
+     "duplicate compose row"),
+    ({"objects": [0], "arrows": [_E], "compose": [["e", "e", "e"],
+                                                  ["e", "x", "e"]]},
+     "not a composable pair"),
+    ({"objects": [0, 1], "arrows": [_E, {"src": 1, "dst": 1, "label": "u"}],
+      "compose": [["e", "e", "e"], ["u", "u", "u"], ["e", "u", "e"]]},
+     "not a composable pair"),
+], ids=["duplicate-label", "duplicate-row", "unknown-label", "not-composable"])
+def test_interchange_rejects_contradictory_docs(doc, message):
+    with pytest.raises(GroupoidError, match=message):
+        groupoid_from_doc(doc)
 
 
 def test_interchange_rejects_bad_docs():
     with pytest.raises(GroupoidError):
         groupoid_from_doc({"objects": [0]})
-    # missing composition makes the unit undetectable
+    # a composable pair without a compose row
     with pytest.raises(GroupoidError):
         groupoid_from_doc({"objects": [0], "arrows": [
             {"src": 0, "dst": 0, "label": "e"}], "compose": []})
