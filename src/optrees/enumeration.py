@@ -61,8 +61,9 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
 def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
     """Classes grouped by exact edge count: strata[e] maps key -> record.
 
-    Classes are interned with the trees built here; a class already in the
-    table keeps its record.
+    A candidate op(children) is coded from its children's keys before any
+    tree is built; only a class new to its stratum is built and interned.
+    A class already in the table keeps its record.
     """
     cache_key = ("strata", bound.max_edges, bound.max_nodes)
     cached = spec._enum_cache.get(cache_key)
@@ -81,22 +82,27 @@ def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
 
     max_nodes = bound.max_nodes
     strata: list[dict[str, TreeClass]] = [dict() for _ in range(bound.max_edges + 1)]
-    by_colour: list[dict[str, list[PTree]]] = [dict() for _ in range(bound.max_edges + 1)]
+    by_colour: list[dict[str, list[TreeClass]]] = [dict() for _ in range(bound.max_edges + 1)]
 
-    def add(e: int, t: PTree):
-        key = t.key()
-        if key in strata[e]:
+    def keep(e: int, c: TreeClass):
+        strata[e][c.key] = c
+        by_colour[e].setdefault(c.root, []).append(c)
+
+    def add(e: int, op: str, children: Sequence[TreeClass]):
+        """Intern op(children) unless its class is already in the stratum
+        or it has too many nodes; the tree is built only for a new class."""
+        code, _ = spec.node_code(op, [c.key if c.nodes else "_" for c in children])
+        if code in strata[e]:
             return
-        if max_nodes is not None and t.node_count > max_nodes:
+        if max_nodes is not None and 1 + sum(c.nodes for c in children) > max_nodes:
             return
-        c = strata[e][key] = intern(t)
-        by_colour[e].setdefault(c.root, []).append(c.tree)
+        keep(e, intern(build_ptree(spec, op, [c.tree for c in children])))
 
     for colour in spec.colours:
-        add(1, trivial_ptree(spec, colour))
+        keep(1, intern(trivial_ptree(spec, colour)))
     for op in spec.ops:
         if op.arity == 0:
-            add(1, build_ptree(spec, op.name, []))
+            add(1, op.name, ())
 
     for e in range(2, bound.max_edges + 1):
         for op in spec.ops:
@@ -111,13 +117,13 @@ def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
                 for children in itertools.product(*pools):
                     if block_sorted and not _block_nondecreasing(op.ins, comp, children):
                         continue
-                    add(e, build_ptree(spec, op.name, children))
+                    add(e, op.name, children)
     spec._enum_cache[cache_key] = strata
     return strata
 
 
 def _block_nondecreasing(ins: Sequence[str], comp: Sequence[int],
-                         children: Sequence[PTree]) -> bool:
+                         children: Sequence[TreeClass]) -> bool:
     """Skip slot arrangements a fully symmetric group would identify.
 
     Within each maximal run of slots with equal colour and equal child edge
@@ -125,7 +131,7 @@ def _block_nondecreasing(ins: Sequence[str], comp: Sequence[int],
     """
     for i in range(1, len(children)):
         if ins[i] == ins[i - 1] and comp[i] == comp[i - 1]:
-            if children[i].key() < children[i - 1].key():
+            if children[i].key < children[i - 1].key:
                 return False
     return True
 

@@ -16,10 +16,14 @@ Canonical form
 ``canon`` computes a complete isomorphism invariant bottom-up, by one rule,
 ``EndofunctorSpec.node_code``: the code of a node is its operation name
 followed by the lexicographically least arrangement of its children's codes
-over the op's symmetry group.  The group is given explicitly and closed
-here, so one scan of it collects the whole orbit of the child codes and the
-minimisation is exact.  The same scan gives the stabiliser of the child
-codes, of order |group| / |orbit| (orbit–stabiliser).  Since
+over the op's symmetry group.  An op is *block-symmetric* when, within each
+block of equally coloured input slots, its transposition generators connect
+every slot; its group is then all colour-preserving permutations, the least
+arrangement sorts the codes within each block, and the stabiliser of the
+codes has order ∏ m! over the runs of m equal codes in a block.  Any other
+group is closed from its generators, and one scan of it collects the whole
+orbit of the child codes: the orbit's least element is the arrangement, and
+the stabiliser has order |group| / |orbit| (orbit–stabiliser).  Since
 |Aut op(T₁…T_k)| = |stabiliser| · ∏ |Aut T_i|, the automorphism order of a
 tree is the product of its node stabiliser orders, kept by the same pass
 that codes the nodes.  The canonical key doubles as the canonical string of
@@ -70,21 +74,58 @@ def _perm_mul(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def _close_group(gens: Sequence[Perm], arity: int) -> tuple[Perm, ...]:
-    ident = tuple(range(arity))
+# Largest group closed from generators (9!); a larger block-symmetric group
+# is coded by sorting, given its transpositions.
+MAX_GROUP_ORDER = 362_880
+
+
+def _close_group(op: OpType) -> tuple[Perm, ...]:
+    ident = tuple(range(op.arity))
     els = {ident}
     frontier = [ident]
-    gens = [tuple(g) for g in gens]
     while frontier:
         nxt = []
-        for g in gens:
+        for g in op.sym_gens:
             for h in frontier:
                 gh = _perm_mul(g, h)
                 if gh not in els:
+                    if len(els) == MAX_GROUP_ORDER:
+                        raise SpecError(
+                            f"op {op.name!r}: symmetry group has more than "
+                            f"{MAX_GROUP_ORDER} elements; give a "
+                            f"block-symmetric group by transpositions")
                     els.add(gh)
                     nxt.append(gh)
         frontier = nxt
     return tuple(sorted(els))
+
+
+def _symmetric_blocks(op: OpType) -> tuple[tuple[int, ...], ...] | None:
+    """The slots of each input colour with two or more slots, when the
+    transposition generators connect every such block; otherwise None.
+
+    Every generator preserves colours, so in the first case the group is
+    exactly the group of all colour-preserving permutations.
+    """
+    parent = list(range(op.arity))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g in op.sym_gens:
+        moved = [i for i in range(op.arity) if g[i] != i]
+        if len(moved) == 2:
+            parent[find(moved[0])] = find(moved[1])
+    blocks: dict[str, list[int]] = {}
+    for i, c in enumerate(op.ins):
+        blocks.setdefault(c, []).append(i)
+    plan = tuple(tuple(slots) for slots in blocks.values() if len(slots) > 1)
+    if any(len({find(i) for i in slots}) > 1 for slots in plan):
+        return None
+    return plan
 
 
 @dataclass(frozen=True)
@@ -102,11 +143,12 @@ class OpType:
 class EndofunctorSpec:
     """Colours plus typed operations with input symmetry groups.
 
-    Immutable after construction apart from caches: the symmetry-group
-    closures, the enumeration strata, and ``classes``, the class table.  The
-    table maps each canonical key to its :class:`TreeClass` record, the one
-    tree and the invariants of that class; every class is interned there
-    once, by the enumeration or on first sight of its key.
+    Immutable after construction apart from caches: the closures of the
+    groups that are not block-symmetric, the enumeration strata, and
+    ``classes``, the class table.  The table maps each canonical key to its
+    :class:`TreeClass` record, the one tree and the invariants of that
+    class; every class is interned there once, by the enumeration or on
+    first sight of its key.
     """
 
     def __init__(self, colours: Sequence[str], ops: Sequence[OpType], name: str = "custom"):
@@ -134,6 +176,7 @@ class EndofunctorSpec:
                     if op.ins[g[i]] != c:
                         raise SpecError(f"op {op.name!r}: generator {g} breaks input colours")
             self.by_name[op.name] = op
+        self._blocks = {op.name: _symmetric_blocks(op) for op in self.ops}
         self._groups: dict[str, tuple[Perm, ...]] = {}
         self._enum_cache: dict = {}
         self.classes: dict[str, TreeClass] = {}
@@ -151,36 +194,44 @@ class EndofunctorSpec:
     def sym_group(self, name: str) -> tuple[Perm, ...]:
         g = self._groups.get(name)
         if g is None:
-            op = self.op(name)
-            g = _close_group(op.sym_gens, op.arity)
-            self._groups[name] = g
+            g = self._groups[name] = _close_group(self.op(name))
         return g
 
     def group_is_block_symmetric(self, name: str) -> bool:
-        """True when the symmetry group is all colour-preserving permutations."""
-        op = self.op(name)
-        blocks: dict[str, int] = {}
-        for c in op.ins:
-            blocks[c] = blocks.get(c, 0) + 1
-        full = 1
-        for m in blocks.values():
-            for i in range(2, m + 1):
-                full *= i
-        return len(self.sym_group(name)) == full
+        """True when the op's transposition generators connect each block of
+        equally coloured slots, so its group is all colour-preserving
+        permutations."""
+        return self._blocks[self.op(name).name] is not None
 
     def node_code(self, name: str, codes: Sequence[str]) -> tuple[str, int]:
         """Code of a node of op ``name`` whose slots hold subtrees with the
         given codes, and the order of the stabiliser of those codes.
 
-        One scan of the op's group collects the orbit of the code tuple.
-        Its least element is the canonical arrangement, and by
-        orbit–stabiliser the stabiliser has |group| / |orbit| elements.
+        A block-symmetric op sorts the codes within each block of equally
+        coloured slots; the stabiliser has ∏ m! elements over the runs of m
+        equal codes in a block.  Any other op scans its group once for the
+        orbit of the code tuple: its least element is the canonical
+        arrangement, and by orbit–stabiliser the stabiliser has
+        |group| / |orbit| elements.
         """
-        group = self.sym_group(name)
-        orbit = {tuple(map(codes.__getitem__, g)) for g in group}
-        least = min(orbit)
+        blocks = self._blocks.get(name)
+        if blocks is None:
+            group = self.sym_group(name)
+            orbit = {tuple(map(codes.__getitem__, g)) for g in group}
+            least = min(orbit)
+            stabiliser = len(group) // len(orbit)
+        else:
+            least = list(codes)
+            stabiliser = 1
+            for slots in blocks:
+                run, prev = 0, None
+                for i, code in zip(slots, sorted(codes[s] for s in slots)):
+                    least[i] = code
+                    run = run + 1 if code == prev else 1
+                    prev = code
+                    stabiliser *= run
         return ("(" + name + (":" + "".join(least) if least else "") + ")",
-                len(group) // len(orbit))
+                stabiliser)
 
     def trivial_key(self, colour: str) -> str:
         """Key of the trivial tree of a colour; the colour is written only

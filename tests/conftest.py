@@ -37,6 +37,16 @@ def symmetric_two_colour_spec():
         name="symmetric-two-colour")
 
 
+def cycle_generated_s3_spec():
+    """One colour, with a ternary op whose full S_3 is generated by a
+    transposition and a 3-cycle, so its group is closed and scanned."""
+    return EndofunctorSpec(
+        ["o"],
+        [OpType("n0", "o", ()), OpType("n1", "o", ("o",)),
+         OpType("n3", "o", ("o", "o", "o"), ((1, 0, 2), (1, 2, 0)))],
+        name="cycle-generated-s3")
+
+
 @pytest.fixture
 def exp3():
     return builtin("exp", max_arity=3)

@@ -54,6 +54,26 @@ def test_aut_command(capsys):
     assert code == 0 and out == "8"
 
 
+def test_aut_of_a_large_symmetric_node(capsys):
+    code = main(["aut", "--functor", "exp", "--max-arity", "12",
+                 "--tree", "(n12:" + "_" * 12 + ")"])
+    assert code == 0
+    assert capsys.readouterr().out == "479001600\n"
+
+
+def test_symmetry_group_too_large_to_close_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"colours": ["o"], "ops": [
+        {"name": "f", "out": "o", "in": ["o"] * 10,
+         "sym": [[1, 0, *range(2, 10)], [*range(1, 10), 0]]}]}))
+    code = main(["aut", "--spec-file", str(path), "--tree", "(f:" + "_" * 10 + ")"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: op 'f': symmetry group has more than")
+
+
 def test_enumerate_structured(capsys):
     code = main(["enumerate", "--functor", "binary", "--max-edges", "5",
                  "--format", "structured"])

@@ -3,12 +3,12 @@ import math
 
 import pytest
 
-from conftest import all_builtin_specs
+from conftest import all_builtin_specs, cycle_generated_s3_spec
 from optrees.enumeration import (Bound, enumerate_pforests, enumerate_ptrees,
                                  graft_class_assignments, matchings,
                                  multiset_arrangements)
-from optrees.pfunctor import (PForest, builtin, parse_ptree, trivial_ptree,
-                              validate_ptree)
+from optrees.pfunctor import (PForest, aut_order, builtin, parse_ptree,
+                              trivial_ptree, validate_ptree)
 from optrees.trees import validate_tree
 
 
@@ -137,15 +137,27 @@ def decorations(spec, shape):
     ("binary", None, 5),
     ("cyclic", 2, 5),
     ("planar", 2, 5),
+    ("cycle-generated-s3", None, 5),
 ])
 def test_generation_matches_raw_brute_force(name, max_arity, max_edges):
-    spec = builtin(name, max_arity=max_arity) if max_arity else builtin(name)
+    if name == "cycle-generated-s3":
+        spec = cycle_generated_s3_spec()
+    else:
+        spec = builtin(name, max_arity=max_arity) if max_arity else builtin(name)
     expected = set()
     for shape in raw_shapes(max_edges):
         for t in decorations(spec, shape):
             expected.add(t.key())
     got = {t.key() for t in enumerate_ptrees(spec, Bound(max_edges))}
     assert got == expected
+
+
+def test_large_arity_exp_enumerates_without_closing_a_group():
+    spec = builtin("exp", max_arity=8)
+    trees = enumerate_ptrees(spec, Bound(10))
+    assert len(trees) == 15_910
+    assert sum(aut_order(t) for t in trees) == 445_369
+    assert spec._groups == {}
 
 
 # -- forests -------------------------------------------------------------------

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
-from conftest import (all_builtin_specs, symmetric_two_colour_spec,
-                      two_colour_spec)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (all_builtin_specs, cycle_generated_s3_spec,
+                      symmetric_two_colour_spec, two_colour_spec)
 from optrees.enumeration import Bound, enumerate_ptrees
 from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
                               OpType, PForest, SpecError, UnknownBuiltin,
@@ -247,6 +250,44 @@ def test_symmetry_subgroup_order_divides():
         h = sum(1 for g in group
                 if all(child[g[i]] == child[i] for i in range(len(ins))))
         assert len(group) % h == 0
+
+
+def orbit_scan(spec, name, codes):
+    """Node code and stabiliser order by a scan of the op's whole group."""
+    group = spec.sym_group(name)
+    orbit = {tuple(codes[i] for i in g) for g in group}
+    least = min(orbit)
+    return ("(" + name + (":" + "".join(least) if least else "") + ")",
+            len(group) // len(orbit))
+
+
+NODE_CODE_OPS = [(spec, op.name) for spec in
+                 [*all_builtin_specs(4), two_colour_spec(),
+                  symmetric_two_colour_spec(), cycle_generated_s3_spec()]
+                 for op in spec.ops]
+
+
+@pytest.mark.parametrize("spec,name", NODE_CODE_OPS,
+                         ids=[f"{s.name}-{n}" for s, n in NODE_CODE_OPS])
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_node_code_equals_orbit_scan(spec, name, data):
+    arity = spec.op(name).arity
+    codes = tuple(data.draw(st.lists(st.sampled_from("abc"), min_size=arity,
+                                     max_size=arity)))
+    assert spec.node_code(name, codes) == orbit_scan(spec, name, codes)
+
+
+def test_block_plan_needs_no_group_closure():
+    exp = builtin("exp", max_arity=12)
+    assert all(exp.group_is_block_symmetric(op.name) for op in exp.ops)
+    assert exp.node_code("n12", ("_",) * 12) == (
+        "(n12:" + "_" * 12 + ")", math.factorial(12))
+    assert exp._groups == {}
+    assert symmetric_two_colour_spec().group_is_block_symmetric("g")
+    assert not builtin("planar", max_arity=2).group_is_block_symmetric("n2")
+    assert not builtin("cyclic", max_arity=3).group_is_block_symmetric("n3")
+    assert not cycle_generated_s3_spec().group_is_block_symmetric("n3")
 
 
 # -- the class table -----------------------------------------------------------

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import symmetric_two_colour_spec, two_colour_spec
+from conftest import (cycle_generated_s3_spec, symmetric_two_colour_spec,
+                      two_colour_spec)
 from optrees.pfunctor import (aut_order, build_ptree, builtin, parse_ptree,
                               trivial_ptree)
 from optrees.trees import parse_tree, print_tree
 
-SPECS = [builtin("exp", max_arity=3), builtin("cyclic", max_arity=3),
-         two_colour_spec(), symmetric_two_colour_spec()]
+SPECS = [builtin("exp", max_arity=3), builtin("exp", max_arity=5),
+         builtin("cyclic", max_arity=3), two_colour_spec(),
+         symmetric_two_colour_spec(), cycle_generated_s3_spec()]
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
                     derandomize=True)
