@@ -18,21 +18,18 @@ ideal subtrees over the stump's leaves.  It is multiplicative on forest
 monomials.  The counit sends a monomial to 1 when all its trees are
 trivial, else 0 (forced by the counit laws, which the tests verify).
 
-``cut_summary`` computes it by recursion on the root node, the Hochschild
-1-cocycle property of grafting:
+``cut_summary`` reads it from the class record, which composes it from
+its children's by the Hochschild 1-cocycle property of grafting:
 
     Δ(op(T₁…T_k)) = T ⊗ | + op(ΔT₁, …, ΔT_k),   Δ(|) = | ⊗ |.
 
 A cut either cuts the root edge (crown T, trivial stump) or keeps the root
-node and cuts each input subtree independently.  In the second case the
-crown is the union of the input crowns, and the stump is ``op`` on the
-input stumps, coded by ``EndofunctorSpec.node_code`` from the input stump
-codes, the one rule that also codes every node of a tree.  The
-multiplicity is the product of the input multiplicities.  Subtree classes
-are keyed by the representative's edge codes and their summaries are kept
-in their class records, so nothing is re-canonicalised.
-``flat_cut_summary`` is the brute-force count: every cut is enumerated,
-pruned and both parts canonicalised.
+node and cuts each child independently.  In the second case the crown is
+the union of the children's crowns, and the stump is ``op`` on their
+stumps, coded by ``EndofunctorSpec.node_code``, the one rule that also
+codes every node of a tree.  The multiplicity is the product of the
+children's.  ``flat_cut_summary`` is the brute-force count: every cut is
+enumerated, pruned and both parts canonicalised.
 
 Green functions
 ---------------
@@ -42,30 +39,32 @@ coefficient of ``crown ⊗ stump`` in the coproduct of the total Green
 function can be computed two independent ways:
 
 * ``fdb_lhs_coefficient``: sum over graft classes ``T`` of (number of cuts
-  of ``T`` pruning to the pair) divided by ``|Aut T|``;
+  of ``T`` pruning to the pair) divided by ``|Aut T|``, where ``T`` is a
+  record composed along the stump's nodes with a crown record on each
+  leaf (``graft_record``): no graft tree is built and no key parsed;
 * ``fdb_rhs_coefficient``: coefficient of the crown in the product of
   root-coloured Green functions indexed by the stump's leaf profile,
   divided by ``|Aut stump|``.
 
 ``verify_fdb`` checks exact equality over every pair within a budget of
-(max total nodes, max edges per side), with a third cross-check that
-accumulates the coproducts of all trees within the edge budget directly,
-counting their cuts flat, so it shares no cut count with the first route.
+(max total nodes, max edges per side).  A third route builds every tree
+within the budget and counts its cuts flat, so it shares no composed
+record with the first; the graft records of a sample of pairs are also
+checked against grafted trees and parsed keys.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .enumeration import (Bound, enumerate_pforests, enumerate_ptrees,
                           graft_class_assignments)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
-                       PTree, forest_key_str, graft_decorated, intern,
-                       prune_decorated, representative, tree_class)
+                       PTree, TreeClass, aut_order, compose_along, forest_key_str,
+                       graft_decorated, intern, parse_ptree, prune_decorated,
+                       representative, tree_class)
 from .trees import enumerate_cuts
 
 Profile = tuple[tuple[str, int], ...]
@@ -169,77 +168,9 @@ def _merge_key(a: ForestKey, b: ForestKey) -> ForestKey:
 
 
 def cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
-    """Multiplicity of each (crown class, stump class) over the cuts of t.
-
-    Computed once per class, by recursion on the root node (see the module
-    docstring), and kept in the class record.
-    """
-    record = intern(t)
-    if record.cuts is None:
-        record.cuts = _rooted_cuts(t)
-    return record.cuts
-
-
-def _rooted_cuts(t: PTree) -> dict[tuple[ForestKey, str], int]:
-    """Cut summary of t from the summaries of the subtrees on its root node.
-
-    The subtree above edge e is keyed by ``t.edge_codes()[e]``, so no
-    subtree is rebuilt.  A subtree whose class record already holds its
-    summary is not descended into; a summary computed here for a subtree
-    whose class has a record is stored there.  Inside the walk a trivial
-    stump is written ``_``, its code inside other codes.
-    """
-    spec, shape = t.spec, t.shape
-    classes = spec.classes
-    codes = t.edge_codes()
-    if shape.root not in codes:  # the trivial tree has one cut
-        return {((t.key(),), t.key()): 1}
-
-    def known(code: str) -> dict | None:
-        c = classes.get(code)
-        return None if c is None else c.cuts
-
-    # nodes whose subtree summary is not known yet, each before its inputs
-    todo: list[int] = []
-    stack = [shape.root]
-    while stack:
-        e = stack.pop()
-        n = shape.node_above.get(e)
-        if n is not None and known(codes[e]) is None:
-            todo.append(n)
-            stack.extend(shape.node_inputs[n])
-
-    # edge -> [(crown, stump code, multiplicity)], taken by the node above
-    done: dict[int, list[tuple[ForestKey, str, int]]] = {}
-
-    def summary_above(e: int) -> list[tuple[ForestKey, str, int]]:
-        got = done.pop(e, None)
-        if got is not None:
-            return got
-        code = codes.get(e)
-        if code is None:
-            return [((spec.trivial_key(t.edge_colour[e]),), "_", 1)]
-        return [(crown, stump if stump[0] == "(" else "_", m)
-                for (crown, stump), m in known(code).items()]
-
-    out: dict[tuple[ForestKey, str], int] = {}
-    for n in reversed(todo):  # the root node comes last
-        e = shape.node_output[n]
-        code = codes[e]
-        op = t.node_op[n]
-        kept: dict[tuple[ForestKey, str], int] = {}
-        for combo in itertools.product(*map(summary_above, shape.node_inputs[n])):
-            crown = tuple(sorted(itertools.chain.from_iterable(
-                c for c, _, _ in combo)))
-            stump, _ = spec.node_code(op, tuple(s for _, s, _ in combo))
-            pair = (crown, stump)
-            kept[pair] = kept.get(pair, 0) + math.prod(m for _, _, m in combo)
-        out = {((code,), spec.trivial_key(t.edge_colour[e])): 1, **kept}
-        record = classes.get(code)
-        if record is not None and record.cuts is None:
-            record.cuts = out
-        done[e] = [((code,), "_", 1)] + [(c, s, m) for (c, s), m in kept.items()]
-    return out
+    """Multiplicity of each (crown class, stump class) over the cuts of t:
+    the cuts of t's class record, composed from its children's."""
+    return intern(t).cuts
 
 
 def flat_cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
@@ -430,25 +361,43 @@ def fdb_rhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree,
     return power.coefficient(crown.keys) / s.aut
 
 
-def graft_classes(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> list[str]:
-    """Canonical keys of all tree classes obtained by grafting crown onto
-    stump along some matching (deduplicated)."""
-    seen: set[str] = set()
-    for assignment in graft_class_assignments(stump, crown):
-        seen.add(graft_decorated(stump, assignment).key())
-    return sorted(seen)
+def graft_record(stump: PTree, assignment: Mapping[int, str]) -> TreeClass:
+    """Record of the graft of the assigned crown classes (stump leaf ->
+    key) onto the stump, composed along the stump's nodes."""
+    return compose_along(stump, {leaf: tree_class(stump.spec, key)
+                                 for leaf, key in assignment.items()})
+
+
+def graft_classes(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> list[TreeClass]:
+    """Records of all tree classes obtained by grafting crown onto stump
+    along some matching, once each."""
+    return list({c.key: c for c in (graft_record(stump, a) for a in
+                                     graft_class_assignments(stump, crown))}.values())
 
 
 def fdb_lhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> Fraction:
     """Sum over graft classes T of (#cuts of T pruning to the pair)/|Aut T|."""
     target = (crown.keys, stump.key())
-    total = ZERO
-    for key in graft_classes(spec, crown, stump):
-        c = tree_class(spec, key)
-        mult = cut_summary(c.tree).get(target, 0)
-        if mult:
-            total += Fraction(mult, c.aut)
-    return total
+    return sum((Fraction(m, c.aut) for c in graft_classes(spec, crown, stump)
+                if (m := c.cuts.get(target))), ZERO)
+
+
+def graft_oracle_agrees(stump: PTree, crown: PForest) -> bool:
+    """Check the pair's composed graft records against the tree oracles: the
+    tree ``graft_decorated`` builds has the key and a cut giving the pair;
+    a parse of the key has the sizes, leaf profile and |Aut|."""
+    spec, pair = stump.spec, (crown.keys, stump.key())
+    for assignment in graft_class_assignments(stump, crown):
+        c = graft_record(stump, assignment)
+        g = graft_decorated(stump, {leaf: tree_class(spec, key).tree
+                                    for leaf, key in assignment.items()})
+        fresh = parse_ptree(spec, c.key)
+        if (g.key() != c.key or fresh.key() != c.key
+                or (fresh.edge_count, fresh.node_count, fresh.leaf_profile(),
+                    aut_order(fresh)) != (c.edges, c.nodes, c.leaf_profile, c.aut)
+                or not cut_summary(g).get(pair)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +502,15 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     through the full computation as a spot check) but only profile-matched
     pairs, and any failures, are listed.
 
-    The LHS reads ``cut_summary``, the recursive coproduct.  A third route
-    accumulates the coproducts of all trees within the budget, counting
-    each tree's cuts flat (``flat_cut_summary``: enumerate, prune,
-    canonicalise), so it tests the recursion against the brute-force
-    count.  It must agree with the listed pairs whose graft size stays
-    within the budget, and every pair it finds must be listed; in rooted
-    mode, every pair whose stump has the rooted colour.
+    The LHS reads composed graft records.  A third route accumulates the
+    coproducts of all trees within the budget, counting each tree's cuts
+    flat (``flat_cut_summary``: enumerate, prune, canonicalise), so it tests
+    the composition against the brute-force count.  It must agree with the
+    listed pairs whose graft size stays within the budget, and every pair
+    it finds must be listed; in rooted mode, every pair whose stump has the
+    rooted colour.  An evenly spaced sample of at most ``mismatch_sample``
+    listed pairs must pass ``graft_oracle_agrees``.  Both count in
+    ``cross_failed``.
     """
     stumps, by_profile, total_pairs = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
@@ -596,10 +547,15 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
             failed += 1
             results.append(chk)
 
+    # the graft records of an evenly spaced sample of listed pairs
+    stride = max(1, -(-len(tasks) // max(mismatch_sample, 1)))
+    cross_failed = sum(not graft_oracle_agrees(s, f)
+                       for s, f in tasks[::stride][:mismatch_sample])
+
     # independent accumulation cross-check on the common support
     acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
     lhs_map = {(p.crown, p.stump): p.lhs for p in results}
-    cross_checked = cross_failed = 0
+    cross_checked = 0
     for p in results:
         s = tree_class(spec, p.stump)
         graft_edges = PForest(spec, p.crown).edge_count() + s.edges - s.leaves

@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .pfunctor import (EndofunctorSpec, ForestKey, PForest, PTree, TreeClass,
-                       build_ptree, intern, representative, trivial_ptree)
+from .pfunctor import EndofunctorSpec, ForestKey, PForest, PTree, TreeClass
 from .trees import ForestDiagram, disjoint_union
 
 
@@ -61,9 +60,8 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
 def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
     """Classes grouped by exact edge count: strata[e] maps key -> record.
 
-    A candidate op(children) is coded from its children's keys before any
-    tree is built; only a class new to its stratum is built and interned.
-    A class already in the table keeps its record.
+    A candidate op(children) is composed from its children's records; no
+    tree is built.  A class already in the table keeps its record.
     """
     cache_key = ("strata", bound.max_edges, bound.max_nodes)
     cached = spec._enum_cache.get(cache_key)
@@ -89,17 +87,14 @@ def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
         by_colour[e].setdefault(c.root, []).append(c)
 
     def add(e: int, op: str, children: Sequence[TreeClass]):
-        """Intern op(children) unless its class is already in the stratum
-        or it has too many nodes; the tree is built only for a new class."""
-        code, _ = spec.node_code(op, [c.key if c.nodes else "_" for c in children])
-        if code in strata[e]:
-            return
-        if max_nodes is not None and 1 + sum(c.nodes for c in children) > max_nodes:
-            return
-        keep(e, intern(build_ptree(spec, op, [c.tree for c in children])))
+        """Keep the record of op(children) unless it has too many nodes."""
+        if max_nodes is None or 1 + sum(c.nodes for c in children) <= max_nodes:
+            c = spec.compose(op, children)
+            if c.key not in strata[e]:
+                keep(e, c)
 
     for colour in spec.colours:
-        keep(1, intern(trivial_ptree(spec, colour)))
+        keep(1, spec.trivial_classes[colour])
     for op in spec.ops:
         if op.arity == 0:
             add(1, op.name, ())
@@ -160,8 +155,9 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
     realise exactly that profile are returned (the empty profile gives the
     empty forest alone).
     """
-    classes = [(c.edges, c.nodes, c.root, c.key)
-               for c in map(intern, enumerate_ptrees(spec, bound))]
+    classes = sorted((c.edges, c.nodes, c.root, c.key)
+                     for stratum in _strata(spec, bound)[1:]
+                     for c in stratum.values())
     want: dict[str, int] | None = None
     if root_profile is not None:
         want = {c: m for c, m in root_profile if m}
@@ -172,11 +168,11 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
 
     def rec(start: int, edges_left: int, nodes_left: int | None):
         if want is None or counts == want:
-            out.append(tuple(chosen))
+            out.append(tuple(sorted(chosen)))
         for i in range(start, len(classes)):
             e, n, c, key = classes[i]
             if e > edges_left:
-                continue
+                break
             if nodes_left is not None and n > nodes_left:
                 continue
             if want is not None and counts.get(c, 0) >= want.get(c, 0):
@@ -190,8 +186,8 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
                 del counts[c]
             chosen.pop()
 
-    # classes come in key order and indices never decrease, so every multiset
-    # is produced exactly once, sorted
+    # classes come in edge order and indices never decrease, so every
+    # multiset is produced exactly once
     rec(0, bound.max_edges, bound.max_nodes)
     out.sort()
     return [PForest(spec, keys) for keys in out]
@@ -275,9 +271,9 @@ def multiset_arrangements(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
     yield from rec(0)
 
 
-def graft_class_assignments(stump: PTree, crown: PForest) -> Iterator[dict[int, PTree]]:
-    """Assignments of crown component classes to stump leaves, up to
-    permuting equal classes (enough to reach every graft class)."""
+def graft_class_assignments(stump: PTree, crown: PForest) -> Iterator[dict[int, str]]:
+    """Assignments of crown component keys to stump leaves, up to permuting
+    equal classes (enough to reach every graft class)."""
     by_colour: dict[str, list[str]] = {}
     for c in crown.classes():
         by_colour.setdefault(c.root, []).append(c.key)
@@ -288,17 +284,7 @@ def graft_class_assignments(stump: PTree, crown: PForest) -> Iterator[dict[int, 
             {c: len(v) for c, v in leaves_by_colour.items()}:
         return
     colour_list = sorted(leaves_by_colour)
-    spec = stump.spec
-
-    def rec(i: int, acc: dict[int, PTree]) -> Iterator[dict[int, PTree]]:
-        if i == len(colour_list):
-            yield dict(acc)
-            return
-        c = colour_list[i]
-        ls = leaves_by_colour[c]
-        for arrangement in multiset_arrangements(by_colour[c]):
-            for leaf, key in zip(ls, arrangement):
-                acc[leaf] = representative(spec, key)
-            yield from rec(i + 1, acc)
-
-    yield from rec(0, {})
+    for arrangements in itertools.product(*(
+            list(multiset_arrangements(by_colour[c])) for c in colour_list)):
+        yield {leaf: key for c, keys in zip(colour_list, arrangements)
+               for leaf, key in zip(leaves_by_colour[c], keys)}

@@ -38,7 +38,9 @@ leaf children inside an operation never need one (the slot fixes it).
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -79,24 +81,74 @@ def _perm_mul(p: Perm, q: Perm) -> Perm:
 MAX_GROUP_ORDER = 362_880
 
 
+def group_order(op: OpType) -> int:
+    """Order of the op's symmetry group, found from its generators without
+    listing the group; SpecError once it is known to exceed MAX_GROUP_ORDER.
+
+    Schreier–Sims in Knuth's form, with base points taken as needed: level
+    k keeps generators ``gens[k]`` fixing the earlier base points and a
+    transversal ``reps[k]`` (image of the base point -> an element taking
+    the base point there).  The product of the transversal sizes never
+    exceeds the order, and equals it when the table is complete.
+    """
+    n = op.arity
+    ident = tuple(range(n))
+    base: list[int] = []
+    gens: list[list[Perm]] = []
+    reps: list[dict[int, Perm]] = []
+
+    def inverse(p: Perm) -> Perm:
+        q = [0] * n
+        for i, x in enumerate(p):
+            q[x] = i
+        return tuple(q)
+
+    def member(k: int, g: Perm) -> bool:
+        for j in range(k, len(base)):
+            u = reps[j].get(g[base[j]])
+            if u is None:
+                return False
+            g = _perm_mul(inverse(u), g)
+        return g == ident
+
+    def add(k: int, g: Perm):
+        if member(k, g):
+            return
+        if k == len(base):
+            base.append(next(i for i in range(n) if g[i] != i))
+            gens.append([])
+            reps.append({base[-1]: ident})
+        gens[k].append(g)
+        todo = [_perm_mul(g, u) for u in list(reps[k].values())]
+        while todo:
+            h = todo.pop()
+            u = reps[k].get(h[base[k]])
+            if u is not None:
+                add(k + 1, _perm_mul(inverse(u), h))
+                continue
+            reps[k][h[base[k]]] = h
+            if math.prod(map(len, reps)) > MAX_GROUP_ORDER:
+                raise SpecError(
+                    f"op {op.name!r}: symmetry group has more than "
+                    f"{MAX_GROUP_ORDER} elements; give a "
+                    f"block-symmetric group by transpositions")
+            todo.extend(_perm_mul(s, h) for s in gens[k])
+
+    for g in op.sym_gens:
+        add(0, g)
+    return math.prod(map(len, reps))
+
+
 def _close_group(op: OpType) -> tuple[Perm, ...]:
-    ident = tuple(range(op.arity))
-    els = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
+    group_order(op)  # refuses a group too large to list
+    els = [tuple(range(op.arity))]
+    seen = set(els)
+    for h in els:  # grows while it is walked
         for g in op.sym_gens:
-            for h in frontier:
-                gh = _perm_mul(g, h)
-                if gh not in els:
-                    if len(els) == MAX_GROUP_ORDER:
-                        raise SpecError(
-                            f"op {op.name!r}: symmetry group has more than "
-                            f"{MAX_GROUP_ORDER} elements; give a "
-                            f"block-symmetric group by transpositions")
-                    els.add(gh)
-                    nxt.append(gh)
-        frontier = nxt
+            gh = _perm_mul(g, h)
+            if gh not in seen:
+                seen.add(gh)
+                els.append(gh)
     return tuple(sorted(els))
 
 
@@ -146,9 +198,8 @@ class EndofunctorSpec:
     Immutable after construction apart from caches: the closures of the
     groups that are not block-symmetric, the enumeration strata, and
     ``classes``, the class table.  The table maps each canonical key to its
-    :class:`TreeClass` record, the one tree and the invariants of that
-    class; every class is interned there once, by the enumeration or on
-    first sight of its key.
+    :class:`TreeClass` record; a trivial class's record is made with the
+    spec, any other once, by ``compose`` from the records on its slots.
     """
 
     def __init__(self, colours: Sequence[str], ops: Sequence[OpType], name: str = "custom"):
@@ -179,7 +230,9 @@ class EndofunctorSpec:
         self._blocks = {op.name: _symmetric_blocks(op) for op in self.ops}
         self._groups: dict[str, tuple[Perm, ...]] = {}
         self._enum_cache: dict = {}
-        self.classes: dict[str, TreeClass] = {}
+        self.trivial_classes = {c: TreeClass(self, self.trivial_key(c), c)
+                                for c in self.colours}
+        self.classes = {c.key: c for c in self.trivial_classes.values()}
 
     @property
     def one_colour(self) -> bool:
@@ -232,6 +285,17 @@ class EndofunctorSpec:
                     stabiliser *= run
         return ("(" + name + (":" + "".join(least) if least else "") + ")",
                 stabiliser)
+
+    def compose(self, op: str, children: Sequence[TreeClass]) -> TreeClass:
+        """The record of op with trees of the given classes on its slots,
+        interned by its code.  The children must fit the op's slots."""
+        code, stabiliser = self.node_code(
+            op, [c.key if c.nodes else "_" for c in children])
+        c = self.classes.get(code)
+        if c is None:
+            c = self.classes[code] = TreeClass(
+                self, code, self.by_name[op].out, op, tuple(children), stabiliser)
+        return c
 
     def trivial_key(self, colour: str) -> str:
         """Key of the trivial tree of a colour; the colour is written only
@@ -743,35 +807,84 @@ def parse_ptree_or_shape(spec: EndofunctorSpec, text: str) -> PTree:
 
 
 class TreeClass:
-    """One isomorphism class of decorated trees: its tree and invariants.
+    """One isomorphism class of decorated trees, as a record: trivial (no
+    ``op``) or ``op`` with the ``children`` records on its slots.  Every
+    invariant is a function of the op and of the children's; ``tree`` and
+    ``cuts`` are filled in on first use, from the children's."""
 
-    ``cuts`` is the class's cut summary, filled in by
-    ``bialgebra.cut_summary`` on first use, for this class or for a tree
-    that has this class as a subtree.
-    """
+    __slots__ = ("spec", "key", "op", "children", "edges", "nodes", "leaves",
+                 "root", "leaf_profile", "aut", "_tree", "_cuts")
 
-    __slots__ = ("key", "tree", "edges", "nodes", "leaves", "root",
-                 "leaf_profile", "aut", "cuts")
+    def __init__(self, spec: EndofunctorSpec, key: str, root: str,
+                 op: str | None = None, children: tuple = (), stabiliser: int = 1):
+        self.spec, self.key, self.root, self.op, self.children = spec, key, root, op, children
+        self.edges = 1 + sum(c.edges for c in children)
+        self.nodes = (op is not None) + sum(c.nodes for c in children)
+        self.leaves = 1 if op is None else sum(c.leaves for c in children)
+        self.aut = stabiliser * math.prod(c.aut for c in children)
+        counts = {root: 1} if op is None else {}
+        for colour, m in itertools.chain.from_iterable(c.leaf_profile for c in children):
+            counts[colour] = counts.get(colour, 0) + m
+        self.leaf_profile = tuple(sorted(counts.items()))
+        self._tree = trivial_ptree(spec, root) if op is None else None
+        self._cuts = {((key,), key): 1} if op is None else None
 
-    def __init__(self, t: PTree):
-        self.key = t.key()
-        self.tree = t
-        self.edges = t.edge_count
-        self.nodes = t.node_count
-        self.leaves = t.leaf_count()
-        self.root = t.root_colour
-        self.leaf_profile = t.leaf_profile()
-        self.aut = aut_order(t)
-        self.cuts: dict | None = None
+    @property
+    def tree(self) -> PTree:
+        """A tree of the class, built from the children's trees."""
+        for c in _unfilled(self, "_tree"):
+            c._tree = build_ptree(c.spec, c.op, [d._tree for d in c.children])
+            c._tree._key = c.key
+        return self._tree
+
+    @property
+    def cuts(self) -> dict[tuple[ForestKey, str], int]:
+        """Multiplicity of each (crown class, stump class) over the cuts of
+        the class, from the children's (see ``optrees.bialgebra``)."""
+        for c in _unfilled(self, "_cuts"):
+            spec, kept = c.spec, {}
+            for combo in itertools.product(*(
+                    [(crown, stump if stump[0] == "(" else "_", m)
+                     for (crown, stump), m in d._cuts.items()]
+                    for d in c.children)):
+                pair = (tuple(sorted(itertools.chain(*(cr for cr, _, _ in combo)))),
+                        spec.node_code(c.op, [st for _, st, _ in combo])[0])
+                kept[pair] = kept.get(pair, 0) + math.prod(m for _, _, m in combo)
+            c._cuts = {((c.key,), spec.trivial_key(c.root)): 1, **kept}
+        return self._cuts
+
+
+def _unfilled(record: TreeClass, slot: str) -> list[TreeClass]:
+    """Records under ``record``, itself too, whose ``slot`` is unset, each
+    once and after its children."""
+    order, stack = {}, [record]
+    while stack:
+        c = stack.pop()
+        if getattr(c, slot) is None:
+            order.pop(c.key, None)  # keep the last visit, below every parent
+            order[c.key] = c
+            stack.extend(c.children)
+    return list(order.values())[::-1]
+
+
+def compose_along(t: PTree, leaf_records: Mapping[int, TreeClass]) -> TreeClass:
+    """The record of t with the given records on its leaves, composed along t."""
+    spec, shape, records = t.spec, t.shape, dict(leaf_records)
+    for n in reversed(shape.nodes_top_down):
+        records[shape.node_output[n]] = spec.compose(
+            t.node_op[n], [records[e] for e in shape.node_inputs[n]])
+    return records[shape.root]
 
 
 def intern(t: PTree) -> TreeClass:
-    """The record of t's class, made from t when the class has none yet."""
-    classes = t.spec.classes
-    key = t.key()
-    c = classes.get(key)
+    """The record of t's class; a record with no tree yet takes t."""
+    c = t.spec.classes.get(t._key)
     if c is None:
-        c = classes[key] = TreeClass(t)
+        c = compose_along(t, {e: t.spec.trivial_classes[t.edge_colour[e]]
+                              for e in t.shape.leaves})
+        t._key = c.key
+    if c._tree is None:
+        c._tree = t
     return c
 
 

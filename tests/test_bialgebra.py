@@ -162,7 +162,7 @@ CUT_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(
 @pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
 def test_recursive_cut_summary_equals_flat_count(template):
     # A fresh copy of the spec, so no class record holds a summary yet.  The
-    # largest trees go first: their walks fill the records of their subtree
+    # largest trees go first: their summaries fill those of their subtree
     # classes, which the smaller trees then read.
     spec = EndofunctorSpec(template.colours, template.ops, name=template.name)
     trees = sorted(enumerate_ptrees(spec, Bound(8)),
@@ -172,7 +172,7 @@ def test_recursive_cut_summary_equals_flat_count(template):
 
 
 def test_recursive_cut_summary_of_trees_outside_the_table():
-    # No enumeration: no subtree class has a record to read or fill.
+    # No enumeration: every record is composed along the parsed tree.
     for spec, text in [
             (builtin("exp", max_arity=3),
              "(n3:(n2:(n1:_)(n1:_))(n2:(n1:_)(n1:_))(n2:(n1:_)(n1:_)))"),

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import (all_builtin_specs, cycle_generated_s3_spec,
                       symmetric_two_colour_spec, two_colour_spec)
-from optrees.enumeration import Bound, enumerate_ptrees
+from optrees.bialgebra import flat_cut_summary, graft_classes
+from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
 from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
                               OpType, PForest, SpecError, UnknownBuiltin,
                               UnknownOp, aut_order, aut_order_forest,
                               automorphisms, build_ptree, builtin,
                               decorate_shape, decorated_automorphism,
-                              forest_mul, graft_decorated, isomorphic,
+                              forest_mul, graft_decorated, group_order,
+                              isomorphic,
                               isomorphisms_brute, parse_pforest, parse_ptree,
                               parse_ptree_or_shape, print_ptree,
                               representative, save_spec, load_spec,
@@ -278,6 +280,31 @@ def test_node_code_equals_orbit_scan(spec, name, data):
     assert spec.node_code(name, codes) == orbit_scan(spec, name, codes)
 
 
+def dihedral_spec(k):
+    """One colour, with a k-ary op under the dihedral group of order 2k."""
+    reflection = tuple((-i) % k for i in range(k))
+    return EndofunctorSpec(["o"], [OpType("d", "o", ("o",) * k,
+                                          ((*range(1, k), 0), reflection))],
+                           name=f"dihedral({k})")
+
+
+@pytest.mark.parametrize("spec,name", NODE_CODE_OPS + [
+    (dihedral_spec(k), "d") for k in (4, 5, 6)],
+    ids=[f"{s.name}-{n}" for s, n in NODE_CODE_OPS] + [
+        f"dihedral({k})-d" for k in (4, 5, 6)])
+def test_group_order_equals_the_closed_group(spec, name):
+    assert group_order(spec.op(name)) == len(spec.sym_group(name))
+
+
+def test_group_order_refuses_a_large_group_without_listing_it():
+    for k in (10, 40):
+        op = OpType("f", "o", ("o",) * k, ((1, 0, *range(2, k)), (*range(1, k), 0)))
+        with pytest.raises(SpecError, match="more than 362880 elements"):
+            group_order(op)
+    big_cycle = OpType("f", "o", ("o",) * 200, ((*range(1, 200), 0),))
+    assert group_order(big_cycle) == 200
+
+
 def test_block_plan_needs_no_group_closure():
     exp = builtin("exp", max_arity=12)
     assert all(exp.group_is_block_symmetric(op.name) for op in exp.ops)
@@ -292,13 +319,23 @@ def test_block_plan_needs_no_group_closure():
 
 # -- the class table -----------------------------------------------------------
 
-@pytest.mark.parametrize("spec", [builtin("exp", max_arity=3), two_colour_spec()],
-                         ids=["exp3", "two-colour"])
-def test_class_records_match_a_fresh_parse(spec):
-    trees = enumerate_ptrees(spec, Bound(6))
+@pytest.mark.parametrize("template", [
+    builtin("exp", max_arity=3), two_colour_spec(), builtin("planar", max_arity=3),
+    symmetric_two_colour_spec()],
+    ids=["exp3", "two-colour", "planar3", "symmetric-two-colour"])
+def test_class_records_match_a_fresh_parse(template):
+    spec = EndofunctorSpec(template.colours, template.ops, name=template.name)
+    bound = Bound(5)
+    trees = enumerate_ptrees(spec, bound)
     assert trees
     for t in trees:
-        k = t.key()
+        assert representative(spec, t.key()) is t
+    # and the graft classes composed from them, up to 7 edges
+    grafts = {c.key for s in trees for f in enumerate_pforests(spec, bound)
+              if s.edge_count + f.edge_count() - s.leaf_count() <= 7
+              for c in graft_classes(spec, f, s)}
+    assert any(spec.classes[k].edges > bound.max_edges for k in grafts)
+    for k in sorted(grafts | {t.key() for t in trees}):
         c = spec.classes[k]
         fresh = parse_ptree(spec, k)
         assert c.key == fresh.key() == k
@@ -308,8 +345,8 @@ def test_class_records_match_a_fresh_parse(spec):
         assert c.root == fresh.root_colour
         assert c.leaf_profile == fresh.leaf_profile()
         assert c.aut == len(automorphisms(fresh))
+        assert c.cuts == flat_cut_summary(fresh), k
         assert representative(spec, k) is representative(spec, k)
-        assert representative(spec, k) is t
 
 
 def test_class_interned_once_on_first_sight_of_its_key():

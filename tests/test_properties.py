@@ -2,8 +2,9 @@
 
 An isomorphism of decorated trees may permute each node's slots by any
 element of its op's group, so rebuilding a tree with such a permutation at
-every node must keep its key and its automorphism order.  The examples are
-derandomised, so every run checks the same trees.
+every node must keep its key and its automorphism order.  A graft record
+composed from class records must be the class of the grafted tree.  The
+examples are derandomised, so every run checks the same trees.
 """
 
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import (cycle_generated_s3_spec, symmetric_two_colour_spec,
                       two_colour_spec)
-from optrees.pfunctor import (aut_order, build_ptree, builtin, parse_ptree,
-                              trivial_ptree)
+from optrees.bialgebra import graft_record
+from optrees.pfunctor import (aut_order, build_ptree, builtin, graft_decorated,
+                              parse_ptree, trivial_ptree)
 from optrees.trees import parse_tree, print_tree
 
 SPECS = [builtin("exp", max_arity=3), builtin("exp", max_arity=5),
@@ -25,8 +27,9 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None,
 
 
 @st.composite
-def ptrees(draw, spec, max_nodes=6):
-    """A tree of the spec with at most ``max_nodes`` nodes."""
+def ptrees(draw, spec, max_nodes=6, colour=None):
+    """A tree of the spec with at most ``max_nodes`` nodes, rooted at
+    ``colour`` when one is given."""
     budget = [max_nodes]
 
     def grow(colour):
@@ -37,7 +40,7 @@ def ptrees(draw, spec, max_nodes=6):
         budget[0] -= 1
         return build_ptree(spec, op.name, [grow(c) for c in op.ins])
 
-    return grow(draw(st.sampled_from(spec.colours)))
+    return grow(colour or draw(st.sampled_from(spec.colours)))
 
 
 def rebuilt_with_permuted_slots(t, draw):
@@ -77,3 +80,17 @@ def test_key_parses_back_to_its_class(spec, data):
     assert aut_order(back) == aut_order(t)
     shape = print_tree(t.shape)
     assert print_tree(parse_tree(shape)) == shape
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+@PROPERTY
+@given(data=st.data())
+def test_composed_graft_is_the_class_of_the_grafted_tree(spec, data):
+    stump = data.draw(ptrees(spec, max_nodes=3))
+    crown = {leaf: data.draw(ptrees(spec, max_nodes=3,
+                                    colour=stump.edge_colour[leaf]))
+             for leaf in stump.shape.leaves}
+    record = graft_record(stump, {leaf: t.key() for leaf, t in crown.items()})
+    grafted = graft_decorated(stump, crown)
+    assert record.key == grafted.key()
+    assert record.aut == aut_order(grafted)
