@@ -194,21 +194,30 @@ def delta_tree(t: PTree, bound: Bound | None = None) -> TensorSeries:
     return TensorSeries(t.spec, bound, coeffs)
 
 
+def _sizes(spec: EndofunctorSpec, key: ForestKey) -> tuple[int, int]:
+    """(edges, nodes) of a forest monomial."""
+    classes = [tree_class(spec, k) for k in key]
+    return sum(c.edges for c in classes), sum(c.nodes for c in classes)
+
+
 def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
-    """Componentwise product, truncating each side by the common bound."""
+    """Componentwise product, truncating each side by the common bound.
+
+    Sizes add under the product, so each factor term's sides are measured
+    once and the bound is tested on the sums before the keys are merged."""
     _require_same_bound(a, b)
-    spec, bound = a.spec, a.bound
+    spec, admits = a.spec, a.bound.admits
+    terms_b = [(l2, r2, c2, _sizes(spec, l2), _sizes(spec, r2))
+               for (l2, r2), c2 in b.coeffs.items()]
     out: dict[tuple[ForestKey, ForestKey], Fraction] = {}
     for (l1, r1), c1 in a.coeffs.items():
-        for (l2, r2), c2 in b.coeffs.items():
-            left = _merge_key(l1, l2)
-            right = _merge_key(r1, r2)
-            if not (bound.admits_forest(PForest(spec, left))
-                    and bound.admits_forest(PForest(spec, right))):
+        (le1, ln1), (re1, rn1) = _sizes(spec, l1), _sizes(spec, r1)
+        for l2, r2, c2, (le2, ln2), (re2, rn2) in terms_b:
+            if not (admits(le1 + le2, ln1 + ln2) and admits(re1 + re2, rn1 + rn2)):
                 continue
-            key = (left, right)
+            key = (_merge_key(l1, l2), _merge_key(r1, r2))
             out[key] = out.get(key, ZERO) + c1 * c2
-    return TensorSeries(spec, bound, out)
+    return TensorSeries(spec, a.bound, out)
 
 
 def delta_monomial(spec: EndofunctorSpec, forest: PForest | ForestKey,
@@ -283,17 +292,19 @@ def green(spec: EndofunctorSpec, bound: Bound,
 
 
 def series_mul(a: Series, b: Series) -> Series:
-    """Exact convolution on forest monomials, truncated by the common bound."""
+    """Exact convolution on forest monomials, truncated by the common bound
+    (tested on the summed sizes of the factor terms, as in ``tensor_mul``)."""
     _require_same_bound(a, b)
-    spec, bound = a.spec, a.bound
+    spec, admits = a.spec, a.bound.admits
+    terms_b = [(k2, c2, *_sizes(spec, k2)) for k2, c2 in b.coeffs.items()]
     out: dict[ForestKey, Fraction] = {}
     for k1, c1 in a.coeffs.items():
-        for k2, c2 in b.coeffs.items():
-            key = _merge_key(k1, k2)
-            if not bound.admits_forest(PForest(spec, key)):
-                continue
-            out[key] = out.get(key, ZERO) + c1 * c2
-    return Series(spec, bound, out)
+        e1, n1 = _sizes(spec, k1)
+        for k2, c2, e2, n2 in terms_b:
+            if admits(e1 + e2, n1 + n2):
+                key = _merge_key(k1, k2)
+                out[key] = out.get(key, ZERO) + c1 * c2
+    return Series(spec, a.bound, out)
 
 
 def series_one(spec: EndofunctorSpec, bound: Bound) -> Series:
@@ -370,9 +381,12 @@ def graft_record(stump: PTree, assignment: Mapping[int, str]) -> TreeClass:
 
 def graft_classes(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> list[TreeClass]:
     """Records of all tree classes obtained by grafting crown onto stump
-    along some matching, once each."""
-    return list({c.key: c for c in (graft_record(stump, a) for a in
-                                     graft_class_assignments(stump, crown))}.values())
+    along some matching, once each, in the order first reached."""
+    out: dict[str, TreeClass] = {}
+    for a in graft_class_assignments(stump, crown):
+        c = graft_record(stump, a)
+        out.setdefault(c.key, c)
+    return list(out.values())
 
 
 def fdb_lhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> Fraction:

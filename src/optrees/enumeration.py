@@ -249,26 +249,26 @@ def matchings(stump: PTree, crown: PForest) -> list[dict[int, int]]:
 
 
 def multiset_arrangements(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """Distinct orderings of a multiset (standard recursive generator)."""
-    counts: dict[str, int] = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    keys = sorted(counts)
-    n = len(items)
-    slot: list[str] = [""] * n
+    """Distinct orderings of a multiset, in lexicographic order.
 
-    def rec(i: int) -> Iterator[tuple[str, ...]]:
-        if i == n:
-            yield tuple(slot)
+    Knuth's Algorithm L (TAOCP 7.2.1.2): from the sorted items, each next
+    ordering swaps the rightmost ascent a[j] < a[j+1] with the last item
+    above a[j] and reverses the tail after j.
+    """
+    a = sorted(items)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                slot[i] = k
-                yield from rec(i + 1)
-                counts[k] += 1
-
-    yield from rec(0)
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 def graft_class_assignments(stump: PTree, crown: PForest) -> Iterator[dict[int, str]]:

@@ -338,10 +338,17 @@ class GroupoidMap:
         for x, e in self.dom.identities.items():
             if self.arrow_map[e] != self.cod.identities[self.obj_map[x]]:
                 raise GroupoidError("identities not preserved")
-        amap = self.arrow_map
-        for f, g in self.dom.composable_pairs():
-            if self.cod.mul(amap[f], amap[g]) != amap[self.dom.mul(f, g)]:
-                raise GroupoidError("composition not preserved")
+        # the pairs of composable_pairs(), in its order, with each arrow's
+        # image looked up once
+        amap, dom_mul, cod_mul = self.arrow_map, self.dom.mul, self.cod.mul
+        images_from: dict = {}
+        for g, (s, _) in self.dom.arrows.items():
+            images_from.setdefault(s, []).append((g, amap[g]))
+        for f, (_, t) in self.dom.arrows.items():
+            image_f = amap[f]
+            for g, image_g in images_from.get(t, ()):
+                if cod_mul(image_f, image_g) != amap[dom_mul(f, g)]:
+                    raise GroupoidError("composition not preserved")
         return self
 
     def __call__(self, x):

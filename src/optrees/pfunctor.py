@@ -20,10 +20,12 @@ over the op's symmetry group.  An op is *block-symmetric* when, within each
 block of equally coloured input slots, its transposition generators connect
 every slot; its group is then all colour-preserving permutations, the least
 arrangement sorts the codes within each block, and the stabiliser of the
-codes has order ∏ m! over the runs of m equal codes in a block.  Any other
-group is closed from its generators, and one scan of it collects the whole
-orbit of the child codes: the orbit's least element is the arrangement, and
-the stabiliser has order |group| / |orbit| (orbit–stabiliser).  Since
+codes has order ∏ m! over the runs of m equal codes in a block.  A rigid
+op (trivial group) keeps the codes in slot order, with stabiliser 1.  Any
+other group is closed from its generators, and one scan of it collects the
+whole orbit of the child codes: the orbit's least element is the
+arrangement, and the stabiliser has order |group| / |orbit|
+(orbit–stabiliser).  Since
 |Aut op(T₁…T_k)| = |stabiliser| · ∏ |Aut T_i|, the automorphism order of a
 tree is the product of its node stabiliser orders, kept by the same pass
 that codes the nodes.  The canonical key doubles as the canonical string of
@@ -196,10 +198,11 @@ class EndofunctorSpec:
     """Colours plus typed operations with input symmetry groups.
 
     Immutable after construction apart from caches: the closures of the
-    groups that are not block-symmetric, the enumeration strata, and
-    ``classes``, the class table.  The table maps each canonical key to its
-    :class:`TreeClass` record; a trivial class's record is made with the
-    spec, any other once, by ``compose`` from the records on its slots.
+    groups that are neither trivial nor block-symmetric, the enumeration
+    strata, and ``classes``, the class table.  The table maps each
+    canonical key to its :class:`TreeClass` record; a trivial class's record
+    is made with the spec, any other once, by ``compose`` from the records
+    on its slots.
     """
 
     def __init__(self, colours: Sequence[str], ops: Sequence[OpType], name: str = "custom"):
@@ -228,6 +231,8 @@ class EndofunctorSpec:
                         raise SpecError(f"op {op.name!r}: generator {g} breaks input colours")
             self.by_name[op.name] = op
         self._blocks = {op.name: _symmetric_blocks(op) for op in self.ops}
+        self._rigid = {op.name for op in self.ops
+                       if all(g == tuple(range(op.arity)) for g in op.sym_gens)}
         self._groups: dict[str, tuple[Perm, ...]] = {}
         self._enum_cache: dict = {}
         self.trivial_classes = {c: TreeClass(self, self.trivial_key(c), c)
@@ -260,13 +265,16 @@ class EndofunctorSpec:
         """Code of a node of op ``name`` whose slots hold subtrees with the
         given codes, and the order of the stabiliser of those codes.
 
-        A block-symmetric op sorts the codes within each block of equally
-        coloured slots; the stabiliser has ∏ m! elements over the runs of m
-        equal codes in a block.  Any other op scans its group once for the
-        orbit of the code tuple: its least element is the canonical
-        arrangement, and by orbit–stabiliser the stabiliser has
+        A rigid op (trivial group) keeps the codes in slot order, with
+        stabiliser 1.  A block-symmetric op sorts the codes within each
+        block of equally coloured slots; the stabiliser has ∏ m! elements
+        over the runs of m equal codes in a block.  Any other op scans its
+        group once for the orbit of the code tuple: its least element is the
+        canonical arrangement, and by orbit–stabiliser the stabiliser has
         |group| / |orbit| elements.
         """
+        if name in self._rigid:
+            return ("(" + name + (":" + "".join(codes) if codes else "") + ")", 1)
         blocks = self._blocks.get(name)
         if blocks is None:
             group = self.sym_group(name)
@@ -832,6 +840,8 @@ class TreeClass:
     @property
     def tree(self) -> PTree:
         """A tree of the class, built from the children's trees."""
+        if self._tree is not None:
+            return self._tree
         for c in _unfilled(self, "_tree"):
             c._tree = build_ptree(c.spec, c.op, [d._tree for d in c.children])
             c._tree._key = c.key
@@ -841,6 +851,8 @@ class TreeClass:
     def cuts(self) -> dict[tuple[ForestKey, str], int]:
         """Multiplicity of each (crown class, stump class) over the cuts of
         the class, from the children's (see ``optrees.bialgebra``)."""
+        if self._cuts is not None:
+            return self._cuts
         for c in _unfilled(self, "_cuts"):
             spec, kept = c.spec, {}
             for combo in itertools.product(*(
@@ -1026,7 +1038,7 @@ def prune_decorated(t: PTree, kept: frozenset[int]) -> tuple[list[PTree], PTree,
                     {n: t.node_op[n] for n in stump.node_inputs})
     comps = []
     for r in crown.roots:
-        sub = ideal_subtree(crown, r)
+        sub = ideal_subtree(t.shape, r)  # all of it lies in the crown
         comps.append(PTree(t.spec, sub,
                            {e: t.edge_colour[e] for e in sub.edges},
                            {n: t.node_op[n] for n in sub.node_inputs}))

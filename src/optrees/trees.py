@@ -26,7 +26,6 @@ inverse up to isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -67,6 +66,27 @@ class GrammarError(ValueError):
         self.col = col
 
 
+class view:
+    """A view of a diagram computed on first access and kept in the
+    instance's ``__dict__``, where later lookups find it before the
+    descriptor.  Like ``functools.cached_property``, but it takes no lock:
+    diagrams are immutable, so two threads filling a view compute equal
+    values."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 # A matching is a bijection from the leaf edges of a stump tree to the root
 # edges of a crown forest, stored as a plain mapping.
 Matching = dict[int, int]
@@ -87,30 +107,30 @@ class ForestDiagram:
                 and self.node_inputs == other.node_inputs
                 and self.node_output == other.node_output)
 
-    @cached_property
+    @view
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.edges)
 
-    @cached_property
+    @view
     def node_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.node_inputs))
 
-    @cached_property
+    @view
     def roots(self) -> tuple[int, ...]:
         inputs = {e for ins in self.node_inputs.values() for e in ins}
         return tuple(sorted(e for e in self.edges if e not in inputs))
 
-    @cached_property
+    @view
     def leaves(self) -> tuple[int, ...]:
         outputs = set(self.node_output.values())
         return tuple(sorted(e for e in self.edges if e not in outputs))
 
-    @cached_property
+    @view
     def node_above(self) -> dict[int, int]:
         """Edge -> node whose output it is (absent for leaves)."""
         return {e: n for n, e in self.node_output.items()}
 
-    @cached_property
+    @view
     def node_below(self) -> dict[int, int]:
         """Edge -> node that has it as an input (absent for roots)."""
         below = {}
@@ -119,7 +139,7 @@ class ForestDiagram:
                 below[e] = n
         return below
 
-    @cached_property
+    @view
     def walk_down(self) -> dict[int, int]:
         """One step of the walk-to-the-roots function on edges."""
         step = {}
@@ -140,7 +160,7 @@ class ForestDiagram:
         """Node directly below ``n`` (towards the roots), if any."""
         return self.node_below.get(self.node_output[n])
 
-    @cached_property
+    @view
     def nodes_top_down(self) -> tuple[int, ...]:
         """Nodes breadth first from the roots: each after the node below it."""
         above = self.node_above

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from optrees.bialgebra import delta_monomial
 from optrees.pfunctor import EndofunctorSpec, OpType, builtin
 
 
@@ -45,6 +48,28 @@ def cycle_generated_s3_spec():
         [OpType("n0", "o", ()), OpType("n1", "o", ("o",)),
          OpType("n3", "o", ("o", "o", "o"), ((1, 0, 2), (1, 2, 0)))],
         name="cycle-generated-s3")
+
+
+def triple_left(spec, ts, bound):
+    """(delta x id) applied to a tensor map."""
+    out = {}
+    for (left, right), c in ts.coeffs.items():
+        inner = delta_monomial(spec, left, bound)
+        for (a, b), m in inner.coeffs.items():
+            key = (a, b, right)
+            out[key] = out.get(key, Fraction(0)) + c * m
+    return {k: v for k, v in out.items() if v}
+
+
+def triple_right(spec, ts, bound):
+    """(id x delta) applied to a tensor map."""
+    out = {}
+    for (left, right), c in ts.coeffs.items():
+        inner = delta_monomial(spec, right, bound)
+        for (a, b), m in inner.coeffs.items():
+            key = (left, a, b)
+            out[key] = out.get(key, Fraction(0)) + c * m
+    return {k: v for k, v in out.items() if v}
 
 
 @pytest.fixture

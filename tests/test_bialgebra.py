@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (all_builtin_specs, symmetric_two_colour_spec,
-                      two_colour_spec)
+                      triple_left, triple_right, two_colour_spec)
 from optrees import bialgebra
-from optrees.bialgebra import (Bound, BoundMismatch, counit, counit_left,
+from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
+                               counit, counit_left,
                                counit_right, cut_summary, delta_monomial,
                                delta_series, delta_tree, fdb_lhs_coefficient,
                                fdb_rhs_coefficient, flat_cut_summary,
@@ -100,28 +101,6 @@ def test_counit_values(exp3):
     cherry = parse_ptree(exp3, "(n2:__)")
     assert counit(exp3, (triv.key(), triv.key())) == 1
     assert counit(exp3, (cherry.key(),)) == 0
-
-
-def triple_left(spec, ts, bound):
-    """(delta x id) applied to a tensor map."""
-    out = {}
-    for (left, right), c in ts.coeffs.items():
-        inner = delta_monomial(spec, left, bound)
-        for (a, b), m in inner.coeffs.items():
-            key = (a, b, right)
-            out[key] = out.get(key, Fraction(0)) + c * m
-    return {k: v for k, v in out.items() if v}
-
-
-def triple_right(spec, ts, bound):
-    """(id x delta) applied to a tensor map."""
-    out = {}
-    for (left, right), c in ts.coeffs.items():
-        inner = delta_monomial(spec, right, bound)
-        for (a, b), m in inner.coeffs.items():
-            key = (left, a, b)
-            out[key] = out.get(key, Fraction(0)) + c * m
-    return {k: v for k, v in out.items() if v}
 
 
 def test_coassociativity():
@@ -283,6 +262,58 @@ def test_exp_square_cherry_coefficient(exp3):
 def test_bound_mismatch_rejected(exp3):
     with pytest.raises(BoundMismatch):
         series_mul(green(exp3, Bound(3)), green(exp3, Bound(4)))
+
+
+def random_terms(rng, forests, count):
+    """``count`` distinct forests from ``forests`` with random nonzero
+    rational coefficients."""
+    return {f.keys: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
+            for f in rng.sample(forests, min(count, len(forests)))}
+
+
+@pytest.mark.parametrize("template", [builtin("planar", max_arity=3),
+                                      two_colour_spec()],
+                         ids=["planar3", "two-colour"])
+@pytest.mark.parametrize("seed", range(4))
+def test_truncated_products_equal_the_filtered_full_products(template, seed):
+    spec = EndofunctorSpec(template.colours, template.ops, name=template.name)
+    rng = random.Random(seed)
+    forests = enumerate_pforests(spec, Bound(4, 3))
+    bound = Bound(rng.randint(5, 7), rng.choice([None, 3, 4]))
+
+    def admitted(left, right):
+        return bound.admits_forest(PForest(spec, left)) and (
+            right is None or bound.admits_forest(PForest(spec, right)))
+
+    def merge(a, b):
+        return tuple(sorted(a + b))
+
+    a, b = (Series(spec, bound, random_terms(rng, forests, 40))
+            for _ in range(2))
+    full, dropped = {}, 0
+    for (k1, c1), (k2, c2) in itertools.product(a.coeffs.items(), b.coeffs.items()):
+        key = merge(k1, k2)
+        if admitted(key, None):
+            full[key] = full.get(key, 0) + c1 * c2
+        else:
+            dropped += 1
+    assert series_mul(a, b) == Series(spec, bound, full)
+
+    ta, tb = (TensorSeries(spec, bound, {
+        (left, right): c for (left, c), right in zip(
+            random_terms(rng, forests, 30).items(),
+            rng.choices([f.keys for f in forests], k=30))}) for _ in range(2))
+    full = {}
+    for ((l1, r1), c1), ((l2, r2), c2) in itertools.product(
+            ta.coeffs.items(), tb.coeffs.items()):
+        key = (merge(l1, l2), merge(r1, r2))
+        if admitted(*key):
+            full[key] = full.get(key, 0) + c1 * c2
+        else:
+            dropped += 1
+    product = tensor_mul(ta, tb)
+    assert product == TensorSeries(spec, bound, full)
+    assert product.coeffs and dropped  # the bound both keeps and drops terms
 
 
 def test_power_profile_matches_plain_power(exp3):

@@ -142,6 +142,27 @@ def test_check_catches_broken_composition(groupoid, rule, message):
         broken.check()
 
 
+def test_functor_check_composes_every_composable_pair_once_in_order():
+    dom = disjoint_union_groupoids([
+        standard_component([0, 1], Group.cyclic(3)), one_object(Group.cyclic(2))])
+    seen = []
+    cod = FiniteGroupoid(dom.objects, dict(dom.arrows),
+                         lambda f, g: seen.append((f, g)) or dom.mul(f, g),
+                         dict(dom.identities))
+    GroupoidMap(dom, cod, {x: x for x in dom.objects},
+                {a: a for a in dom.arrows}).check()
+    assert seen == list(dom.composable_pairs())
+
+
+def test_functor_check_catches_broken_composition():
+    c3 = one_object(Group.cyclic(3))
+    squash = GroupoidMap(c3, c3, {"*": "*"},
+                         {("g", 0): ("g", 0), ("g", 1): ("g", 1),
+                          ("g", 2): ("g", 1)})
+    with pytest.raises(GroupoidError, match="composition not preserved"):
+        squash.check()
+
+
 # -- pullbacks and fibres ---------------------------------------------------------
 
 def test_pullback_of_two_points_into_bg():

@@ -317,6 +317,21 @@ def test_block_plan_needs_no_group_closure():
     assert not cycle_generated_s3_spec().group_is_block_symmetric("n3")
 
 
+def test_rigid_op_node_code_closes_no_group():
+    rigid = [builtin("planar", max_arity=4), builtin("binary"),
+             builtin("identity"), builtin("constant"), two_colour_spec(),
+             EndofunctorSpec(["o"], [OpType("r", "o", ("o",) * 3,
+                                            ((0, 1, 2),))])]
+    for spec in rigid:
+        for op in spec.ops:
+            codes = tuple("(n0)" if i % 2 else "_" for i in range(op.arity))
+            body = ":" + "".join(codes) if codes else ""
+            assert spec.node_code(op.name, codes) == (f"({op.name}{body})", 1)
+        enumerate_ptrees(spec, Bound(6))
+        assert spec._groups == {}, spec.name
+    assert not builtin("planar", max_arity=2).group_is_block_symmetric("n2")
+
+
 # -- the class table -----------------------------------------------------------
 
 @pytest.mark.parametrize("template", [

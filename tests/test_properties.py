@@ -4,16 +4,23 @@ An isomorphism of decorated trees may permute each node's slots by any
 element of its op's group, so rebuilding a tree with such a permutation at
 every node must keep its key and its automorphism order.  A graft record
 composed from class records must be the class of the grafted tree.  The
-examples are derandomised, so every run checks the same trees.
+coproduct of a tree or a forest monomial must satisfy both counit laws and
+coassociativity, and ``multiset_arrangements`` must list the distinct
+orderings of a multiset in order.  The examples are derandomised, so every
+run checks the same trees.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (cycle_generated_s3_spec, symmetric_two_colour_spec,
-                      two_colour_spec)
-from optrees.bialgebra import graft_record
+                      triple_left, triple_right, two_colour_spec)
+from optrees.bialgebra import (counit_left, counit_right, delta_monomial,
+                               delta_tree, graft_record)
+from optrees.enumeration import Bound, multiset_arrangements
 from optrees.pfunctor import (aut_order, build_ptree, builtin, graft_decorated,
                               parse_ptree, trivial_ptree)
 from optrees.trees import parse_tree, print_tree
@@ -94,3 +101,36 @@ def test_composed_graft_is_the_class_of_the_grafted_tree(spec, data):
     grafted = graft_decorated(stump, crown)
     assert record.key == grafted.key()
     assert record.aut == aut_order(grafted)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+@PROPERTY
+@given(data=st.data())
+def test_tree_coproduct_counit_laws_and_coassociativity(spec, data):
+    t = data.draw(ptrees(spec, max_nodes=4))
+    bound = Bound(t.edge_count)
+    ts = delta_tree(t, bound)
+    assert counit_left(ts).coeffs == {(t.key(),): 1}
+    assert counit_right(ts).coeffs == {(t.key(),): 1}
+    assert triple_left(spec, ts, bound) == triple_right(spec, ts, bound)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+@PROPERTY
+@given(data=st.data())
+def test_monomial_coproduct_counit_laws_and_coassociativity(spec, data):
+    trees = data.draw(st.lists(ptrees(spec, max_nodes=2), min_size=1,
+                               max_size=3))
+    key = tuple(sorted(t.key() for t in trees))
+    bound = Bound(sum(t.edge_count for t in trees))
+    ts = delta_monomial(spec, key, bound)
+    assert counit_left(ts).coeffs == {key: 1}
+    assert counit_right(ts).coeffs == {key: 1}
+    assert triple_left(spec, ts, bound) == triple_right(spec, ts, bound)
+
+
+@PROPERTY
+@given(items=st.lists(st.sampled_from("abc"), max_size=7))
+def test_multiset_arrangements_are_the_sorted_distinct_permutations(items):
+    assert (list(multiset_arrangements(items))
+            == sorted(set(itertools.permutations(items))))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from optrees.trees import (MAX_PARSE_DEPTH, Cut, CycleDetected, DiagramError,
                            forest_components, graft, ideal_subtree,
                            parse_forest, parse_tree, print_forest, print_tree,
                            prune, trivial_tree, validate_forest,
-                           validate_tree)
+                           validate_tree, view)
 
 
 def linear_tree(n):
@@ -91,6 +92,39 @@ def test_two_trivial_forest_views():
     f = validate_forest([0, 1], {}, {})
     assert f.roots == (0, 1)
     assert f.leaves == (0, 1)
+
+
+VIEWS = sorted(name for name, v in vars(ForestDiagram).items()
+               if isinstance(v, view))
+
+
+def test_diagram_views_are_computed_once_and_match_a_fresh_computation(
+        monkeypatch):
+    assert {"roots", "leaves", "node_above", "node_below", "nodes_top_down",
+            "walk_down", "edge_set", "node_ids"} <= set(VIEWS)
+    fresh = {name: vars(ForestDiagram)[name].func for name in VIEWS}
+    calls, held = Counter(), []  # held keeps every counted diagram's id
+    for name in VIEWS:
+        def counted(d, name=name):
+            calls[name, id(d)] += 1
+            held.append(d)
+            return fresh[name](d)
+        monkeypatch.setattr(vars(ForestDiagram)[name], "func", counted)
+
+    rng = random.Random(5)
+    diagrams = [random_tree(rng, rng.randint(0, 6)) for _ in range(12)]
+    diagrams += [linear_tree(3), star_tree(3), trivial_tree()]
+    for t in list(diagrams):
+        diagrams += [ideal_subtree(t, e) for e in t.edges]
+        for cut in enumerate_cuts(t):
+            crown, stump, matching = prune(cut)
+            diagrams += [crown, stump, graft(crown, stump, matching).tree]
+    for d in diagrams:
+        for name in VIEWS:
+            first = getattr(d, name)
+            assert getattr(d, name) is first
+            assert first == fresh[name](d)
+    assert calls and max(calls.values()) == 1
 
 
 def test_walk_down_reaches_root():
