@@ -71,6 +71,7 @@ Profile = tuple[tuple[str, int], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+SAMPLE = 200  # pairs in each spot-check sample of ``verify_fdb``
 
 
 def format_rational(q: Fraction) -> str:
@@ -496,47 +497,47 @@ def check_fdb_pair(spec: EndofunctorSpec, crown: PForest, stump: PTree,
 def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
                          max_edges: int) -> dict[tuple[ForestKey, str], Fraction]:
     """Coproduct of the Green function accumulated tree by tree, with each
-    tree's cuts counted flat."""
+    tree's cuts counted flat and its weight from its own |Aut|."""
     acc: dict[tuple[ForestKey, str], Fraction] = {}
     for t in enumerate_ptrees(spec, Bound(max_edges, max_total_nodes)):
-        w = Fraction(1, intern(t).aut)
+        w = Fraction(1, aut_order(t))
         for pair, mult in flat_cut_summary(t).items():
             acc[pair] = acc.get(pair, ZERO) + mult * w
     return acc
 
 
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
-               rooted: str | None = None,
-               list_all: bool = False, mismatch_sample: int = 200) -> FdbReport:
+               rooted: str | None = None) -> FdbReport:
     """Check the coefficient identity over every in-budget pair.
 
     Pairs whose crown root profile differs from the stump leaf profile have
     no grafts and no monomial in the profile power, so both sides vanish;
-    they are counted in bulk (a deterministic sample of them is pushed
-    through the full computation as a spot check) but only profile-matched
-    pairs, and any failures, are listed.
+    they are counted in bulk (a deterministic sample of about ``SAMPLE`` of
+    them is pushed through the full computation as a spot check).  Only
+    profile-matched pairs with a nonzero side, and any failures, are listed.
 
     The LHS reads composed graft records.  A third route accumulates the
     coproducts of all trees within the budget, counting each tree's cuts
-    flat (``flat_cut_summary``: enumerate, prune, canonicalise), so it tests
-    the composition against the brute-force count.  It must agree with the
+    flat (``flat_cut_summary``: enumerate, prune, canonicalise) and
+    weighting it by its own |Aut| (``aut_order``), so it tests the
+    composition against the brute-force count.  It must agree with the
     listed pairs whose graft size stays within the budget, and every pair
     it finds must be listed; in rooted mode, every pair whose stump has the
-    rooted colour.  An evenly spaced sample of at most ``mismatch_sample``
-    listed pairs must pass ``graft_oracle_agrees``.  Both count in
+    rooted colour.  An evenly spaced sample of at most ``SAMPLE`` listed
+    pairs must pass ``graft_oracle_agrees``.  Both count in
     ``cross_failed``.
     """
     stumps, by_profile, total_pairs = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
     tasks: list[tuple[PTree, PForest]] = []
     sampled: list[tuple[PTree, PForest]] = []
-    per_stump = max(1, mismatch_sample // max(len(stumps), 1))
+    per_stump = max(1, SAMPLE // max(len(stumps), 1))
     for s in stumps:
         room = max_total_nodes - s.nodes
         for n, f in by_profile.get(s.leaf_profile, ()):
             if n <= room:
                 tasks.append((s.tree, f))
-        if len(sampled) < mismatch_sample:
+        if len(sampled) < SAMPLE:
             taken = 0
             for other, fs in by_profile.items():
                 if other == s.leaf_profile or taken >= per_stump:
@@ -562,9 +563,9 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
             results.append(chk)
 
     # the graft records of an evenly spaced sample of listed pairs
-    stride = max(1, -(-len(tasks) // max(mismatch_sample, 1)))
+    stride = max(1, -(-len(tasks) // SAMPLE))
     cross_failed = sum(not graft_oracle_agrees(s, f)
-                       for s, f in tasks[::stride][:mismatch_sample])
+                       for s, f in tasks[::stride][:SAMPLE])
 
     # independent accumulation cross-check on the common support
     acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
@@ -583,8 +584,7 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                 rooted is None or tree_class(spec, pair[1]).root == rooted):
             cross_failed += 1
 
-    pairs = results if list_all else [p for p in results if not p.passed
-                                      or p.lhs or p.rhs]
+    pairs = [p for p in results if not p.passed or p.lhs or p.rhs]
     return FdbReport(spec.name, max_total_nodes, max_edges_side, rooted,
                      pairs, total_pairs, failed,
                      total_pairs - len(results), cross_checked, cross_failed)

@@ -60,49 +60,23 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
 def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
     """Classes grouped by exact edge count: strata[e] maps key -> record.
 
-    A candidate op(children) is composed from its children's records; no
-    tree is built.  A class already in the table keeps its record.
+    The spec keeps one table per node cap and grows it by edge count on
+    demand; a stratum enters the table once it is complete.  A candidate
+    op(children) is composed from its children's records; no tree is built.
+    A class already in the table keeps its record.
     """
-    cache_key = ("strata", bound.max_edges, bound.max_nodes)
-    cached = spec._enum_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    # reuse a wider cache with the same node cap when available
-    best = None
-    for (tag, me, mn), prev in spec._enum_cache.items():
-        if tag == "strata" and mn == bound.max_nodes and me >= bound.max_edges:
-            if best is None or me < best[0]:
-                best = (me, prev)
-    if best is not None:
-        trimmed = best[1][:bound.max_edges + 1]
-        spec._enum_cache[cache_key] = trimmed
-        return trimmed
-
     max_nodes = bound.max_nodes
-    strata: list[dict[str, TreeClass]] = [dict() for _ in range(bound.max_edges + 1)]
-    by_colour: list[dict[str, list[TreeClass]]] = [dict() for _ in range(bound.max_edges + 1)]
-
-    def keep(e: int, c: TreeClass):
-        strata[e][c.key] = c
-        by_colour[e].setdefault(c.root, []).append(c)
-
-    def add(e: int, op: str, children: Sequence[TreeClass]):
-        """Keep the record of op(children) unless it has too many nodes."""
-        if max_nodes is None or 1 + sum(c.nodes for c in children) <= max_nodes:
-            c = spec.compose(op, children)
-            if c.key not in strata[e]:
-                keep(e, c)
-
-    for colour in spec.colours:
-        keep(1, spec.trivial_classes[colour])
-    for op in spec.ops:
-        if op.arity == 0:
-            add(1, op.name, ())
-
-    for e in range(2, bound.max_edges + 1):
+    strata, by_colour = spec._enum_cache.setdefault(("strata", max_nodes),
+                                                    ([{}], [{}]))
+    for e in range(len(strata), bound.max_edges + 1):
+        level: dict[str, TreeClass] = {}
+        if e == 1:
+            for colour in spec.colours:
+                c = spec.trivial_classes[colour]
+                level[c.key] = c
         for op in spec.ops:
             k = op.arity
-            if k == 0 or k > e - 1:
+            if k > e - 1:
                 continue
             block_sorted = spec.group_is_block_symmetric(op.name)
             for comp in _compositions(e - 1, k, 1):
@@ -112,9 +86,17 @@ def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
                 for children in itertools.product(*pools):
                     if block_sorted and not _block_nondecreasing(op.ins, comp, children):
                         continue
-                    add(e, op.name, children)
-    spec._enum_cache[cache_key] = strata
-    return strata
+                    if max_nodes is not None and \
+                            1 + sum(c.nodes for c in children) > max_nodes:
+                        continue  # too many nodes
+                    c = spec.compose(op.name, children)
+                    level.setdefault(c.key, c)
+        colours: dict[str, list[TreeClass]] = {}
+        for c in level.values():
+            colours.setdefault(c.root, []).append(c)
+        strata.append(level)
+        by_colour.append(colours)
+    return strata[:bound.max_edges + 1]
 
 
 def _block_nondecreasing(ins: Sequence[str], comp: Sequence[int],

@@ -9,10 +9,13 @@ composition associative; ``check`` verifies all of it by calling the rule
 on every composable pair and triple, found through ``composable_pairs``.
 
 Arrow convention of the constructions: ``standard_component``, pullbacks,
-fibres, quotients and Grothendieck sums name each arrow by a triple
+fibres and Grothendieck sums name each arrow by a triple
 ``(src, dst, label)``, and ``groupoid_from_labels`` builds all of them.  A
 construction states its arrows, the label of "a1 then a2" and the label of
-an identity once.  ``relabel`` maps any groupoid's ids to plain integers.
+an identity once.  A homotopy quotient X//G is the Grothendieck sum of the
+action's family over BG, and ``check_family`` is the one check of a strict
+family, for sums and actions alike.  ``relabel`` maps any groupoid's ids to
+plain integers.
 
 Cardinality is the sum over components of the inverse vertex-group order,
 an exact rational.  The relative cardinality of a map p: X -> B is the
@@ -48,25 +51,16 @@ class Group:
     mul: dict
     identity: Hashable
 
-    def check(self):
+    def check(self) -> "Group":
+        """The table must be total on the elements; the group laws are then
+        the groupoid laws of BG (``one_object``)."""
         els = set(self.elements)
-        if self.identity not in els:
-            raise GroupoidError("identity not an element")
         for a in els:
             for b in els:
                 if (a, b) not in self.mul or self.mul[(a, b)] not in els:
                     raise GroupoidError("multiplication not total")
-        for a in els:
-            if self.mul[(self.identity, a)] != a or self.mul[(a, self.identity)] != a:
-                raise GroupoidError("identity law fails")
-            if not any(self.mul[(a, b)] == self.identity
-                       and self.mul[(b, a)] == self.identity for b in els):
-                raise GroupoidError(f"no inverse for {a!r}")
-        for a in els:
-            for b in els:
-                for c in els:
-                    if self.mul[(self.mul[(a, b)], c)] != self.mul[(a, self.mul[(b, c)])]:
-                        raise GroupoidError("associativity fails")
+        one_object(self).check()
+        return self
 
     @property
     def order(self) -> int:
@@ -351,12 +345,6 @@ class GroupoidMap:
                     raise GroupoidError("composition not preserved")
         return self
 
-    def __call__(self, x):
-        return self.obj_map[x]
-
-    def on_arrow(self, a):
-        return self.arrow_map[a]
-
 
 def identity_map(g: FiniteGroupoid) -> GroupoidMap:
     return GroupoidMap(g, g, {x: x for x in g.objects},
@@ -444,66 +432,74 @@ def homotopy_fiber(p: GroupoidMap, b) -> tuple[FiniteGroupoid, GroupoidMap]:
 
 @dataclass
 class GroupAction:
-    """Right action of a finite group on a groupoid, by tables."""
+    """Right action of a finite group on a groupoid, by tables: g acts by
+    the functor x -> ``obj_act[(x, g)]``, a -> ``arrow_act[(a, g)]``."""
 
     group: Group
     space: FiniteGroupoid
     obj_act: dict  # (object, group element) -> object
     arrow_act: dict  # (arrow, group element) -> arrow
 
-    def check(self) -> "GroupAction":
+    def family(self) -> tuple[FiniteGroupoid, dict, dict]:
+        """The action as a strict family over BG: the space over the one
+        object, and the functor of g over the arrow ("g", g)."""
         G, X = self.group, self.space
-        for x in X.objects:
-            if self.obj_act[(x, G.identity)] != x:
-                raise GroupoidError("identity must act trivially on objects")
-            for g in G.elements:
-                if (x, g) not in self.obj_act:
-                    raise GroupoidError("object action not total")
-                for h in G.elements:
-                    if self.obj_act[(self.obj_act[(x, g)], h)] != \
-                            self.obj_act[(x, G.mul[(g, h)])]:
-                        raise GroupoidError("object action law fails")
-        for a in X.arrows:
-            if self.arrow_act[(a, G.identity)] != a:
-                raise GroupoidError("identity must act trivially on arrows")
-            for g in G.elements:
-                b = self.arrow_act.get((a, g))
-                if b is None:
-                    raise GroupoidError("arrow action not total")
-                s, t = X.arrows[a]
-                if X.arrows[b] != (self.obj_act[(s, g)], self.obj_act[(t, g)]):
-                    raise GroupoidError("arrow action breaks endpoints")
-        act = self.arrow_act
-        for f, h in X.composable_pairs():
-            k = X.mul(f, h)
-            for g in G.elements:
-                if X.mul(act[(f, g)], act[(h, g)]) != act[(k, g)]:
-                    raise GroupoidError("group elements must act functorially")
-        return self
+        return one_object(G), {"*": X}, {
+            ("g", g): GroupoidMap(
+                X, X, {x: self.obj_act[(x, g)] for x in X.objects},
+                {a: self.arrow_act[(a, g)] for a in X.arrows})
+            for g in G.elements}
 
-    def act(self, x, g):
-        return self.obj_act[(x, g)]
+    def check(self) -> "GroupAction":
+        for g in self.group.elements:
+            if any((x, g) not in self.obj_act for x in self.space.objects) \
+                    or any((a, g) not in self.arrow_act for a in self.space.arrows):
+                raise GroupoidError("action not total")
+        base, fam, arrowact = self.family()
+        for m in arrowact.values():
+            m.check()
+        check_family(base, fam, arrowact)
+        return self
 
 
 def homotopy_quotient(action: GroupAction) -> tuple[FiniteGroupoid, GroupoidMap]:
-    """Objects of the space; an arrow x -> y is (g, phi: x.g -> y)."""
-    G, X = action.group, action.space
-
-    def mul(a1, a2):
-        (g1, phi1), (g2, phi2) = a1[2], a2[2]
-        # x.(g1 g2) --phi1.g2--> y.g2 --phi2--> z
-        return (G.mul[(g1, g2)],
-                X.mul(action.arrow_act[(phi1, g2)], phi2))
-
-    quot = groupoid_from_labels(
-        X.objects,
-        [(x, X.target(phi), (g, phi)) for x in X.objects for g in G.elements
-         for phi in X.arrows_from(action.obj_act[(x, g)])],
-        mul, lambda x: (G.identity, X.identities[x]))
-    proj = GroupoidMap(X, quot, {x: x for x in X.objects},
-                       {a: (X.arrows[a][0], X.arrows[a][1], (G.identity, a))
-                        for a in X.arrows})
+    """X//G, the Grothendieck sum of the action's family over BG: objects
+    ("*", x); an arrow ("*", x) -> ("*", y) is (("g", g), phi: x.g -> y).
+    Returns it with the projection x -> ("*", x)."""
+    quot, _ = homotopy_sum(*action.family())
+    X, e = action.space, ("g", action.group.identity)
+    proj = GroupoidMap(X, quot, {x: ("*", x) for x in X.objects},
+                       {a: (("*", s), ("*", t), (e, a))
+                        for a, (s, t) in X.arrows.items()})
     return quot, proj
+
+
+def check_family(base: FiniteGroupoid, fam: Mapping[ObjId, FiniteGroupoid],
+                 arrowact: Mapping[ArrId, GroupoidMap]) -> None:
+    """Raise unless ``fam`` with ``arrowact`` is a strictly functorial
+    family over ``base``: a fibre over every object, a map between fibres
+    over every arrow, identity functors over identities, and the map over
+    "f then g" equal to the map over f then the map over g."""
+    for b in base.objects:
+        if b not in fam:
+            raise GroupoidError("family must cover the base objects")
+    for a, (s, t) in base.arrows.items():
+        m = arrowact.get(a)
+        if m is None or m.dom is not fam[s] or m.cod is not fam[t]:
+            raise GroupoidError("arrow action must give maps between fibres")
+    for x, e in base.identities.items():
+        m = arrowact[e]
+        if m.obj_map != {o: o for o in fam[x].objects} \
+                or m.arrow_map != {a: a for a in fam[x].arrows}:
+            raise GroupoidError("identity arrows must act as identity functors")
+    for f, g in base.composable_pairs():
+        mf, mg, mh = arrowact[f], arrowact[g], arrowact[base.mul(f, g)]
+        for o in fam[base.arrows[f][0]].objects:
+            if mg.obj_map[mf.obj_map[o]] != mh.obj_map[o]:
+                raise GroupoidError("family is not strictly functorial")
+        for a in fam[base.arrows[f][0]].arrows:
+            if mg.arrow_map[mf.arrow_map[a]] != mh.arrow_map[a]:
+                raise GroupoidError("family is not strictly functorial on arrows")
 
 
 def homotopy_sum(base: FiniteGroupoid,
@@ -515,25 +511,7 @@ def homotopy_sum(base: FiniteGroupoid,
     Objects are pairs (b, x); an arrow (b, x) -> (b2, x2) is a pair
     (sigma: b -> b2, phi: sigma.x -> x2 in the fibre over b2).
     """
-    for b in base.objects:
-        if b not in fam:
-            raise GroupoidError("family must cover the base objects")
-    for a, (s, t) in base.arrows.items():
-        m = arrowact.get(a)
-        if m is None or m.dom is not fam[s] or m.cod is not fam[t]:
-            raise GroupoidError("arrow action must give maps between fibres")
-    for x, e in base.identities.items():
-        m = arrowact[e]
-        if m.obj_map != {o: o for o in fam[x].objects}:
-            raise GroupoidError("identity arrows must act as identity functors")
-    for f, g in base.composable_pairs():
-        mf, mg, mh = arrowact[f], arrowact[g], arrowact[base.mul(f, g)]
-        for o in fam[base.arrows[f][0]].objects:
-            if mg.obj_map[mf.obj_map[o]] != mh.obj_map[o]:
-                raise GroupoidError("family is not strictly functorial")
-        for a in fam[base.arrows[f][0]].arrows:
-            if mg.arrow_map[mf.arrow_map[a]] != mh.arrow_map[a]:
-                raise GroupoidError("family is not strictly functorial on arrows")
+    check_family(base, fam, arrowact)
 
     def mul(a1, a2):
         (sigma1, phi1), (sigma2, phi2) = a1[2], a2[2]

@@ -17,8 +17,9 @@ from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
                                series_pow_profile, tensor_mul, verify_fdb)
 from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
 from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
-                              aut_order, automorphisms, builtin, parse_ptree,
-                              representative, trivial_ptree)
+                              TreeClass, aut_order, automorphisms, builtin,
+                              parse_ptree, representative, tree_class,
+                              trivial_ptree)
 
 EMPTY = EMPTY_FOREST_KEY
 
@@ -194,6 +195,22 @@ def test_rooted_mode_checks_every_accumulated_pair(monkeypatch, two_colour):
                       rooted="a").cross_failed >= 1
     assert verify_fdb(two_colour, max_total_nodes=3, max_edges_side=4,
                       rooted="b").cross_failed == 0
+
+
+def test_route_three_weights_trees_by_their_own_aut(monkeypatch):
+    # route 3 reads no class record's |Aut|: with every node stabiliser
+    # doubled in the records, its accumulation is unchanged
+    expected = bialgebra._direct_accumulation(builtin("exp", max_arity=3), 4, 6)
+    init = TreeClass.__init__
+
+    def doubled(self, spec, key, root, op=None, children=(), stabiliser=1):
+        init(self, spec, key, root, op, children,
+             stabiliser if op is None else 2 * stabiliser)
+
+    monkeypatch.setattr(TreeClass, "__init__", doubled)
+    spec = builtin("exp", max_arity=3)
+    assert bialgebra._direct_accumulation(spec, 4, 6) == expected
+    assert tree_class(spec, "(n2:__)").aut == 4  # the patch took effect
 
 
 # -- green functions -----------------------------------------------------------

@@ -37,6 +37,12 @@ def test_bad_group_rejected():
         g.check()  # 1 has no inverse
 
 
+def test_non_total_group_rejected():
+    g = Group((0, 1), {(0, 0): 0, (0, 1): 1, (1, 0): 1}, 0)
+    with pytest.raises(GroupoidError, match="not total"):
+        g.check()
+
+
 def test_all_homs_counts():
     c2, c3, c4 = Group.cyclic(2), Group.cyclic(3), Group.cyclic(4)
     s3 = Group.symmetric(3)
@@ -236,9 +242,9 @@ def test_fiber_of_quotient_projection_measures_orbit():
     # a fibre of the quotient projection has |G| objects (orbit points with
     # stabiliser multiplicity); its cardinality over the vertex group of the
     # base point is the orbit size, as the fibre/total-space relation states
-    fib0, _ = homotopy_fiber(proj, 0)
-    fib2, _ = homotopy_fiber(proj, 2)
-    for fib, base, orbit in ((fib0, 0, 2), (fib2, 2, 1)):
+    fib0, _ = homotopy_fiber(proj, ("*", 0))
+    fib2, _ = homotopy_fiber(proj, ("*", 2))
+    for fib, base, orbit in ((fib0, ("*", 0), 2), (fib2, ("*", 2), 1)):
         fib.check()
         assert len(fib.objects) == c2.order
         stab = len(quot.hom(base, base))
@@ -257,7 +263,7 @@ def test_point_quotient_is_group():
         quot, _ = homotopy_quotient(action)
         quot.check()
         assert len(quot.pi0()) == 1
-        assert quot.aut_group("p").order == group.order
+        assert quot.aut_group(("*", "p")).order == group.order
         assert quot.cardinality() == Fraction(1, group.order)
 
 
@@ -295,6 +301,31 @@ def test_invalid_action_rejected():
         bad.check()
 
 
+def test_action_law_checked_on_arrows():
+    # C3 on BC3: 1 acts by inversion, 0 and 2 trivially.  Each element acts
+    # by a functor and the objects satisfy the action law, but acting by 1
+    # then by 2 inverts arrows, while acting by their product 0 does not
+    c3 = Group.cyclic(3)
+    space = one_object(c3)
+    arrow_act = {(("g", k), g): ("g", -k % 3 if g == 1 else k)
+                 for k in c3.elements for g in c3.elements}
+    action = GroupAction(c3, space, {("*", g): "*" for g in c3.elements},
+                         arrow_act)
+    with pytest.raises(GroupoidError, match="strictly functorial on arrows"):
+        action.check()
+
+
+def test_identity_must_act_as_identity_on_fibre_arrows():
+    base = one_object(Group.cyclic(1))
+    fib = one_object(Group.cyclic(2))
+    homotopy_sum(base, {"*": fib}, {("g", 0): identity_map(fib)})
+    # identical on objects, not on arrows
+    bad = GroupoidMap(fib, fib, {"*": "*"}, {("g", 0): ("g", 1),
+                                             ("g", 1): ("g", 0)})
+    with pytest.raises(GroupoidError, match="identity functors"):
+        homotopy_sum(base, {"*": fib}, {("g", 0): bad})
+
+
 # -- homotopy sums -----------------------------------------------------------------
 
 def test_constant_point_family_gives_base():
@@ -321,11 +352,17 @@ def test_bg_family_matches_quotient():
         act[lab] = GroupoidMap(space, space,
                                {x: action.obj_act[(x, g)] for x in space.objects},
                                {a: action.arrow_act[(a, g)] for a in space.arrows})
+    base, fam2, act2 = action.family()
+    assert (base.objects, base.arrows, base.identities) == \
+        (bg.objects, bg.arrows, bg.identities)
+    assert list(fam2) == ["*"] and fam2["*"] is space
+    assert {lab: (m.obj_map, m.arrow_map) for lab, m in act2.items()} == \
+        {lab: (m.obj_map, m.arrow_map) for lab, m in act.items()}
     total, _ = homotopy_sum(bg, fam, act)
     quot, _ = homotopy_quotient(action)
     # the two constructions carry literally the same data
-    assert len(total.objects) == len(quot.objects)
-    assert len(total.arrows) == len(quot.arrows)
+    assert set(total.objects) == set(quot.objects)
+    assert total.arrows == quot.arrows
     assert total.check().cardinality() == quot.cardinality()
     assert len(total.pi0()) == len(quot.pi0())
     assert sorted(len(c) for c in total.pi0()) == \
