@@ -10,7 +10,7 @@ from .trees import (Cut, CycleDetected, DiagramError, ForestDiagram,
 from .pfunctor import (ArityMismatch, BUILTIN_NAMES, ColourMismatch,
                        EndofunctorSpec, OpType, PForest, PTree, SpecError,
                        UnknownBuiltin, UnknownOp, aut_order, aut_order_forest,
-                       automorphisms, builtin, canon, forest_mul,
+                       automorphisms, builtin, forest_mul,
                        graft_decorated, isomorphic, isomorphisms_brute,
                        leaf_profile, load_spec, parse_pforest, parse_ptree,
                        print_ptree, prune_decorated, representative,

@@ -29,7 +29,7 @@ the union of the children's crowns, and the stump is ``op`` on their
 stumps, coded by ``EndofunctorSpec.node_code``, the one rule that also
 codes every node of a tree.  The multiplicity is the product of the
 children's.  ``flat_cut_summary`` is the brute-force count: every cut is
-enumerated, pruned and both parts canonicalised.
+enumerated and its parts coded from the tree's own pass, pruning none off.
 
 Green functions
 ---------------
@@ -50,7 +50,7 @@ function can be computed two independent ways:
 (max total nodes, max edges per side).  A third route builds every tree
 within the budget and counts its cuts flat, so it shares no composed
 record with the first; the graft records of a sample of pairs are also
-checked against grafted trees and parsed keys.
+checked against grafted trees, their flat cut counts and parsed keys.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from .enumeration import (Bound, enumerate_pforests, enumerate_ptrees,
                           graft_class_assignments)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
                        PTree, TreeClass, aut_order, compose_along, forest_key_str,
-                       graft_decorated, intern, parse_ptree, prune_decorated,
-                       representative, tree_class)
+                       graft_decorated, intern, parse_ptree, representative,
+                       tree_class)
 from .trees import enumerate_cuts
 
 Profile = tuple[tuple[str, int], ...]
@@ -95,7 +95,7 @@ class Series:
     coeffs: dict[ForestKey, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = {k: Fraction(v) for k, v in self.coeffs.items() if v}
+        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
 
     def coefficient(self, key: ForestKey) -> Fraction:
         return self.coeffs.get(tuple(key), ZERO)
@@ -128,7 +128,7 @@ class TensorSeries:
     coeffs: dict[tuple[ForestKey, ForestKey], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = {k: Fraction(v) for k, v in self.coeffs.items() if v}
+        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
 
     def coefficient(self, left: ForestKey, right: ForestKey) -> Fraction:
         return self.coeffs.get((tuple(left), tuple(right)), ZERO)
@@ -175,13 +175,31 @@ def cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
 
 
 def flat_cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
-    """Cut summary counted cut by cut: every cut of t is pruned and both
-    parts are canonicalised from scratch.  The flat oracle for
-    ``cut_summary``, and the cut count of the accumulation route."""
+    """Cut summary counted cut by cut from t's own canonical pass, reading
+    no class record: the flat oracle for ``cut_summary``, and the cut count
+    of the accumulation route and the graft oracle.  A crown part is keyed
+    by the code of its root edge (the trivial key at a leaf of t); the stump
+    is coded over the kept nodes by ``node_code``, with ``_`` on its leaves."""
+    spec, shape, colour = t.spec, t.shape, t.edge_colour
+    codes, node_code, trivial_key = t.edge_codes(), spec.node_code, spec.trivial_key
+    above, inputs, output = shape.node_above, shape.node_inputs, shape.node_output
+    bottom_up, root = shape.nodes_top_down[::-1], shape.root
     counter: dict[tuple[ForestKey, str], int] = {}
-    for cut in enumerate_cuts(t.shape):
-        comps, stump, _ = prune_decorated(t, cut.kept)
-        pair = (tuple(sorted(c.key() for c in comps)), stump.key())
+    for cut in enumerate_cuts(shape):
+        kept = cut.kept
+        if not kept:
+            stump = trivial_key(colour[root])
+            pair = ((codes.get(root, stump),), stump)
+        else:
+            crown, stump_codes = [], {}
+            for n in bottom_up:
+                if n in kept:
+                    ins = inputs[n]
+                    crown += [codes.get(e) or trivial_key(colour[e])
+                              for e in ins if above.get(e) not in kept]
+                    stump_codes[output[n]] = node_code(
+                        t.node_op[n], [stump_codes.get(e, "_") for e in ins])[0]
+            pair = (tuple(sorted(crown)), stump_codes[root])
         counter[pair] = counter.get(pair, 0) + 1
     return counter
 
@@ -399,8 +417,9 @@ def fdb_lhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> 
 
 def graft_oracle_agrees(stump: PTree, crown: PForest) -> bool:
     """Check the pair's composed graft records against the tree oracles: the
-    tree ``graft_decorated`` builds has the key and a cut giving the pair;
-    a parse of the key has the sizes, leaf profile and |Aut|."""
+    tree ``graft_decorated`` builds has the key and a cut giving the pair,
+    counted flat on that tree; a parse of the key has the sizes, leaf
+    profile and |Aut|."""
     spec, pair = stump.spec, (crown.keys, stump.key())
     for assignment in graft_class_assignments(stump, crown):
         c = graft_record(stump, assignment)
@@ -410,7 +429,7 @@ def graft_oracle_agrees(stump: PTree, crown: PForest) -> bool:
         if (g.key() != c.key or fresh.key() != c.key
                 or (fresh.edge_count, fresh.node_count, fresh.leaf_profile(),
                     aut_order(fresh)) != (c.edges, c.nodes, c.leaf_profile, c.aut)
-                or not cut_summary(g).get(pair)):
+                or not flat_cut_summary(g).get(pair)):
             return False
     return True
 
@@ -518,8 +537,8 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
 
     The LHS reads composed graft records.  A third route accumulates the
     coproducts of all trees within the budget, counting each tree's cuts
-    flat (``flat_cut_summary``: enumerate, prune, canonicalise) and
-    weighting it by its own |Aut| (``aut_order``), so it tests the
+    flat (``flat_cut_summary``: enumerate, code from the tree's own pass)
+    and weighting it by its own |Aut| (``aut_order``), so it tests the
     composition against the brute-force count.  It must agree with the
     listed pairs whose graft size stays within the budget, and every pair
     it finds must be listed; in rooted mode, every pair whose stump has the

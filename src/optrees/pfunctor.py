@@ -13,8 +13,8 @@ of that operation's symmetry group.
 
 Canonical form
 --------------
-``canon`` computes a complete isomorphism invariant bottom-up, by one rule,
-``EndofunctorSpec.node_code``: the code of a node is its operation name
+``PTree.key`` is a complete isomorphism invariant computed bottom-up by one
+rule, ``EndofunctorSpec.node_code``: the code of a node is its operation name
 followed by the lexicographically least arrangement of its children's codes
 over the op's symmetry group.  An op is *block-symmetric* when, within each
 block of equally coloured input slots, its transposition generators connect
@@ -486,11 +486,6 @@ class PTree:
 
     def __repr__(self):
         return f"PTree({self.key()!r})"
-
-
-def canon(t: PTree) -> str:
-    """Canonical key; equal keys iff decorated trees are isomorphic."""
-    return t.key()
 
 
 def isomorphic(t1: PTree, t2: PTree) -> bool:

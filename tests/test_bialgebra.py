@@ -5,21 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (all_builtin_specs, symmetric_two_colour_spec,
-                      triple_left, triple_right, two_colour_spec)
+from conftest import (all_builtin_specs, cycle_generated_s3_spec,
+                      symmetric_two_colour_spec, triple_left, triple_right,
+                      two_colour_spec)
 from optrees import bialgebra
 from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
                                counit, counit_left,
                                counit_right, cut_summary, delta_monomial,
                                delta_series, delta_tree, fdb_lhs_coefficient,
                                fdb_rhs_coefficient, flat_cut_summary,
-                               format_rational, green, series_mul, series_pow,
-                               series_pow_profile, tensor_mul, verify_fdb)
+                               format_rational, graft_oracle_agrees, green,
+                               series_mul, series_pow, series_pow_profile,
+                               tensor_mul, verify_fdb)
 from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
 from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
                               TreeClass, aut_order, automorphisms, builtin,
-                              parse_ptree, representative, tree_class,
-                              trivial_ptree)
+                              parse_ptree, prune_decorated, representative,
+                              tree_class, trivial_ptree)
+from optrees.trees import enumerate_cuts
 
 EMPTY = EMPTY_FOREST_KEY
 
@@ -211,6 +214,77 @@ def test_route_three_weights_trees_by_their_own_aut(monkeypatch):
     spec = builtin("exp", max_arity=3)
     assert bialgebra._direct_accumulation(spec, 4, 6) == expected
     assert tree_class(spec, "(n2:__)").aut == 4  # the patch took effect
+
+
+def pruned_cut_summary(t):
+    """The cut summary by pruning: each cut's parts are built as trees of
+    their own and canonicalised from scratch."""
+    counter = {}
+    for cut in enumerate_cuts(t.shape):
+        comps, stump, _ = prune_decorated(t, cut.kept)
+        pair = (tuple(sorted(c.key() for c in comps)), stump.key())
+        counter[pair] = counter.get(pair, 0) + 1
+    return counter
+
+
+FLAT_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(),
+                                    cycle_generated_s3_spec()]
+
+
+@pytest.mark.parametrize("spec", FLAT_SPECS, ids=lambda s: s.name)
+def test_flat_cut_summary_equals_the_pruned_count(spec):
+    trees = enumerate_ptrees(spec, Bound(7, 4))
+    assert any(t.node_count == 0 for t in trees)
+    for t in trees:
+        assert flat_cut_summary(t) == pruned_cut_summary(t), t.key()
+
+
+def test_flat_cut_summary_of_a_trivial_tree_and_two_coloured_leaves(two_colour):
+    trivial = trivial_ptree(two_colour, "b")
+    assert flat_cut_summary(trivial) == pruned_cut_summary(trivial) == {
+        (("_b",), "_b"): 1}
+    t = parse_ptree(two_colour, "(g:(f:__)_)")
+    assert flat_cut_summary(t) == pruned_cut_summary(t) == {
+        (("(g:(f:__)_)",), "_b"): 1,
+        (("(f:__)", "_b"), "(g:__)"): 1,
+        (("_a", "_b", "_b"), "(g:(f:__)_)"): 1}
+
+
+def test_flat_cut_count_reads_no_record(monkeypatch):
+    # A wrong key on every enumerated tree and empty composed cut tables
+    # leave the flat count, and route 3 built on it, unchanged.
+    spec = builtin("cyclic", max_arity=3)
+    trees = enumerate_ptrees(spec, Bound(6, 4))
+    expected = [flat_cut_summary(t) for t in trees]
+    accumulated = bialgebra._direct_accumulation(spec, 4, 6)
+    for t in trees:
+        t._key = "(wrong)"
+    monkeypatch.setattr(TreeClass, "cuts", property(lambda self: {}))
+    assert cut_summary(trees[-1]) == {}  # the patch took effect
+    assert [flat_cut_summary(t) for t in trees] == expected
+    assert bialgebra._direct_accumulation(spec, 4, 6) == accumulated
+
+
+def test_graft_oracle_catches_a_graft_on_the_wrong_leaf(monkeypatch):
+    spec = builtin("planar", max_arity=3)
+    stump = parse_ptree(spec, "(n2:__)")
+    crown = PForest.from_keys(spec, ["(n2:__)", "_"])
+    graft = bialgebra.graft_decorated
+
+    def onto_the_wrong_leaf(stump, assignment):
+        leaves = sorted(assignment)
+        return graft(stump, {leaf: assignment[other]
+                             for leaf, other in zip(leaves, leaves[::-1])})
+
+    verdicts = []
+    for empty_cuts in (False, True):
+        with monkeypatch.context() as m:
+            if empty_cuts:
+                m.setattr(TreeClass, "cuts", property(lambda self: {}))
+            right = graft_oracle_agrees(stump, crown)
+            m.setattr(bialgebra, "graft_decorated", onto_the_wrong_leaf)
+            verdicts.append((right, graft_oracle_agrees(stump, crown)))
+    assert verdicts == [(True, False), (True, False)]
 
 
 # -- green functions -----------------------------------------------------------
