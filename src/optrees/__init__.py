@@ -15,8 +15,8 @@ from .pfunctor import (ArityMismatch, BUILTIN_NAMES, ColourMismatch,
                        leaf_profile, load_spec, parse_pforest, parse_ptree,
                        print_ptree, prune_decorated, representative,
                        root_colour, save_spec, trivial_ptree, validate_ptree)
-from .enumeration import (Bound, enumerate_pforests, enumerate_ptrees,
-                          matchings)
+from .enumeration import (Bound, enumerate_classes, enumerate_pforests,
+                          enumerate_ptrees, matchings)
 from .bialgebra import (FdbReport, Series, TensorSeries, counit, delta_monomial,
                         delta_series, delta_tree, fdb_lhs_coefficient,
                         fdb_rhs_coefficient, green, series_mul, series_pow,

@@ -7,8 +7,9 @@ The algebra is free on isomorphism classes of decorated trees; a forest
 class (a multiset of tree keys) is a monomial.  A :class:`Series` maps
 forest monomials to exact rationals and records the truncation bound it
 was computed under; binary operations insist on equal bounds so that a
-truncated convolution is never silently wrong.  Coefficient queries for a
-fixed monomial restrict supports instead of enlarging bounds.
+truncated convolution is never silently wrong.  Sizes only add under the
+product, so a monomial's coefficient is the same under every bound that
+admits it.
 
 Coproduct
 ---------
@@ -44,7 +45,9 @@ function can be computed two independent ways:
   leaf (``graft_record``): no graft tree is built and no key parsed;
 * ``fdb_rhs_coefficient``: coefficient of the crown in the product of
   root-coloured Green functions indexed by the stump's leaf profile,
-  divided by ``|Aut stump|``.
+  divided by ``|Aut stump|``.  ``verify_fdb`` builds that power once per
+  leaf profile from the whole truncated Green functions (``profile_powers``)
+  and reads every pair's coefficient from it.
 
 ``verify_fdb`` checks exact equality over every pair within a budget of
 (max total nodes, max edges per side).  A third route builds every tree
@@ -55,19 +58,19 @@ checked against grafted trees, their flat cut counts and parsed keys.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .enumeration import (Bound, enumerate_pforests, enumerate_ptrees,
-                          graft_class_assignments)
+from .enumeration import (Bound, Profile, enumerate_classes, enumerate_pforests,
+                          enumerate_ptrees, graft_class_assignments)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
                        PTree, TreeClass, aut_order, compose_along, forest_key_str,
                        graft_decorated, intern, parse_ptree, representative,
                        tree_class)
 from .trees import enumerate_cuts
-
-Profile = tuple[tuple[str, int], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -304,22 +307,24 @@ def green(spec: EndofunctorSpec, bound: Bound,
 
     Selectors restrict to a root colour or a leaf profile before weighting.
     """
-    trees = enumerate_ptrees(spec, bound, root_colour=root_colour,
-                             leaf_profile=leaf_profile)
-    return Series(spec, bound, {(c.key,): Fraction(1, c.aut)
-                                for c in map(intern, trees)})
+    classes = enumerate_classes(spec, bound, root_colour, leaf_profile)
+    return Series(spec, bound, {(c.key,): Fraction(1, c.aut) for c in classes})
 
 
 def series_mul(a: Series, b: Series) -> Series:
     """Exact convolution on forest monomials, truncated by the common bound
-    (tested on the summed sizes of the factor terms, as in ``tensor_mul``)."""
+    (tested on the summed sizes of the factor terms, as in ``tensor_mul``).
+    b's terms are walked in edge order, up to the edge bound."""
     _require_same_bound(a, b)
-    spec, admits = a.spec, a.bound.admits
-    terms_b = [(k2, c2, *_sizes(spec, k2)) for k2, c2 in b.coeffs.items()]
+    spec, admits, max_edges = a.spec, a.bound.admits, a.bound.max_edges
+    terms_b = sorted(((*_sizes(spec, k2), k2, c2) for k2, c2 in b.coeffs.items()),
+                     key=lambda term: term[0])
     out: dict[ForestKey, Fraction] = {}
     for k1, c1 in a.coeffs.items():
         e1, n1 = _sizes(spec, k1)
-        for k2, c2, e2, n2 in terms_b:
+        for e2, n2, k2, c2 in terms_b:
+            if e1 + e2 > max_edges:
+                break
             if admits(e1 + e2, n1 + n2):
                 key = _merge_key(k1, k2)
                 out[key] = out.get(key, ZERO) + c1 * c2
@@ -330,11 +335,16 @@ def series_one(spec: EndofunctorSpec, bound: Bound) -> Series:
     return Series(spec, bound, {EMPTY_FOREST_KEY: ONE})
 
 
-def series_pow(a: Series, n: int) -> Series:
-    acc = series_one(a.spec, a.bound)
+def series_powers(a: Series, n: int) -> list[Series]:
+    """a⁰, a¹, …, aⁿ, each the product of the one before and a."""
+    out = [series_one(a.spec, a.bound)]
     for _ in range(n):
-        acc = series_mul(acc, a)
-    return acc
+        out.append(series_mul(out[-1], a))
+    return out
+
+
+def series_pow(a: Series, n: int) -> Series:
+    return series_powers(a, n)[-1]
 
 
 def series_scale(a: Series, c: Fraction) -> Series:
@@ -349,26 +359,22 @@ def series_add(a: Series, b: Series) -> Series:
     return Series(a.spec, a.bound, out)
 
 
-def series_pow_profile(spec: EndofunctorSpec, bound: Bound, profile: Profile,
-                       restrict_to: Iterable[str] | None = None) -> Series:
-    """Product over colours of the root-coloured Green function powers.
+def profile_powers(spec: EndofunctorSpec, bound: Bound,
+                   profiles: Iterable[Profile]) -> dict[Profile, Series]:
+    """For each leaf profile, the product over its colours c of G_c^{m_c},
+    the powers of the root-coloured Green functions.  Each G_c^k is built
+    once, as G_c^{k-1}·G_c."""
+    profiles = set(profiles)
+    top = dict(sorted(itertools.chain.from_iterable(profiles)))  # largest m per c
+    chains = {colour: series_powers(green(spec, bound, root_colour=colour), m)
+              for colour, m in top.items()}
+    return {p: functools.reduce(series_mul, (chains[c][m] for c, m in p),
+                                series_one(spec, bound)) for p in profiles}
 
-    With ``restrict_to`` the factors keep only the listed tree classes, so a
-    single coefficient can be read off without a global truncation; they
-    are then built from those classes' records, not by enumeration.
-    """
-    listed = (None if restrict_to is None
-              else [tree_class(spec, k) for k in set(restrict_to)])
-    acc = series_one(spec, bound)
-    for colour, n in profile:
-        if listed is None:
-            g = green(spec, bound, root_colour=colour)
-        else:
-            g = Series(spec, bound, {(c.key,): Fraction(1, c.aut) for c in listed
-                                     if c.root == colour
-                                     and bound.admits(c.edges, c.nodes)})
-        acc = series_mul(acc, series_pow(g, n))
-    return acc
+
+def series_pow_profile(spec: EndofunctorSpec, bound: Bound, profile: Profile) -> Series:
+    """Product over colours of the root-coloured Green function powers."""
+    return profile_powers(spec, bound, [profile])[profile]
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +382,19 @@ def series_pow_profile(spec: EndofunctorSpec, bound: Bound, profile: Profile,
 
 
 def fdb_rhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree,
-                        _cache: dict | None = None) -> Fraction:
+                        powers: Mapping[Profile, Series] | None = None) -> Fraction:
     """Coefficient of crown in the leaf-profile power of Green functions,
-    divided by the stump's automorphism order."""
+    divided by the stump's automorphism order.  ``powers`` maps leaf
+    profiles to their ``profile_powers`` under one bound, which must admit
+    the crown (sizes only add, so any such bound gives the same
+    coefficient); without it, the power is built under the crown's sizes."""
     s = intern(stump)
-    bound = Bound(max(crown.edge_count(), 1), crown.node_count())
-    cache_key = (s.leaf_profile, tuple(sorted(set(crown.keys))), bound)
-    power = None if _cache is None else _cache.get(cache_key)
-    if power is None:
-        power = series_pow_profile(spec, bound, s.leaf_profile,
-                                   restrict_to=crown.keys)
-        if _cache is not None:
-            _cache[cache_key] = power
+    if powers is None:
+        bound = Bound(max(crown.edge_count(), 1), crown.node_count())
+        powers = profile_powers(spec, bound, [s.leaf_profile])
+    power = powers[s.leaf_profile]
+    if not power.bound.admits_forest(crown):
+        raise BoundMismatch(f"crown {crown} exceeds the power's bound {power.bound}")
     return power.coefficient(crown.keys) / s.aut
 
 
@@ -491,8 +498,7 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
     """Stump classes, (node count, crown) lists indexed by root profile, and
     the total number of in-budget pairs."""
     side_bound = Bound(max_edges_side, max_total_nodes)
-    stumps = [intern(t) for t in enumerate_ptrees(spec, side_bound,
-                                                  root_colour=rooted)]
+    stumps = enumerate_classes(spec, side_bound, root_colour=rooted)
     by_profile: dict[Profile, list[tuple[int, PForest]]] = {}
     crowns_by_nodes: dict[int, int] = {}
     for f in enumerate_pforests(spec, side_bound):
@@ -507,9 +513,9 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
 
 
 def check_fdb_pair(spec: EndofunctorSpec, crown: PForest, stump: PTree,
-                   rhs_cache: dict | None = None) -> PairCheck:
+                   powers: Mapping[Profile, Series] | None = None) -> PairCheck:
     lhs = fdb_lhs_coefficient(spec, crown, stump)
-    rhs = fdb_rhs_coefficient(spec, crown, stump, _cache=rhs_cache)
+    rhs = fdb_rhs_coefficient(spec, crown, stump, powers)
     return PairCheck(crown.keys, stump.key(), lhs, rhs)
 
 
@@ -567,16 +573,16 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                         taken += 1
                         break
 
-    rhs_cache: dict = {}
-    results = [check_fdb_pair(spec, f, s, rhs_cache) for s, f in tasks]
+    powers = profile_powers(spec, Bound(max_edges_side, max_total_nodes),
+                            {s.leaf_profile for s in stumps})
+    results = [check_fdb_pair(spec, f, s, powers) for s, f in tasks]
 
     results.sort(key=lambda p: (p.stump, p.crown))
     failed = sum(1 for p in results if not p.passed)
 
     # spot-check that sampled profile-mismatched pairs really vanish
-    sample_cache: dict = {}
     for s, f in sampled:
-        chk = check_fdb_pair(spec, f, s, sample_cache)
+        chk = check_fdb_pair(spec, f, s, powers)
         if chk.lhs or chk.rhs or not chk.passed:
             failed += 1
             results.append(chk)

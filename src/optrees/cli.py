@@ -22,11 +22,11 @@ import time
 from .bialgebra import (Bound, delta_tree, format_rational, green,
                         profile_str, verify_fdb)
 from .classical import classical_verify, verify_phi
-from .enumeration import BoundError, enumerate_ptrees
+from .enumeration import BoundError, enumerate_classes
 from .groupoid_suite import run_suite
 from .groupoids import GroupoidError, groupoid_from_doc
 from .pfunctor import (EndofunctorSpec, SpecError, aut_order, builtin,
-                       forest_key_str, intern, load_spec, parse_ptree_or_shape)
+                       forest_key_str, load_spec, parse_ptree_or_shape)
 from .trees import GrammarError
 
 SCHEMA_VERSION = 1
@@ -94,11 +94,11 @@ def cmd_enumerate(args) -> int:
     profile = _parse_profile(args.leaf_profile, spec) if args.leaf_profile else None
     if args.root_colour:
         _check_colour(spec, args.root_colour)
-    trees = enumerate_ptrees(spec, bound, root_colour=args.root_colour,
-                             leaf_profile=profile)
+    classes = enumerate_classes(spec, bound, root_colour=args.root_colour,
+                                leaf_profile=profile)
     rows = [{"key": c.key, "tree": c.key, "aut_order": c.aut, "root": c.root,
              "leaf_profile": profile_str(c.leaf_profile), "edges": c.edges,
-             "nodes": c.nodes} for c in map(intern, trees)]
+             "nodes": c.nodes} for c in classes]
     if args.format == "structured":
         emit_structured("enumerate", {"spec": spec.name, "bound": bound.label(),
                                       "classes": rows, "count": len(rows)})

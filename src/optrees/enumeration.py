@@ -2,18 +2,23 @@
 
 Trees are graded by edge count, which is finite for every spec even when
 node arities are unbounded; optional node-count caps prune the generation
-without changing the admitted set.  Classes are produced one representative
-per canonical key, in key order.
+without changing the admitted set.  ``enumerate_classes`` hands out one
+class record (:class:`TreeClass`) per canonical key, in key order, each
+composed from its children's records, so no tree is built.
+``enumerate_ptrees`` reads the records' representative trees, which are
+built on first use; forests are multisets of the records' keys.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .pfunctor import EndofunctorSpec, ForestKey, PForest, PTree, TreeClass
 from .trees import ForestDiagram, disjoint_union
+
+Profile = tuple[tuple[str, int], ...]  # (colour, count) pairs, sorted by colour
 
 
 class BoundError(ValueError):
@@ -113,11 +118,10 @@ def _block_nondecreasing(ins: Sequence[str], comp: Sequence[int],
     return True
 
 
-def enumerate_ptrees(spec: EndofunctorSpec, bound: Bound,
-                     root_colour: str | None = None,
-                     leaf_profile: tuple[tuple[str, int], ...] | None = None,
-                     ) -> list[PTree]:
-    """One representative per tree class within the bound, sorted by key."""
+def enumerate_classes(spec: EndofunctorSpec, bound: Bound, root_colour: str | None = None,
+                      leaf_profile: Profile | None = None) -> list[TreeClass]:
+    """The record of every tree class within the bound, sorted by key; no
+    tree is built."""
     out = [c for stratum in _strata(spec, bound)[1:] for c in stratum.values()]
     if root_colour is not None:
         out = [c for c in out if c.root == root_colour]
@@ -125,12 +129,17 @@ def enumerate_ptrees(spec: EndofunctorSpec, bound: Bound,
         want = tuple(sorted((c, m) for c, m in leaf_profile if m))
         out = [c for c in out if c.leaf_profile == want]
     out.sort(key=lambda c: c.key)
-    return [c.tree for c in out]
+    return out
+
+
+def enumerate_ptrees(spec: EndofunctorSpec, bound: Bound, root_colour: str | None = None,
+                     leaf_profile: Profile | None = None) -> list[PTree]:
+    """One representative per tree class within the bound, sorted by key."""
+    return [c.tree for c in enumerate_classes(spec, bound, root_colour, leaf_profile)]
 
 
 def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
-                       root_profile: tuple[tuple[str, int], ...] | None = None,
-                       ) -> list[PForest]:
+                       root_profile: Profile | None = None) -> list[PForest]:
     """All multisets of tree classes within the total bound, sorted by key.
 
     With ``root_profile`` given, only forests whose component root colours
@@ -138,8 +147,7 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
     empty forest alone).
     """
     classes = sorted((c.edges, c.nodes, c.root, c.key)
-                     for stratum in _strata(spec, bound)[1:]
-                     for c in stratum.values())
+                     for c in enumerate_classes(spec, bound))
     want: dict[str, int] | None = None
     if root_profile is not None:
         want = {c: m for c, m in root_profile if m}
@@ -188,46 +196,38 @@ def instantiate_forest(f: PForest) -> tuple[list[PTree], ForestDiagram, list[int
     return comps, diagram, roots
 
 
+def _fillings(stump: PTree, items: Iterable[tuple[str, object]],
+              arrangements: Callable[[list], Iterable]) -> Iterator[dict[int, object]]:
+    """Maps from stump leaves to the (colour, item) items that fill each leaf
+    with an item of its colour, in every combination of one of
+    ``arrangements(items of colour c)`` per colour; none when the profiles
+    differ."""
+    by_colour: dict[str, list] = {}
+    for colour, item in items:
+        by_colour.setdefault(colour, []).append(item)
+    leaves_by_colour: dict[str, list[int]] = {}
+    for e in sorted(stump.shape.leaves):
+        leaves_by_colour.setdefault(stump.edge_colour[e], []).append(e)
+    if {c: len(v) for c, v in by_colour.items()} != \
+            {c: len(v) for c, v in leaves_by_colour.items()}:
+        return
+    colour_list = sorted(leaves_by_colour)
+    for combo in itertools.product(*(list(arrangements(by_colour[c]))
+                                     for c in colour_list)):
+        yield {leaf: item for c, arranged in zip(colour_list, combo)
+               for leaf, item in zip(leaves_by_colour[c], arranged)}
+
+
 def matchings(stump: PTree, crown: PForest) -> list[dict[int, int]]:
     """All colour-respecting bijections from stump leaves to crown roots.
 
     Roots are the edge ids of the instantiated crown forest (components in
     key order, ids offset in that order); empty when profiles differ.
     """
-    comps, diagram, comp_roots = instantiate_forest(crown)
-    stump_leaves = sorted(stump.shape.leaves)
-    crown_roots = list(diagram.roots)
-    if len(stump_leaves) != len(crown_roots):
-        return []
-    root_colours = {r: t.root_colour for r, t in zip(comp_roots, comps)}
-    by_colour: dict[str, list[int]] = {}
-    for r in crown_roots:
-        by_colour.setdefault(root_colours[r], []).append(r)
-    leaves_by_colour: dict[str, list[int]] = {}
-    for e in stump_leaves:
-        leaves_by_colour.setdefault(stump.edge_colour[e], []).append(e)
-    if {c: len(v) for c, v in by_colour.items()} != \
-            {c: len(v) for c, v in leaves_by_colour.items()}:
-        return []
-    colour_list = sorted(leaves_by_colour)
-    out: list[dict[int, int]] = []
-
-    def rec(i: int, acc: dict[int, int]):
-        if i == len(colour_list):
-            out.append(dict(acc))
-            return
-        c = colour_list[i]
-        ls = leaves_by_colour[c]
-        for perm in itertools.permutations(by_colour[c]):
-            for leaf, r in zip(ls, perm):
-                acc[leaf] = r
-            rec(i + 1, acc)
-        for leaf in ls:
-            acc.pop(leaf, None)
-
-    rec(0, {})
-    out.sort(key=lambda m: tuple(sorted(m.items())))
-    return out
+    comps, _, comp_roots = instantiate_forest(crown)
+    return sorted(_fillings(stump, [(t.root_colour, r) for r, t in zip(comp_roots, comps)],
+                            itertools.permutations),
+                  key=lambda m: tuple(sorted(m.items())))
 
 
 def multiset_arrangements(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
@@ -256,17 +256,5 @@ def multiset_arrangements(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
 def graft_class_assignments(stump: PTree, crown: PForest) -> Iterator[dict[int, str]]:
     """Assignments of crown component keys to stump leaves, up to permuting
     equal classes (enough to reach every graft class)."""
-    by_colour: dict[str, list[str]] = {}
-    for c in crown.classes():
-        by_colour.setdefault(c.root, []).append(c.key)
-    leaves_by_colour: dict[str, list[int]] = {}
-    for e in sorted(stump.shape.leaves):
-        leaves_by_colour.setdefault(stump.edge_colour[e], []).append(e)
-    if {c: len(v) for c, v in by_colour.items()} != \
-            {c: len(v) for c, v in leaves_by_colour.items()}:
-        return
-    colour_list = sorted(leaves_by_colour)
-    for arrangements in itertools.product(*(
-            list(multiset_arrangements(by_colour[c])) for c in colour_list)):
-        yield {leaf: key for c, keys in zip(colour_list, arrangements)
-               for leaf, key in zip(leaves_by_colour[c], keys)}
+    return _fillings(stump, [(c.root, c.key) for c in crown.classes()],
+                     multiset_arrangements)

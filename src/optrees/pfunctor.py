@@ -213,6 +213,11 @@ class EndofunctorSpec:
         if not self.colours:
             raise SpecError("a spec needs at least one colour")
         self.ops = tuple(ops)
+        for what, name in [("colour", c) for c in self.colours] + \
+                [("op", op.name) for op in self.ops]:
+            if not (isinstance(name, str) and name and set(name) <= _IDENT_CHARS):
+                raise SpecError(f"{what} {name!r}: names are nonempty strings of "
+                                "ASCII letters, digits, '-' and '*'")
         self.by_name: dict[str, OpType] = {}
         colour_set = set(self.colours)
         for op in self.ops:

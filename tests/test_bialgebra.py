@@ -15,7 +15,8 @@ from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
                                delta_series, delta_tree, fdb_lhs_coefficient,
                                fdb_rhs_coefficient, flat_cut_summary,
                                format_rational, graft_oracle_agrees, green,
-                               series_mul, series_pow, series_pow_profile,
+                               series_add, series_mul, series_pow,
+                               series_pow_profile,
                                tensor_mul, verify_fdb)
 from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
 from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
@@ -405,6 +406,55 @@ def test_truncated_products_equal_the_filtered_full_products(template, seed):
     product = tensor_mul(ta, tb)
     assert product == TensorSeries(spec, bound, full)
     assert product.coeffs and dropped  # the bound both keeps and drops terms
+
+
+def test_series_mul_stops_at_the_edge_bound_and_drops_by_nodes(exp3):
+    bound = Bound(6, 3)
+    g = green(exp3, bound)
+    a = series_add(g, series_mul(g, g))
+    dropped_by = set()
+    full = {}
+    for (k1, c1), (k2, c2) in itertools.product(a.coeffs.items(), g.coeffs.items()):
+        f = PForest(exp3, tuple(sorted(k1 + k2)))
+        if bound.admits_forest(f):
+            full[f.keys] = full.get(f.keys, 0) + c1 * c2
+        else:
+            dropped_by.add("edges" if f.edge_count() > 6 else "nodes")
+    assert dropped_by == {"edges", "nodes"}
+    assert series_mul(a, g) == Series(exp3, bound, full)
+    assert series_mul(g, a) == Series(exp3, bound, full)
+
+
+@pytest.mark.parametrize("spec, nodes, edges", [
+    (builtin("exp", max_arity=3), 4, 6), (two_colour_spec(), 5, 8)],
+    ids=["exp(3)", "two-colour"])
+def test_profile_powers_give_the_standalone_rhs(monkeypatch, spec, nodes, edges):
+    standalone, calls = bialgebra.fdb_rhs_coefficient, []
+
+    def recorded(spec, crown, stump, powers=None):
+        assert powers is not None
+        value = standalone(spec, crown, stump, powers)
+        calls.append((crown, stump, value))
+        return value
+
+    monkeypatch.setattr(bialgebra, "fdb_rhs_coefficient", recorded)
+    report = verify_fdb(spec, nodes, edges)
+    assert report.passed
+    listed = sum(s.leaf_profile() == f.root_profile() for f, s, _ in calls)
+    assert listed and len(calls) > listed  # listed and sampled pairs
+    for crown, stump, value in calls:
+        assert standalone(spec, crown, stump) == value
+
+
+def test_rhs_rejects_a_power_that_cuts_the_crown(exp3):
+    stump = parse_ptree(exp3, "(n2:__)")
+    crown = PForest.from_keys(exp3, ["(n2:__)", "_"])
+    powers = {(("o", 2),): series_pow_profile(exp3, Bound(3), (("o", 2),))}
+    with pytest.raises(BoundMismatch):
+        fdb_rhs_coefficient(exp3, crown, stump, powers)
+    # 2 orders of the two classes, each weighted 1/2, over |Aut stump| = 2
+    assert fdb_rhs_coefficient(exp3, crown, stump) == Fraction(1, 2)
+    assert fdb_lhs_coefficient(exp3, crown, stump) == Fraction(1, 2)
 
 
 def test_power_profile_matches_plain_power(exp3):

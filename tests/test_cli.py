@@ -74,6 +74,24 @@ def test_symmetry_group_too_large_to_close_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: op 'f': symmetry group has more than")
 
 
+@pytest.mark.parametrize("ops, named", [
+    ([{"name": "a", "out": "o", "in": ["o"]}, {"name": "b", "out": "o", "in": []},
+      {"name": "a:(b)", "out": "o", "in": []}], "op 'a:(b)'"),
+    ([{"name": "a:b", "out": "o", "in": ["o"]}], "op 'a:b'"),
+    ([{"name": "", "out": "o", "in": []}], "op ''"),
+], ids=["key-syntax", "colon", "empty"])
+def test_spec_names_outside_the_key_grammar_exit_2(tmp_path, capsys, ops, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"colours": ["o"], "ops": ops}))
+    for args in (["enumerate", "--max-edges", "2"], ["aut", "--tree", "_"]):
+        assert main([*args, "--spec-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {named}: names are nonempty strings of ASCII letters, "
+            "digits, '-' and '*'"]
+
+
 def test_enumerate_structured(capsys):
     code = main(["enumerate", "--functor", "binary", "--max-edges", "5",
                  "--format", "structured"])

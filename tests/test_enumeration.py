@@ -3,12 +3,17 @@ import math
 
 import pytest
 
-from conftest import all_builtin_specs, cycle_generated_s3_spec
-from optrees.enumeration import (Bound, enumerate_pforests, enumerate_ptrees,
-                                 graft_class_assignments, matchings,
-                                 multiset_arrangements)
-from optrees.pfunctor import (PForest, aut_order, builtin, parse_ptree,
-                              trivial_ptree, validate_ptree)
+from conftest import (all_builtin_specs, cycle_generated_s3_spec,
+                      symmetric_two_colour_spec, two_colour_spec)
+from optrees import pfunctor
+from optrees.bialgebra import green
+from optrees.cli import main
+from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
+                                 enumerate_ptrees, graft_class_assignments,
+                                 matchings, multiset_arrangements)
+from optrees.pfunctor import (EndofunctorSpec, PForest, aut_order, builtin,
+                              intern, parse_ptree, trivial_ptree,
+                              validate_ptree)
 from optrees.trees import validate_tree
 
 
@@ -158,6 +163,63 @@ def test_large_arity_exp_enumerates_without_closing_a_group():
     assert len(trees) == 15_910
     assert sum(aut_order(t) for t in trees) == 445_369
     assert spec._groups == {}
+
+
+# -- class records -------------------------------------------------------------
+
+RECORD_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(),
+                                      cycle_generated_s3_spec()]
+
+
+def fresh(spec):
+    """A copy of the spec with empty class tables."""
+    return EndofunctorSpec(spec.colours, spec.ops, name=spec.name)
+
+
+@pytest.mark.parametrize("template", RECORD_SPECS, ids=lambda s: s.name)
+def test_enumerate_classes_equals_the_interned_trees(template):
+    spec, bound = fresh(template), Bound(6, 4)
+    selectors = [{}] + [{"root_colour": c} for c in spec.colours] + [
+        {"leaf_profile": p}
+        for p in sorted({c.leaf_profile for c in enumerate_classes(spec, bound)})]
+    every = enumerate_ptrees(fresh(template), bound)
+    for selector in selectors:
+        classes = enumerate_classes(spec, bound, **selector)
+        trees = enumerate_ptrees(spec, bound, **selector)
+        assert [intern(t) for t in trees] == classes
+        # the records' invariants are those of the selected trees of a fresh
+        # unfiltered enumeration
+        assert [(c.key, c.aut, c.root, c.leaf_profile, c.edges, c.nodes)
+                for c in classes] == [
+            (t.key(), aut_order(t), t.root_colour, t.leaf_profile(),
+             t.edge_count, t.node_count) for t in every
+            if selector.get("root_colour", t.root_colour) == t.root_colour
+            and selector.get("leaf_profile", t.leaf_profile()) == t.leaf_profile()]
+
+
+@pytest.mark.parametrize("template", RECORD_SPECS, ids=lambda s: s.name)
+def test_enumerated_keys_round_trip(template):
+    spec = fresh(template)
+    classes = enumerate_classes(spec, Bound(7, 4))
+    keys = [c.key for c in classes]
+    assert len(set(keys)) == len(keys)
+    assert [parse_ptree(fresh(template), k).key() for k in keys] == keys
+
+
+def test_enumerate_and_green_build_no_tree(monkeypatch, capsys):
+    built = []
+    real = pfunctor.build_ptree
+    monkeypatch.setattr(pfunctor, "build_ptree",
+                        lambda *args: built.append(args) or real(*args))
+    for command in ("enumerate", "green"):
+        assert main([command, "--functor", "exp", "--max-arity", "3",
+                     "--max-edges", "6", "--format", "structured"]) == 0
+    spec = builtin("exp", max_arity=3)
+    assert green(spec, Bound(6, 3)).coeffs
+    assert enumerate_pforests(spec, Bound(5))
+    assert built == []
+    enumerate_ptrees(spec, Bound(6))  # the count sees trees when they are built
+    assert built
 
 
 # -- forests -------------------------------------------------------------------

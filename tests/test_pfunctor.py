@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -82,6 +83,29 @@ def test_spec_file_roundtrip(tmp_path):
     assert loaded.colours == spec.colours
     assert [(o.name, o.out, o.ins, o.sym_gens) for o in loaded.ops] == \
         [(o.name, o.out, o.ins, o.sym_gens) for o in spec.ops]
+
+
+@pytest.mark.parametrize("colours, ops, named", [
+    (["o"], [OpType("a", "o", ("o",)), OpType("b", "o", ()),
+             OpType("a:(b)", "o", ())], "op 'a:(b)'"),
+    (["o"], [OpType("a:b", "o", ("o",))], "op 'a:b'"),
+    (["o"], [OpType("", "o", ())], "op ''"),
+    (["o"], [OpType("é", "o", ())], "op 'é'"),
+    (["o x"], [], "colour 'o x'"),
+    (["o", ""], [], "colour ''"),
+    (["_"], [], "colour '_'"),
+], ids=["key-syntax", "colon", "empty-op", "non-ascii", "space", "empty-colour",
+        "underscore"])
+def test_names_outside_the_key_grammar_are_rejected(colours, ops, named):
+    with pytest.raises(SpecError, match=re.escape(named)):
+        EndofunctorSpec(colours, ops)
+
+
+def test_every_identifier_character_is_accepted():
+    name = "azAZ09-*"
+    spec = EndofunctorSpec([name], [OpType(name, name, (name,))])
+    t = parse_ptree(spec, f"({name}:_)")
+    assert t.key() == f"({name}:_)" and parse_ptree(spec, t.key()).key() == t.key()
 
 
 # -- decorated validation -----------------------------------------------------
