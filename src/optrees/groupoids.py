@@ -4,9 +4,12 @@ Objects and labelled arrows with source and target are stored
 extensionally; composition is a rule, ``mul(f, g)`` = "f then g", defined
 exactly when ``target(f) == source(g)``; each object names its identity
 arrow.  No table of composites is kept: components, vertex groups and
-cardinality read only the arrows.  Every arrow must be invertible and
-composition associative; ``check`` verifies all of it by calling the rule
-on every composable pair and triple, found through ``composable_pairs``.
+cardinality read only the arrows, and each hom-set is sorted when it is
+first asked for.  Every arrow must be invertible and composition
+associative; ``check`` verifies all of it by calling the rule on every
+composable pair and triple, found through ``composable_pairs``.  A map's
+``check`` calls the domain rule on every composable pair and the codomain
+rule once per distinct pair of images.
 
 Arrow convention of the constructions: ``standard_component``, pullbacks,
 fibres and Grothendieck sums name each arrow by a triple
@@ -14,8 +17,9 @@ fibres and Grothendieck sums name each arrow by a triple
 construction states its arrows, the label of "a1 then a2" and the label of
 an identity once.  A homotopy quotient X//G is the Grothendieck sum of the
 action's family over BG, and ``check_family`` is the one check of a strict
-family, for sums and actions alike.  ``relabel`` maps any groupoid's ids to
-plain integers.
+family, for sums and actions alike.  A sum's rule composes each pair of
+base arrows once, in a table that lives with the total.  ``relabel`` maps
+any groupoid's ids to plain integers.
 
 Cardinality is the sum over components of the inverse vertex-group order,
 an exact rational.  The relative cardinality of a map p: X -> B is the
@@ -118,13 +122,16 @@ class FiniteGroupoid:
         return self.arrows[a][1]
 
     def hom(self, x, y) -> tuple:
+        """Arrows x -> y, sorted by ``repr``; a hom-set is sorted when it is
+        first asked for."""
         index = self._hom
         if not index:
             for a, (s, t) in self.arrows.items():
                 index.setdefault((s, t), []).append(a)
-            for k in index:
-                index[k] = tuple(sorted(index[k], key=repr))
-        return index.get((x, y), ())
+        arrows = index.get((x, y), ())
+        if isinstance(arrows, list):
+            arrows = index[(x, y)] = tuple(sorted(arrows, key=repr))
+        return arrows
 
     def arrows_from(self, x) -> list:
         """Arrows with source x, in the order of ``arrows``."""
@@ -333,15 +340,27 @@ class GroupoidMap:
             if self.arrow_map[e] != self.cod.identities[self.obj_map[x]]:
                 raise GroupoidError("identities not preserved")
         # the pairs of composable_pairs(), in its order, with each arrow's
-        # image looked up once
+        # image looked up once; the domain rule runs on every pair, the
+        # codomain rule once per distinct pair of images, kept under the
+        # images' numbers (small ints hash faster than nested labels)
         amap, dom_mul, cod_mul = self.arrow_map, self.dom.mul, self.cod.mul
+        number: dict = {}
+        images: list = []
         images_from: dict = {}
         for g, (s, _) in self.dom.arrows.items():
-            images_from.setdefault(s, []).append((g, amap[g]))
-        for f, (_, t) in self.dom.arrows.items():
-            image_f = amap[f]
-            for g, image_g in images_from.get(t, ()):
-                if cod_mul(image_f, image_g) != amap[dom_mul(f, g)]:
+            image = amap[g]
+            images.append((image, number.setdefault(image, len(number))))
+            images_from.setdefault(s, []).append((g, *images[-1]))
+        composites: dict = {}
+        for (f, (_, t)), (image_f, i) in zip(self.dom.arrows.items(), images):
+            row = i * len(number)
+            for g, image_g, j in images_from.get(t, ()):
+                k = row + j
+                if k in composites:
+                    fg = composites[k]
+                else:
+                    fg = composites[k] = cod_mul(image_f, image_g)
+                if fg != amap[dom_mul(f, g)]:
                     raise GroupoidError("composition not preserved")
         return self
 
@@ -512,12 +531,21 @@ def homotopy_sum(base: FiniteGroupoid,
     (sigma: b -> b2, phi: sigma.x -> x2 in the fibre over b2).
     """
     check_family(base, fam, arrowact)
+    # per base arrow: the rule of its target fibre and its transport map;
+    # per composable pair of base arrows met so far: their composite and
+    # the second arrow's entry of that table
+    over = {sigma: (fam[t].mul, arrowact[sigma].arrow_map)
+            for sigma, (_, t) in base.arrows.items()}
+    over_pair: dict = {}
 
     def mul(a1, a2):
         (sigma1, phi1), (sigma2, phi2) = a1[2], a2[2]
-        fib = fam[base.arrows[sigma2][1]]
-        return (base.mul(sigma1, sigma2),
-                fib.mul(arrowact[sigma2].arrow_map[phi1], phi2))
+        got = over_pair.get((sigma1, sigma2))
+        if got is None:
+            got = over_pair[(sigma1, sigma2)] = (base.mul(sigma1, sigma2),
+                                                 *over[sigma2])
+        sigma, fib_mul, transport = got
+        return sigma, fib_mul(transport[phi1], phi2)
 
     objects = [(b, x) for b in base.objects for x in fam[b].objects]
     arrows = []
@@ -657,6 +685,10 @@ def groupoid_from_doc(doc: Mapping) -> FiniteGroupoid:
             raise GroupoidError("duplicate compose row")
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidError(f"malformed groupoid document: {exc}") from None
+    known = set(objects)
+    for a, (s, t) in arrows.items():
+        if s not in known or t not in known:
+            raise GroupoidError(f"arrow {a!r} has unknown endpoint")
     g = FiniteGroupoid(objects, arrows, lambda f, h: table[(f, h)], {})
     pairs = set(g.composable_pairs())
     stray = sorted(table.keys() - pairs, key=repr)

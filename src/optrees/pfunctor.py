@@ -834,8 +834,11 @@ class TreeClass:
         for colour, m in itertools.chain.from_iterable(c.leaf_profile for c in children):
             counts[colour] = counts.get(colour, 0) + m
         self.leaf_profile = tuple(sorted(counts.items()))
-        self._tree = trivial_ptree(spec, root) if op is None else None
-        self._cuts = {((key,), key): 1} if op is None else None
+        self._tree = self._cuts = None
+        if op is None:
+            self._tree = trivial_ptree(spec, root)
+            self._tree._key = key
+            self._cuts = {((key,), key): 1}
 
     @property
     def tree(self) -> PTree:

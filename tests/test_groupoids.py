@@ -169,6 +169,56 @@ def test_functor_check_catches_broken_composition():
         squash.check()
 
 
+def _component_into_bg(objects, group, dom_mul=None):
+    # the standard component on the objects, sent to BG by its labels
+    dom = standard_component(objects, group)
+    if dom_mul is not None:
+        dom = FiniteGroupoid(dom.objects, dict(dom.arrows), dom_mul,
+                             dict(dom.identities))
+    bg = one_object(group)
+    return GroupoidMap(dom, bg, {x: "*" for x in dom.objects},
+                       {a: ("g", a[2]) for a in dom.arrows})
+
+
+def test_functor_check_runs_the_domain_rule_on_every_pair():
+    # 243 composable pairs share 9 image pairs; the domain rule is broken
+    # on the last pair only, whose image pair has been met before
+    good = _component_into_bg([0, 1, 2], Group.cyclic(3))
+    pairs = list(good.dom.composable_pairs())
+    last = pairs[-1]
+    assert len(pairs) == 243
+    assert {(good.arrow_map[f], good.arrow_map[g]) for f, g in pairs[:-1]} \
+        == {(good.arrow_map[f], good.arrow_map[g]) for f, g in pairs}
+
+    def broken(f, g):
+        fg = good.dom.mul(f, g)
+        return (fg[0], fg[1], (fg[2] + 1) % 3) if (f, g) == last else fg
+
+    good.check()
+    with pytest.raises(GroupoidError, match="composition not preserved"):
+        _component_into_bg([0, 1, 2], Group.cyclic(3), broken).check()
+
+
+def test_functor_check_calls_the_codomain_rule_once_per_image_pair():
+    # C2 on one object with arrows None and 1, so the rule returns None
+    # on two of the four image pairs
+    seen = []
+
+    def xor(f, g):
+        seen.append((f, g))
+        return 1 if (f is None) != (g is None) else None
+
+    bg = FiniteGroupoid(("*",), {None: ("*", "*"), 1: ("*", "*")}, xor,
+                        {"*": None})
+    dom = standard_component([0, 1, 2], Group.cyclic(2))
+    m = GroupoidMap(dom, bg, {x: "*" for x in dom.objects},
+                    {a: a[2] or None for a in dom.arrows}).check()
+    images = [(m.arrow_map[f], m.arrow_map[g]) for f, g in dom.composable_pairs()]
+    assert len(images) == 108
+    assert seen == list(dict.fromkeys(images))
+    assert len(seen) == 4
+
+
 # -- pullbacks and fibres ---------------------------------------------------------
 
 def test_pullback_of_two_points_into_bg():
@@ -414,6 +464,38 @@ def test_groth_equivalence_randomized():
             assert p.dom.class_of(rt.obj_map[comp[0]]) == comp[0]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_hom_sets_sorted_whatever_the_order_of_queries(seed):
+    rng = random.Random(seed)
+    p = random_map(rng, random_components(rng), random_components(rng)).check()
+    total = groth_equivalence(p)[0]
+    shuffled = list(total.arrows.items())
+    rng.shuffle(shuffled)
+    queries = [(x, y) for x in total.objects for y in total.objects]
+    for g in (total, FiniteGroupoid(total.objects, dict(shuffled), total.mul,
+                                    total.identities)):
+        rng.shuffle(queries)
+        for x, y in queries + queries:
+            assert g.hom(x, y) == tuple(sorted(
+                (a for a, ends in g.arrows.items() if ends == (x, y)), key=repr))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_homotopy_sum_composes_by_base_and_transported_fibre(seed):
+    rng = random.Random(seed)
+    p = random_map(rng, random_components(rng, max_group_order=3),
+                   random_components(rng, max_group_order=3)).check()
+    fibres, _, arrowact = fibre_family(p)
+    base = p.cod
+    total, _ = homotopy_sum(base, fibres, arrowact)
+    for f, g in total.composable_pairs():
+        (sigma1, phi1), (sigma2, phi2) = f[2], g[2]
+        fibre = fibres[base.target(sigma2)]
+        assert total.mul(f, g) == (f[0], g[1], (
+            base.mul(sigma1, sigma2),
+            fibre.mul(arrowact[sigma2].arrow_map[phi1], phi2)))
+
+
 # -- relative cardinality -----------------------------------------------------------
 
 def test_relative_cardinality_of_identity():
@@ -559,6 +641,10 @@ def test_interchange_rejects_bad_docs():
     with pytest.raises(GroupoidError):
         groupoid_from_doc({"objects": [0], "arrows": [
             {"src": 0, "dst": 0, "label": "e"}], "compose": []})
+    # an arrow to an object that is not listed
+    with pytest.raises(GroupoidError, match="arrow 'e' has unknown endpoint"):
+        groupoid_from_doc({"objects": [0], "arrows": [
+            {"src": 0, "dst": 1, "label": "e"}], "compose": []})
 
 
 @pytest.mark.parametrize("doc", [

@@ -12,7 +12,7 @@ from conftest import (all_builtin_specs, cycle_generated_s3_spec,
 from optrees.bialgebra import flat_cut_summary, graft_classes
 from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
 from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
-                              OpType, PForest, SpecError, UnknownBuiltin,
+                              OpType, PForest, PTree, SpecError, UnknownBuiltin,
                               UnknownOp, aut_order, aut_order_forest,
                               automorphisms, build_ptree, builtin,
                               decorate_shape, decorated_automorphism,
@@ -396,6 +396,20 @@ def test_class_interned_once_on_first_sight_of_its_key():
     assert representative(spec, k) is t
     # enumeration keeps the record it finds instead of making a second one
     assert t in enumerate_ptrees(spec, Bound(5))
+
+
+@pytest.mark.parametrize("template", [builtin("exp", max_arity=3), two_colour_spec()],
+                         ids=["one-colour", "two-colour"])
+def test_trivial_record_tree_carries_its_key(template, monkeypatch):
+    spec = EndofunctorSpec(template.colours, template.ops, name=template.name)
+
+    def no_codes(self):
+        raise AssertionError("edge_codes called for a record's tree")
+
+    monkeypatch.setattr(PTree, "edge_codes", no_codes)
+    for c in spec.colours:
+        record = spec.trivial_classes[c]
+        assert record.tree.key() == record.key == spec.trivial_key(c)
 
 
 # -- forests ------------------------------------------------------------------
