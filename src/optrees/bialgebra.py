@@ -557,11 +557,16 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     tasks: list[tuple[PTree, PForest]] = []
     sampled: list[tuple[PTree, PForest]] = []
     per_stump = max(1, SAMPLE // max(len(stumps), 1))
+    # the crowns of each leaf profile that fit in each room, in the order
+    # of ``by_profile``; many stumps share both
+    fitting: dict[tuple[Profile, int], list[PForest]] = {}
     for s in stumps:
         room = max_total_nodes - s.nodes
-        for n, f in by_profile.get(s.leaf_profile, ()):
-            if n <= room:
-                tasks.append((s.tree, f))
+        crowns = fitting.get((s.leaf_profile, room))
+        if crowns is None:
+            crowns = fitting[(s.leaf_profile, room)] = [
+                f for n, f in by_profile.get(s.leaf_profile, ()) if n <= room]
+        tasks.extend((s.tree, f) for f in crowns)
         if len(sampled) < SAMPLE:
             taken = 0
             for other, fs in by_profile.items():

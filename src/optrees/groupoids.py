@@ -5,21 +5,33 @@ extensionally; composition is a rule, ``mul(f, g)`` = "f then g", defined
 exactly when ``target(f) == source(g)``; each object names its identity
 arrow.  No table of composites is kept: components, vertex groups and
 cardinality read only the arrows, and each hom-set is sorted when it is
-first asked for.  Every arrow must be invertible and composition
-associative; ``check`` verifies all of it by calling the rule on every
-composable pair and triple, found through ``composable_pairs``.  A map's
-``check`` calls the domain rule on every composable pair and the codomain
-rule once per distinct pair of images.
+first asked for.
+
+Every groupoid also numbers its arrows 0, 1, ... in ``arrows`` order
+(``numbering()``, built on first use, with endpoints and outgoing arrows as
+numbers) and composes numbers: ``mul_n(i, j)`` is the number of "arrow i
+then arrow j".  A groupoid is given one of the two rules and derives the
+other: a rule on labels gives ``mul_n(i, j) = number[mul(labels[i],
+labels[j])]``; a rule on numbers gives ``mul(f, g) = labels[mul_n(number[f],
+number[g])]``.  Documents, standard components, unions, products, fibres
+and pullbacks state a label rule; Grothendieck sums, quotients and
+``relabel`` copies state a number rule.  The checks call the number rule
+only: ``check`` on every composable pair and triple, and a map's ``check``
+on every composable pair of the domain, and once per distinct pair of
+images in the codomain, comparing images kept as a list of numbers.
 
 Arrow convention of the constructions: ``standard_component``, pullbacks,
 fibres and Grothendieck sums name each arrow by a triple
-``(src, dst, label)``, and ``groupoid_from_labels`` builds all of them.  A
-construction states its arrows, the label of "a1 then a2" and the label of
-an identity once.  A homotopy quotient X//G is the Grothendieck sum of the
-action's family over BG, and ``check_family`` is the one check of a strict
-family, for sums and actions alike.  A sum's rule composes each pair of
-base arrows once, in a table that lives with the total.  ``relabel`` maps
-any groupoid's ids to plain integers.
+``(src, dst, label)``, and ``groupoid_from_labels`` builds the label-rule
+ones.  A homotopy quotient X//G is the Grothendieck sum of the action's
+family over BG, and ``check_family`` is the one check of a strict family,
+for sums and actions alike; it hands the sum each base arrow's transport as
+a list of fibre arrow numbers.  A sum composes on numbers from its
+structure: the base composite, the transported fibre arrow, the fibre
+composite and the composite's number from (source object, base arrow,
+fibre arrow); the total's rule keeps each base composite per pair of base
+arrows and each fibre composite per fibre and pair of fibre arrows.
+``relabel`` maps any groupoid's ids to plain integers.
 
 Cardinality is the sum over components of the inverse vertex-group order,
 an exact rational.  The relative cardinality of a map p: X -> B is the
@@ -103,17 +115,86 @@ class Group:
         return cls(tuple(els), mul, (0, 0))
 
 
+@dataclass(frozen=True)
+class ArrowNumbering:
+    """A groupoid's arrows numbered 0, 1, ... in ``arrows`` order.
+
+    Arrow i is ``labels[i]``; objects are numbered in ``objects`` order
+    (an endpoint outside ``objects`` after them), and each arrow's endpoints
+    and each object's outgoing arrows are kept as numbers.  ``mul_n(i, j)``
+    is the number of "i then j", or None when that is not an arrow.
+    """
+
+    labels: list
+    number: dict  # arrow label -> number
+    object_number: dict  # object -> number
+    source: list  # arrow number -> object number
+    target: list
+    outgoing: list  # object number -> arrow numbers, in ``arrows`` order
+    mul_n: Callable
+
+    @classmethod
+    def build(cls, objects, arrows: dict, mul, mul_n) -> "ArrowNumbering":
+        """Number the arrows; without ``mul_n``, derive it from ``mul``."""
+        labels = list(arrows)
+        number = {a: i for i, a in enumerate(labels)}
+        onum = {x: i for i, x in enumerate(objects)}
+        source, target = [], []
+        for s, t in arrows.values():
+            source.append(onum.setdefault(s, len(onum)))
+            target.append(onum.setdefault(t, len(onum)))
+        outgoing: list = [[] for _ in onum]
+        for i, s in enumerate(source):
+            outgoing[s].append(i)
+        if mul_n is None:
+            find = number.get
+
+            def mul_n(i, j):
+                return find(mul(labels[i], labels[j]))
+        return cls(labels, number, onum, source, target, outgoing, mul_n)
+
+
 @dataclass
 class FiniteGroupoid:
     objects: tuple
     arrows: dict  # label -> (src, dst)
-    mul: Callable  # mul(f, g) is "f then g", for target(f) == source(g)
+    mul: Callable | None  # mul(f, g) is "f then g", for target(f) == source(g)
     identities: dict  # object -> label
+    # the same on arrow numbers; a groupoid is given exactly one of the two
+    # rules, and the other is derived from it
+    rule_n: Callable | None = field(default=None, repr=False)
+    # numbering() -> ArrowNumbering, built on first call
+    numbering: Callable = field(init=False, repr=False, compare=False)
 
     _hom: dict = field(default_factory=dict, repr=False)
     _from: dict = field(default_factory=dict, repr=False)
     _pi0: list | None = field(default=None, repr=False)
     _class_of: dict | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if (self.mul is None) == (self.rule_n is None):
+            raise GroupoidError("a groupoid needs one rule: on labels or on numbers")
+        # closures over the fields, not over the groupoid: a reference cycle
+        # would keep a large total alive until the cyclic collector runs
+        objects, arrows, mul, mul_n = (self.objects, self.arrows, self.mul,
+                                       self.rule_n)
+        built: list = []
+
+        def numbering() -> ArrowNumbering:
+            if not built:
+                built.append(ArrowNumbering.build(objects, arrows, mul, mul_n))
+            return built[0]
+        self.numbering = numbering
+        if mul is None:
+            def label_mul(f, g):
+                n = numbering()
+                k = n.mul_n(n.number[f], n.number[g])
+                return None if k is None else n.labels[k]
+            self.mul = label_mul
+
+    def mul_n(self, i: int, j: int) -> int | None:
+        """The number of "arrow i then arrow j"."""
+        return self.numbering().mul_n(i, j)
 
     def source(self, a) -> ObjId:
         return self.arrows[a][0]
@@ -148,14 +229,19 @@ class FiniteGroupoid:
                 yield f, g
 
     def inverse(self, a):
-        s, t = self.arrows[a]
-        for b in self.hom(t, s):
-            if self.mul(a, b) == self.identities[s]:
-                return b
+        n = self.numbering()
+        i = n.number[a]
+        s, e = n.source[i], n.number[self.identities[self.arrows[a][0]]]
+        for j in n.outgoing[n.target[i]]:
+            if n.target[j] == s and n.mul_n(i, j) == e:
+                return n.labels[j]
         raise GroupoidError(f"arrow {a!r} has no inverse")
 
     # -- validation ---------------------------------------------------------
     def check(self) -> "FiniteGroupoid":
+        """Endpoints, identities, then on arrow numbers: the endpoints of
+        every composite, both unit laws, associativity on every composable
+        triple and an inverse of every arrow."""
         objs = set(self.objects)
         if len(objs) != len(self.objects):
             raise GroupoidError("duplicate object ids")
@@ -167,22 +253,28 @@ class FiniteGroupoid:
         for x, e in self.identities.items():
             if self.arrows.get(e) != (x, x):
                 raise GroupoidError(f"identity of {x!r} is not an endo-arrow")
-        for f, g in self.composable_pairs():
-            if self.arrows.get(self.mul(f, g)) != (self.arrows[f][0],
-                                                   self.arrows[g][1]):
-                raise GroupoidError(
-                    f"composite of ({f!r}, {g!r}) has wrong endpoints")
-        for a, (s, t) in self.arrows.items():
-            if self.mul(self.identities[s], a) != a:
+        n = self.numbering()
+        labels, source, target, outgoing, mul = (
+            n.labels, n.source, n.target, n.outgoing, n.mul_n)
+        unit = [n.number[self.identities[x]] for x in self.objects]
+        for i, t in enumerate(target):
+            for j in outgoing[t]:
+                k = mul(i, j)
+                if k is None or source[k] != source[i] or target[k] != target[j]:
+                    raise GroupoidError(f"composite of ({labels[i]!r}, "
+                                        f"{labels[j]!r}) has wrong endpoints")
+        for i, (s, t) in enumerate(zip(source, target)):
+            if mul(unit[s], i) != i:
                 raise GroupoidError("left identity law fails")
-            if self.mul(a, self.identities[t]) != a:
+            if mul(i, unit[t]) != i:
                 raise GroupoidError("right identity law fails")
-        for f, g in self.composable_pairs():
-            fg = self.mul(f, g)
-            for h in self.arrows_from(self.arrows[g][1]):
-                if self.mul(fg, h) != self.mul(f, self.mul(g, h)):
-                    raise GroupoidError("associativity fails")
-        for a in self.arrows:
+        for i, t in enumerate(target):
+            for j in outgoing[t]:
+                ij = mul(i, j)
+                for h in outgoing[target[j]]:
+                    if mul(ij, h) != mul(i, mul(j, h)):
+                        raise GroupoidError("associativity fails")
+        for a in labels:
             self.inverse(a)  # raises when not invertible
         return self
 
@@ -235,11 +327,13 @@ class FiniteGroupoid:
         omap = {x: i for i, x in enumerate(sorted(self.objects, key=repr))}
         labels = sorted(self.arrows, key=repr)
         amap = {a: i for i, a in enumerate(labels)}
+        # the copy lists its arrows in this groupoid's order, so the two
+        # share arrow numbers and the copy's rule is this one's
         return (FiniteGroupoid(
             tuple(range(len(self.objects))),
             {amap[a]: (omap[s], omap[t]) for a, (s, t) in self.arrows.items()},
-            lambda f, g: amap.get(self.mul(labels[f], labels[g])),
-            {omap[x]: amap[e] for x, e in self.identities.items()}), omap, amap)
+            None, {omap[x]: amap[e] for x, e in self.identities.items()},
+            self.numbering().mul_n), omap, amap)
 
 
 def groupoid_from_labels(objects: Iterable, arrows: Iterable[tuple],
@@ -332,37 +426,42 @@ class GroupoidMap:
         for x, y in self.obj_map.items():
             if y not in cod_objs:
                 raise GroupoidError(f"object {x!r} maps outside the codomain")
-        for a, b in self.arrow_map.items():
-            s, t = self.dom.arrows[a]
-            if self.cod.arrows.get(b) != (self.obj_map[s], self.obj_map[t]):
+        dom, cod = self.dom.numbering(), self.cod.numbering()
+        # the image of every domain object and arrow, as codomain numbers
+        obj_image = [cod.object_number[self.obj_map[x]]
+                     for x in self.dom.objects]
+        image = []
+        for a, s, t in zip(dom.labels, dom.source, dom.target):
+            b = cod.number.get(self.arrow_map[a])
+            if b is None or cod.source[b] != obj_image[s] \
+                    or cod.target[b] != obj_image[t]:
                 raise GroupoidError(f"arrow {a!r} endpoints not preserved")
+            image.append(b)
         for x, e in self.dom.identities.items():
             if self.arrow_map[e] != self.cod.identities[self.obj_map[x]]:
                 raise GroupoidError("identities not preserved")
-        # the pairs of composable_pairs(), in its order, with each arrow's
-        # image looked up once; the domain rule runs on every pair, the
-        # codomain rule once per distinct pair of images, kept under the
-        # images' numbers (small ints hash faster than nested labels)
-        amap, dom_mul, cod_mul = self.arrow_map, self.dom.mul, self.cod.mul
-        number: dict = {}
-        images: list = []
-        images_from: dict = {}
-        for g, (s, _) in self.dom.arrows.items():
-            image = amap[g]
-            images.append((image, number.setdefault(image, len(number))))
-            images_from.setdefault(s, []).append((g, *images[-1]))
+        # the pairs of composable_pairs(), in its order: the domain rule runs
+        # on every pair, the codomain rule once per distinct pair of images
+        dom_mul, cod_mul, outgoing = dom.mul_n, cod.mul_n, dom.outgoing
+        width = len(cod.labels)
         composites: dict = {}
-        for (f, (_, t)), (image_f, i) in zip(self.dom.arrows.items(), images):
-            row = i * len(number)
-            for g, image_g, j in images_from.get(t, ()):
-                k = row + j
-                if k in composites:
-                    fg = composites[k]
-                else:
-                    fg = composites[k] = cod_mul(image_f, image_g)
-                if fg != amap[dom_mul(f, g)]:
-                    raise GroupoidError("composition not preserved")
+        for i, t in enumerate(dom.target):
+            image_i = image[i]
+            row = image_i * width
+            for j in outgoing[t]:
+                image_j = image[j]
+                fg = composites.get(row + image_j, _UNSET)
+                if fg is _UNSET:
+                    fg = composites[row + image_j] = cod_mul(image_i, image_j)
+                k = dom_mul(i, j)
+                if k is None or fg != image[k]:
+                    raise GroupoidError(
+                        "composition not preserved at "
+                        f"({dom.labels[i]!r}, {dom.labels[j]!r})")
         return self
+
+
+_UNSET = object()
 
 
 def identity_map(g: FiniteGroupoid) -> GroupoidMap:
@@ -494,11 +593,15 @@ def homotopy_quotient(action: GroupAction) -> tuple[FiniteGroupoid, GroupoidMap]
 
 
 def check_family(base: FiniteGroupoid, fam: Mapping[ObjId, FiniteGroupoid],
-                 arrowact: Mapping[ArrId, GroupoidMap]) -> None:
+                 arrowact: Mapping[ArrId, GroupoidMap]) -> list[tuple[list, list]]:
     """Raise unless ``fam`` with ``arrowact`` is a strictly functorial
     family over ``base``: a fibre over every object, a map between fibres
     over every arrow, identity functors over identities, and the map over
-    "f then g" equal to the map over f then the map over g."""
+    "f then g" equal to the map over f then the map over g.
+
+    Returns the map over base arrow number s as ``moves[s]``: the images of
+    its source fibre's objects and arrows, as numbers of the target fibre.
+    """
     for b in base.objects:
         if b not in fam:
             raise GroupoidError("family must cover the base objects")
@@ -511,14 +614,23 @@ def check_family(base: FiniteGroupoid, fam: Mapping[ObjId, FiniteGroupoid],
         if m.obj_map != {o: o for o in fam[x].objects} \
                 or m.arrow_map != {a: a for a in fam[x].arrows}:
             raise GroupoidError("identity arrows must act as identity functors")
-    for f, g in base.composable_pairs():
-        mf, mg, mh = arrowact[f], arrowact[g], arrowact[base.mul(f, g)]
-        for o in fam[base.arrows[f][0]].objects:
-            if mg.obj_map[mf.obj_map[o]] != mh.obj_map[o]:
+    moves = []
+    for a, (s, t) in base.arrows.items():
+        m, dst = arrowact[a], fam[t].numbering()
+        moves.append(([dst.object_number[m.obj_map[o]] for o in fam[s].objects],
+                      [dst.number[m.arrow_map[phi]]
+                       for phi in fam[s].numbering().labels]))
+    bn = base.numbering()
+    for f, t in enumerate(bn.target):
+        objects_f, arrows_f = moves[f]
+        for g in bn.outgoing[t]:
+            objects_g, arrows_g = moves[g]
+            objects_h, arrows_h = moves[bn.mul_n(f, g)]
+            if [objects_g[o] for o in objects_f] != objects_h:
                 raise GroupoidError("family is not strictly functorial")
-        for a in fam[base.arrows[f][0]].arrows:
-            if mg.arrow_map[mf.arrow_map[a]] != mh.arrow_map[a]:
+            if [arrows_g[phi] for phi in arrows_f] != arrows_h:
                 raise GroupoidError("family is not strictly functorial on arrows")
+    return moves
 
 
 def homotopy_sum(base: FiniteGroupoid,
@@ -530,33 +642,71 @@ def homotopy_sum(base: FiniteGroupoid,
     Objects are pairs (b, x); an arrow (b, x) -> (b2, x2) is a pair
     (sigma: b -> b2, phi: sigma.x -> x2 in the fibre over b2).
     """
-    check_family(base, fam, arrowact)
-    # per base arrow: the rule of its target fibre and its transport map;
-    # per composable pair of base arrows met so far: their composite and
-    # the second arrow's entry of that table
-    over = {sigma: (fam[t].mul, arrowact[sigma].arrow_map)
-            for sigma, (_, t) in base.arrows.items()}
-    over_pair: dict = {}
-
-    def mul(a1, a2):
-        (sigma1, phi1), (sigma2, phi2) = a1[2], a2[2]
-        got = over_pair.get((sigma1, sigma2))
-        if got is None:
-            got = over_pair[(sigma1, sigma2)] = (base.mul(sigma1, sigma2),
-                                                 *over[sigma2])
-        sigma, fib_mul, transport = got
-        return sigma, fib_mul(transport[phi1], phi2)
+    moves = check_family(base, fam, arrowact)
+    bn = base.numbering()
+    nb, base_mul = len(bn.labels), bn.mul_n
+    # per fibre: its rule on numbers, its products met so far, its arrow
+    # count and each arrow's place among the arrows out of its source;
+    # and its objects in number order
+    fibre_data: dict = {}
+    fibre_ends: dict = {}
+    for fib in fam.values():
+        if id(fib) not in fibre_data:
+            fn = fib.numbering()
+            place = [0] * len(fn.labels)
+            for out in fn.outgoing:
+                for p, k in enumerate(out):
+                    place[k] = p
+            fibre_data[id(fib)] = (fn.mul_n, {}, len(fn.labels), place)
+            fibre_ends[id(fib)] = list(fn.object_number)
+    # per base arrow: the above for its target fibre, with the transport
+    # of the source fibre's arrows
+    over = [(*fibre_data[id(fam[b2])], move[1])
+            for (_, b2), move in zip(base.arrows.values(), moves)]
 
     objects = [(b, x) for b in base.objects for x in fam[b].objects]
-    arrows = []
-    for (b, x) in objects:
-        for sigma in base.arrows_from(b):
+    in_fibre = [y for b in base.objects for y in range(len(fam[b].objects))]
+    # arrow i of the total goes out of object number o, with
+    # row[i] = o * nb, over base arrow over_base[i], and is fibre arrow
+    # fibre_arrow[i]; the arrows out of object o over base arrow s are
+    # numbered from first[o * nb + s], in the order of the fibre's arrows
+    # out of the transported object
+    arrows, first = [], {}
+    row, over_base, fibre_arrow = [], [], []
+    for o, (b, x) in enumerate(objects):
+        o_nb = o * nb
+        for s in bn.outgoing[bn.object_number[b]]:
+            sigma = bn.labels[s]
             tb = base.arrows[sigma][1]
-            for phi in fam[tb].arrows_from(arrowact[sigma].obj_map[x]):
-                arrows.append(((b, x), (tb, fam[tb].target(phi)), (sigma, phi)))
-    total = groupoid_from_labels(
-        objects, arrows, mul,
-        lambda o: (base.identities[o[0]], fam[o[0]].identities[o[1]]))
+            fn, ends = fam[tb].numbering(), fibre_ends[id(fam[tb])]
+            first[o_nb + s] = len(arrows)
+            for p in fn.outgoing[moves[s][0][in_fibre[o]]]:
+                arrows.append(((b, x), (tb, ends[fn.target[p]]),
+                               (sigma, fn.labels[p])))
+                row.append(o_nb)
+                over_base.append(s)
+                fibre_arrow.append(p)
+    base_products: dict = {}
+
+    def mul_n(i, j):
+        s1, s2, p2 = over_base[i], over_base[j], fibre_arrow[j]
+        s = base_products.get(s1 * nb + s2)
+        if s is None:
+            s = base_products[s1 * nb + s2] = base_mul(s1, s2)
+        fib_mul, products, width, place, transport = over[s2]
+        q = transport[fibre_arrow[i]]
+        k = products.get(q * width + p2)
+        if k is None:
+            k = fib_mul(q, p2)
+            if k is None:
+                return None
+            products[q * width + p2] = k
+        return first[row[i] + s] + place[k]
+
+    total = FiniteGroupoid(
+        tuple(objects), {a: (a[0], a[1]) for a in arrows}, None,
+        {o: (o, o, (base.identities[o[0]], fam[o[0]].identities[o[1]]))
+         for o in objects}, mul_n)
     proj = GroupoidMap(total, base, {o: o[0] for o in objects},
                        {a: a[2][0] for a in arrows})
     return total, proj

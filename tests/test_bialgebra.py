@@ -512,6 +512,35 @@ def test_verify_fdb_small_specs():
         assert rep.checked > 0
 
 
+@pytest.mark.parametrize("spec", [builtin("planar", 3), two_colour_spec()],
+                         ids=["planar(3)", "two-colour"])
+def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
+    # the listed pairs, and with them the graft-oracle sample, follow the
+    # stumps in order and each stump's fitting crowns in enumeration order
+    nodes, edges = 4, 6
+    stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, nodes, edges, None)
+    expected = [(s.key, f.keys) for s in stumps
+                for n, f in by_profile.get(s.leaf_profile, ())
+                if n <= nodes - s.nodes]
+    checked, sampled = [], []
+    check, oracle = bialgebra.check_fdb_pair, bialgebra.graft_oracle_agrees
+
+    def recorded_check(spec, crown, stump, powers=None):
+        checked.append((stump.key(), crown.keys))
+        return check(spec, crown, stump, powers)
+
+    def recorded_oracle(stump, crown):
+        sampled.append((stump.key(), crown.keys))
+        return oracle(stump, crown)
+
+    monkeypatch.setattr(bialgebra, "check_fdb_pair", recorded_check)
+    monkeypatch.setattr(bialgebra, "graft_oracle_agrees", recorded_oracle)
+    assert verify_fdb(spec, nodes, edges).passed
+    assert checked[:len(expected)] == expected
+    stride = max(1, -(-len(expected) // bialgebra.SAMPLE))
+    assert sampled == expected[::stride][:bialgebra.SAMPLE]
+
+
 def test_verify_fdb_report_doc():
     rep = verify_fdb(builtin("binary"), max_total_nodes=3, max_edges_side=5)
     doc = rep.as_doc()

@@ -1,9 +1,12 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from optrees import groupoids
 from optrees.groupoid_suite import (GROUP_CATALOG, all_homs, build_groupoid,
                                     coloured_set_groupoid, random_action,
                                     random_components, random_groupoid,
@@ -169,6 +172,18 @@ def test_functor_check_catches_broken_composition():
         squash.check()
 
 
+def test_functor_check_names_the_failing_pair():
+    # images 0, 1, 1: the first pair in order whose composite's image
+    # differs is (1, 1), with 1 then 1 = 2 sent to 1 but 1 then 1 = 2
+    c3 = one_object(Group.cyclic(3))
+    squash = GroupoidMap(c3, c3, {"*": "*"},
+                         {("g", 0): ("g", 0), ("g", 1): ("g", 1),
+                          ("g", 2): ("g", 1)})
+    with pytest.raises(GroupoidError, match=r"^composition not preserved at "
+                       r"\(\('g', 1\), \('g', 1\)\)$"):
+        squash.check()
+
+
 def _component_into_bg(objects, group, dom_mul=None):
     # the standard component on the objects, sent to BG by its labels
     dom = standard_component(objects, group)
@@ -195,8 +210,9 @@ def test_functor_check_runs_the_domain_rule_on_every_pair():
         return (fg[0], fg[1], (fg[2] + 1) % 3) if (f, g) == last else fg
 
     good.check()
-    with pytest.raises(GroupoidError, match="composition not preserved"):
+    with pytest.raises(GroupoidError, match="composition not preserved") as err:
         _component_into_bg([0, 1, 2], Group.cyclic(3), broken).check()
+    assert str(err.value).endswith(f"at ({last[0]!r}, {last[1]!r})")
 
 
 def test_functor_check_calls_the_codomain_rule_once_per_image_pair():
@@ -494,6 +510,183 @@ def test_homotopy_sum_composes_by_base_and_transported_fibre(seed):
         assert total.mul(f, g) == (f[0], g[1], (
             base.mul(sigma1, sigma2),
             fibre.mul(arrowact[sigma2].arrow_map[phi1], phi2)))
+
+
+# -- arrow numbers -----------------------------------------------------------------
+
+def _family_rule(base, fam, act):
+    # "f then g" of a Grothendieck sum, from the base and fibre label rules
+    def mul(f, g):
+        (sigma1, phi1), (sigma2, phi2) = f[2], g[2]
+        return (f[0], g[1], (base.mul(sigma1, sigma2),
+                             fam[base.target(sigma2)].mul(
+                                 act[sigma2].arrow_map[phi1], phi2)))
+    return mul
+
+
+def _random_map(seed):
+    rng = random.Random(seed)
+    return random_map(rng, random_components(rng, max_group_order=3),
+                      random_components(rng, max_group_order=3)).check()
+
+
+def _fibre_sum(seed):
+    p = _random_map(seed)
+    fibres, _, act = fibre_family(p)
+    return homotopy_sum(p.cod, fibres, act)[0], _family_rule(p.cod, fibres, act)
+
+
+def _random_quotient(seed):
+    action = random_action(random.Random(seed)).check()
+    return homotopy_quotient(action)[0], _family_rule(*action.family())
+
+
+def _relabelled(build):
+    def relabelled():
+        g, rule = build()
+        rule = rule or g.mul
+        copy, _, amap = g.relabel()
+        back = {i: a for a, i in amap.items()}
+        return copy, lambda f, h: amap[rule(back[f], back[h])]
+    return relabelled
+
+
+def _from_doc():
+    doc = groupoid_to_doc(_swap_quotient().relabel()[0])
+    table = {(f, h): k for f, h, k in doc["compose"]}
+    return groupoid_from_doc(doc), lambda f, h: table[(f, h)]
+
+
+def _own_rule(build):
+    return lambda: (build(), None)
+
+
+@pytest.mark.parametrize("build", [
+    _own_rule(lambda: discrete([0, 1, 2])),
+    _own_rule(lambda: one_object(Group.symmetric(3))),
+    _own_rule(lambda: standard_component([0, 1], Group.klein())),
+    _own_rule(lambda: disjoint_union_groupoids([
+        one_object(Group.cyclic(2)), standard_component([0, 1], Group.cyclic(3))])),
+    _own_rule(lambda: product_groupoid(one_object(Group.cyclic(2)),
+                                       standard_component([0, 1], Group.cyclic(2)))),
+    _own_rule(lambda: (lambda p: homotopy_fiber(p, p.cod.objects[0])[0])(
+        _random_map(1))),
+    _own_rule(lambda: (lambda p: homotopy_pullback(p, p)[0])(_random_map(2))),
+    _own_rule(lambda: _loop_pullback()),
+    lambda: _fibre_sum(0),
+    lambda: _fibre_sum(3),
+    lambda: _random_quotient(3),
+    lambda: _random_quotient(11),
+    _from_doc,
+    _relabelled(_own_rule(lambda: product_groupoid(
+        one_object(Group.cyclic(3)), standard_component([0, 1], Group.cyclic(2))))),
+    _relabelled(lambda: _fibre_sum(2)),
+], ids=["discrete", "one-object", "standard-component", "disjoint-union",
+        "product", "fibre", "pullback", "loop-pullback", "sum-0", "sum-3",
+        "quotient-3", "quotient-11", "from-doc", "relabel", "relabel-sum"])
+def test_numbers_and_labels_agree(build):
+    # the number rule and the label rule name the same composite on every
+    # composable pair, and a sum composes as its base and fibres say
+    g, expected = build()
+    n = g.numbering()
+    assert n.labels == list(g.arrows)
+    assert n.number == {a: i for i, a in enumerate(g.arrows)}
+    pairs = list(g.composable_pairs())
+    assert pairs
+    for f, h in pairs:
+        fh = g.mul(f, h)
+        assert n.labels[g.mul_n(n.number[f], n.number[h])] == fh
+        if expected is not None:
+            assert fh == expected(f, h)
+    g.check()
+
+
+def test_a_groupoid_has_exactly_one_rule():
+    c2 = one_object(Group.cyclic(2))
+    with pytest.raises(GroupoidError, match="one rule"):
+        FiniteGroupoid(c2.objects, dict(c2.arrows), None, dict(c2.identities))
+    with pytest.raises(GroupoidError, match="one rule"):
+        FiniteGroupoid(c2.objects, dict(c2.arrows), c2.mul, dict(c2.identities),
+                       c2.numbering().mul_n)
+
+
+def test_sum_with_a_corrupted_transport_fails_the_map_check(monkeypatch):
+    # BK -> BC2 by the first coordinate of the Klein group: each hom-set of
+    # the fibre has two arrows, so one transported arrow can be swapped for
+    # the other one with the same endpoints
+    klein = Group.klein()
+    p = GroupoidMap(one_object(klein), one_object(Group.cyclic(2)), {"*": "*"},
+                    {("g", k): ("g", k[0]) for k in klein.elements}).check()
+    _, fw, bw = groth_equivalence(p)
+    fw.check(), bw.check()
+    honest = groupoids.check_family
+
+    def corrupted(base, fam, arrowact):
+        moves = honest(base, fam, arrowact)
+        fibre = fam["*"].numbering()
+        transport = moves[base.numbering().number[("g", 1)]][1]
+        moved = fibre.labels[transport[0]]
+        twin = next(a for a in fam["*"].hom(*fam["*"].arrows[moved])
+                    if a != moved)
+        transport[0] = fibre.number[twin]
+        return moves
+
+    monkeypatch.setattr(groupoids, "check_family", corrupted)
+    _, fw, _ = groth_equivalence(p)
+    with pytest.raises(GroupoidError, match="composition not preserved at"):
+        fw.check()
+
+
+def test_fibres_with_equal_arrow_numbers_share_no_product():
+    # C4 and the Klein group both number their arrows 0..3, but 1 then 1 is
+    # 2 in C4 and 0 in the Klein group
+    c4, klein = one_object(Group.cyclic(4)), one_object(Group.klein())
+    base = discrete([0, 1])
+    fam = {0: c4, 1: klein}
+    act = {("id", 0): identity_map(c4), ("id", 1): identity_map(klein)}
+    assert c4.mul_n(1, 1) == 2 and klein.mul_n(1, 1) == 0
+    total, _ = homotopy_sum(base, fam, act)
+    rule = _family_rule(base, fam, act)
+    for f, h in list(total.composable_pairs()) * 2:
+        assert total.mul(f, h) == rule(f, h)
+    total.check()
+
+
+def _counting(g, calls):
+    def mul(f, h):
+        calls.append((f, h))
+        return g.mul(f, h)
+    return FiniteGroupoid(g.objects, dict(g.arrows), mul, dict(g.identities))
+
+
+def test_a_sum_calls_each_fibre_rule_once_per_number_pair():
+    # C2 acting trivially on a component with group C3: every pair of fibre
+    # arrows comes back under each of the four pairs of base arrows
+    calls: list = []
+    fibre = _counting(standard_component([0, 1], Group.cyclic(3)), calls)
+    base = one_object(Group.cyclic(2))
+    act = {a: identity_map(fibre) for a in base.arrows}
+    total, proj = homotopy_sum(base, {"*": fibre}, act)
+    total.check()
+    proj.check()
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(fibre.composable_pairs())
+
+
+def test_a_total_is_freed_without_the_cycle_collector():
+    # a total's rules hold its pieces, not the total itself
+    p = _random_map(0)
+    gc.disable()
+    try:
+        total, fw, bw = groth_equivalence(p)
+        fw.check(), bw.check()
+        total.mul(*next(total.composable_pairs()))
+        ref = weakref.ref(total)
+        del total, fw, bw
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- relative cardinality -----------------------------------------------------------
