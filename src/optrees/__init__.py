@@ -4,23 +4,21 @@ and a finite groupoid calculus."""
 from .trees import (Cut, CycleDetected, DiagramError, ForestDiagram,
                     GrammarError, MatchingNotBijective, MultipleRoots,
                     NoRoot, NonInjectiveS, NonInjectiveT, TreeDiagram,
-                    edge_count, enumerate_cuts, graft, ideal_subtree, leaves,
-                    nodes, parse_forest, parse_tree, print_forest, print_tree,
-                    prune, roots, trivial_tree, validate_forest, validate_tree)
+                    enumerate_cuts, graft, ideal_subtree, parse_forest,
+                    parse_tree, print_forest, print_tree, prune, trivial_tree,
+                    validate_forest, validate_tree)
 from .pfunctor import (ArityMismatch, BUILTIN_NAMES, ColourMismatch,
                        EndofunctorSpec, OpType, PForest, PTree, SpecError,
                        UnknownBuiltin, UnknownOp, aut_order, aut_order_forest,
-                       automorphisms, builtin, forest_mul,
-                       graft_decorated, isomorphic, isomorphisms_brute,
-                       leaf_profile, load_spec, parse_pforest, parse_ptree,
-                       print_ptree, prune_decorated, representative,
-                       root_colour, save_spec, trivial_ptree, validate_ptree)
+                       automorphisms, builtin, forest_mul, graft_decorated,
+                       isomorphisms_brute, load_spec, parse_pforest,
+                       parse_ptree, prune_decorated, representative, save_spec,
+                       trivial_ptree, validate_ptree)
 from .enumeration import (Bound, enumerate_classes, enumerate_pforests,
                           enumerate_ptrees, matchings)
 from .bialgebra import (FdbReport, Series, TensorSeries, counit, delta_monomial,
                         delta_series, delta_tree, fdb_lhs_coefficient,
-                        fdb_rhs_coefficient, green, series_mul, series_pow,
-                        series_pow_profile, verify_fdb)
+                        fdb_rhs_coefficient, green, series_mul, verify_fdb)
 from .classical import (ClassicalReport, NullaryOpsPresent, PhiReport,
                         classical_verify, delta_generator, phi,
                         set_partitions, surjection_delta,

@@ -103,9 +103,6 @@ class Series:
     def coefficient(self, key: ForestKey) -> Fraction:
         return self.coeffs.get(tuple(key), ZERO)
 
-    def support(self) -> list[ForestKey]:
-        return sorted(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -135,9 +132,6 @@ class TensorSeries:
 
     def coefficient(self, left: ForestKey, right: ForestKey) -> Fraction:
         return self.coeffs.get((tuple(left), tuple(right)), ZERO)
-
-    def support(self) -> list[tuple[ForestKey, ForestKey]]:
-        return sorted(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, TensorSeries):
@@ -242,14 +236,10 @@ def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     return TensorSeries(spec, a.bound, out)
 
 
-def delta_monomial(spec: EndofunctorSpec, forest: PForest | ForestKey,
-                   bound: Bound | None = None) -> TensorSeries:
+def delta_monomial(spec: EndofunctorSpec, key: ForestKey, bound: Bound) -> TensorSeries:
     """Coproduct of a forest monomial: product of the tree coproducts."""
-    keys = forest.keys if isinstance(forest, PForest) else tuple(forest)
-    if bound is None:
-        bound = Bound(max(PForest(spec, keys).edge_count(), 1))
     acc = TensorSeries(spec, bound, {(EMPTY_FOREST_KEY, EMPTY_FOREST_KEY): ONE})
-    for k in keys:
+    for k in key:
         acc = tensor_mul(acc, delta_tree(representative(spec, k), bound))
     return acc
 
@@ -265,7 +255,7 @@ def delta_series(s: Series) -> TensorSeries:
     return out
 
 
-def counit_key(spec: EndofunctorSpec, key: ForestKey) -> Fraction:
+def counit(spec: EndofunctorSpec, key: ForestKey) -> Fraction:
     """1 when every tree in the monomial is trivial, else 0."""
     for k in key:
         if tree_class(spec, k).nodes != 0:
@@ -273,16 +263,11 @@ def counit_key(spec: EndofunctorSpec, key: ForestKey) -> Fraction:
     return ONE
 
 
-def counit(spec: EndofunctorSpec, forest: PForest | ForestKey) -> Fraction:
-    keys = forest.keys if isinstance(forest, PForest) else tuple(forest)
-    return counit_key(spec, keys)
-
-
 def counit_left(ts: TensorSeries) -> Series:
     """(counit ⊗ id) applied to a tensor series."""
     out: dict[ForestKey, Fraction] = {}
     for (left, right), c in ts.coeffs.items():
-        if counit_key(ts.spec, left):
+        if counit(ts.spec, left):
             out[right] = out.get(right, ZERO) + c
     return Series(ts.spec, ts.bound, out)
 
@@ -291,7 +276,7 @@ def counit_right(ts: TensorSeries) -> Series:
     """(id ⊗ counit) applied to a tensor series."""
     out: dict[ForestKey, Fraction] = {}
     for (left, right), c in ts.coeffs.items():
-        if counit_key(ts.spec, right):
+        if counit(ts.spec, right):
             out[left] = out.get(left, ZERO) + c
     return Series(ts.spec, ts.bound, out)
 
@@ -343,10 +328,6 @@ def series_powers(a: Series, n: int) -> list[Series]:
     return out
 
 
-def series_pow(a: Series, n: int) -> Series:
-    return series_powers(a, n)[-1]
-
-
 def series_scale(a: Series, c: Fraction) -> Series:
     return Series(a.spec, a.bound, {k: c * v for k, v in a.coeffs.items()})
 
@@ -372,26 +353,18 @@ def profile_powers(spec: EndofunctorSpec, bound: Bound,
                                 series_one(spec, bound)) for p in profiles}
 
 
-def series_pow_profile(spec: EndofunctorSpec, bound: Bound, profile: Profile) -> Series:
-    """Product over colours of the root-coloured Green function powers."""
-    return profile_powers(spec, bound, [profile])[profile]
-
-
 # ---------------------------------------------------------------------------
 # the coefficient identity, two ways
 
 
-def fdb_rhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree,
-                        powers: Mapping[Profile, Series] | None = None) -> Fraction:
+def fdb_rhs_coefficient(crown: PForest, stump: PTree,
+                        powers: Mapping[Profile, Series]) -> Fraction:
     """Coefficient of crown in the leaf-profile power of Green functions,
     divided by the stump's automorphism order.  ``powers`` maps leaf
     profiles to their ``profile_powers`` under one bound, which must admit
     the crown (sizes only add, so any such bound gives the same
-    coefficient); without it, the power is built under the crown's sizes."""
+    coefficient)."""
     s = intern(stump)
-    if powers is None:
-        bound = Bound(max(crown.edge_count(), 1), crown.node_count())
-        powers = profile_powers(spec, bound, [s.leaf_profile])
     power = powers[s.leaf_profile]
     if not power.bound.admits_forest(crown):
         raise BoundMismatch(f"crown {crown} exceeds the power's bound {power.bound}")
@@ -405,7 +378,7 @@ def graft_record(stump: PTree, assignment: Mapping[int, str]) -> TreeClass:
                                  for leaf, key in assignment.items()})
 
 
-def graft_classes(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> list[TreeClass]:
+def graft_classes(crown: PForest, stump: PTree) -> list[TreeClass]:
     """Records of all tree classes obtained by grafting crown onto stump
     along some matching, once each, in the order first reached."""
     out: dict[str, TreeClass] = {}
@@ -415,10 +388,10 @@ def graft_classes(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> list[T
     return list(out.values())
 
 
-def fdb_lhs_coefficient(spec: EndofunctorSpec, crown: PForest, stump: PTree) -> Fraction:
+def fdb_lhs_coefficient(crown: PForest, stump: PTree) -> Fraction:
     """Sum over graft classes T of (#cuts of T pruning to the pair)/|Aut T|."""
     target = (crown.keys, stump.key())
-    return sum((Fraction(m, c.aut) for c in graft_classes(spec, crown, stump)
+    return sum((Fraction(m, c.aut) for c in graft_classes(crown, stump)
                 if (m := c.cuts.get(target))), ZERO)
 
 
@@ -512,10 +485,10 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
     return stumps, by_profile, total_pairs
 
 
-def check_fdb_pair(spec: EndofunctorSpec, crown: PForest, stump: PTree,
-                   powers: Mapping[Profile, Series] | None = None) -> PairCheck:
-    lhs = fdb_lhs_coefficient(spec, crown, stump)
-    rhs = fdb_rhs_coefficient(spec, crown, stump, powers)
+def check_fdb_pair(crown: PForest, stump: PTree,
+                   powers: Mapping[Profile, Series]) -> PairCheck:
+    lhs = fdb_lhs_coefficient(crown, stump)
+    rhs = fdb_rhs_coefficient(crown, stump, powers)
     return PairCheck(crown.keys, stump.key(), lhs, rhs)
 
 
@@ -580,14 +553,14 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
 
     powers = profile_powers(spec, Bound(max_edges_side, max_total_nodes),
                             {s.leaf_profile for s in stumps})
-    results = [check_fdb_pair(spec, f, s, powers) for s, f in tasks]
+    results = [check_fdb_pair(f, s, powers) for s, f in tasks]
 
     results.sort(key=lambda p: (p.stump, p.crown))
     failed = sum(1 for p in results if not p.passed)
 
     # spot-check that sampled profile-mismatched pairs really vanish
     for s, f in sampled:
-        chk = check_fdb_pair(spec, f, s, powers)
+        chk = check_fdb_pair(f, s, powers)
         if chk.lhs or chk.rhs or not chk.passed:
             failed += 1
             results.append(chk)

@@ -47,7 +47,7 @@ def _spec_from_args(args) -> EndofunctorSpec:
 
 
 def _parse_profile(text: str, spec: EndofunctorSpec) -> tuple[tuple[str, int], ...]:
-    out = []
+    out: dict[str, int] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -57,12 +57,14 @@ def _parse_profile(text: str, spec: EndofunctorSpec) -> tuple[tuple[str, int], .
         colour, _, count = part.partition(":")
         colour = colour.strip()
         _check_colour(spec, colour)
+        if colour in out:
+            raise UsageError(f"colour {colour!r} named twice in leaf profile")
         try:
             n = int(count)
         except ValueError:
             raise UsageError(f"bad count in profile entry {part!r}") from None
-        out.append((colour, _at_least(n, 0, f"count in profile entry {part!r}")))
-    return tuple(sorted(out))
+        out[colour] = _at_least(n, 0, f"count in profile entry {part!r}")
+    return tuple(sorted(out.items()))
 
 
 def _at_least(value: int, least: int, what: str) -> int:
@@ -92,7 +94,7 @@ def cmd_enumerate(args) -> int:
     spec = _spec_from_args(args)
     bound = Bound(args.max_edges, args.max_nodes)
     profile = _parse_profile(args.leaf_profile, spec) if args.leaf_profile else None
-    if args.root_colour:
+    if args.root_colour is not None:
         _check_colour(spec, args.root_colour)
     classes = enumerate_classes(spec, bound, root_colour=args.root_colour,
                                 leaf_profile=profile)
@@ -143,7 +145,7 @@ def cmd_green(args) -> int:
     spec = _spec_from_args(args)
     bound = Bound(args.max_edges, args.max_nodes)
     profile = _parse_profile(args.leaf_profile, spec) if args.leaf_profile else None
-    if args.root_colour:
+    if args.root_colour is not None:
         _check_colour(spec, args.root_colour)
     series = green(spec, bound, root_colour=args.root_colour,
                    leaf_profile=profile)
@@ -180,7 +182,7 @@ def cmd_groupoid(args) -> int:
 
 def cmd_verify_fdb(args) -> int:
     spec = _spec_from_args(args)
-    if args.rooted:
+    if args.rooted is not None:
         _check_colour(spec, args.rooted)
     report = verify_fdb(spec, max_total_nodes=args.max_nodes,
                         max_edges_side=args.max_edges, rooted=args.rooted)

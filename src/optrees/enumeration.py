@@ -132,48 +132,28 @@ def enumerate_classes(spec: EndofunctorSpec, bound: Bound, root_colour: str | No
     return out
 
 
-def enumerate_ptrees(spec: EndofunctorSpec, bound: Bound, root_colour: str | None = None,
-                     leaf_profile: Profile | None = None) -> list[PTree]:
+def enumerate_ptrees(spec: EndofunctorSpec, bound: Bound) -> list[PTree]:
     """One representative per tree class within the bound, sorted by key."""
-    return [c.tree for c in enumerate_classes(spec, bound, root_colour, leaf_profile)]
+    return [c.tree for c in enumerate_classes(spec, bound)]
 
 
-def enumerate_pforests(spec: EndofunctorSpec, bound: Bound,
-                       root_profile: Profile | None = None) -> list[PForest]:
-    """All multisets of tree classes within the total bound, sorted by key.
-
-    With ``root_profile`` given, only forests whose component root colours
-    realise exactly that profile are returned (the empty profile gives the
-    empty forest alone).
-    """
-    classes = sorted((c.edges, c.nodes, c.root, c.key)
-                     for c in enumerate_classes(spec, bound))
-    want: dict[str, int] | None = None
-    if root_profile is not None:
-        want = {c: m for c, m in root_profile if m}
-
+def enumerate_pforests(spec: EndofunctorSpec, bound: Bound) -> list[PForest]:
+    """All multisets of tree classes within the total bound, sorted by key."""
+    classes = sorted((c.edges, c.nodes, c.key) for c in enumerate_classes(spec, bound))
     out: list[ForestKey] = []
     chosen: list[str] = []
-    counts: dict[str, int] = {}
 
     def rec(start: int, edges_left: int, nodes_left: int | None):
-        if want is None or counts == want:
-            out.append(tuple(sorted(chosen)))
+        out.append(tuple(sorted(chosen)))
         for i in range(start, len(classes)):
-            e, n, c, key = classes[i]
+            e, n, key = classes[i]
             if e > edges_left:
                 break
             if nodes_left is not None and n > nodes_left:
                 continue
-            if want is not None and counts.get(c, 0) >= want.get(c, 0):
-                continue
             chosen.append(key)
-            counts[c] = counts.get(c, 0) + 1
             rec(i, edges_left - e,
                 None if nodes_left is None else nodes_left - n)
-            counts[c] -= 1
-            if not counts[c]:
-                del counts[c]
             chosen.pop()
 
     # classes come in edge order and indices never decrease, so every

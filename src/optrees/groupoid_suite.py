@@ -158,8 +158,7 @@ def random_action(rng: random.Random) -> GroupAction:
     return GroupAction(group, space, obj_act, arrow_act)
 
 
-def coloured_set_groupoid(colours: tuple[str, ...],
-                          profile: dict[str, int]) -> FiniteGroupoid:
+def coloured_set_groupoid(profile: dict[str, int]) -> FiniteGroupoid:
     """Colourings of a finite set with a given colour profile; arrows are
     colour-preserving bijections."""
     m = sum(profile.values())
@@ -312,7 +311,7 @@ def law_family_aut(rng) -> bool:
         budget -= n
     if not profile:
         profile = {colours[0]: 1}
-    g = coloured_set_groupoid(colours, profile)
+    g = coloured_set_groupoid(profile)
     expected = 1
     for n in profile.values():
         for i in range(2, n + 1):

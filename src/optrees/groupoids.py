@@ -359,10 +359,11 @@ def discrete(objects: Iterable) -> FiniteGroupoid:
                           lambda f, g: f, {x: ("id", x) for x in objects})
 
 
-def one_object(group: Group, obj="*") -> FiniteGroupoid:
-    return FiniteGroupoid((obj,), {("g", g): (obj, obj) for g in group.elements},
+def one_object(group: Group) -> FiniteGroupoid:
+    """BG: the one object ``"*"``, with an arrow ``("g", g)`` per element."""
+    return FiniteGroupoid(("*",), {("g", g): ("*", "*") for g in group.elements},
                           lambda f, g: ("g", group.mul[(f[1], g[1])]),
-                          {obj: ("g", group.identity)})
+                          {"*": ("g", group.identity)})
 
 
 def standard_component(objects: Sequence, group: Group) -> FiniteGroupoid:
@@ -484,11 +485,9 @@ def constant_map(dom: FiniteGroupoid, cod: FiniteGroupoid, obj) -> GroupoidMap:
                        {a: e for a in dom.arrows})
 
 
-def name_map(g: FiniteGroupoid, obj, point: FiniteGroupoid | None = None) -> GroupoidMap:
+def name_map(g: FiniteGroupoid, obj) -> GroupoidMap:
     """The inclusion of a point hitting ``obj``."""
-    pt = point if point is not None else terminal()
-    return GroupoidMap(pt, g, {x: obj for x in pt.objects},
-                       {a: g.identities[obj] for a in pt.arrows})
+    return constant_map(terminal(), g, obj)
 
 
 # ---------------------------------------------------------------------------

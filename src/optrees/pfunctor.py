@@ -377,7 +377,7 @@ def builtin(name: str, max_arity: int | None = None) -> EndofunctorSpec:
     binary op), ``identity`` (one unary op), ``constant`` (one nullary op),
     ``trivial`` (no ops), ``effective`` (exp without the nullary op) and
     ``stable`` (exp without nullary and unary ops).  Arity-unbounded
-    families require ``max_arity``.
+    families require ``max_arity``; the others refuse it.
     """
     if name not in BUILTIN_NAMES:
         raise UnknownBuiltin(f"unknown builtin spec {name!r}")
@@ -386,6 +386,8 @@ def builtin(name: str, max_arity: int | None = None) -> EndofunctorSpec:
             raise SpecError(f"builtin {name!r} requires max_arity")
         if max_arity < 0:
             raise SpecError("max_arity must be nonnegative")
+    elif max_arity is not None:
+        raise SpecError(f"builtin {name!r} has fixed arities and takes no max_arity")
     c = "o"
     label = name if max_arity is None else f"{name}({max_arity})"
 
@@ -491,18 +493,6 @@ class PTree:
 
     def __repr__(self):
         return f"PTree({self.key()!r})"
-
-
-def isomorphic(t1: PTree, t2: PTree) -> bool:
-    return t1.key() == t2.key()
-
-
-def root_colour(t: PTree) -> str:
-    return t.root_colour
-
-
-def leaf_profile(t: PTree) -> tuple[tuple[str, int], ...]:
-    return t.leaf_profile()
 
 
 def validate_ptree(spec: EndofunctorSpec, shape: TreeDiagram,
@@ -755,11 +745,6 @@ def parse_ptree(spec: EndofunctorSpec, text: str) -> PTree:
     if sc.peek() is not None:
         raise sc.error("trailing input after tree")
     return t
-
-
-def print_ptree(t: PTree) -> str:
-    """Canonical string of a decorated tree (same as its key)."""
-    return t.key()
 
 
 def decorate_shape(spec: EndofunctorSpec, shape: TreeDiagram) -> PTree:

@@ -255,22 +255,6 @@ def empty_forest() -> ForestDiagram:
     return ForestDiagram((), {}, {})
 
 
-def leaves(d: ForestDiagram) -> tuple[int, ...]:
-    return d.leaves
-
-
-def roots(d: ForestDiagram) -> tuple[int, ...]:
-    return d.roots
-
-
-def nodes(d: ForestDiagram) -> tuple[int, ...]:
-    return d.node_ids
-
-
-def edge_count(d: ForestDiagram) -> int:
-    return d.edge_count
-
-
 # ---------------------------------------------------------------------------
 # cuts, pruning, grafting
 

@@ -17,8 +17,9 @@ from optrees.bialgebra import (Bound, delta_monomial, delta_tree, green,
                                verify_fdb)
 from optrees.classical import (classical_verify, set_partitions,
                                type_count_closed_form, verify_phi)
-from optrees.enumeration import (enumerate_pforests, enumerate_ptrees,
-                                 instantiate_forest, matchings)
+from optrees.enumeration import (enumerate_classes, enumerate_pforests,
+                                 enumerate_ptrees, instantiate_forest,
+                                 matchings)
 from optrees.groupoid_suite import run_suite
 from optrees.pfunctor import (aut_order, automorphisms, builtin,
                               decorated_automorphism, graft_decorated,
@@ -246,8 +247,8 @@ def test_criterion_8_automorphism_oracle():
             assert aut_order(t) == flat_automorphism_count(t), t.key()
             checked += 1
     assert checked > 500
-    catalan = [len(enumerate_ptrees(builtin("binary"), Bound(9),
-                                    leaf_profile=(("o", n),)))
+    catalan = [len(enumerate_classes(builtin("binary"), Bound(9),
+                                     leaf_profile=(("o", n),)))
                for n in range(1, 6)]
     assert catalan == [1, 1, 2, 5, 14]
     report(8, f"automorphism oracle, {checked} trees, Catalan counts")

@@ -15,10 +15,10 @@ from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
                                delta_series, delta_tree, fdb_lhs_coefficient,
                                fdb_rhs_coefficient, flat_cut_summary,
                                format_rational, graft_oracle_agrees, green,
-                               series_add, series_mul, series_pow,
-                               series_pow_profile,
-                               tensor_mul, verify_fdb)
-from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
+                               profile_powers, series_add, series_mul,
+                               series_powers, tensor_mul, verify_fdb)
+from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
+                                 enumerate_ptrees)
 from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
                               TreeClass, aut_order, automorphisms, builtin,
                               parse_ptree, prune_decorated, representative,
@@ -30,6 +30,14 @@ EMPTY = EMPTY_FOREST_KEY
 
 def key1(t):
     return (t.key(),)
+
+
+def standalone_rhs(crown, stump):
+    """The RHS read from a leaf-profile power built under the crown's sizes."""
+    bound = Bound(max(crown.edge_count(), 1), crown.node_count())
+    profile = stump.leaf_profile()
+    return fdb_rhs_coefficient(crown, stump,
+                               profile_powers(stump.spec, bound, [profile]))
 
 
 # -- coproduct examples -------------------------------------------------------
@@ -69,7 +77,7 @@ def test_injections_coproduct():
 
 
 def test_delta_monomial_unit(exp3):
-    ts = delta_monomial(exp3, ())
+    ts = delta_monomial(exp3, (), Bound(1))
     assert ts.coeffs == {(EMPTY, EMPTY): 1}
     assert counit(exp3, ()) == 1
 
@@ -328,14 +336,14 @@ def test_green_root_selector(two_colour):
 
 def test_series_pow_zero_is_unit(exp3):
     g = green(exp3, Bound(4))
-    assert series_pow(g, 0).coeffs == {EMPTY: 1}
+    assert series_powers(g, 0)[0].coeffs == {EMPTY: 1}
 
 
 def test_injections_g1_coefficient():
     spec = builtin("constant")
     g = green(spec, Bound(4))
     x = trivial_ptree(spec)
-    assert series_pow(g, 1).coeffs[key1(x)] == 1
+    assert series_powers(g, 1)[1].coeffs[key1(x)] == 1
 
 
 def test_exp_square_cherry_coefficient(exp3):
@@ -431,9 +439,8 @@ def test_series_mul_stops_at_the_edge_bound_and_drops_by_nodes(exp3):
 def test_profile_powers_give_the_standalone_rhs(monkeypatch, spec, nodes, edges):
     standalone, calls = bialgebra.fdb_rhs_coefficient, []
 
-    def recorded(spec, crown, stump, powers=None):
-        assert powers is not None
-        value = standalone(spec, crown, stump, powers)
+    def recorded(crown, stump, powers):
+        value = standalone(crown, stump, powers)
         calls.append((crown, stump, value))
         return value
 
@@ -443,26 +450,26 @@ def test_profile_powers_give_the_standalone_rhs(monkeypatch, spec, nodes, edges)
     listed = sum(s.leaf_profile() == f.root_profile() for f, s, _ in calls)
     assert listed and len(calls) > listed  # listed and sampled pairs
     for crown, stump, value in calls:
-        assert standalone(spec, crown, stump) == value
+        assert standalone_rhs(crown, stump) == value
 
 
 def test_rhs_rejects_a_power_that_cuts_the_crown(exp3):
     stump = parse_ptree(exp3, "(n2:__)")
     crown = PForest.from_keys(exp3, ["(n2:__)", "_"])
-    powers = {(("o", 2),): series_pow_profile(exp3, Bound(3), (("o", 2),))}
+    powers = profile_powers(exp3, Bound(3), [(("o", 2),)])
     with pytest.raises(BoundMismatch):
-        fdb_rhs_coefficient(exp3, crown, stump, powers)
+        fdb_rhs_coefficient(crown, stump, powers)
     # 2 orders of the two classes, each weighted 1/2, over |Aut stump| = 2
-    assert fdb_rhs_coefficient(exp3, crown, stump) == Fraction(1, 2)
-    assert fdb_lhs_coefficient(exp3, crown, stump) == Fraction(1, 2)
+    assert standalone_rhs(crown, stump) == Fraction(1, 2)
+    assert fdb_lhs_coefficient(crown, stump) == Fraction(1, 2)
 
 
 def test_power_profile_matches_plain_power(exp3):
     bound = Bound(5)
     g = green(exp3, bound)
     for n in range(3):
-        a = series_pow(g, n)
-        b = series_pow_profile(exp3, bound, (("o", n),))
+        a = series_powers(g, n)[n]
+        b = profile_powers(exp3, bound, [(("o", n),)])[(("o", n),)]
         assert a.coeffs == b.coeffs
 
 
@@ -472,18 +479,18 @@ def test_lhs_examples(exp3):
     triv = trivial_ptree(exp3)
     cherry = parse_ptree(exp3, "(n2:__)")
     crown = PForest.from_trees(exp3, [triv, triv])
-    assert fdb_lhs_coefficient(exp3, crown, cherry) == Fraction(1, 2)
+    assert fdb_lhs_coefficient(crown, cherry) == Fraction(1, 2)
     nested = parse_ptree(exp3, "(n2:(n2:__)(n2:__))")
     assert fdb_lhs_coefficient(
-        exp3, PForest.from_trees(exp3, [nested]), triv) == Fraction(1, 8)
+        PForest.from_trees(exp3, [nested]), triv) == Fraction(1, 8)
 
 
 def test_lhs_ladder():
     spec = builtin("identity")
     x1 = parse_ptree(spec, "(n1:_)")
     crown = PForest.from_trees(spec, [x1])
-    assert fdb_lhs_coefficient(spec, crown, x1) == 1
-    assert fdb_rhs_coefficient(spec, crown, x1) == 1
+    assert fdb_lhs_coefficient(crown, x1) == 1
+    assert standalone_rhs(crown, x1) == 1
 
 
 def test_rhs_equals_tuple_enumeration_oracle(exp3):
@@ -501,7 +508,7 @@ def test_rhs_equals_tuple_enumeration_oracle(exp3):
                 for t in combo:
                     w /= aut_order(t)
                 by_tuple += w
-        power = series_pow(green(exp3, Bound(max(crown.edge_count(), 1))), n)
+        power = series_powers(green(exp3, Bound(max(crown.edge_count(), 1))), n)[n]
         assert power.coefficient(crown.keys) == by_tuple
 
 
@@ -525,9 +532,9 @@ def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
     checked, sampled = [], []
     check, oracle = bialgebra.check_fdb_pair, bialgebra.graft_oracle_agrees
 
-    def recorded_check(spec, crown, stump, powers=None):
+    def recorded_check(crown, stump, powers):
         checked.append((stump.key(), crown.keys))
-        return check(spec, crown, stump, powers)
+        return check(crown, stump, powers)
 
     def recorded_oracle(stump, crown):
         sampled.append((stump.key(), crown.keys))
@@ -609,10 +616,10 @@ def test_leaf_marked_summand_relation():
 
 def test_power_profile_multicolour_oracle(two_colour):
     bound = Bound(6)
-    trees_a = enumerate_ptrees(two_colour, bound, root_colour="a")
-    trees_b = enumerate_ptrees(two_colour, bound, root_colour="b")
+    trees_a = [c.tree for c in enumerate_classes(two_colour, bound, root_colour="a")]
+    trees_b = [c.tree for c in enumerate_classes(two_colour, bound, root_colour="b")]
     profile = (("a", 1), ("b", 1))
-    power = series_pow_profile(two_colour, bound, profile)
+    power = profile_powers(two_colour, bound, [profile])[profile]
     for ta in trees_a:
         for tb in trees_b:
             if ta.edge_count + tb.edge_count > bound.max_edges:

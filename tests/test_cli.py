@@ -186,6 +186,11 @@ def test_usage_error_exit_code():
     assert main(["delta", "--functor", "nosuch", "--tree", "_"]) == 2
     assert main(["nosuchcommand"]) == 2
     assert main(["delta", "--tree", "_"]) == 2  # no spec source
+    # a fixed-arity builtin takes no arity bound
+    assert main(["enumerate", "--functor", "trivial", "--max-arity", "-3",
+                 "--max-edges", "2"]) == 2
+    assert main(["enumerate", "--functor", "binary", "--max-arity", "7",
+                 "--max-edges", "2"]) == 2
 
 
 def test_unknown_colour_is_usage_error(capsys):
@@ -196,6 +201,16 @@ def test_unknown_colour_is_usage_error(capsys):
     assert main(["verify", "fdb", "--functor", "constant",
                  "--rooted", "zzz"]) == 2
     assert "unknown colour" in capsys.readouterr().err
+    # the empty colour is no colour of the spec either: no vacuous result
+    for args in (["verify", "fdb", "--functor", "binary", "--max-edges", "3",
+                  "--max-nodes", "2", "--rooted", ""],
+                 ["enumerate", "--functor", "binary", "--max-edges", "3",
+                  "--root-colour", ""],
+                 ["green", "--functor", "binary", "--root-colour", ""]):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown colour ''" in captured.err
 
 
 def test_structured_output_byte_identical_across_jobs():
@@ -346,3 +361,12 @@ def test_negative_count_is_usage_error(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least 0, got -1" in captured.err
+
+
+def test_colour_named_twice_in_a_leaf_profile_is_usage_error(capsys):
+    for command in ("enumerate", "green"):
+        assert main([command, "--functor", "exp", "--max-arity", "3",
+                     "--max-edges", "3", "--leaf-profile", "o:1,o:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "colour 'o' named twice" in captured.err

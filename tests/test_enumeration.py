@@ -28,7 +28,7 @@ def test_bound_validation():
 
 def test_catalan_counts_for_binary():
     spec = builtin("binary")
-    counts = [len(enumerate_ptrees(spec, Bound(9), leaf_profile=(("o", n),)))
+    counts = [len(enumerate_classes(spec, Bound(9), leaf_profile=(("o", n),)))
               for n in range(1, 6)]
     assert counts == [1, 1, 2, 5, 14]
 
@@ -61,9 +61,9 @@ def test_enumeration_no_duplicates_and_sorted():
 def test_root_colour_filter(two_colour):
     all_classes = enumerate_ptrees(two_colour, Bound(5))
     for colour in two_colour.colours:
-        filtered = enumerate_ptrees(two_colour, Bound(5), root_colour=colour)
+        filtered = enumerate_classes(two_colour, Bound(5), root_colour=colour)
         expect = [t.key() for t in all_classes if t.root_colour == colour]
-        assert [t.key() for t in filtered] == expect
+        assert [c.key for c in filtered] == expect
 
 
 def test_leaf_profile_filter_is_post_filter(exp3):
@@ -71,9 +71,9 @@ def test_leaf_profile_filter_is_post_filter(exp3):
     all_classes = enumerate_ptrees(exp3, bound)
     profiles = {t.leaf_profile() for t in all_classes}
     for profile in sorted(profiles):
-        filtered = enumerate_ptrees(exp3, bound, leaf_profile=profile)
+        filtered = enumerate_classes(exp3, bound, leaf_profile=profile)
         expect = [t.key() for t in all_classes if t.leaf_profile() == profile]
-        assert [t.key() for t in filtered] == expect
+        assert [c.key for c in filtered] == expect
 
 
 def test_max_nodes_filter(exp3):
@@ -184,17 +184,19 @@ def test_enumerate_classes_equals_the_interned_trees(template):
         for p in sorted({c.leaf_profile for c in enumerate_classes(spec, bound)})]
     every = enumerate_ptrees(fresh(template), bound)
     for selector in selectors:
+        def selected(t):
+            return (selector.get("root_colour", t.root_colour) == t.root_colour
+                    and selector.get("leaf_profile", t.leaf_profile())
+                    == t.leaf_profile())
         classes = enumerate_classes(spec, bound, **selector)
-        trees = enumerate_ptrees(spec, bound, **selector)
+        trees = [t for t in enumerate_ptrees(spec, bound) if selected(t)]
         assert [intern(t) for t in trees] == classes
         # the records' invariants are those of the selected trees of a fresh
         # unfiltered enumeration
         assert [(c.key, c.aut, c.root, c.leaf_profile, c.edges, c.nodes)
                 for c in classes] == [
             (t.key(), aut_order(t), t.root_colour, t.leaf_profile(),
-             t.edge_count, t.node_count) for t in every
-            if selector.get("root_colour", t.root_colour) == t.root_colour
-            and selector.get("leaf_profile", t.leaf_profile()) == t.leaf_profile()]
+             t.edge_count, t.node_count) for t in every if selected(t)]
 
 
 @pytest.mark.parametrize("template", RECORD_SPECS, ids=lambda s: s.name)
@@ -224,22 +226,26 @@ def test_enumerate_and_green_build_no_tree(monkeypatch, capsys):
 
 # -- forests -------------------------------------------------------------------
 
+def with_root_profile(spec, bound, profile):
+    """The forests within the bound whose roots realise the profile."""
+    return [f for f in enumerate_pforests(spec, bound) if f.root_profile() == profile]
+
+
 def test_empty_profile_gives_empty_forest(exp3):
-    out = enumerate_pforests(exp3, Bound(4), root_profile=())
+    out = with_root_profile(exp3, Bound(4), ())
     assert len(out) == 1 and out[0].keys == ()
 
 
 def test_single_root_profile_gives_trees(two_colour):
     for colour in two_colour.colours:
-        forests = enumerate_pforests(two_colour, Bound(5),
-                                     root_profile=((colour, 1),))
-        trees = enumerate_ptrees(two_colour, Bound(5), root_colour=colour)
-        assert [f.keys for f in forests] == [(t.key(),) for t in trees]
+        forests = with_root_profile(two_colour, Bound(5), ((colour, 1),))
+        trees = enumerate_classes(two_colour, Bound(5), root_colour=colour)
+        assert [f.keys for f in forests] == [(c.key,) for c in trees]
 
 
 def test_identity_two_root_forests():
     spec = builtin("identity")
-    forests = enumerate_pforests(spec, Bound(4), root_profile=(("o", 2),))
+    forests = with_root_profile(spec, Bound(4), (("o", 2),))
     chains = {t.key(): t for t in enumerate_ptrees(spec, Bound(3))}
     expected = set()
     for k1, k2 in itertools.combinations_with_replacement(sorted(chains), 2):

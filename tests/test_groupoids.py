@@ -241,7 +241,7 @@ def test_pullback_of_two_points_into_bg():
     for group in (Group.cyclic(3), Group.symmetric(3)):
         bg = one_object(group)
         f = name_map(bg, "*")
-        g = name_map(bg, "*", point=discrete(["q"]))
+        g = constant_map(discrete(["q"]), bg, "*")
         pb, p1, p2 = homotopy_pullback(f, g)
         pb.check(), p1.check(), p2.check()
         assert len(pb.objects) == group.order
@@ -787,7 +787,7 @@ def _groth_total():
     _swap_quotient,
     _loop_pullback,
     _groth_total,
-    lambda: coloured_set_groupoid(("a", "b"), {"a": 2, "b": 1}),
+    lambda: coloured_set_groupoid({"a": 2, "b": 1}),
 ], ids=["disjoint-union", "product", "quotient", "pullback", "groth-total",
         "coloured-set"])
 def test_interchange_roundtrip(build):
@@ -859,7 +859,7 @@ def test_coloured_set_vertex_groups():
     cases = [({"a": 3}, 6), ({"a": 2, "b": 2}, 4), ({"a": 1, "b": 2, "c": 2}, 4),
              ({"a": 5}, 120), ({"a": 1}, 1)]
     for profile, expected in cases:
-        g = coloured_set_groupoid(tuple(sorted(profile)), profile)
+        g = coloured_set_groupoid(profile)
         x = g.objects[0]
         assert len(g.hom(x, x)) == expected
         assert len(g.pi0()) == 1

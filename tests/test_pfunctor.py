@@ -17,10 +17,8 @@ from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
                               automorphisms, build_ptree, builtin,
                               decorate_shape, decorated_automorphism,
                               forest_mul, graft_decorated, group_order,
-                              isomorphic,
                               isomorphisms_brute, parse_pforest, parse_ptree,
-                              parse_ptree_or_shape, print_ptree,
-                              representative, save_spec, load_spec,
+                              parse_ptree_or_shape, representative, save_spec, load_spec,
                               trivial_ptree, validate_ptree)
 from optrees.trees import (GrammarError, MatchingNotBijective, parse_tree,
                            validate_tree)
@@ -66,6 +64,9 @@ def test_builtin_errors():
         builtin("nosuch")
     with pytest.raises(SpecError):
         builtin("exp")  # needs max_arity
+    for name in ("binary", "identity", "constant", "trivial"):
+        with pytest.raises(SpecError, match="fixed arities"):
+            builtin(name, max_arity=2)
 
 
 def test_bad_symmetry_generator_rejected():
@@ -151,7 +152,6 @@ def test_planar_child_order_distinguishes():
     left = parse_ptree(spec, "(n2:(n1:_)_)")
     right = parse_ptree(spec, "(n2:_(n1:_))")
     assert left.key() != right.key()
-    assert not isomorphic(left, right)
 
 
 def test_exp_child_order_identified():
@@ -159,7 +159,6 @@ def test_exp_child_order_identified():
     left = parse_ptree(spec, "(n2:(n1:_)_)")
     right = parse_ptree(spec, "(n2:_(n1:_))")
     assert left.key() == right.key()
-    assert isomorphic(left, right)
     assert isomorphisms_brute(left, right)
 
 
@@ -182,7 +181,6 @@ def test_key_parse_roundtrip():
         for t in enumerate_ptrees(spec, Bound(4)):
             back = parse_ptree(spec, t.key())
             assert back.key() == t.key()
-            assert print_ptree(t) == t.key()
 
 
 def test_canon_is_complete_invariant():
@@ -372,7 +370,7 @@ def test_class_records_match_a_fresh_parse(template):
     # and the graft classes composed from them, up to 7 edges
     grafts = {c.key for s in trees for f in enumerate_pforests(spec, bound)
               if s.edge_count + f.edge_count() - s.leaf_count() <= 7
-              for c in graft_classes(spec, f, s)}
+              for c in graft_classes(f, s)}
     assert any(spec.classes[k].edges > bound.max_edges for k in grafts)
     for k in sorted(grafts | {t.key() for t in trees}):
         c = spec.classes[k]
