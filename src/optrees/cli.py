@@ -46,8 +46,9 @@ def _spec_from_args(args) -> EndofunctorSpec:
     return builtin(args.functor, max_arity=args.max_arity)
 
 
-def _parse_profile(text: str, spec: EndofunctorSpec) -> tuple[tuple[str, int], ...]:
-    out: dict[str, int] = {}
+def _parse_profile(text: str) -> tuple[tuple[str, int], ...]:
+    """The entries of ``colour:count,...``; ``enumerate_classes`` checks them."""
+    out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -55,16 +56,13 @@ def _parse_profile(text: str, spec: EndofunctorSpec) -> tuple[tuple[str, int], .
         if ":" not in part:
             raise UsageError(f"bad leaf profile entry {part!r}, expected colour:count")
         colour, _, count = part.partition(":")
-        colour = colour.strip()
-        _check_colour(spec, colour)
-        if colour in out:
-            raise UsageError(f"colour {colour!r} named twice in leaf profile")
         try:
-            n = int(count)
+            out.append((colour.strip(), int(count)))
         except ValueError:
             raise UsageError(f"bad count in profile entry {part!r}") from None
-        out[colour] = _at_least(n, 0, f"count in profile entry {part!r}")
-    return tuple(sorted(out.items()))
+    if not out:
+        raise UsageError("empty leaf profile; write colour:0 for no leaves")
+    return tuple(out)
 
 
 def _at_least(value: int, least: int, what: str) -> int:
@@ -93,7 +91,7 @@ def emit_structured(command: str, doc: dict):
 def cmd_enumerate(args) -> int:
     spec = _spec_from_args(args)
     bound = Bound(args.max_edges, args.max_nodes)
-    profile = _parse_profile(args.leaf_profile, spec) if args.leaf_profile else None
+    profile = None if args.leaf_profile is None else _parse_profile(args.leaf_profile)
     if args.root_colour is not None:
         _check_colour(spec, args.root_colour)
     classes = enumerate_classes(spec, bound, root_colour=args.root_colour,
@@ -144,7 +142,7 @@ def cmd_delta(args) -> int:
 def cmd_green(args) -> int:
     spec = _spec_from_args(args)
     bound = Bound(args.max_edges, args.max_nodes)
-    profile = _parse_profile(args.leaf_profile, spec) if args.leaf_profile else None
+    profile = None if args.leaf_profile is None else _parse_profile(args.leaf_profile)
     if args.root_colour is not None:
         _check_colour(spec, args.root_colour)
     series = green(spec, bound, root_colour=args.root_colour,

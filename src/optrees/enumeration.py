@@ -1,21 +1,25 @@
 """Exhaustive generation of decorated trees and forests up to isomorphism.
 
 Trees are graded by edge count, which is finite for every spec even when
-node arities are unbounded; optional node-count caps prune the generation
-without changing the admitted set.  ``enumerate_classes`` hands out one
-class record (:class:`TreeClass`) per canonical key, in key order, each
-composed from its children's records, so no tree is built.
-``enumerate_ptrees`` reads the records' representative trees, which are
-built on first use; forests are multisets of the records' keys.
+node arities are unbounded.  Each stratum is composed from the occupied
+(edges, nodes) cells of the smaller ones, within the edges and nodes left;
+a class is one orbit of child tuples under the op's group.
+``enumerate_classes`` hands out one class record (:class:`TreeClass`) per
+canonical key, in key order, each composed from its children's records,
+so no tree is built.  ``enumerate_ptrees`` reads the records'
+representative trees, which are built on first use; forests are
+multisets of the records' keys.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .pfunctor import EndofunctorSpec, ForestKey, PForest, PTree, TreeClass
+from .pfunctor import (EndofunctorSpec, ForestKey, OpType, PForest, PTree,
+                       SpecError, TreeClass)
 from .trees import ForestDiagram, disjoint_union
 
 Profile = tuple[tuple[str, int], ...]  # (colour, count) pairs, sorted by colour
@@ -51,77 +55,89 @@ class Bound:
         return f"edges<={self.max_edges},nodes<={self.max_nodes}"
 
 
-def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of ``total`` into ``parts`` parts, each >= minimum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
-
-
 def _strata(spec: EndofunctorSpec, bound: Bound) -> list[dict[str, TreeClass]]:
     """Classes grouped by exact edge count: strata[e] maps key -> record.
 
     The spec keeps one table per node cap and grows it by edge count on
-    demand; a stratum enters the table once it is complete.  A candidate
-    op(children) is composed from its children's records; no tree is built.
-    A class already in the table keeps its record.
+    demand.  A finished stratum enters the table, and its occupied cells
+    enter ``cells``: per colour, (edges, nodes, records sorted by key) in
+    (edges, nodes) order.  A class met twice keeps its first record.
     """
     max_nodes = bound.max_nodes
-    strata, by_colour = spec._enum_cache.setdefault(("strata", max_nodes),
-                                                    ([{}], [{}]))
+    strata, cells = spec._enum_cache.setdefault(("strata", max_nodes), ([{}], {}))
     for e in range(len(strata), bound.max_edges + 1):
-        level: dict[str, TreeClass] = {}
-        if e == 1:
-            for colour in spec.colours:
-                c = spec.trivial_classes[colour]
-                level[c.key] = c
+        level = {c.key: c for c in spec.trivial_classes.values()} if e == 1 else {}
+        room = (e if max_nodes is None else max_nodes) - 1  # nodes never exceed edges
         for op in spec.ops:
-            k = op.arity
-            if k > e - 1:
-                continue
-            block_sorted = spec.group_is_block_symmetric(op.name)
-            for comp in _compositions(e - 1, k, 1):
-                pools = [by_colour[comp[i]].get(op.ins[i], ()) for i in range(k)]
-                if any(not p for p in pools):
-                    continue
-                for children in itertools.product(*pools):
-                    if block_sorted and not _block_nondecreasing(op.ins, comp, children):
-                        continue
-                    if max_nodes is not None and \
-                            1 + sum(c.nodes for c in children) > max_nodes:
-                        continue  # too many nodes
-                    c = spec.compose(op.name, children)
-                    level.setdefault(c.key, c)
-        colours: dict[str, list[TreeClass]] = {}
-        for c in level.values():
-            colours.setdefault(c.root, []).append(c)
+            for children in _slot_fillings(spec, op, cells, e - 1, room):
+                c = spec.compose(op.name, children)
+                level.setdefault(c.key, c)
         strata.append(level)
-        by_colour.append(colours)
+        for (root, n), cell in itertools.groupby(
+                sorted(level.values(), key=lambda c: (c.root, c.nodes, c.key)),
+                lambda c: (c.root, c.nodes)):
+            cells.setdefault(root, []).append((e, n, list(cell)))
     return strata[:bound.max_edges + 1]
 
 
-def _block_nondecreasing(ins: Sequence[str], comp: Sequence[int],
-                         children: Sequence[TreeClass]) -> bool:
-    """Skip slot arrangements a fully symmetric group would identify.
+def _slot_fillings(spec: EndofunctorSpec, op: OpType, cells: dict, edges: int,
+                   nodes: int) -> Iterator[tuple[TreeClass, ...]]:
+    """Records for the slots of ``op`` with ``edges`` edges and at most
+    ``nodes`` nodes in all, filled slot by slot from the occupied cells and
+    pruned on the edges left (one per slot left) and the nodes left.
 
-    Within each maximal run of slots with equal colour and equal child edge
-    count, only the arrangement with nondecreasing child keys is kept.
+    Under a block-symmetric group, a run of adjacent slots of one colour
+    takes nondecreasing cells, and m slots on one cell a multiset of m
+    records: one arrangement per orbit when each block is such a run.  A
+    rigid op meets each class once too; other ops may meet one twice.
     """
-    for i in range(1, len(children)):
-        if ins[i] == ins[i - 1] and comp[i] == comp[i - 1]:
-            if children[i].key < children[i - 1].key:
-                return False
-    return True
+    k, block = op.arity, spec.group_is_block_symmetric(op.name)
+    rows = [cells.get(c, []) for c in op.ins]
+    # the first slot of each slot's run of interchangeable adjacent slots
+    lead = list(itertools.accumulate(range(k), lambda a, i: a if block and
+                                     op.ins[i] == op.ins[a] else i))
+    found: list[tuple[int, ...]] = []  # the cell picked for each slot
+
+    def walk(i: int, start: int, edges_left: int, nodes_left: int, picks: tuple):
+        if i == k:
+            if edges_left == 0 <= nodes_left:
+                found.append(picks)
+            return
+        rest = k - 1 - i
+        # the last slot takes the edges left
+        first = 0 if rest else bisect.bisect_left(rows[i], (edges_left,))
+        for j in range(max(first, start if lead[i] != i else 0), len(rows[i])):
+            ce, cn, _ = rows[i][j]
+            if ce > edges_left - rest:
+                break
+            if cn <= nodes_left:
+                walk(i + 1, j, edges_left - ce, nodes_left - cn, picks + (j,))
+
+    walk(0, 0, edges, nodes, ())
+    for picks in found:
+        if all(lead[i] == i or picks[i] != picks[i - 1] for i in range(1, k)):
+            yield from itertools.product(*(rows[i][j][2] for i, j in enumerate(picks)))
+            continue
+        runs = [(rows[i][j][2], len(list(g))) for (i, j), g in
+                itertools.groupby(range(k), lambda i: (lead[i], picks[i]))]
+        for combo in itertools.product(*(itertools.combinations_with_replacement(*run)
+                                         for run in runs)):
+            yield tuple(itertools.chain.from_iterable(combo))
 
 
 def enumerate_classes(spec: EndofunctorSpec, bound: Bound, root_colour: str | None = None,
                       leaf_profile: Profile | None = None) -> list[TreeClass]:
     """The record of every tree class within the bound, sorted by key; no
-    tree is built."""
+    tree is built.  A leaf profile names colours of the spec, each once,
+    with counts at least 0; a zero count is dropped."""
+    for colour, m in leaf_profile or ():
+        if colour not in spec.colours:
+            raise SpecError(f"leaf profile: unknown colour {colour!r}; spec has "
+                            f"{', '.join(spec.colours)}")
+        if [c for c, _ in leaf_profile].count(colour) > 1:
+            raise SpecError(f"leaf profile: colour {colour!r} named twice")
+        if m < 0:
+            raise SpecError(f"leaf profile: count of {colour!r} must be at least 0, got {m}")
     out = [c for stratum in _strata(spec, bound)[1:] for c in stratum.values()]
     if root_colour is not None:
         out = [c for c in out if c.root == root_colour]

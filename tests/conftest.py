@@ -40,6 +40,17 @@ def symmetric_two_colour_spec():
         name="symmetric-two-colour")
 
 
+def split_block_spec():
+    """Two colours, with an op whose two slots of colour a are swapped by its
+    group but not adjacent: a slot of colour b sits between them."""
+    return EndofunctorSpec(
+        ["a", "b"],
+        [OpType("f", "a", ("a", "b", "a"), ((2, 1, 0),)),
+         OpType("g", "b", ("a",)),
+         OpType("h", "a", ())],
+        name="split-block")
+
+
 def cycle_generated_s3_spec():
     """One colour, with a ternary op whose full S_3 is generated by a
     transposition and a 3-cycle, so its group is closed and scanned."""

@@ -363,6 +363,20 @@ def test_negative_count_is_usage_error(capsys, args):
     assert "must be at least 0, got -1" in captured.err
 
 
+@pytest.mark.parametrize("text", ["", ",", " , "], ids=["empty", "comma", "blank"])
+def test_empty_leaf_profile_is_usage_error(capsys, text):
+    for command in ("enumerate", "green"):
+        assert main([command, "--functor", "constant", "--max-edges", "3",
+                     "--leaf-profile", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty leaf profile" in captured.err
+    # the empty profile is written with a zero count
+    assert main(["enumerate", "--functor", "constant", "--max-edges", "3",
+                 "--leaf-profile", "o:0"]) == 0
+    assert capsys.readouterr().out.startswith("(c)\t")
+
+
 def test_colour_named_twice_in_a_leaf_profile_is_usage_error(capsys):
     for command in ("enumerate", "green"):
         assert main([command, "--functor", "exp", "--max-arity", "3",

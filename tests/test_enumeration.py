@@ -4,15 +4,16 @@ import math
 import pytest
 
 from conftest import (all_builtin_specs, cycle_generated_s3_spec,
-                      symmetric_two_colour_spec, two_colour_spec)
+                      split_block_spec, symmetric_two_colour_spec,
+                      two_colour_spec)
 from optrees import pfunctor
 from optrees.bialgebra import green
 from optrees.cli import main
 from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
                                  enumerate_ptrees, graft_class_assignments,
                                  matchings, multiset_arrangements)
-from optrees.pfunctor import (EndofunctorSpec, PForest, aut_order, builtin,
-                              intern, parse_ptree, trivial_ptree,
+from optrees.pfunctor import (EndofunctorSpec, PForest, SpecError, aut_order,
+                              builtin, intern, parse_ptree, trivial_ptree,
                               validate_ptree)
 from optrees.trees import validate_tree
 
@@ -74,6 +75,23 @@ def test_leaf_profile_filter_is_post_filter(exp3):
         filtered = enumerate_classes(exp3, bound, leaf_profile=profile)
         expect = [t.key() for t in all_classes if t.leaf_profile() == profile]
         assert [c.key for c in filtered] == expect
+
+
+@pytest.mark.parametrize("profile,message", [
+    ((("o", 1), ("o", 2)), "colour 'o' named twice"),
+    ((("zz", 2),), "unknown colour 'zz'"),
+    ((("o", -1),), "must be at least 0, got -1"),
+], ids=["repeated-colour", "unknown-colour", "negative-count"])
+def test_a_bad_leaf_profile_raises(exp3, profile, message):
+    for select in (enumerate_classes, green):
+        with pytest.raises(SpecError, match=message):
+            select(exp3, Bound(4), leaf_profile=profile)
+
+
+def test_a_zero_count_is_dropped(exp3):
+    no_leaves = enumerate_classes(exp3, Bound(4), leaf_profile=())
+    assert no_leaves and all(c.leaves == 0 for c in no_leaves)
+    assert enumerate_classes(exp3, Bound(4), leaf_profile=(("o", 0),)) == no_leaves
 
 
 def test_max_nodes_filter(exp3):
@@ -168,7 +186,7 @@ def test_large_arity_exp_enumerates_without_closing_a_group():
 # -- class records -------------------------------------------------------------
 
 RECORD_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(),
-                                      cycle_generated_s3_spec()]
+                                      cycle_generated_s3_spec(), split_block_spec()]
 
 
 def fresh(spec):
@@ -206,6 +224,69 @@ def test_enumerated_keys_round_trip(template):
     keys = [c.key for c in classes]
     assert len(set(keys)) == len(keys)
     assert [parse_ptree(fresh(template), k).key() for k in keys] == keys
+
+
+# -- the cell walk --------------------------------------------------------------
+
+
+def rows(classes):
+    return [(c.key, c.aut, c.root, c.leaf_profile, c.edges, c.nodes) for c in classes]
+
+
+def ordered_product_classes(spec, max_edges):
+    """Every class within the edge bound, composed on every ordered tuple of
+    child classes whose edges add up (no cells, no orbit rule), by key."""
+    strata = [[]]
+    for e in range(1, max_edges + 1):
+        level = {c.key: c for c in spec.trivial_classes.values()} if e == 1 else {}
+        for op in spec.ops:
+            for sizes in itertools.product(range(1, e), repeat=op.arity):
+                if sum(sizes) != e - 1:
+                    continue
+                pools = [[c for c in strata[d] if c.root == colour]
+                         for d, colour in zip(sizes, op.ins)]
+                for children in itertools.product(*pools):
+                    c = spec.compose(op.name, children)
+                    level[c.key] = c
+        strata.append(list(level.values()))
+    return sorted((c for level in strata for c in level), key=lambda c: c.key)
+
+
+@pytest.mark.parametrize("template", RECORD_SPECS, ids=lambda s: s.name)
+def test_cell_walk_meets_every_class_of_the_ordered_product(template):
+    assert rows(enumerate_classes(fresh(template), Bound(7))) == \
+        rows(ordered_product_classes(fresh(template), 7))
+
+
+@pytest.mark.parametrize("template", RECORD_SPECS, ids=lambda s: s.name)
+def test_node_cap_is_the_uncapped_list_filtered(template):
+    capped = enumerate_classes(fresh(template), Bound(9, 4))
+    full = enumerate_classes(fresh(template), Bound(9))
+    assert rows(capped) == rows(c for c in full if c.nodes <= 4)
+
+
+@pytest.mark.parametrize("name,count", [("planar", 24_909), ("exp", 1_933)])
+def test_node_cap_counts_beyond_the_brute_force_oracle(name, count):
+    assert len(enumerate_classes(builtin(name, max_arity=3), Bound(16, 5))) == count
+
+
+@pytest.mark.parametrize("template,bound,calls", [
+    (builtin("exp", max_arity=7), Bound(9), 4_891),
+    (builtin("planar", max_arity=3), Bound(8, 5), 2_506),
+    (builtin("exp", max_arity=3), Bound(16, 5), 1_932),
+    (symmetric_two_colour_spec(), Bound(9), 83 - 2),
+    (symmetric_two_colour_spec(), Bound(9, 4), 51 - 2),
+], ids=["exp7", "planar3-capped", "exp3-capped", "symmetric-two-colour",
+        "symmetric-two-colour-capped"])
+def test_rigid_and_block_symmetric_ops_compose_each_class_once(
+        monkeypatch, template, bound, calls):
+    spec, composed = fresh(template), []
+    real = spec.compose
+    monkeypatch.setattr(spec, "compose",
+                        lambda *args: composed.append(args) or real(*args))
+    classes = enumerate_classes(spec, bound)
+    # every class but the trivial ones is composed, and only once
+    assert len(composed) == len(classes) - len(spec.colours) == calls
 
 
 def test_enumerate_and_green_build_no_tree(monkeypatch, capsys):
