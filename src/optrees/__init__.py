@@ -12,8 +12,8 @@ from .pfunctor import (ArityMismatch, BUILTIN_NAMES, ColourMismatch,
                        UnknownBuiltin, UnknownOp, aut_order, aut_order_forest,
                        automorphisms, builtin, forest_mul, graft_decorated,
                        isomorphisms_brute, load_spec, parse_pforest,
-                       parse_ptree, prune_decorated, representative, save_spec,
-                       trivial_ptree, validate_ptree)
+                       parse_ptree, prune_decorated, save_spec, trivial_ptree,
+                       validate_ptree)
 from .enumeration import (Bound, enumerate_classes, enumerate_pforests,
                           enumerate_ptrees, matchings)
 from .bialgebra import (FdbReport, Series, TensorSeries, counit, delta_monomial,

@@ -40,9 +40,9 @@ coefficient of ``crown ⊗ stump`` in the coproduct of the total Green
 function can be computed two independent ways:
 
 * ``fdb_lhs_coefficient``: sum over graft classes ``T`` of (number of cuts
-  of ``T`` pruning to the pair) divided by ``|Aut T|``, where ``T`` is a
-  record composed along the stump's nodes with a crown record on each
-  leaf (``graft_record``): no graft tree is built and no key parsed;
+  of ``T`` pruning to the pair) divided by ``|Aut T|``, where ``T`` is
+  composed along the stump's record, each leaf in slot order taking the
+  next crown record of its colour (``graft_record``): no tree is built;
 * ``fdb_rhs_coefficient``: coefficient of the crown in the product of
   root-coloured Green functions indexed by the stump's leaf profile,
   divided by ``|Aut stump|``.  ``verify_fdb`` builds that power once per
@@ -53,7 +53,8 @@ function can be computed two independent ways:
 (max total nodes, max edges per side).  A third route builds every tree
 within the budget and counts its cuts flat, so it shares no composed
 record with the first; the graft records of a sample of pairs are also
-checked against grafted trees, their flat cut counts and parsed keys.
+checked against trees grafted in the same slot order, their flat cut
+counts and parsed keys.
 """
 
 from __future__ import annotations
@@ -62,14 +63,13 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .enumeration import (Bound, Profile, enumerate_classes, enumerate_pforests,
                           enumerate_ptrees, graft_class_assignments)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
-                       PTree, TreeClass, aut_order, compose_along, forest_key_str,
-                       graft_decorated, intern, parse_ptree, representative,
-                       tree_class)
+                       PTree, TreeClass, aut_order, forest_key_str,
+                       graft_decorated, intern, parse_ptree, tree_class)
 from .trees import enumerate_cuts
 
 ZERO = Fraction(0)
@@ -201,13 +201,15 @@ def flat_cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
     return counter
 
 
+def _class_coproduct(c: TreeClass, bound: Bound) -> TensorSeries:
+    """Coproduct of a tree class: one term per pair of its record's cuts."""
+    return TensorSeries(c.spec, bound, {(crown, (stump,)): Fraction(mult)
+                                        for (crown, stump), mult in c.cuts.items()})
+
+
 def delta_tree(t: PTree, bound: Bound | None = None) -> TensorSeries:
     """Coproduct of a single tree class: one term per cut."""
-    if bound is None:
-        bound = Bound(t.edge_count)
-    coeffs = {(crown, (stump,)): Fraction(mult)
-              for (crown, stump), mult in cut_summary(t).items()}
-    return TensorSeries(t.spec, bound, coeffs)
+    return _class_coproduct(intern(t), Bound(t.edge_count) if bound is None else bound)
 
 
 def _sizes(spec: EndofunctorSpec, key: ForestKey) -> tuple[int, int]:
@@ -240,7 +242,7 @@ def delta_monomial(spec: EndofunctorSpec, key: ForestKey, bound: Bound) -> Tenso
     """Coproduct of a forest monomial: product of the tree coproducts."""
     acc = TensorSeries(spec, bound, {(EMPTY_FOREST_KEY, EMPTY_FOREST_KEY): ONE})
     for k in key:
-        acc = tensor_mul(acc, delta_tree(representative(spec, k), bound))
+        acc = tensor_mul(acc, _class_coproduct(tree_class(spec, k), bound))
     return acc
 
 
@@ -357,28 +359,34 @@ def profile_powers(spec: EndofunctorSpec, bound: Bound,
 # the coefficient identity, two ways
 
 
-def fdb_rhs_coefficient(crown: PForest, stump: PTree,
+def fdb_rhs_coefficient(crown: PForest, stump: TreeClass,
                         powers: Mapping[Profile, Series]) -> Fraction:
     """Coefficient of crown in the leaf-profile power of Green functions,
     divided by the stump's automorphism order.  ``powers`` maps leaf
     profiles to their ``profile_powers`` under one bound, which must admit
     the crown (sizes only add, so any such bound gives the same
     coefficient)."""
-    s = intern(stump)
-    power = powers[s.leaf_profile]
+    power = powers[stump.leaf_profile]
     if not power.bound.admits_forest(crown):
         raise BoundMismatch(f"crown {crown} exceeds the power's bound {power.bound}")
-    return power.coefficient(crown.keys) / s.aut
+    return power.coefficient(crown.keys) / stump.aut
 
 
-def graft_record(stump: PTree, assignment: Mapping[int, str]) -> TreeClass:
-    """Record of the graft of the assigned crown classes (stump leaf ->
-    key) onto the stump, composed along the stump's nodes."""
-    return compose_along(stump, {leaf: tree_class(stump.spec, key)
-                                 for leaf, key in assignment.items()})
+def graft_record(stump: TreeClass, assignment: Mapping[str, Sequence[str]]) -> TreeClass:
+    """Record of the graft of crown classes onto the stump, composed along
+    the stump's record: each leaf, in slot order, takes the next key that
+    ``assignment`` lists for its colour (colour -> keys)."""
+    spec, crowns = stump.spec, {c: iter(keys) for c, keys in assignment.items()}
+
+    def graft(c: TreeClass) -> TreeClass:
+        if c.op is None:
+            return tree_class(spec, next(crowns[c.root]))
+        return spec.compose(c.op, [graft(d) if d.leaves else d for d in c.children])
+
+    return graft(stump)
 
 
-def graft_classes(crown: PForest, stump: PTree) -> list[TreeClass]:
+def graft_classes(crown: PForest, stump: TreeClass) -> list[TreeClass]:
     """Records of all tree classes obtained by grafting crown onto stump
     along some matching, once each, in the order first reached."""
     out: dict[str, TreeClass] = {}
@@ -388,23 +396,26 @@ def graft_classes(crown: PForest, stump: PTree) -> list[TreeClass]:
     return list(out.values())
 
 
-def fdb_lhs_coefficient(crown: PForest, stump: PTree) -> Fraction:
+def fdb_lhs_coefficient(crown: PForest, stump: TreeClass) -> Fraction:
     """Sum over graft classes T of (#cuts of T pruning to the pair)/|Aut T|."""
-    target = (crown.keys, stump.key())
+    target = (crown.keys, stump.key)
     return sum((Fraction(m, c.aut) for c in graft_classes(crown, stump)
                 if (m := c.cuts.get(target))), ZERO)
 
 
-def graft_oracle_agrees(stump: PTree, crown: PForest) -> bool:
+def graft_oracle_agrees(stump: TreeClass, crown: PForest) -> bool:
     """Check the pair's composed graft records against the tree oracles: the
-    tree ``graft_decorated`` builds has the key and a cut giving the pair,
-    counted flat on that tree; a parse of the key has the sizes, leaf
-    profile and |Aut|."""
-    spec, pair = stump.spec, (crown.keys, stump.key())
+    tree ``graft_decorated`` builds on ``stump.tree``, filling its leaves in
+    slot order, has the key and a cut giving the pair, counted flat on that
+    tree; a parse of the key has the sizes, leaf profile and |Aut|."""
+    spec, pair, tree = stump.spec, (crown.keys, stump.key), stump.tree
+    # ``build_ptree`` numbers a record's tree so leaf ids ascend in slot order
+    leaves = sorted(tree.shape.leaves)
     for assignment in graft_class_assignments(stump, crown):
         c = graft_record(stump, assignment)
-        g = graft_decorated(stump, {leaf: tree_class(spec, key).tree
-                                    for leaf, key in assignment.items()})
+        crowns = {colour: iter(keys) for colour, keys in assignment.items()}
+        g = graft_decorated(tree, {leaf: tree_class(
+            spec, next(crowns[tree.edge_colour[leaf]])).tree for leaf in leaves})
         fresh = parse_ptree(spec, c.key)
         if (g.key() != c.key or fresh.key() != c.key
                 or (fresh.edge_count, fresh.node_count, fresh.leaf_profile(),
@@ -485,11 +496,11 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
     return stumps, by_profile, total_pairs
 
 
-def check_fdb_pair(crown: PForest, stump: PTree,
+def check_fdb_pair(crown: PForest, stump: TreeClass,
                    powers: Mapping[Profile, Series]) -> PairCheck:
     lhs = fdb_lhs_coefficient(crown, stump)
     rhs = fdb_rhs_coefficient(crown, stump, powers)
-    return PairCheck(crown.keys, stump.key(), lhs, rhs)
+    return PairCheck(crown.keys, stump.key, lhs, rhs)
 
 
 def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
@@ -514,7 +525,9 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     them is pushed through the full computation as a spot check).  Only
     profile-matched pairs with a nonzero side, and any failures, are listed.
 
-    The LHS reads composed graft records.  A third route accumulates the
+    Stumps are class records.  The LHS composes each graft record along the
+    stump's record, leaf by leaf in slot order and colour by colour
+    (``graft_record``), building no tree.  A third route accumulates the
     coproducts of all trees within the budget, counting each tree's cuts
     flat (``flat_cut_summary``: enumerate, code from the tree's own pass)
     and weighting it by its own |Aut| (``aut_order``), so it tests the
@@ -527,8 +540,8 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     """
     stumps, by_profile, total_pairs = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
-    tasks: list[tuple[PTree, PForest]] = []
-    sampled: list[tuple[PTree, PForest]] = []
+    tasks: list[tuple[TreeClass, PForest]] = []
+    sampled: list[tuple[TreeClass, PForest]] = []
     per_stump = max(1, SAMPLE // max(len(stumps), 1))
     # the crowns of each leaf profile that fit in each room, in the order
     # of ``by_profile``; many stumps share both
@@ -539,7 +552,7 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
         if crowns is None:
             crowns = fitting[(s.leaf_profile, room)] = [
                 f for n, f in by_profile.get(s.leaf_profile, ()) if n <= room]
-        tasks.extend((s.tree, f) for f in crowns)
+        tasks.extend((s, f) for f in crowns)
         if len(sampled) < SAMPLE:
             taken = 0
             for other, fs in by_profile.items():
@@ -547,7 +560,7 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                     continue
                 for n, f in fs:
                     if n <= room:
-                        sampled.append((s.tree, f))
+                        sampled.append((s, f))
                         taken += 1
                         break
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .pfunctor import (EndofunctorSpec, ForestKey, OpType, PForest, PTree,
                        SpecError, TreeClass)
@@ -182,7 +182,7 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound) -> list[PForest]:
 def instantiate_forest(f: PForest) -> tuple[list[PTree], ForestDiagram, list[int]]:
     """Component instances, their disjoint-union diagram, and the root edge
     id of each component inside the union (components in key order)."""
-    comps = f.trees()
+    comps = [c.tree for c in f.classes()]
     diagram = disjoint_union([t.shape for t in comps])
     roots = []
     e_off = 0
@@ -192,37 +192,25 @@ def instantiate_forest(f: PForest) -> tuple[list[PTree], ForestDiagram, list[int
     return comps, diagram, roots
 
 
-def _fillings(stump: PTree, items: Iterable[tuple[str, object]],
-              arrangements: Callable[[list], Iterable]) -> Iterator[dict[int, object]]:
-    """Maps from stump leaves to the (colour, item) items that fill each leaf
-    with an item of its colour, in every combination of one of
-    ``arrangements(items of colour c)`` per colour; none when the profiles
-    differ."""
-    by_colour: dict[str, list] = {}
-    for colour, item in items:
-        by_colour.setdefault(colour, []).append(item)
-    leaves_by_colour: dict[str, list[int]] = {}
-    for e in sorted(stump.shape.leaves):
-        leaves_by_colour.setdefault(stump.edge_colour[e], []).append(e)
-    if {c: len(v) for c, v in by_colour.items()} != \
-            {c: len(v) for c, v in leaves_by_colour.items()}:
-        return
-    colour_list = sorted(leaves_by_colour)
-    for combo in itertools.product(*(list(arrangements(by_colour[c]))
-                                     for c in colour_list)):
-        yield {leaf: item for c, arranged in zip(colour_list, combo)
-               for leaf, item in zip(leaves_by_colour[c], arranged)}
-
-
 def matchings(stump: PTree, crown: PForest) -> list[dict[int, int]]:
     """All colour-respecting bijections from stump leaves to crown roots.
 
     Roots are the edge ids of the instantiated crown forest (components in
     key order, ids offset in that order); empty when profiles differ.
     """
+    if stump.leaf_profile() != crown.root_profile():
+        return []
     comps, _, comp_roots = instantiate_forest(crown)
-    return sorted(_fillings(stump, [(t.root_colour, r) for r, t in zip(comp_roots, comps)],
-                            itertools.permutations),
+    roots: dict[str, list[int]] = {}
+    leaves: dict[str, list[int]] = {}
+    for r, t in zip(comp_roots, comps):
+        roots.setdefault(t.root_colour, []).append(r)
+    for e in sorted(stump.shape.leaves):
+        leaves.setdefault(stump.edge_colour[e], []).append(e)
+    return sorted(({leaf: r for c, perm in zip(leaves, combo)
+                    for leaf, r in zip(leaves[c], perm)}
+                   for combo in itertools.product(*(
+                       itertools.permutations(roots[c]) for c in leaves))),
                   key=lambda m: tuple(sorted(m.items())))
 
 
@@ -249,8 +237,17 @@ def multiset_arrangements(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
         a[j + 1:] = a[:j:-1]
 
 
-def graft_class_assignments(stump: PTree, crown: PForest) -> Iterator[dict[int, str]]:
-    """Assignments of crown component keys to stump leaves, up to permuting
-    equal classes (enough to reach every graft class)."""
-    return _fillings(stump, [(c.root, c.key) for c in crown.classes()],
-                     multiset_arrangements)
+def graft_class_assignments(stump: TreeClass,
+                            crown: PForest) -> Iterator[dict[str, tuple[str, ...]]]:
+    """Per colour, an ordering of the crown's keys of that colour, for the
+    stump's leaves of that colour in slot order: every distinct ordering
+    (enough to reach every graft class), none when the profiles differ."""
+    if crown.root_profile() != stump.leaf_profile:
+        return
+    by_colour: dict[str, list[str]] = {}
+    for c in crown.classes():
+        by_colour.setdefault(c.root, []).append(c.key)
+    colours = sorted(by_colour)
+    for combo in itertools.product(*(multiset_arrangements(by_colour[c])
+                                     for c in colours)):
+        yield dict(zip(colours, combo))

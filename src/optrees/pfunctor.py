@@ -535,7 +535,8 @@ def trivial_ptree(spec: EndofunctorSpec, colour: str | None = None) -> PTree:
 
 
 def build_ptree(spec: EndofunctorSpec, opname: str, children: Sequence[PTree]) -> PTree:
-    """Tree with a root node ``opname`` and the given subtrees on its slots."""
+    """Tree with a root node ``opname`` and the given subtrees on its slots.
+    Each subtree's edges take one block of ids, in slot order."""
     op = spec.op(opname)
     if len(children) != op.arity:
         raise ArityMismatch(f"op {opname!r} needs {op.arity} children")
@@ -867,24 +868,19 @@ def _unfilled(record: TreeClass, slot: str) -> list[TreeClass]:
     return list(order.values())[::-1]
 
 
-def compose_along(t: PTree, leaf_records: Mapping[int, TreeClass]) -> TreeClass:
-    """The record of t with the given records on its leaves, composed along t."""
-    spec, shape, records = t.spec, t.shape, dict(leaf_records)
-    for n in reversed(shape.nodes_top_down):
-        records[shape.node_output[n]] = spec.compose(
-            t.node_op[n], [records[e] for e in shape.node_inputs[n]])
-    return records[shape.root]
-
-
 def intern(t: PTree) -> TreeClass:
-    """The record of t's class; a record with no tree yet takes t."""
-    c = t.spec.classes.get(t._key)
+    """The record of t's class, composed along t's nodes.  The record keeps
+    its own tree, built from its children on first use; it never takes t."""
+    spec = t.spec
+    c = spec.classes.get(t._key)
     if c is None:
-        c = compose_along(t, {e: t.spec.trivial_classes[t.edge_colour[e]]
-                              for e in t.shape.leaves})
+        shape = t.shape
+        records = {e: spec.trivial_classes[t.edge_colour[e]] for e in shape.leaves}
+        for n in reversed(shape.nodes_top_down):
+            records[shape.node_output[n]] = spec.compose(
+                t.node_op[n], [records[e] for e in shape.node_inputs[n]])
+        c = records[shape.root]
         t._key = c.key
-    if c._tree is None:
-        c._tree = t
     return c
 
 
@@ -892,11 +888,6 @@ def tree_class(spec: EndofunctorSpec, key: str) -> TreeClass:
     """The record of a canonical key's class, parsing the key on first sight."""
     c = spec.classes.get(key)
     return c if c is not None else intern(parse_ptree(spec, key))
-
-
-def representative(spec: EndofunctorSpec, key: str) -> PTree:
-    """The tree of a canonical key's class."""
-    return tree_class(spec, key).tree
 
 
 # ---------------------------------------------------------------------------
@@ -946,9 +937,6 @@ class PForest:
 
     def classes(self) -> list[TreeClass]:
         return [tree_class(self.spec, k) for k in self.keys]
-
-    def trees(self) -> list[PTree]:
-        return [c.tree for c in self.classes()]
 
     def edge_count(self) -> int:
         return sum(c.edges for c in self.classes())

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +10,8 @@ import pytest
 from conftest import (all_builtin_specs, cycle_generated_s3_spec,
                       symmetric_two_colour_spec, triple_left, triple_right,
                       two_colour_spec)
-from optrees import bialgebra
+from optrees import bialgebra, pfunctor
+from optrees.classical import verify_phi
 from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
                                counit, counit_left,
                                counit_right, cut_summary, delta_monomial,
@@ -21,8 +24,8 @@ from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
                                  enumerate_ptrees)
 from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
                               TreeClass, aut_order, automorphisms, builtin,
-                              parse_ptree, prune_decorated, representative,
-                              tree_class, trivial_ptree)
+                              parse_ptree, prune_decorated, tree_class,
+                              trivial_ptree)
 from optrees.trees import enumerate_cuts
 
 EMPTY = EMPTY_FOREST_KEY
@@ -35,7 +38,7 @@ def key1(t):
 def standalone_rhs(crown, stump):
     """The RHS read from a leaf-profile power built under the crown's sizes."""
     bound = Bound(max(crown.edge_count(), 1), crown.node_count())
-    profile = stump.leaf_profile()
+    profile = stump.leaf_profile
     return fdb_rhs_coefficient(crown, stump,
                                profile_powers(stump.spec, bound, [profile]))
 
@@ -131,7 +134,7 @@ def test_delta_multiplicative(exp3):
     for _ in range(10):
         f1 = tuple(sorted(t.key() for t in rng.sample(trees, 2)))
         f2 = (rng.choice(trees).key(),)
-        if sum(representative(exp3, k).edge_count for k in f1 + f2) > 8:
+        if sum(tree_class(exp3, k).edges for k in f1 + f2) > 8:
             continue
         lhs = delta_monomial(exp3, tuple(sorted(f1 + f2)), bound)
         rhs = tensor_mul(delta_monomial(exp3, f1, bound),
@@ -143,8 +146,8 @@ def test_node_grading_preserved(exp3):
     for t in enumerate_ptrees(exp3, Bound(6)):
         ts = delta_tree(t)
         for (left, right) in ts.coeffs:
-            nodes = sum(representative(exp3, k).node_count for k in left)
-            nodes += sum(representative(exp3, k).node_count for k in right)
+            nodes = sum(tree_class(exp3, k).nodes for k in left)
+            nodes += sum(tree_class(exp3, k).nodes for k in right)
             assert nodes == t.node_count
 
 
@@ -276,7 +279,7 @@ def test_flat_cut_count_reads_no_record(monkeypatch):
 
 def test_graft_oracle_catches_a_graft_on_the_wrong_leaf(monkeypatch):
     spec = builtin("planar", max_arity=3)
-    stump = parse_ptree(spec, "(n2:__)")
+    stump = tree_class(spec, "(n2:__)")
     crown = PForest.from_keys(spec, ["(n2:__)", "_"])
     graft = bialgebra.graft_decorated
 
@@ -294,6 +297,54 @@ def test_graft_oracle_catches_a_graft_on_the_wrong_leaf(monkeypatch):
             m.setattr(bialgebra, "graft_decorated", onto_the_wrong_leaf)
             verdicts.append((right, graft_oracle_agrees(stump, crown)))
     assert verdicts == [(True, False), (True, False)]
+
+
+def test_a_record_keeps_its_own_tree_when_a_parse_of_its_key_is_interned():
+    # enumeration composes the class with its children in the order
+    # _, _, (n1:_); a parse of the key has them in the key's order, so a
+    # record adopting the parsed tree would put the oracle's grafts on other
+    # leaves than the composed record's
+    spec = builtin("exp", max_arity=3)
+    enumerate_classes(spec, Bound(6))
+    k = "(n3:(n1:_)__)"
+    record = spec.classes[k]
+    assert [c.key for c in record.children] == ["_", "_", "(n1:_)"]
+    parsed = parse_ptree(spec, k)
+    assert bialgebra.intern(parsed) is record
+    assert record.tree is not parsed
+    fitting = [f for f in enumerate_pforests(spec, Bound(4))
+               if f.root_profile() == record.leaf_profile]
+    assert len(fitting) > 8
+    for f in fitting:
+        assert graft_oracle_agrees(record, f), f
+
+
+def test_graft_record_fills_leaves_in_slot_order_colour_by_colour(two_colour):
+    stump = tree_class(two_colour, "(f:(f:__)(g:__))")
+    record = bialgebra.graft_record(
+        stump, {"a": ("(f:__)", "_a"), "b": ("_b", "(g:__)")})
+    assert record is tree_class(two_colour, "(f:(f:(f:__)_)(g:_(g:__)))")
+
+
+@pytest.mark.parametrize("spec", [builtin("planar", 3), two_colour_spec()],
+                         ids=["planar(3)", "two-colour"])
+def test_fdb_pairs_and_phi_build_no_tree(monkeypatch, spec):
+    built = []
+    real = pfunctor.build_ptree
+    monkeypatch.setattr(pfunctor, "build_ptree",
+                        lambda *args: built.append(args) or real(*args))
+    nodes, edges = 4, 6
+    stumps, by_profile, total = bialgebra._fdb_pair_space(spec, nodes, edges, None)
+    powers = profile_powers(spec, Bound(edges, nodes), {s.leaf_profile for s in stumps})
+    # every in-budget pair: the listed (profile-matched) and the sampled ones
+    checks = [bialgebra.check_fdb_pair(f, s, powers) for s in stumps
+              for fs in by_profile.values() for n, f in fs if n <= nodes - s.nodes]
+    assert len(checks) == total
+    assert all(p.passed for p in checks) and any(p.lhs for p in checks)
+    assert verify_phi(builtin("effective", 3), 4, Bound(8)).passed
+    assert built == []
+    max(stumps, key=lambda s: s.nodes).tree  # the count sees trees when they are built
+    assert built
 
 
 # -- green functions -----------------------------------------------------------
@@ -329,7 +380,7 @@ def test_green_root_selector(two_colour):
     for colour in two_colour.colours:
         g = green(two_colour, Bound(5), root_colour=colour)
         for k in g.coeffs:
-            assert representative(two_colour, k[0]).root_colour == colour
+            assert tree_class(two_colour, k[0]).root == colour
 
 
 # -- series arithmetic -----------------------------------------------------------
@@ -447,14 +498,14 @@ def test_profile_powers_give_the_standalone_rhs(monkeypatch, spec, nodes, edges)
     monkeypatch.setattr(bialgebra, "fdb_rhs_coefficient", recorded)
     report = verify_fdb(spec, nodes, edges)
     assert report.passed
-    listed = sum(s.leaf_profile() == f.root_profile() for f, s, _ in calls)
+    listed = sum(s.leaf_profile == f.root_profile() for f, s, _ in calls)
     assert listed and len(calls) > listed  # listed and sampled pairs
     for crown, stump, value in calls:
         assert standalone_rhs(crown, stump) == value
 
 
 def test_rhs_rejects_a_power_that_cuts_the_crown(exp3):
-    stump = parse_ptree(exp3, "(n2:__)")
+    stump = tree_class(exp3, "(n2:__)")
     crown = PForest.from_keys(exp3, ["(n2:__)", "_"])
     powers = profile_powers(exp3, Bound(3), [(("o", 2),)])
     with pytest.raises(BoundMismatch):
@@ -476,19 +527,18 @@ def test_power_profile_matches_plain_power(exp3):
 # -- the coefficient identity ---------------------------------------------------
 
 def test_lhs_examples(exp3):
-    triv = trivial_ptree(exp3)
-    cherry = parse_ptree(exp3, "(n2:__)")
-    crown = PForest.from_trees(exp3, [triv, triv])
+    triv = tree_class(exp3, "_")
+    cherry = tree_class(exp3, "(n2:__)")
+    crown = PForest.from_keys(exp3, ["_", "_"])
     assert fdb_lhs_coefficient(crown, cherry) == Fraction(1, 2)
-    nested = parse_ptree(exp3, "(n2:(n2:__)(n2:__))")
-    assert fdb_lhs_coefficient(
-        PForest.from_trees(exp3, [nested]), triv) == Fraction(1, 8)
+    nested = PForest.from_keys(exp3, ["(n2:(n2:__)(n2:__))"])
+    assert fdb_lhs_coefficient(nested, triv) == Fraction(1, 8)
 
 
 def test_lhs_ladder():
     spec = builtin("identity")
-    x1 = parse_ptree(spec, "(n1:_)")
-    crown = PForest.from_trees(spec, [x1])
+    x1 = tree_class(spec, "(n1:_)")
+    crown = PForest.from_keys(spec, ["(n1:_)"])
     assert fdb_lhs_coefficient(crown, x1) == 1
     assert standalone_rhs(crown, x1) == 1
 
@@ -533,11 +583,11 @@ def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
     check, oracle = bialgebra.check_fdb_pair, bialgebra.graft_oracle_agrees
 
     def recorded_check(crown, stump, powers):
-        checked.append((stump.key(), crown.keys))
+        checked.append((stump.key, crown.keys))
         return check(crown, stump, powers)
 
     def recorded_oracle(stump, crown):
-        sampled.append((stump.key(), crown.keys))
+        sampled.append((stump.key, crown.keys))
         return oracle(stump, crown)
 
     monkeypatch.setattr(bialgebra, "check_fdb_pair", recorded_check)
@@ -546,6 +596,18 @@ def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
     assert checked[:len(expected)] == expected
     stride = max(1, -(-len(expected) // bialgebra.SAMPLE))
     assert sampled == expected[::stride][:bialgebra.SAMPLE]
+
+
+@pytest.mark.parametrize("spec, nodes, edges, sha256", [
+    (builtin("cyclic", 3), 5, 8,
+     "bc41379361ea70530d38c5947e9dff52484ddc68ad5b0eb51022b693903af470"),
+    (two_colour_spec(), 4, 6,
+     "46ce1acfa7e7c643362005b3d2eeebe02a77c25968bc1e6ecac809dcfa4ffd12"),
+], ids=["cyclic(3)", "two-colour"])
+def test_verify_fdb_report_bytes_are_pinned(spec, nodes, edges, sha256):
+    doc = verify_fdb(spec, nodes, edges).as_doc()
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_verify_fdb_report_doc():
@@ -564,7 +626,7 @@ def test_verify_fdb_rooted_two_colour(two_colour):
                          rooted=colour)
         assert rep.passed
         for p in rep.pairs:
-            assert representative(two_colour, p.stump).root_colour == colour
+            assert tree_class(two_colour, p.stump).root == colour
 
 
 def test_leaf_marked_summand_relation():

@@ -13,8 +13,8 @@ from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
                                  enumerate_ptrees, graft_class_assignments,
                                  matchings, multiset_arrangements)
 from optrees.pfunctor import (EndofunctorSpec, PForest, SpecError, aut_order,
-                              builtin, intern, parse_ptree, trivial_ptree,
-                              validate_ptree)
+                              builtin, intern, parse_ptree, tree_class,
+                              trivial_ptree, validate_ptree)
 from optrees.trees import validate_tree
 
 
@@ -390,10 +390,22 @@ def test_multiset_arrangements():
     assert list(multiset_arrangements([])) == [()]
 
 
-def test_graft_class_assignments_counts(exp3):
-    cherry = parse_ptree(exp3, "(n2:__)")
-    x1 = parse_ptree(exp3, "(n1:_)")
-    crown = PForest.from_trees(exp3, [x1, x1])
-    assert len(list(graft_class_assignments(cherry, crown))) == 1
-    crown2 = PForest.from_trees(exp3, [x1, trivial_ptree(exp3)])
+def test_graft_class_assignments_counts(exp3, two_colour):
+    cherry = tree_class(exp3, "(n2:__)")
+    crown = PForest.from_keys(exp3, ["(n1:_)", "(n1:_)"])
+    assert list(graft_class_assignments(cherry, crown)) == [{"o": ("(n1:_)", "(n1:_)")}]
+    crown2 = PForest.from_keys(exp3, ["(n1:_)", "_"])
     assert len(list(graft_class_assignments(cherry, crown2))) == 2
+    # leaves of two colours: one ordering of each colour's crown classes
+    stump = tree_class(two_colour, "(f:(f:__)(g:__))")
+    assert stump.leaf_profile == (("a", 2), ("b", 2))
+    crown3 = PForest.from_keys(two_colour, ["(f:__)", "_a", "(g:__)", "_b"])
+    assert list(graft_class_assignments(stump, crown3)) == [
+        {"a": a, "b": b} for a in [("(f:__)", "_a"), ("_a", "(f:__)")]
+        for b in [("(g:__)", "_b"), ("_b", "(g:__)")]]
+    crown4 = PForest.from_keys(two_colour, ["_a", "_a", "(g:__)", "_b"])
+    assert len(list(graft_class_assignments(stump, crown4))) == 2
+    # a crown whose root profile is not the leaf profile has no assignment
+    for keys in (["_a", "_a", "_b"], ["_a", "_b", "_b", "_b"], ["_a", "_a", "_a", "_b"]):
+        assert list(graft_class_assignments(stump, PForest.from_keys(two_colour, keys))) == []
+    assert list(graft_class_assignments(cherry, PForest.from_keys(exp3, ["_"]))) == []

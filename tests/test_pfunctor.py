@@ -17,9 +17,10 @@ from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
                               automorphisms, build_ptree, builtin,
                               decorate_shape, decorated_automorphism,
                               forest_mul, graft_decorated, group_order,
-                              isomorphisms_brute, parse_pforest, parse_ptree,
-                              parse_ptree_or_shape, representative, save_spec, load_spec,
-                              trivial_ptree, validate_ptree)
+                              intern, isomorphisms_brute, parse_pforest,
+                              parse_ptree, parse_ptree_or_shape, save_spec,
+                              load_spec, trivial_ptree, tree_class,
+                              validate_ptree)
 from optrees.trees import (GrammarError, MatchingNotBijective, parse_tree,
                            validate_tree)
 
@@ -199,7 +200,7 @@ def test_canon_is_complete_invariant():
                 assert not isomorphisms_brute(t1, t2)
         for t in classes:
             # rebuilt representative is isomorphic to the original
-            assert isomorphisms_brute(t, representative(spec, t.key()))
+            assert isomorphisms_brute(t, tree_class(spec, t.key()).tree)
 
 
 # -- automorphism orders --------------------------------------------------------
@@ -366,11 +367,11 @@ def test_class_records_match_a_fresh_parse(template):
     trees = enumerate_ptrees(spec, bound)
     assert trees
     for t in trees:
-        assert representative(spec, t.key()) is t
+        assert tree_class(spec, t.key()).tree is t
     # and the graft classes composed from them, up to 7 edges
     grafts = {c.key for s in trees for f in enumerate_pforests(spec, bound)
               if s.edge_count + f.edge_count() - s.leaf_count() <= 7
-              for c in graft_classes(f, s)}
+              for c in graft_classes(f, intern(s))}
     assert any(spec.classes[k].edges > bound.max_edges for k in grafts)
     for k in sorted(grafts | {t.key() for t in trees}):
         c = spec.classes[k]
@@ -383,15 +384,19 @@ def test_class_records_match_a_fresh_parse(template):
         assert c.leaf_profile == fresh.leaf_profile()
         assert c.aut == len(automorphisms(fresh))
         assert c.cuts == flat_cut_summary(fresh), k
-        assert representative(spec, k) is representative(spec, k)
+        assert tree_class(spec, k).tree is c.tree
 
 
 def test_class_interned_once_on_first_sight_of_its_key():
     spec = builtin("exp", max_arity=3)
     k = "(n2:(n2:__)_)"
-    t = representative(spec, k)
-    assert spec.classes[k].tree is t
-    assert representative(spec, k) is t
+    parsed = parse_ptree(spec, k)
+    record = tree_class(spec, k)
+    assert spec.classes[k] is record and intern(parsed) is record
+    # the record's tree is built from its children, not taken from a parse
+    t = record.tree
+    assert t is not parsed and t.key() == k
+    assert tree_class(spec, k).tree is t
     # enumeration keeps the record it finds instead of making a second one
     assert t in enumerate_ptrees(spec, Bound(5))
 

@@ -3,11 +3,11 @@
 An isomorphism of decorated trees may permute each node's slots by any
 element of its op's group, so rebuilding a tree with such a permutation at
 every node must keep its key and its automorphism order.  A graft record
-composed from class records must be the class of the grafted tree.  The
-coproduct of a tree or a forest monomial must satisfy both counit laws and
-coassociativity, and ``multiset_arrangements`` must list the distinct
-orderings of a multiset in order.  The examples are derandomised, so every
-run checks the same trees.
+composed along a stump's record must be the class of the tree grafted onto
+the record's tree in the same slot order.  The coproduct of a tree or a
+forest monomial must satisfy both counit laws and coassociativity, and
+``multiset_arrangements`` must list the distinct orderings of a multiset in
+order.  The examples are derandomised, so every run checks the same trees.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from optrees.bialgebra import (counit_left, counit_right, delta_monomial,
                                delta_tree, graft_record)
 from optrees.enumeration import Bound, multiset_arrangements
 from optrees.pfunctor import (aut_order, build_ptree, builtin, graft_decorated,
-                              parse_ptree, trivial_ptree)
+                              intern, parse_ptree, trivial_ptree)
 from optrees.trees import parse_tree, print_tree
 
 SPECS = [builtin("exp", max_arity=3), builtin("exp", max_arity=5),
@@ -93,12 +93,16 @@ def test_key_parses_back_to_its_class(spec, data):
 @PROPERTY
 @given(data=st.data())
 def test_composed_graft_is_the_class_of_the_grafted_tree(spec, data):
-    stump = data.draw(ptrees(spec, max_nodes=3))
+    stump = intern(data.draw(ptrees(spec, max_nodes=3)))
+    tree = stump.tree
     crown = {leaf: data.draw(ptrees(spec, max_nodes=3,
-                                    colour=stump.edge_colour[leaf]))
-             for leaf in stump.shape.leaves}
-    record = graft_record(stump, {leaf: t.key() for leaf, t in crown.items()})
-    grafted = graft_decorated(stump, crown)
+                                    colour=tree.edge_colour[leaf]))
+             for leaf in sorted(tree.shape.leaves)}
+    assignment = {}
+    for leaf, t in crown.items():  # leaf ids ascend in slot order
+        assignment.setdefault(t.root_colour, []).append(t.key())
+    record = graft_record(stump, assignment)
+    grafted = graft_decorated(tree, crown)
     assert record.key == grafted.key()
     assert record.aut == aut_order(grafted)
 
