@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -397,10 +398,16 @@ def graft_classes(crown: PForest, stump: TreeClass) -> list[TreeClass]:
 
 
 def fdb_lhs_coefficient(crown: PForest, stump: TreeClass) -> Fraction:
-    """Sum over graft classes T of (#cuts of T pruning to the pair)/|Aut T|."""
-    target = (crown.keys, stump.key)
-    return sum((Fraction(m, c.aut) for c in graft_classes(crown, stump)
-                if (m := c.cuts.get(target))), ZERO)
+    """Sum over graft classes T of (#cuts of T pruning to the pair)/|Aut T|,
+    summed in integers over a running lcm of the |Aut T|."""
+    target, num, den = (crown.keys, stump.key), 0, 1
+    for c in graft_classes(crown, stump):
+        if m := c.cuts.get(target):
+            if den % c.aut:
+                lcm = math.lcm(den, c.aut)
+                num, den = num * (lcm // den), lcm
+            num += m * (den // c.aut)
+    return Fraction(num, den)
 
 
 def graft_oracle_agrees(stump: TreeClass, crown: PForest) -> bool:
@@ -506,13 +513,17 @@ def check_fdb_pair(crown: PForest, stump: TreeClass,
 def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
                          max_edges: int) -> dict[tuple[ForestKey, str], Fraction]:
     """Coproduct of the Green function accumulated tree by tree, with each
-    tree's cuts counted flat and its weight from its own |Aut|."""
-    acc: dict[tuple[ForestKey, str], Fraction] = {}
-    for t in enumerate_ptrees(spec, Bound(max_edges, max_total_nodes)):
-        w = Fraction(1, aut_order(t))
+    tree's cuts counted flat and its weight from its own |Aut|, summed in
+    integers over the lcm of those orders."""
+    trees = enumerate_ptrees(spec, Bound(max_edges, max_total_nodes))
+    auts = [aut_order(t) for t in trees]
+    den = math.lcm(*auts)
+    acc: dict[tuple[ForestKey, str], int] = {}
+    for t, aut in zip(trees, auts):
+        w = den // aut
         for pair, mult in flat_cut_summary(t).items():
-            acc[pair] = acc.get(pair, ZERO) + mult * w
-    return acc
+            acc[pair] = acc.get(pair, 0) + mult * w
+    return {pair: Fraction(num, den) for pair, num in acc.items()}
 
 
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,

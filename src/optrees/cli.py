@@ -9,12 +9,15 @@ decoding, bound range, unreadable file), 3 on an internal error, reported
 in one ``internal error:`` line.  Results go to standard output only;
 diagnostics and timings go to standard error.  Structured output is a
 single JSON document with sorted keys and a ``schema_version`` field, so
-identical invocations are byte-identical.
+identical invocations are byte-identical.  It is written in bounded
+batches as it is encoded (``emit_structured``); the bytes are those of
+one ``json.dumps`` of the whole document.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -30,6 +33,7 @@ from .pfunctor import (EndofunctorSpec, SpecError, aut_order, builtin,
 from .trees import GrammarError
 
 SCHEMA_VERSION = 1
+BATCH = 8192  # encoder chunks joined into one write of structured output
 
 
 class UsageError(Exception):
@@ -78,9 +82,14 @@ def _check_colour(spec: EndofunctorSpec, colour: str):
 
 
 def emit_structured(command: str, doc: dict):
+    """Write the document as it is encoded, ``BATCH`` encoder chunks per
+    write: the same bytes as ``json.dumps`` with these settings, without
+    holding every chunk and the whole text at once."""
     doc = {"schema_version": SCHEMA_VERSION, "command": command, **doc}
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2,
-                                ensure_ascii=False, separators=(",", ": ")))
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False,
+                              separators=(",", ": ")).iterencode(doc)
+    while batch := list(itertools.islice(chunks, BATCH)):
+        sys.stdout.write("".join(batch))
     sys.stdout.write("\n")
 
 

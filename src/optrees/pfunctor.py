@@ -199,10 +199,14 @@ class EndofunctorSpec:
 
     Immutable after construction apart from caches: the closures of the
     groups that are neither trivial nor block-symmetric, the enumeration
-    strata, and ``classes``, the class table.  The table maps each
-    canonical key to its :class:`TreeClass` record; a trivial class's record
-    is made with the spec, any other once, by ``compose`` from the records
-    on its slots.
+    strata, the shared-key table of the cut tables (``shared_pair``), and
+    ``classes``, the class table.  The class table maps each canonical key
+    to its :class:`TreeClass` record; a trivial class's record is made with
+    the spec, any other once, by ``compose`` from the records on its slots.
+    The shared-key table maps each crown key, stump code and (crown, stump)
+    pair of the records' ``cuts`` to one object equal to it, so the cut
+    tables hold each once; its values are immutable and live as long as
+    ``classes``.
     """
 
     def __init__(self, colours: Sequence[str], ops: Sequence[OpType], name: str = "custom"):
@@ -240,6 +244,7 @@ class EndofunctorSpec:
                        if all(g == tuple(range(op.arity)) for g in op.sym_gens)}
         self._groups: dict[str, tuple[Perm, ...]] = {}
         self._enum_cache: dict = {}
+        self._shared: dict = {}
         self.trivial_classes = {c: TreeClass(self, self.trivial_key(c), c)
                                 for c in self.colours}
         self.classes = {c.key: c for c in self.trivial_classes.values()}
@@ -309,6 +314,17 @@ class EndofunctorSpec:
             c = self.classes[code] = TreeClass(
                 self, code, self.by_name[op].out, op, tuple(children), stabiliser)
         return c
+
+    def shared_pair(self, crown: ForestKey, stump: str) -> tuple[ForestKey, str]:
+        """The one (crown, stump) object of the spec equal to the given pair,
+        so equal entries of all cut tables share their keys; a new pair's
+        crown and stump are shared too."""
+        shared = self._shared
+        pair = shared.get((crown, stump))
+        if pair is None:
+            pair = (shared.setdefault(crown, crown), shared.setdefault(stump, stump))
+            shared[pair] = pair
+        return pair
 
     def trivial_key(self, colour: str) -> str:
         """Key of the trivial tree of a colour; the colour is written only
@@ -824,7 +840,7 @@ class TreeClass:
         if op is None:
             self._tree = trivial_ptree(spec, root)
             self._tree._key = key
-            self._cuts = {((key,), key): 1}
+            self._cuts = {spec.shared_pair((key,), key): 1}
 
     @property
     def tree(self) -> PTree:
@@ -848,10 +864,12 @@ class TreeClass:
                     [(crown, stump if stump[0] == "(" else "_", m)
                      for (crown, stump), m in d._cuts.items()]
                     for d in c.children)):
-                pair = (tuple(sorted(itertools.chain(*(cr for cr, _, _ in combo)))),
-                        spec.node_code(c.op, [st for _, st, _ in combo])[0])
+                pair = spec.shared_pair(
+                    tuple(sorted(itertools.chain(*(cr for cr, _, _ in combo)))),
+                    spec.node_code(c.op, [st for _, st, _ in combo])[0])
                 kept[pair] = kept.get(pair, 0) + math.prod(m for _, _, m in combo)
-            c._cuts = {((c.key,), spec.trivial_key(c.root)): 1, **kept}
+            c._cuts = {spec.shared_pair((c.key,), spec.trivial_key(c.root)): 1,
+                       **kept}
         return self._cuts
 
 

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (all_builtin_specs, cycle_generated_s3_spec,
-                      symmetric_two_colour_spec, triple_left, triple_right,
-                      two_colour_spec)
+                      split_block_spec, symmetric_two_colour_spec, triple_left,
+                      triple_right, two_colour_spec)
 from optrees import bialgebra, pfunctor
 from optrees.classical import verify_phi
 from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
@@ -151,15 +151,20 @@ def test_node_grading_preserved(exp3):
             assert nodes == t.node_count
 
 
-CUT_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec()]
+CUT_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(),
+                                   split_block_spec(), cycle_generated_s3_spec()]
+
+
+def fresh(template):
+    """A copy of the spec, so no class record holds a summary yet."""
+    return EndofunctorSpec(template.colours, template.ops, name=template.name)
 
 
 @pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
 def test_recursive_cut_summary_equals_flat_count(template):
-    # A fresh copy of the spec, so no class record holds a summary yet.  The
-    # largest trees go first: their summaries fill those of their subtree
-    # classes, which the smaller trees then read.
-    spec = EndofunctorSpec(template.colours, template.ops, name=template.name)
+    # The largest trees go first: their summaries fill those of their
+    # subtree classes, which the smaller trees then read.
+    spec = fresh(template)
     trees = sorted(enumerate_ptrees(spec, Bound(8)),
                    key=lambda t: -t.edge_count)
     for t in trees:
@@ -176,6 +181,36 @@ def test_recursive_cut_summary_of_trees_outside_the_table():
             (builtin("identity"), "(n1:" * 40 + "_" + ")" * 40)]:
         t = parse_ptree(spec, text)
         assert cut_summary(t) == flat_cut_summary(t), text
+
+
+@pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
+def test_cut_tables_do_not_depend_on_the_order_they_are_filled(template):
+    # Deep-first: each large class fills its subtree classes' tables on the
+    # way.  Shallow-first: every class reads tables that are already full.
+    tables = []
+    for largest_first in (True, False):
+        classes = sorted(enumerate_classes(fresh(template), Bound(7, 5)),
+                         key=lambda c: (c.edges, c.key), reverse=largest_first)
+        tables.append({c.key: c.cuts for c in classes})
+    assert tables[0] == tables[1]
+
+
+def test_equal_cut_keys_are_one_object():
+    spec = fresh(builtin("planar", max_arity=3))
+    pair = (("(n2:__)", "_"), "(n2:__)")
+    left, right = (next(k for k in tree_class(spec, key).cuts if k == pair)
+                   for key in ("(n2:(n2:__)_)", "(n2:_(n2:__))"))
+    assert left is right
+    # every key, crown and stump of every table is the spec's one copy
+    pairs, crowns, stumps, entries = {}, {}, {}, 0
+    for c in enumerate_classes(spec, Bound(6, 4)):
+        for key in c.cuts:
+            crown, stump = key
+            assert pairs.setdefault(key, key) is key
+            assert crowns.setdefault(crown, crown) is crown
+            assert stumps.setdefault(stump, stump) is stump
+            entries += 1
+    assert len(pairs) < entries
 
 
 def test_cross_check_detects_a_wrong_recursive_count():
@@ -226,6 +261,31 @@ def test_route_three_weights_trees_by_their_own_aut(monkeypatch):
     spec = builtin("exp", max_arity=3)
     assert bialgebra._direct_accumulation(spec, 4, 6) == expected
     assert tree_class(spec, "(n2:__)").aut == 4  # the patch took effect
+
+
+@pytest.mark.parametrize("template", [builtin("exp", max_arity=3),
+                                      builtin("cyclic", max_arity=3),
+                                      symmetric_two_colour_spec()],
+                         ids=lambda s: s.name)
+def test_integer_sums_equal_the_sums_of_fractions(template):
+    # Both routes sum integer numerators over a common denominator; the
+    # terms summed as fractions give the same coefficients.
+    spec = fresh(template)
+    stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, 4, 6, None)
+    mixed = 0
+    for s in stumps:
+        for _, f in by_profile.get(s.leaf_profile, ()):
+            terms = [(m, c.aut) for c in bialgebra.graft_classes(f, s)
+                     if (m := c.cuts.get((f.keys, s.key)))]
+            mixed += len({aut for _, aut in terms}) > 1
+            assert fdb_lhs_coefficient(f, s) == sum(
+                (Fraction(m, aut) for m, aut in terms), Fraction(0))
+    assert mixed  # some pair sums graft classes of unequal |Aut|
+    expected = {}
+    for t in enumerate_ptrees(spec, Bound(6, 4)):
+        for pair, mult in flat_cut_summary(t).items():
+            expected[pair] = expected.get(pair, 0) + Fraction(mult, aut_order(t))
+    assert bialgebra._direct_accumulation(spec, 4, 6) == expected
 
 
 def pruned_cut_summary(t):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -384,3 +385,65 @@ def test_colour_named_twice_in_a_leaf_profile_is_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "colour 'o' named twice" in captured.err
+
+
+class RecordingStdout:
+    """A stdout that keeps each write, or only its length."""
+
+    def __init__(self, keep=True):
+        self.keep, self.writes, self.lengths = keep, [], []
+
+    def write(self, text):
+        if self.keep:
+            self.writes.append(text)
+        self.lengths.append(len(text))
+
+
+def synthetic_document(rows):
+    """Rows with non-ASCII keys and values, empty objects and lists, and
+    nested lists."""
+    return {"résumé": [{"clé": f"(n{i % 7}:ñ_{i})", "aut_order": i,
+                        "nested": [[i, "é"], [], [[{}]]], "empty": {},
+                        "pass": i % 2 == 0, "none": None}
+                       for i in range(rows)],
+            "count": rows, "ünïcode": "→ ⊗ ∅"}
+
+
+def reference_text(command, doc):
+    return json.dumps({"schema_version": cli.SCHEMA_VERSION, "command": command,
+                       **doc}, sort_keys=True, indent=2, ensure_ascii=False,
+                      separators=(",", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3000])
+def test_emit_structured_writes_the_bytes_of_one_dumps(monkeypatch, rows):
+    doc = synthetic_document(rows)
+    chunks = sum(1 for _ in json.JSONEncoder(
+        sort_keys=True, indent=2, ensure_ascii=False, separators=(",", ": "),
+    ).iterencode({"schema_version": cli.SCHEMA_VERSION, "command": "test", **doc}))
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli.emit_structured("test", doc)
+    assert "".join(out.writes) == reference_text("test", doc)
+    assert len(out.writes) <= -(-chunks // cli.BATCH) + 1
+    if rows == 3000:
+        assert chunks > 3 * cli.BATCH  # several batches long
+
+
+def test_emit_structured_holds_a_fraction_of_the_text(monkeypatch):
+    # Encoding the whole text before writing it (``json.dumps``) holds every
+    # chunk and the joined text at once, about 8 times the text's length
+    # here; writing in batches holds about 0.6 of it for this document.
+    doc = synthetic_document(3700)
+    length = len(reference_text("test", doc))
+    assert 900_000 < length < 1_200_000
+    out = RecordingStdout(keep=False)
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        cli.emit_structured("test", doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(out.lengths) == length
+    assert peak < length, peak / length
