@@ -40,9 +40,14 @@ coefficient of ``crown ⊗ stump`` in the coproduct of the total Green
 function can be computed two independent ways:
 
 * ``fdb_lhs_coefficient``: sum over graft classes ``T`` of (number of cuts
-  of ``T`` pruning to the pair) divided by ``|Aut T|``, where ``T`` is
-  composed along the stump's record, each leaf in slot order taking the
-  next crown record of its colour (``graft_record``): no tree is built;
+  of ``T`` pruning to the pair) divided by ``|Aut T|``.  The graft classes
+  come from one walk per stump (``stump_grafts``): it fills the stump
+  record's leaves in slot order, each from the crown records of its colour
+  that still fit the budget, and composes each stump node as soon as its
+  last leaf is filled, so the composed subtree is shared by every later
+  choice.  A filling's sorted crown keys name its pair.  Leaf slots of one
+  colour under a block-symmetric op take nondecreasing picks, since their
+  orderings give one graft.  No tree is built;
 * ``fdb_rhs_coefficient``: coefficient of the crown in the product of
   root-coloured Green functions indexed by the stump's leaf profile,
   divided by ``|Aut stump|``.  ``verify_fdb`` builds that power once per
@@ -53,8 +58,8 @@ function can be computed two independent ways:
 (max total nodes, max edges per side).  A third route builds every tree
 within the budget and counts its cuts flat, so it shares no composed
 record with the first; the graft records of a sample of pairs are also
-checked against trees grafted in the same slot order, their flat cut
-counts and parsed keys.
+checked against trees grafted from the fillings that reached them, their
+flat cut counts and parsed keys.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .enumeration import (Bound, Profile, enumerate_classes, enumerate_pforests,
-                          enumerate_ptrees, graft_class_assignments)
+                          enumerate_ptrees)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
                        PTree, TreeClass, aut_order, forest_key_str,
                        graft_decorated, intern, parse_ptree, tree_class)
@@ -373,35 +378,109 @@ def fdb_rhs_coefficient(crown: PForest, stump: TreeClass,
     return power.coefficient(crown.keys) / stump.aut
 
 
-def graft_record(stump: TreeClass, assignment: Mapping[str, Sequence[str]]) -> TreeClass:
-    """Record of the graft of crown classes onto the stump, composed along
-    the stump's record: each leaf, in slot order, takes the next key that
-    ``assignment`` lists for its colour (colour -> keys)."""
-    spec, crowns = stump.spec, {c: iter(keys) for c, keys in assignment.items()}
+def _plan(c: TreeClass, crowns: Mapping[str, Sequence[TreeClass]], prev: int,
+          head: list, slots: list):
+    """Append the steps that rebuild the record ``c`` on a stack, its leaves
+    filled in slot order.  Each leaf is a slot (candidates, previous slot,
+    steps after it): its colour's crown candidates, the slot (or -1) whose
+    pick it may not go below, and the steps run once it is filled, each
+    ``(None, record)`` (push a leaf-free subtree) or ``(op, k)`` (compose op
+    on the top k records).  Records pushed before the first leaf go to
+    ``head``, the stack the walk starts from."""
+    if not c.leaves:
+        if slots:
+            slots[-1][2].append((None, c))
+        else:
+            head.append(c)
+        return
+    if c.op is None:
+        slots.append((crowns.get(c.root, ()), prev, []))
+        return
+    # leaf slots of one colour of a block-symmetric op are interchangeable
+    block = {} if c.spec.group_is_block_symmetric(c.op) else None
+    for d in c.children:
+        before = -1
+        if block is not None and d.op is None:
+            before = block.get(d.root, -1)
+            block[d.root] = len(slots)
+        _plan(d, crowns, before, head, slots)
+    slots[-1][2].append((c.op, len(c.children)))
 
-    def graft(c: TreeClass) -> TreeClass:
-        if c.op is None:
-            return tree_class(spec, next(crowns[c.root]))
-        return spec.compose(c.op, [graft(d) if d.leaves else d for d in c.children])
 
-    return graft(stump)
+def _fill(slots: list, j: int, stack: tuple, picks: tuple, filling: tuple,
+          nodes_left: int, edges_left: int, compose, out: dict):
+    """Fill slot j onwards with crown candidates within the nodes and edges
+    left (each later slot keeps one edge), composing each node as soon as
+    its last leaf is filled; record each finished graft in ``out``.
+    ``picks`` are the candidate indices of the slots filled so far, and
+    ``filling`` their keys."""
+    if j == len(slots):
+        out.setdefault(tuple(sorted(filling)), {}).setdefault(stack[0], filling)
+        return
+    candidates, prev, steps = slots[j]
+    room = edges_left - (len(slots) - 1 - j)
+    for i in range(picks[prev] if prev >= 0 else 0, len(candidates)):
+        c = candidates[i]
+        if c.nodes > nodes_left:
+            break
+        if c.edges > room:
+            continue
+        s = stack + (c,)
+        for op, x in steps:
+            s = s + (x,) if op is None else s[:-x] + (compose(op, s[-x:]),)
+        _fill(slots, j + 1, s, picks + (i,), filling + (c.key,),
+              nodes_left - c.nodes, edges_left - c.edges, compose, out)
+
+
+def stump_grafts(stump: TreeClass, crowns: Mapping[str, Sequence[TreeClass]],
+                 max_nodes: int, max_edges: int
+                 ) -> dict[ForestKey, dict[TreeClass, tuple[str, ...]]]:
+    """Every graft onto the stump of crown forests with at most ``max_nodes``
+    nodes and ``max_edges`` edges, in one walk: the stump's leaves are
+    filled in slot order, each from ``crowns[colour]`` (records sorted by
+    node count), and a stump node is composed once its last leaf is filled,
+    so every later choice shares it.  Leaf slots of one colour under a
+    block-symmetric op take nondecreasing picks, one filling per orbit of
+    theirs.  Maps each crown (sorted keys) to its graft classes, each with
+    the first filling (crown keys in slot order) that reached it."""
+    head: list = []
+    slots: list = []
+    _plan(stump, crowns, -1, head, slots)
+    out: dict = {}
+    _fill(slots, 0, tuple(head), (), (), max_nodes, max_edges, stump.spec.compose, out)
+    return out
+
+
+def _crown_candidates(classes: Iterable[TreeClass]) -> dict[str, list[TreeClass]]:
+    """The walk's crown candidates: the classes per root colour, sorted by
+    node count (a stable sort, so key order stays within one count)."""
+    out: dict[str, list[TreeClass]] = {}
+    for c in sorted(classes, key=lambda c: c.nodes):
+        out.setdefault(c.root, []).append(c)
+    return out
+
+
+def _pair_grafts(crown: PForest, stump: TreeClass) -> dict[TreeClass, tuple[str, ...]]:
+    """The stump's walk restricted to the crown's classes and sizes: the
+    pair's graft classes, each with the filling that reached it."""
+    return stump_grafts(stump, _crown_candidates(dict.fromkeys(crown.classes())),
+                        crown.node_count(), crown.edge_count()).get(crown.keys, {})
 
 
 def graft_classes(crown: PForest, stump: TreeClass) -> list[TreeClass]:
     """Records of all tree classes obtained by grafting crown onto stump
     along some matching, once each, in the order first reached."""
-    out: dict[str, TreeClass] = {}
-    for a in graft_class_assignments(stump, crown):
-        c = graft_record(stump, a)
-        out.setdefault(c.key, c)
-    return list(out.values())
+    return list(_pair_grafts(crown, stump))
 
 
-def fdb_lhs_coefficient(crown: PForest, stump: TreeClass) -> Fraction:
+def fdb_lhs_coefficient(crown: PForest, stump: TreeClass,
+                        grafts: Iterable[TreeClass] | None = None) -> Fraction:
     """Sum over graft classes T of (#cuts of T pruning to the pair)/|Aut T|,
-    summed in integers over a running lcm of the |Aut T|."""
+    summed in integers over a running lcm of the |Aut T|.  ``grafts`` are
+    the pair's graft classes from its stump's walk (``stump_grafts``); by
+    default ``graft_classes`` walks for them."""
     target, num, den = (crown.keys, stump.key), 0, 1
-    for c in graft_classes(crown, stump):
+    for c in graft_classes(crown, stump) if grafts is None else grafts:
         if m := c.cuts.get(target):
             if den % c.aut:
                 lcm = math.lcm(den, c.aut)
@@ -411,25 +490,25 @@ def fdb_lhs_coefficient(crown: PForest, stump: TreeClass) -> Fraction:
 
 
 def graft_oracle_agrees(stump: TreeClass, crown: PForest) -> bool:
-    """Check the pair's composed graft records against the tree oracles: the
-    tree ``graft_decorated`` builds on ``stump.tree``, filling its leaves in
-    slot order, has the key and a cut giving the pair, counted flat on that
-    tree; a parse of the key has the sizes, leaf profile and |Aut|."""
+    """Check the pair's graft records against the tree oracles: there is
+    one, and for each, the tree ``graft_decorated`` builds on
+    ``stump.tree`` from the filling that reached it, in slot order, has the
+    key and a cut giving the pair, counted flat on that tree; a parse of
+    the key has the sizes, leaf profile and |Aut|."""
     spec, pair, tree = stump.spec, (crown.keys, stump.key), stump.tree
     # ``build_ptree`` numbers a record's tree so leaf ids ascend in slot order
     leaves = sorted(tree.shape.leaves)
-    for assignment in graft_class_assignments(stump, crown):
-        c = graft_record(stump, assignment)
-        crowns = {colour: iter(keys) for colour, keys in assignment.items()}
-        g = graft_decorated(tree, {leaf: tree_class(
-            spec, next(crowns[tree.edge_colour[leaf]])).tree for leaf in leaves})
+    grafts = _pair_grafts(crown, stump)
+    for c, filling in grafts.items():
+        g = graft_decorated(tree, {leaf: tree_class(spec, key).tree
+                                   for leaf, key in zip(leaves, filling)})
         fresh = parse_ptree(spec, c.key)
         if (g.key() != c.key or fresh.key() != c.key
                 or (fresh.edge_count, fresh.node_count, fresh.leaf_profile(),
                     aut_order(fresh)) != (c.edges, c.nodes, c.leaf_profile, c.aut)
                 or not flat_cut_summary(g).get(pair)):
             return False
-    return True
+    return bool(grafts)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +521,13 @@ class PairCheck:
     stump: str
     lhs: Fraction
     rhs: Fraction
+    # False when only one of the stump's walk and the forest enumeration
+    # reaches the pair
+    reached: bool = True
 
     @property
     def passed(self) -> bool:
-        return self.lhs == self.rhs
+        return self.reached and self.lhs == self.rhs
 
     def as_doc(self) -> dict:
         return {"F": forest_key_str(self.crown), "S": self.stump,
@@ -503,9 +585,9 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
     return stumps, by_profile, total_pairs
 
 
-def check_fdb_pair(crown: PForest, stump: TreeClass,
-                   powers: Mapping[Profile, Series]) -> PairCheck:
-    lhs = fdb_lhs_coefficient(crown, stump)
+def check_fdb_pair(crown: PForest, stump: TreeClass, powers: Mapping[Profile, Series],
+                   grafts: Iterable[TreeClass] | None = None) -> PairCheck:
+    lhs = fdb_lhs_coefficient(crown, stump, grafts)
     rhs = fdb_rhs_coefficient(crown, stump, powers)
     return PairCheck(crown.keys, stump.key, lhs, rhs)
 
@@ -536,9 +618,13 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     them is pushed through the full computation as a spot check).  Only
     profile-matched pairs with a nonzero side, and any failures, are listed.
 
-    Stumps are class records.  The LHS composes each graft record along the
-    stump's record, leaf by leaf in slot order and colour by colour
-    (``graft_record``), building no tree.  A third route accumulates the
+    Stumps are class records.  The LHS walks each stump once
+    (``stump_grafts``), filling its leaves in slot order from the crown
+    classes within the budget and composing each node once its last leaf
+    is filled, so one pass gives every pair of the stump with its graft
+    records, and no tree is built.  Only one stump's grafts are held at a
+    time.  A pair that only one of the walk and the forest enumeration
+    reaches fails and is listed.  A third route accumulates the
     coproducts of all trees within the budget, counting each tree's cuts
     flat (``flat_cut_summary``: enumerate, code from the tree's own pass)
     and weighting it by its own |Aut| (``aut_order``), so it tests the
@@ -546,12 +632,14 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     listed pairs whose graft size stays within the budget, and every pair
     it finds must be listed; in rooted mode, every pair whose stump has the
     rooted colour.  An evenly spaced sample of at most ``SAMPLE`` listed
-    pairs must pass ``graft_oracle_agrees``.  Both count in
-    ``cross_failed``.
+    pairs must pass ``graft_oracle_agrees``, which runs the same walk
+    restricted to the pair's crown and grafts trees for the records the LHS
+    summed.  Both count in ``cross_failed``.
     """
     stumps, by_profile, total_pairs = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
-    tasks: list[tuple[TreeClass, PForest]] = []
+    side_bound = Bound(max_edges_side, max_total_nodes)
+    listed: list[tuple[TreeClass, list[PForest]]] = []
     sampled: list[tuple[TreeClass, PForest]] = []
     per_stump = max(1, SAMPLE // max(len(stumps), 1))
     # the crowns of each leaf profile that fit in each room, in the order
@@ -563,7 +651,7 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
         if crowns is None:
             crowns = fitting[(s.leaf_profile, room)] = [
                 f for n, f in by_profile.get(s.leaf_profile, ()) if n <= room]
-        tasks.extend((s, f) for f in crowns)
+        listed.append((s, crowns))
         if len(sampled) < SAMPLE:
             taken = 0
             for other, fs in by_profile.items():
@@ -574,10 +662,22 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                         sampled.append((s, f))
                         taken += 1
                         break
+    tasks = [(s, f) for s, crowns in listed for f in crowns]
 
-    powers = profile_powers(spec, Bound(max_edges_side, max_total_nodes),
-                            {s.leaf_profile for s in stumps})
-    results = [check_fdb_pair(f, s, powers) for s, f in tasks]
+    powers = profile_powers(spec, side_bound, {s.leaf_profile for s in stumps})
+    candidates = _crown_candidates(enumerate_classes(spec, side_bound))
+    results: list[PairCheck] = []
+    for s, crowns in listed:
+        grafts = stump_grafts(s, candidates, max_total_nodes - s.nodes, max_edges_side)
+        for f in crowns:
+            found = grafts.pop(f.keys, None)
+            chk = check_fdb_pair(f, s, powers, found or ())
+            chk.reached = found is not None
+            results.append(chk)
+        for keys, found in grafts.items():  # reached by the walk alone
+            chk = check_fdb_pair(PForest(spec, keys), s, powers, found)
+            chk.reached = False
+            results.append(chk)
 
     results.sort(key=lambda p: (p.stump, p.crown))
     failed = sum(1 for p in results if not p.passed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .pfunctor import (EndofunctorSpec, ForestKey, OpType, PForest, PTree,
                        SpecError, TreeClass)
@@ -212,42 +212,3 @@ def matchings(stump: PTree, crown: PForest) -> list[dict[int, int]]:
                    for combo in itertools.product(*(
                        itertools.permutations(roots[c]) for c in leaves))),
                   key=lambda m: tuple(sorted(m.items())))
-
-
-def multiset_arrangements(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """Distinct orderings of a multiset, in lexicographic order.
-
-    Knuth's Algorithm L (TAOCP 7.2.1.2): from the sorted items, each next
-    ordering swaps the rightmost ascent a[j] < a[j+1] with the last item
-    above a[j] and reverses the tail after j.
-    """
-    a = sorted(items)
-    n = len(a)
-    while True:
-        yield tuple(a)
-        j = n - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        k = n - 1
-        while a[j] >= a[k]:
-            k -= 1
-        a[j], a[k] = a[k], a[j]
-        a[j + 1:] = a[:j:-1]
-
-
-def graft_class_assignments(stump: TreeClass,
-                            crown: PForest) -> Iterator[dict[str, tuple[str, ...]]]:
-    """Per colour, an ordering of the crown's keys of that colour, for the
-    stump's leaves of that colour in slot order: every distinct ordering
-    (enough to reach every graft class), none when the profiles differ."""
-    if crown.root_profile() != stump.leaf_profile:
-        return
-    by_colour: dict[str, list[str]] = {}
-    for c in crown.classes():
-        by_colour.setdefault(c.root, []).append(c.key)
-    colours = sorted(by_colour)
-    for combo in itertools.product(*(multiset_arrangements(by_colour[c])
-                                     for c in colours)):
-        yield dict(zip(colours, combo))

@@ -859,17 +859,18 @@ class TreeClass:
         if self._cuts is not None:
             return self._cuts
         for c in _unfilled(self, "_cuts"):
-            spec, kept = c.spec, {}
+            spec, op, kept = c.spec, c.op, {}
+            shared_pair, node_code = spec.shared_pair, spec.node_code
             for combo in itertools.product(*(
                     [(crown, stump if stump[0] == "(" else "_", m)
                      for (crown, stump), m in d._cuts.items()]
                     for d in c.children)):
-                pair = spec.shared_pair(
-                    tuple(sorted(itertools.chain(*(cr for cr, _, _ in combo)))),
-                    spec.node_code(c.op, [st for _, st, _ in combo])[0])
-                kept[pair] = kept.get(pair, 0) + math.prod(m for _, _, m in combo)
-            c._cuts = {spec.shared_pair((c.key,), spec.trivial_key(c.root)): 1,
-                       **kept}
+                # a nullary op has one empty combination
+                crowns, stumps, mults = zip(*combo) if combo else ((), (), ())
+                pair = shared_pair(tuple(sorted(itertools.chain(*crowns))),
+                                   node_code(op, stumps)[0])
+                kept[pair] = kept.get(pair, 0) + math.prod(mults)
+            c._cuts = {shared_pair((c.key,), spec.trivial_key(c.root)): 1, **kept}
         return self._cuts
 
 

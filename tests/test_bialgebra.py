@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -380,10 +381,113 @@ def test_a_record_keeps_its_own_tree_when_a_parse_of_its_key_is_interned():
 
 
 def test_graft_record_fills_leaves_in_slot_order_colour_by_colour(two_colour):
+    # the stump's leaves, in slot order, have colours a, b, a, b
     stump = tree_class(two_colour, "(f:(f:__)(g:__))")
-    record = bialgebra.graft_record(
-        stump, {"a": ("(f:__)", "_a"), "b": ("_b", "(g:__)")})
-    assert record is tree_class(two_colour, "(f:(f:(f:__)_)(g:_(g:__)))")
+    crown = PForest.from_keys(two_colour, ["(f:__)", "_a", "_b", "(g:__)"])
+    record = tree_class(two_colour, "(f:(f:(f:__)_)(g:_(g:__)))")
+    assert bialgebra._pair_grafts(crown, stump)[record] == (
+        "(f:__)", "_b", "_a", "(g:__)")
+
+
+def crown_candidates(spec, nodes, edges):
+    """The walk's crown candidates in ``verify_fdb``: the classes within
+    the side budget."""
+    return bialgebra._crown_candidates(enumerate_classes(spec, Bound(edges, nodes)))
+
+
+def listed_pairs(spec, nodes, edges):
+    """Each stump of the pair space with its profile-matched fitting crowns."""
+    stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, nodes, edges, None)
+    return [(s, [f for n, f in by_profile.get(s.leaf_profile, ()) if n <= nodes - s.nodes])
+            for s in stumps]
+
+
+@pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
+def test_stump_walk_reaches_the_listed_pairs_with_their_single_pair_grafts(template):
+    # one walk per stump reaches exactly the stump's crowns of the
+    # ``enumerate_pforests`` task list, each with the graft classes and
+    # fillings of the walk restricted to that crown, so both give one LHS
+    spec, nodes, edges = fresh(template), 4, 6
+    candidates, listed = crown_candidates(spec, nodes, edges), 0
+    for s, crowns in listed_pairs(spec, nodes, edges):
+        grafts = bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges)
+        assert set(grafts) == {f.keys for f in crowns}, s.key
+        for f in crowns:
+            assert grafts[f.keys] == bialgebra._pair_grafts(f, s), (f.keys, s.key)
+            assert (fdb_lhs_coefficient(f, s, grafts[f.keys])
+                    == fdb_lhs_coefficient(f, s)), (f.keys, s.key)
+            listed += 1
+    assert listed
+
+
+def test_a_pair_only_one_side_reaches_fails_and_is_named(monkeypatch):
+    spec, nodes, edges = builtin("exp", max_arity=3), 3, 4
+    assert verify_fdb(spec, nodes, edges).passed
+    walk, pair = bialgebra.stump_grafts, (("(n2:__)",), "_")
+
+    def dropping_one_filling(stump, *args):
+        out = walk(stump, *args)
+        if stump.key == pair[1] and pair[0] in out:
+            assert len(out.pop(pair[0])) == 1  # the pair's one filling
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(bialgebra, "stump_grafts", dropping_one_filling)
+        report = verify_fdb(spec, nodes, edges)
+    assert report.failed == 1
+    assert [(p.crown, p.stump) for p in report.pairs if not p.passed] == [pair]
+    # the other side: the forest enumeration misses the crown, so each walk
+    # that reaches it names a pair the task list does not have
+    forests = bialgebra.enumerate_pforests
+    monkeypatch.setattr(bialgebra, "enumerate_pforests", lambda *args: [
+        f for f in forests(*args) if f.keys != pair[0]])
+    report = verify_fdb(spec, nodes, edges)
+    named = [(p.crown, p.stump) for p in report.pairs if not p.passed]
+    assert report.failed == len(named) > 1
+    assert {crown for crown, _ in named} == {pair[0]}
+    assert pair in named and not report.passed
+
+
+@pytest.mark.parametrize("name, fillings, results", [
+    ("exp", 6872, 6714), ("stable", 132, 126), ("cyclic", 12231, 9149)])
+def test_symmetric_leaf_slots_take_nondecreasing_picks(monkeypatch, name, fillings, results):
+    # Under a block-symmetric op, leaf slots of one colour take their
+    # candidates in nondecreasing order, so exp(3) and stable(3) compose
+    # far fewer fillings than the 12,689 and 229 orderings of their crown
+    # keys.  cyclic(3)'s rotations of three slots are not a block group:
+    # only its binary op's leaves are constrained, and some classes are
+    # still reached twice.
+    spec, nodes, edges = builtin(name, max_arity=3), 5, 8
+    fill, finished = bialgebra._fill, []
+
+    def counted(slots, j, *args):
+        finished.append(j == len(slots))
+        return fill(slots, j, *args)
+
+    monkeypatch.setattr(bialgebra, "_fill", counted)
+    candidates, distinct = crown_candidates(spec, nodes, edges), 0
+    for s, _ in listed_pairs(spec, nodes, edges):
+        grafts = bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges)
+        distinct += sum(map(len, grafts.values()))
+    assert (sum(finished), distinct) == (fillings, results)
+
+
+@pytest.mark.parametrize("template", [builtin("exp", max_arity=3), two_colour_spec()],
+                         ids=lambda s: s.name)
+def test_the_lhs_leaves_no_cyclic_garbage(template):
+    spec, nodes, edges = fresh(template), 4, 6
+    candidates, pairs = crown_candidates(spec, nodes, edges), listed_pairs(spec, nodes, edges)
+    gc.disable()
+    try:
+        gc.collect()
+        for s, crowns in pairs:
+            grafts = bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges)
+            for f in crowns:
+                fdb_lhs_coefficient(f, s, grafts[f.keys])
+                fdb_lhs_coefficient(f, s)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("spec", [builtin("planar", 3), two_colour_spec()],
@@ -642,9 +746,9 @@ def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
     checked, sampled = [], []
     check, oracle = bialgebra.check_fdb_pair, bialgebra.graft_oracle_agrees
 
-    def recorded_check(crown, stump, powers):
+    def recorded_check(crown, stump, powers, grafts=None):
         checked.append((stump.key, crown.keys))
-        return check(crown, stump, powers)
+        return check(crown, stump, powers, grafts)
 
     def recorded_oracle(stump, crown):
         sampled.append((stump.key, crown.keys))

@@ -7,11 +7,10 @@ from conftest import (all_builtin_specs, cycle_generated_s3_spec,
                       split_block_spec, symmetric_two_colour_spec,
                       two_colour_spec)
 from optrees import pfunctor
-from optrees.bialgebra import green
+from optrees.bialgebra import _pair_grafts, green
 from optrees.cli import main
 from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
-                                 enumerate_ptrees, graft_class_assignments,
-                                 matchings, multiset_arrangements)
+                                 enumerate_ptrees, matchings)
 from optrees.pfunctor import (EndofunctorSpec, PForest, SpecError, aut_order,
                               builtin, intern, parse_ptree, tree_class,
                               trivial_ptree, validate_ptree)
@@ -384,28 +383,38 @@ def test_matching_count_is_product_of_factorials(two_colour):
 
 
 def test_multiset_arrangements():
-    out = list(multiset_arrangements(["x", "x", "y"]))
-    assert len(out) == 3
-    assert len(set(out)) == 3
-    assert list(multiset_arrangements([])) == [()]
+    # over a rigid stump, the walk fills the leaves with every distinct
+    # ordering of the crown's classes, in candidate (node count) order
+    planar = builtin("planar", max_arity=3)
+    stump = tree_class(planar, "(n3:___)")
+    crown = PForest.from_keys(planar, ["_", "_", "(n1:_)"])
+    out = list(_pair_grafts(crown, stump).values())
+    assert out == [("_", "_", "(n1:_)"), ("_", "(n1:_)", "_"), ("(n1:_)", "_", "_")]
+    assert list(_pair_grafts(PForest.from_keys(planar, []),
+                             tree_class(planar, "(n0)")).values()) == [()]
 
 
 def test_graft_class_assignments_counts(exp3, two_colour):
+    # the fillings of the stump's leaves, in slot order, that reach the
+    # pair's graft classes: one per class reached
     cherry = tree_class(exp3, "(n2:__)")
     crown = PForest.from_keys(exp3, ["(n1:_)", "(n1:_)"])
-    assert list(graft_class_assignments(cherry, crown)) == [{"o": ("(n1:_)", "(n1:_)")}]
+    assert list(_pair_grafts(crown, cherry).values()) == [("(n1:_)", "(n1:_)")]
+    # the cherry's two leaves are one symmetric block: one ordering is taken
     crown2 = PForest.from_keys(exp3, ["(n1:_)", "_"])
-    assert len(list(graft_class_assignments(cherry, crown2))) == 2
-    # leaves of two colours: one ordering of each colour's crown classes
+    assert list(_pair_grafts(crown2, cherry).values()) == [("_", "(n1:_)")]
+    # leaves of two colours (slot order a, b, a, b): every ordering of
+    # each colour's crown classes
     stump = tree_class(two_colour, "(f:(f:__)(g:__))")
     assert stump.leaf_profile == (("a", 2), ("b", 2))
     crown3 = PForest.from_keys(two_colour, ["(f:__)", "_a", "(g:__)", "_b"])
-    assert list(graft_class_assignments(stump, crown3)) == [
-        {"a": a, "b": b} for a in [("(f:__)", "_a"), ("_a", "(f:__)")]
-        for b in [("(g:__)", "_b"), ("_b", "(g:__)")]]
+    assert sorted(_pair_grafts(crown3, stump).values()) == sorted(
+        (a[0], b[0], a[1], b[1]) for a in [("(f:__)", "_a"), ("_a", "(f:__)")]
+        for b in [("(g:__)", "_b"), ("_b", "(g:__)")])
     crown4 = PForest.from_keys(two_colour, ["_a", "_a", "(g:__)", "_b"])
-    assert len(list(graft_class_assignments(stump, crown4))) == 2
-    # a crown whose root profile is not the leaf profile has no assignment
+    assert len(_pair_grafts(crown4, stump)) == 2
+    # a crown whose root profile is not the leaf profile has no filling
     for keys in (["_a", "_a", "_b"], ["_a", "_b", "_b", "_b"], ["_a", "_a", "_a", "_b"]):
-        assert list(graft_class_assignments(stump, PForest.from_keys(two_colour, keys))) == []
-    assert list(graft_class_assignments(cherry, PForest.from_keys(exp3, ["_"]))) == []
+        assert _pair_grafts(PForest.from_keys(two_colour, keys), stump) == {}
+    assert _pair_grafts(PForest.from_keys(exp3, ["_"]), cherry) == {}
+    assert not builtin("planar", max_arity=2).group_is_block_symmetric("n2")

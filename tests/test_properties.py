@@ -2,12 +2,13 @@
 
 An isomorphism of decorated trees may permute each node's slots by any
 element of its op's group, so rebuilding a tree with such a permutation at
-every node must keep its key and its automorphism order.  A graft record
-composed along a stump's record must be the class of the tree grafted onto
-the record's tree in the same slot order.  The coproduct of a tree or a
-forest monomial must satisfy both counit laws and coassociativity, and
-``multiset_arrangements`` must list the distinct orderings of a multiset in
-order.  The examples are derandomised, so every run checks the same trees.
+every node must keep its key and its automorphism order.  The walk that
+fills a stump record's leaves must reach the class, and |Aut|, of every
+tree grafted onto the record's tree.  The coproduct of a tree or a forest
+monomial must satisfy both counit laws and coassociativity, and over a
+rigid stump the walk must fill the leaves with the distinct orderings of
+the crown's classes, in order.  The examples are derandomised, so every run
+checks the same trees.
 """
 
 import itertools
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 
 from conftest import (cycle_generated_s3_spec, symmetric_two_colour_spec,
                       triple_left, triple_right, two_colour_spec)
-from optrees.bialgebra import (counit_left, counit_right, delta_monomial,
-                               delta_tree, graft_record)
-from optrees.enumeration import Bound, multiset_arrangements
-from optrees.pfunctor import (aut_order, build_ptree, builtin, graft_decorated,
-                              intern, parse_ptree, trivial_ptree)
+from optrees.bialgebra import (_pair_grafts, counit_left, counit_right,
+                               delta_monomial, delta_tree)
+from optrees.enumeration import Bound
+from optrees.pfunctor import (PForest, aut_order, build_ptree, builtin,
+                              graft_decorated, intern, parse_ptree, tree_class,
+                              trivial_ptree)
 from optrees.trees import parse_tree, print_tree
 
 SPECS = [builtin("exp", max_arity=3), builtin("exp", max_arity=5),
@@ -98,13 +100,10 @@ def test_composed_graft_is_the_class_of_the_grafted_tree(spec, data):
     crown = {leaf: data.draw(ptrees(spec, max_nodes=3,
                                     colour=tree.edge_colour[leaf]))
              for leaf in sorted(tree.shape.leaves)}
-    assignment = {}
-    for leaf, t in crown.items():  # leaf ids ascend in slot order
-        assignment.setdefault(t.root_colour, []).append(t.key())
-    record = graft_record(stump, assignment)
     grafted = graft_decorated(tree, crown)
-    assert record.key == grafted.key()
-    assert record.aut == aut_order(grafted)
+    reached = {c.key: c for c in _pair_grafts(
+        PForest.from_trees(spec, crown.values()), stump)}
+    assert reached[grafted.key()].aut == aut_order(grafted)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
@@ -133,8 +132,17 @@ def test_monomial_coproduct_counit_laws_and_coassociativity(spec, data):
     assert triple_left(spec, ts, bound) == triple_right(spec, ts, bound)
 
 
+PLANAR = builtin("planar", max_arity=7)
+# three crown classes, in the walk's candidate (node count) order
+CROWN_OF = {"a": "_", "b": "(n1:_)", "c": "(n1:(n1:_))"}
+
+
 @PROPERTY
 @given(items=st.lists(st.sampled_from("abc"), max_size=7))
 def test_multiset_arrangements_are_the_sorted_distinct_permutations(items):
-    assert (list(multiset_arrangements(items))
-            == sorted(set(itertools.permutations(items))))
+    stump = tree_class(PLANAR, f"(n{len(items)}" + (":" + "_" * len(items)
+                                                    if items else "") + ")")
+    crown = PForest.from_keys(PLANAR, [CROWN_OF[i] for i in items])
+    assert (list(_pair_grafts(crown, stump).values())
+            == [tuple(CROWN_OF[i] for i in p)
+                for p in sorted(set(itertools.permutations(items)))])
