@@ -371,11 +371,16 @@ def fdb_rhs_coefficient(crown: PForest, stump: TreeClass,
     divided by the stump's automorphism order.  ``powers`` maps leaf
     profiles to their ``profile_powers`` under one bound, which must admit
     the crown (sizes only add, so any such bound gives the same
-    coefficient)."""
+    coefficient).  A term of the power lies within its bound, so the crown's
+    sizes are summed only when it has no term."""
     power = powers[stump.leaf_profile]
-    if not power.bound.admits_forest(crown):
-        raise BoundMismatch(f"crown {crown} exceeds the power's bound {power.bound}")
-    return power.coefficient(crown.keys) / stump.aut
+    coefficient = power.coeffs.get(crown.keys)
+    if coefficient is None:  # a zero, unless the bound cut the crown off
+        if not power.bound.admits_forest(crown):
+            raise BoundMismatch(
+                f"crown {crown} exceeds the power's bound {power.bound}")
+        return ZERO
+    return coefficient / stump.aut
 
 
 def _plan(c: TreeClass, crowns: Mapping[str, Sequence[TreeClass]], prev: int,
@@ -608,6 +613,21 @@ def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
     return {pair: Fraction(num, den) for pair, num in acc.items()}
 
 
+def _small_grafts(spec: EndofunctorSpec, results: list[PairCheck],
+                  by_profile: Mapping, max_edges: int) -> list[PairCheck]:
+    """The pairs whose grafts have at most ``max_edges`` edges; each crown's
+    edges are summed once."""
+    edges = {f.keys: f.edge_count() for fs in by_profile.values() for _, f in fs}
+    out = []
+    for p in results:
+        if p.crown not in edges:  # a crown only the stump's walk reached
+            edges[p.crown] = PForest(spec, p.crown).edge_count()
+        s = tree_class(spec, p.stump)
+        if edges[p.crown] + s.edges - s.leaves <= max_edges:
+            out.append(p)
+    return out
+
+
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                rooted: str | None = None) -> FdbReport:
     """Check the coefficient identity over every in-budget pair.
@@ -695,16 +715,11 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                        for s, f in tasks[::stride][:SAMPLE])
 
     # independent accumulation cross-check on the common support
+    small = _small_grafts(spec, results, by_profile, max_edges_side)
     acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
     lhs_map = {(p.crown, p.stump): p.lhs for p in results}
-    cross_checked = 0
-    for p in results:
-        s = tree_class(spec, p.stump)
-        graft_edges = PForest(spec, p.crown).edge_count() + s.edges - s.leaves
-        if graft_edges <= max_edges_side:
-            cross_checked += 1
-            if acc.get((p.crown, p.stump), ZERO) != p.lhs:
-                cross_failed += 1
+    cross_checked = len(small)
+    cross_failed += sum(acc.get((p.crown, p.stump), ZERO) != p.lhs for p in small)
     # every accumulated pair (with a stump of the rooted colour) is checked
     for pair, val in acc.items():
         if val and pair not in lhs_map and (

@@ -8,17 +8,21 @@ cardinality read only the arrows, and each hom-set is sorted when it is
 first asked for.
 
 Every groupoid also numbers its arrows 0, 1, ... in ``arrows`` order
-(``numbering()``, built on first use, with endpoints and outgoing arrows as
-numbers) and composes numbers: ``mul_n(i, j)`` is the number of "arrow i
-then arrow j".  A groupoid is given one of the two rules and derives the
-other: a rule on labels gives ``mul_n(i, j) = number[mul(labels[i],
-labels[j])]``; a rule on numbers gives ``mul(f, g) = labels[mul_n(number[f],
-number[g])]``.  Documents, standard components, unions, products, fibres
-and pullbacks state a label rule; Grothendieck sums, quotients and
-``relabel`` copies state a number rule.  The checks call the number rule
-only: ``check`` on every composable pair and triple, and a map's ``check``
-on every composable pair of the domain, and once per distinct pair of
-images in the codomain, comparing images kept as a list of numbers.
+(``numbering()``, built on first use, with endpoints, outgoing arrows and
+each arrow's place among its source's as numbers) and composes a row at a
+time: ``row_n(i)`` lists "arrow i then j" for every j out of the target of
+i, in ``outgoing`` order, and ``mul_n(i, j)`` reads ``row_n(i)[place[j]]``
+(keeping the last row).  A groupoid is given a rule on labels, which gives
+each entry as ``number[mul(labels[i], labels[j])]``, or a row rule, which
+gives ``mul`` through the numbers.  Documents, standard components,
+unions, products, fibres and pullbacks state a label rule; Grothendieck
+sums, quotients and ``relabel`` copies a row rule.  The checks compare
+whole rows, and search a row for the first failing pair only when it
+disagrees: ``check`` holds each row against the endpoints, the units, an
+inverse and, for associativity, the row of each composite; a map's
+``check`` maps each domain row through the images and compares it with the
+codomain row of the image (one per distinct image), read at the images'
+places.
 
 Arrow convention of the constructions: ``standard_component``, pullbacks,
 fibres and Grothendieck sums name each arrow by a triple
@@ -26,11 +30,10 @@ fibres and Grothendieck sums name each arrow by a triple
 ones.  A homotopy quotient X//G is the Grothendieck sum of the action's
 family over BG, and ``check_family`` is the one check of a strict family,
 for sums and actions alike; it hands the sum each base arrow's transport as
-a list of fibre arrow numbers.  A sum composes on numbers from its
-structure: the base composite, the transported fibre arrow, the fibre
-composite and the composite's number from (source object, base arrow,
-fibre arrow); the total's rule keeps each base composite per pair of base
-arrows and each fibre composite per fibre and pair of fibre arrows.
+a list of fibre arrow numbers.  A sum's row of arrow (sigma, phi) has one
+stretch per base arrow tau out of the target of sigma: phi transported
+along tau, that fibre arrow's row as places (kept per fibre and arrow),
+offset by the first arrow over the base composite of sigma and tau.
 ``relabel`` maps any groupoid's ids to plain integers.
 
 Cardinality is the sum over components of the inverse vertex-group order,
@@ -117,12 +120,11 @@ class Group:
 
 @dataclass(frozen=True)
 class ArrowNumbering:
-    """A groupoid's arrows numbered 0, 1, ... in ``arrows`` order.
-
-    Arrow i is ``labels[i]``; objects are numbered in ``objects`` order
-    (an endpoint outside ``objects`` after them), and each arrow's endpoints
-    and each object's outgoing arrows are kept as numbers.  ``mul_n(i, j)``
-    is the number of "i then j", or None when that is not an arrow.
+    """A groupoid's arrows numbered 0, 1, ... in ``arrows`` order, with
+    objects numbered in ``objects`` order (an endpoint outside ``objects``
+    after them).  ``row_n(i)`` lists "i then j" for each j in
+    ``outgoing[target[i]]``, and ``mul_n(i, j)`` is one entry of it; an
+    entry is None when that composite is not an arrow.
     """
 
     labels: list
@@ -131,11 +133,13 @@ class ArrowNumbering:
     source: list  # arrow number -> object number
     target: list
     outgoing: list  # object number -> arrow numbers, in ``arrows`` order
+    place: list  # arrow number -> its index in ``outgoing[source]``
+    row_n: Callable
     mul_n: Callable
 
     @classmethod
-    def build(cls, objects, arrows: dict, mul, mul_n) -> "ArrowNumbering":
-        """Number the arrows; without ``mul_n``, derive it from ``mul``."""
+    def build(cls, objects, arrows: dict, mul, row_n) -> "ArrowNumbering":
+        """Number the arrows; rows come from ``mul`` unless given."""
         labels = list(arrows)
         number = {a: i for i, a in enumerate(labels)}
         onum = {x: i for i, x in enumerate(objects)}
@@ -144,14 +148,28 @@ class ArrowNumbering:
             source.append(onum.setdefault(s, len(onum)))
             target.append(onum.setdefault(t, len(onum)))
         outgoing: list = [[] for _ in onum]
+        place = []
         for i, s in enumerate(source):
+            place.append(len(outgoing[s]))
             outgoing[s].append(i)
-        if mul_n is None:
+        if row_n is None:
             find = number.get
 
-            def mul_n(i, j):
-                return find(mul(labels[i], labels[j]))
-        return cls(labels, number, onum, source, target, outgoing, mul_n)
+            def row_n(i):
+                f = labels[i]
+                return [find(mul(f, labels[j])) for j in outgoing[target[i]]]
+        rows, last = row_n, [None, None]
+
+        def mul_n(i, j):
+            # the last row asked for is kept, so a run of pairs with one
+            # first arrow builds one row
+            if source[j] != target[i]:
+                return None
+            if last[0] != i:
+                last[:] = i, rows(i)
+            return last[1][place[j]]
+        return cls(labels, number, onum, source, target, outgoing, place,
+                   row_n, mul_n)
 
 
 @dataclass
@@ -160,9 +178,9 @@ class FiniteGroupoid:
     arrows: dict  # label -> (src, dst)
     mul: Callable | None  # mul(f, g) is "f then g", for target(f) == source(g)
     identities: dict  # object -> label
-    # the same on arrow numbers; a groupoid is given exactly one of the two
-    # rules, and the other is derived from it
-    rule_n: Callable | None = field(default=None, repr=False)
+    # rows on arrow numbers (see ``ArrowNumbering``); a groupoid is given
+    # exactly one of ``mul`` and ``row_rule``
+    row_rule: Callable | None = field(default=None, repr=False)
     # numbering() -> ArrowNumbering, built on first call
     numbering: Callable = field(init=False, repr=False, compare=False)
 
@@ -172,17 +190,17 @@ class FiniteGroupoid:
     _class_of: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if (self.mul is None) == (self.rule_n is None):
+        if (self.mul is None) == (self.row_rule is None):
             raise GroupoidError("a groupoid needs one rule: on labels or on numbers")
         # closures over the fields, not over the groupoid: a reference cycle
         # would keep a large total alive until the cyclic collector runs
-        objects, arrows, mul, mul_n = (self.objects, self.arrows, self.mul,
-                                       self.rule_n)
+        objects, arrows, mul, row_n = (self.objects, self.arrows, self.mul,
+                                       self.row_rule)
         built: list = []
 
         def numbering() -> ArrowNumbering:
             if not built:
-                built.append(ArrowNumbering.build(objects, arrows, mul, mul_n))
+                built.append(ArrowNumbering.build(objects, arrows, mul, row_n))
             return built[0]
         self.numbering = numbering
         if mul is None:
@@ -191,6 +209,10 @@ class FiniteGroupoid:
                 k = n.mul_n(n.number[f], n.number[g])
                 return None if k is None else n.labels[k]
             self.mul = label_mul
+
+    def row_n(self, i: int) -> list:
+        """The numbers of "arrow i then j", for j out of the target of i."""
+        return self.numbering().row_n(i)
 
     def mul_n(self, i: int, j: int) -> int | None:
         """The number of "arrow i then arrow j"."""
@@ -228,20 +250,11 @@ class FiniteGroupoid:
             for g in self.arrows_from(t):
                 yield f, g
 
-    def inverse(self, a):
-        n = self.numbering()
-        i = n.number[a]
-        s, e = n.source[i], n.number[self.identities[self.arrows[a][0]]]
-        for j in n.outgoing[n.target[i]]:
-            if n.target[j] == s and n.mul_n(i, j) == e:
-                return n.labels[j]
-        raise GroupoidError(f"arrow {a!r} has no inverse")
-
     # -- validation ---------------------------------------------------------
     def check(self) -> "FiniteGroupoid":
-        """Endpoints, identities, then on arrow numbers: the endpoints of
-        every composite, both unit laws, associativity on every composable
-        triple and an inverse of every arrow."""
+        """Endpoints, identities, then on the rows of arrow numbers: the
+        endpoints of every composite, both unit laws, associativity on every
+        composable triple and an inverse of every arrow."""
         objs = set(self.objects)
         if len(objs) != len(self.objects):
             raise GroupoidError("duplicate object ids")
@@ -254,28 +267,40 @@ class FiniteGroupoid:
             if self.arrows.get(e) != (x, x):
                 raise GroupoidError(f"identity of {x!r} is not an endo-arrow")
         n = self.numbering()
-        labels, source, target, outgoing, mul = (
-            n.labels, n.source, n.target, n.outgoing, n.mul_n)
+        labels, source, target, outgoing, place = (
+            n.labels, n.source, n.target, n.outgoing, n.place)
         unit = [n.number[self.identities[x]] for x in self.objects]
-        for i, t in enumerate(target):
-            for j in outgoing[t]:
-                k = mul(i, j)
-                if k is None or source[k] != source[i] or target[k] != target[j]:
-                    raise GroupoidError(f"composite of ({labels[i]!r}, "
-                                        f"{labels[j]!r}) has wrong endpoints")
-        for i, (s, t) in enumerate(zip(source, target)):
-            if mul(unit[s], i) != i:
+        rows = [n.row_n(i) for i in range(len(labels))]
+        # the targets a row's composites must have, per object
+        ends = [[target[j] for j in out] for out in outgoing]
+        for i, (s, t, row) in enumerate(zip(source, target, rows)):
+            try:
+                if [target[k] for k in row] == ends[t] \
+                        and [source[k] for k in row].count(s) == len(row):
+                    continue
+            except TypeError:  # a composite that is not an arrow
+                pass
+            j = next(j for j, k in zip(outgoing[t], row) if k is None
+                     or source[k] != s or target[k] != target[j])
+            raise GroupoidError(f"composite of ({labels[i]!r}, "
+                                f"{labels[j]!r}) has wrong endpoints")
+        for x, e in enumerate(unit):
+            if rows[e] != outgoing[x]:
                 raise GroupoidError("left identity law fails")
-            if mul(i, unit[t]) != i:
+        for i, row in enumerate(rows):
+            if row[place[unit[target[i]]]] != i:
                 raise GroupoidError("right identity law fails")
-        for i, t in enumerate(target):
-            for j in outgoing[t]:
-                ij = mul(i, j)
-                for h in outgoing[target[j]]:
-                    if mul(ij, h) != mul(i, mul(j, h)):
-                        raise GroupoidError("associativity fails")
-        for a in labels:
-            self.inverse(a)  # raises when not invertible
+        # (i then j) then h against i then (j then h), for every h: the row
+        # of i then j against the row of j read through the row of i
+        placed = [[place[k] for k in row] for row in rows]
+        for i, row in enumerate(rows):
+            read = row.__getitem__
+            for j, ij in zip(outgoing[target[i]], row):
+                if rows[ij] != list(map(read, placed[j])):
+                    raise GroupoidError("associativity fails")
+        for i, row in enumerate(rows):
+            if unit[source[i]] not in row:
+                raise GroupoidError(f"arrow {labels[i]!r} has no inverse")
         return self
 
     # -- components and vertex groups ---------------------------------------
@@ -333,7 +358,7 @@ class FiniteGroupoid:
             tuple(range(len(self.objects))),
             {amap[a]: (omap[s], omap[t]) for a, (s, t) in self.arrows.items()},
             None, {omap[x]: amap[e] for x, e in self.identities.items()},
-            self.numbering().mul_n), omap, amap)
+            self.numbering().row_n), omap, amap)
 
 
 def groupoid_from_labels(objects: Iterable, arrows: Iterable[tuple],
@@ -441,28 +466,27 @@ class GroupoidMap:
         for x, e in self.dom.identities.items():
             if self.arrow_map[e] != self.cod.identities[self.obj_map[x]]:
                 raise GroupoidError("identities not preserved")
-        # the pairs of composable_pairs(), in its order: the domain rule runs
-        # on every pair, the codomain rule once per distinct pair of images
-        dom_mul, cod_mul, outgoing = dom.mul_n, cod.mul_n, dom.outgoing
-        width = len(cod.labels)
-        composites: dict = {}
+        # the domain row of every arrow, mapped through the images, against
+        # the codomain row of its image, read at the images' places
+        dom_row, cod_row, image_at = dom.row_n, cod.row_n, image.__getitem__
+        reads = [[cod.place[image[j]] for j in out] for out in dom.outgoing]
+        cod_rows: dict = {}  # image -> its codomain row
         for i, t in enumerate(dom.target):
-            image_i = image[i]
-            row = image_i * width
-            for j in outgoing[t]:
-                image_j = image[j]
-                fg = composites.get(row + image_j, _UNSET)
-                if fg is _UNSET:
-                    fg = composites[row + image_j] = cod_mul(image_i, image_j)
-                k = dom_mul(i, j)
-                if k is None or fg != image[k]:
-                    raise GroupoidError(
-                        "composition not preserved at "
-                        f"({dom.labels[i]!r}, {dom.labels[j]!r})")
+            row = cod_rows.get(image[i])
+            if row is None:
+                row = cod_rows[image[i]] = cod_row(image[i])
+            expected = list(map(row.__getitem__, reads[t]))
+            got = dom_row(i)
+            try:
+                if list(map(image_at, got)) == expected:
+                    continue
+            except TypeError:  # a domain composite that is not an arrow
+                pass
+            j = next(j for j, k, fg in zip(dom.outgoing[t], got, expected)
+                     if k is None or image[k] != fg)
+            raise GroupoidError("composition not preserved at "
+                                f"({dom.labels[i]!r}, {dom.labels[j]!r})")
         return self
-
-
-_UNSET = object()
 
 
 def identity_map(g: FiniteGroupoid) -> GroupoidMap:
@@ -622,9 +646,9 @@ def check_family(base: FiniteGroupoid, fam: Mapping[ObjId, FiniteGroupoid],
     bn = base.numbering()
     for f, t in enumerate(bn.target):
         objects_f, arrows_f = moves[f]
-        for g in bn.outgoing[t]:
+        for g, h in zip(bn.outgoing[t], bn.row_n(f)):
             objects_g, arrows_g = moves[g]
-            objects_h, arrows_h = moves[bn.mul_n(f, g)]
+            objects_h, arrows_h = moves[h]
             if [objects_g[o] for o in objects_f] != objects_h:
                 raise GroupoidError("family is not strictly functorial")
             if [arrows_g[phi] for phi in arrows_f] != arrows_h:
@@ -643,25 +667,22 @@ def homotopy_sum(base: FiniteGroupoid,
     """
     moves = check_family(base, fam, arrowact)
     bn = base.numbering()
-    nb, base_mul = len(bn.labels), bn.mul_n
-    # per fibre: its rule on numbers, its products met so far, its arrow
-    # count and each arrow's place among the arrows out of its source;
-    # and its objects in number order
+    nb = len(bn.labels)
+    # per fibre: each arrow's row as places, built when first asked for,
+    # with the fibre's row rule and places; and its objects in number order
     fibre_data: dict = {}
     fibre_ends: dict = {}
     for fib in fam.values():
         if id(fib) not in fibre_data:
             fn = fib.numbering()
-            place = [0] * len(fn.labels)
-            for out in fn.outgoing:
-                for p, k in enumerate(out):
-                    place[k] = p
-            fibre_data[id(fib)] = (fn.mul_n, {}, len(fn.labels), place)
+            fibre_data[id(fib)] = ([None] * len(fn.labels), fn.row_n, fn.place)
             fibre_ends[id(fib)] = list(fn.object_number)
-    # per base arrow: the above for its target fibre, with the transport
-    # of the source fibre's arrows
-    over = [(*fibre_data[id(fam[b2])], move[1])
+    # per base arrow tau: its transport and its target fibre's data; per
+    # base arrow sigma, when first asked for: each tau out of its target
+    # with the composite of sigma and tau
+    over = [(move[1], *fibre_data[id(fam[b2])])
             for (_, b2), move in zip(base.arrows.values(), moves)]
+    steps: list = [None] * nb
 
     objects = [(b, x) for b in base.objects for x in fam[b].objects]
     in_fibre = [y for b in base.objects for y in range(len(fam[b].objects))]
@@ -685,27 +706,28 @@ def homotopy_sum(base: FiniteGroupoid,
                 row.append(o_nb)
                 over_base.append(s)
                 fibre_arrow.append(p)
-    base_products: dict = {}
 
-    def mul_n(i, j):
-        s1, s2, p2 = over_base[i], over_base[j], fibre_arrow[j]
-        s = base_products.get(s1 * nb + s2)
-        if s is None:
-            s = base_products[s1 * nb + s2] = base_mul(s1, s2)
-        fib_mul, products, width, place, transport = over[s2]
-        q = transport[fibre_arrow[i]]
-        k = products.get(q * width + p2)
-        if k is None:
-            k = fib_mul(q, p2)
-            if k is None:
-                return None
-            products[q * width + p2] = k
-        return first[row[i] + s] + place[k]
+    def row_n(i):
+        o_nb, sigma, phi = row[i], over_base[i], fibre_arrow[i]
+        if steps[sigma] is None:
+            steps[sigma] = [(s, over[tau]) for tau, s in zip(
+                bn.outgoing[bn.target[sigma]], bn.row_n(sigma))]
+        out: list = []
+        for s, (transport, places, fibre_row, place) in steps[sigma]:
+            q = transport[phi]
+            stretch = places[q]
+            if stretch is None:
+                composites = fibre_row(q)
+                if None in composites:
+                    raise GroupoidError("a fibre composite is not an arrow")
+                stretch = places[q] = [place[k] for k in composites]
+            out += map(first[o_nb + s].__add__, stretch)
+        return out
 
     total = FiniteGroupoid(
         tuple(objects), {a: (a[0], a[1]) for a in arrows}, None,
         {o: (o, o, (base.identities[o[0]], fam[o[0]].identities[o[1]]))
-         for o in objects}, mul_n)
+         for o in objects}, row_n)
     proj = GroupoidMap(total, base, {o: o[0] for o in objects},
                        {a: a[2][0] for a in arrows})
     return total, proj
@@ -808,12 +830,14 @@ def is_equivalence(m: GroupoidMap) -> bool:
 
 
 def groupoid_to_doc(g: FiniteGroupoid) -> dict:
+    n = g.numbering()
     return {
         "objects": sorted(g.objects, key=repr),
         "arrows": [{"src": s, "dst": t, "label": a}
                    for a, (s, t) in sorted(g.arrows.items(), key=lambda kv: repr(kv[0]))],
-        "compose": sorted(([f, h, g.mul(f, h)] for f, h in g.composable_pairs()),
-                          key=repr),
+        "compose": sorted(([n.labels[i], n.labels[j], n.labels[k]]
+                           for i, t in enumerate(n.target)
+                           for j, k in zip(n.outgoing[t], n.row_n(i))), key=repr),
     }
 
 

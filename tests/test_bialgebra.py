@@ -668,6 +668,30 @@ def test_profile_powers_give_the_standalone_rhs(monkeypatch, spec, nodes, edges)
         assert standalone_rhs(crown, stump) == value
 
 
+@pytest.mark.parametrize("name, nodes, edges", [("exp", 5, 6), ("planar", 4, 5)])
+def test_verify_fdb_sums_each_crowns_sizes_once(monkeypatch, name, nodes, edges):
+    # the pair space sums each crown's nodes and route 3 its edges, once per
+    # crown; the RHS reads a listed pair's term without summing sizes, so
+    # with one sampled pair the size sums follow the crowns, not the pairs
+    spec = builtin(name, max_arity=3)
+    sized, checked = [], []
+    check = bialgebra.check_fdb_pair
+
+    def recorded_check(crown, stump, powers, grafts=None):
+        checked.append((crown.keys, stump.key))
+        return check(crown, stump, powers, grafts)
+
+    for size in ("edge_count", "node_count"):
+        monkeypatch.setattr(PForest, size, lambda f, real=getattr(PForest, size):
+                            sized.append(f.keys) or real(f))
+    monkeypatch.setattr(bialgebra, "check_fdb_pair", recorded_check)
+    monkeypatch.setattr(bialgebra, "SAMPLE", 1)
+    assert verify_fdb(spec, nodes, edges).passed
+    crowns = len(enumerate_pforests(spec, Bound(edges, nodes)))
+    assert len(checked) > 3 * crowns
+    assert len(sized) <= 2 * crowns + 8
+
+
 def test_rhs_rejects_a_power_that_cuts_the_crown(exp3):
     stump = tree_class(exp3, "(n2:__)")
     crown = PForest.from_keys(exp3, ["(n2:__)", "_"])

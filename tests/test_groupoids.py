@@ -689,6 +689,156 @@ def test_a_total_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+# -- rows ------------------------------------------------------------------------
+
+def _sum_over_a_fibre_of_a_sum(seed):
+    # the base F is the homotopy fibre of a sum's projection (an action's
+    # quotient onto BG), and the family over F is the action's family
+    # pulled back along F -> quotient -> BG
+    action = random_action(random.Random(seed)).check()
+    bg, fam, act = action.family()
+    _, proj = homotopy_sum(bg, fam, act)
+    base = homotopy_fiber(proj, "*")[0]
+    fam = {o: action.space for o in base.objects}
+    pulled = {a: act[proj.arrow_map[a[2]]] for a in base.arrows}
+    return homotopy_sum(base, fam, pulled)[0], _family_rule(base, fam, pulled)
+
+
+def _inversion_quotient(seed):
+    # C2 acting on B(C_n) by inversion moves arrows within their hom-set,
+    # so a transported arrow's composites sit at other places than its own
+    n = 3 + seed
+    cn, space = Group.cyclic(n), one_object(Group.cyclic(n))
+    action = GroupAction(Group.cyclic(2), space, {("*", g): "*" for g in (0, 1)},
+                         {(("g", a), g): ("g", -a % n if g else a)
+                          for a in cn.elements for g in (0, 1)}).check()
+    return homotopy_quotient(action)[0], _family_rule(*action.family())
+
+
+def _seeded_rng(seed):
+    return random.Random(1000 + seed)
+
+
+_ROW_BUILDS = {
+    "discrete": lambda seed: (discrete(range(seed + 2)), None),
+    "one-object": lambda seed: (one_object(GROUP_CATALOG[3 + seed]), None),
+    "standard-component": lambda seed: (
+        standard_component(range(seed + 2), GROUP_CATALOG[2 + seed]), None),
+    "union": lambda seed: (random_groupoid(_seeded_rng(seed)), None),
+    "product": lambda seed: (product_groupoid(
+        random_groupoid(_seeded_rng(seed), max_group_order=3),
+        random_groupoid(_seeded_rng(seed + 7), max_group_order=3)), None),
+    "pullback": lambda seed: (
+        (lambda p: homotopy_pullback(p, p)[0])(_random_map(seed)), None),
+    "fibre": lambda seed: (
+        (lambda p: homotopy_fiber(p, p.obj_map[p.dom.objects[-1]])[0])(
+            _random_map(seed)), None),
+    "quotient": lambda seed: _random_quotient(seed + 3),
+    "inversion-quotient": _inversion_quotient,
+    "sum": lambda seed: _fibre_sum(seed),
+    "sum-over-a-fibre-of-a-sum": _sum_over_a_fibre_of_a_sum,
+    "relabel": lambda seed: _relabelled(lambda: _fibre_sum(seed + 1))(),
+    "document": lambda seed: _from_doc(),
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", list(_ROW_BUILDS))
+def test_rows_agree_with_pairwise_composition(name, seed):
+    # every row lists the pairwise composites, in outgoing order, and names
+    # the arrows an independent rule on labels gives
+    g, rule = _ROW_BUILDS[name](seed)
+    rule = rule or g.mul
+    n = g.numbering()
+    rows = [g.row_n(i) for i in range(len(n.labels))]
+    incoming = [[] for _ in n.outgoing]
+    for i, t in enumerate(n.target):
+        incoming[t].append(i)
+    # pairwise, with the first arrow changing on every call
+    for j, s in enumerate(n.source):
+        for i in incoming[s]:
+            assert g.mul_n(i, j) == rows[i][n.place[j]]
+    for i, t in enumerate(n.target):
+        assert rows[i] == [g.mul_n(i, j) for j in n.outgoing[t]]
+        assert rows[i] == [n.number[rule(n.labels[i], n.labels[j])]
+                           for j in n.outgoing[t]]
+    assert sum(map(len, rows)) == len(list(g.composable_pairs())) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_relabelled_total_round_trips_through_a_document(seed):
+    total = _fibre_sum(seed)[0]
+    back = groupoid_from_doc(groupoid_to_doc(total.relabel()[0]))
+    assert back.check() is back
+    assert back.cardinality() == total.cardinality()
+    assert len(back.pi0()) == len(total.pi0())
+
+
+def test_a_corrupted_transport_is_named_by_the_map_check(monkeypatch):
+    # BK -> BC2 as above; the transport along ("g", 1) sends fibre arrow 0
+    # to the other arrow with the same endpoints, so exactly the pairs whose
+    # first arrow carries fibre arrow 0 and whose second lies over ("g", 1)
+    # compose wrongly; the check names the first of them
+    klein = Group.klein()
+    p = GroupoidMap(one_object(klein), one_object(Group.cyclic(2)), {"*": "*"},
+                    {("g", k): ("g", k[0]) for k in klein.elements}).check()
+    honest, spots = groupoids.check_family, []
+
+    def corrupted(base, fam, arrowact):
+        moves = honest(base, fam, arrowact)
+        fibre = fam["*"].numbering()
+        transport = moves[base.numbering().number[("g", 1)]][1]
+        moved = fibre.labels[transport[0]]
+        twin = next(a for a in fam["*"].hom(*fam["*"].arrows[moved])
+                    if a != moved)
+        transport[0] = fibre.number[twin]
+        spots.append(fibre.labels[0])
+        return moves
+
+    monkeypatch.setattr(groupoids, "check_family", corrupted)
+    total, fw, _ = groth_equivalence(p)
+    pairs = list(total.composable_pairs())
+    first = next((f, g) for f, g in pairs
+                 if f[2][1] == spots[0] and g[2][0] == ("g", 1))
+    assert pairs.index(first) > 0
+    with pytest.raises(GroupoidError) as err:
+        fw.check()
+    assert str(err.value) == f"composition not preserved at ({first[0]!r}, {first[1]!r})"
+
+
+def test_check_finds_one_wrong_composite_deep_inside_a_row():
+    # a copy of a total whose row rule is honest but for one entry in the
+    # middle of a long row, swapped for an arrow with the same endpoints
+    total = _sum_over_a_fibre_of_a_sum(0)[0]
+    n = total.numbering()
+    units = {n.number[e] for e in total.identities.values()}
+
+    def twins(k):
+        return [a for a in total.hom(*total.arrows[n.labels[k]])
+                if a != n.labels[k]]
+
+    # no unit among i, the second arrow and their composite, so only the
+    # associativity of the triples through the entry can catch it
+    i, q = next((i, q) for i in range(len(n.labels) // 2, len(n.labels))
+                if i not in units for q, (j, k) in enumerate(
+                    zip(n.outgoing[n.target[i]], n.row_n(i)))
+                if len(n.row_n(i)) // 2 <= q < len(n.row_n(i)) - 1
+                and j not in units and k not in units and twins(k))
+    twin = twins(n.row_n(i)[q])[0]
+
+    def broken(m):
+        got = n.row_n(m)
+        return got[:q] + [n.number[twin]] + got[q + 1:] if m == i else got
+
+    def copy(rule):
+        return FiniteGroupoid(total.objects, dict(total.arrows), None,
+                              dict(total.identities), rule)
+
+    assert copy(n.row_n).check()
+    with pytest.raises(GroupoidError, match="associativity fails"):
+        copy(broken).check()
+
+
 # -- relative cardinality -----------------------------------------------------------
 
 def test_relative_cardinality_of_identity():

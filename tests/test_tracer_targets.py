@@ -1,22 +1,30 @@
 """Every span target of ``perfbench/tracer.py`` must exist in the package,
-and the Faà di Bruno spans must fire on a tiny check, or their per-layer
-metrics would silently read 0."""
+and the Faà di Bruno spans and the groupoid-suite workload's spans must
+fire on a tiny run, or their per-layer metrics would silently read 0."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-import optrees.cli  # noqa: F401  (loads every module the tracer patches)
-from optrees import bialgebra
+import optrees.cli  # loads every module the tracer patches
+from optrees import bialgebra, groupoid_suite
 from optrees.pfunctor import builtin
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracer")
 
 
 def test_every_tracer_target_resolves():
@@ -44,4 +52,21 @@ def test_the_fdb_spans_fire_on_a_tiny_check():
     spans = t.summary()["spans"]
     for name in ("bialgebra.verify_fdb", "bialgebra.fdb_lhs_coefficient",
                  "bialgebra.graft_classes", "bialgebra.fdb_rhs_coefficient"):
+        assert spans[name]["calls"] > 0, name
+
+
+def test_the_groupoid_suite_spans_fire_on_a_tiny_run(capsys):
+    tracer, workload = load_tracer(), load("workloads").WORKLOADS["groupoid-suite"]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = optrees.cli.main(["verify", "groupoid", "--count", "20",
+                                 "--format", "structured"])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+    spans = t.summary()["spans"]
+    laws = [tracer.LAW_PREFIX + name for name, _ in groupoid_suite.LAWS]
+    for name in workload.spans + tuple(laws):
         assert spans[name]["calls"] > 0, name
