@@ -267,7 +267,7 @@ def law_fibre_formula(rng) -> bool:
     p = random_map(rng, dom, cod).check()
     quick = relative_cardinality(p)
     slow: dict = {}
-    fibres, _, _ = fibre_family(p)
+    fibres, _ = fibre_family(p)
     for comp in p.cod.pi0():
         b = comp[0]
         val = fibres[b].cardinality() / len(p.cod.hom(b, b))
@@ -286,13 +286,13 @@ def law_fubini(rng) -> bool:
                     {x: t.obj_map[x] for x in p.cod.objects},
                     {ar: t.arrow_map[ar] for ar in p.cod.arrows})
     direct = relative_cardinality(compose_maps(p, t))
-    fibres, _, arrowact = fibre_family(p)
+    fibres, arrowact = fibre_family(p)
     iterated: dict = {}
     for comp in t.cod.pi0():
         i = comp[0]
         bi, _ = homotopy_fiber(t, i)
         fam2 = {o: fibres[o[0]] for o in bi.objects}
-        act2 = {arr: arrowact[arr[2]] for arr in bi.arrows}
+        act2 = {arr: arrowact[arr[2][0]] for arr in bi.arrows}
         inner, _ = homotopy_sum(bi, fam2, act2)
         val = inner.cardinality() / len(t.cod.hom(i, i))
         if val:

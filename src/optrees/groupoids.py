@@ -3,15 +3,15 @@
 Objects and labelled arrows with source and target are stored
 extensionally; composition is a rule, ``mul(f, g)`` = "f then g", defined
 exactly when ``target(f) == source(g)``; each object names its identity
-arrow.  No table of composites is kept: components, vertex groups and
-cardinality read only the arrows, and each hom-set is sorted when it is
-first asked for.
+arrow.  No table of composites is kept, and each hom-set is sorted when it
+is first asked for.
 
 Every groupoid also numbers its arrows 0, 1, ... in ``arrows`` order
 (``numbering()``, built on first use, with endpoints, outgoing arrows and
-each arrow's place among its source's as numbers) and composes a row at a
-time: ``row_n(i)`` lists "arrow i then j" for every j out of the target of
-i, in ``outgoing`` order, and ``mul_n(i, j)`` reads ``row_n(i)[place[j]]``
+each arrow's place among its source's as numbers); components and
+``arrows_from`` read it.  A groupoid composes a row at a time:
+``row_n(i)`` lists "arrow i then j" for every j out of the target of i, in
+``outgoing`` order, and ``mul_n(i, j)`` reads ``row_n(i)[place[j]]``
 (keeping the last row).  A groupoid is given a rule on labels, which gives
 each entry as ``number[mul(labels[i], labels[j])]``, or a row rule, which
 gives ``mul`` through the numbers.  Documents, standard components,
@@ -24,17 +24,19 @@ inverse and, for associativity, the row of each composite; a map's
 codomain row of the image (one per distinct image), read at the images'
 places.
 
-Arrow convention of the constructions: ``standard_component``, pullbacks,
-fibres and Grothendieck sums name each arrow by a triple
-``(src, dst, label)``, and ``groupoid_from_labels`` builds the label-rule
-ones.  A homotopy quotient X//G is the Grothendieck sum of the action's
-family over BG, and ``check_family`` is the one check of a strict family,
-for sums and actions alike; it hands the sum each base arrow's transport as
-a list of fibre arrow numbers.  A sum's row of arrow (sigma, phi) has one
-stretch per base arrow tau out of the target of sigma: phi transported
-along tau, that fibre arrow's row as places (kept per fibre and arrow),
-offset by the first arrow over the base composite of sigma and tau.
-``relabel`` maps any groupoid's ids to plain integers.
+Arrow convention of the constructions: ``standard_component``, pullbacks
+and Grothendieck sums name each arrow by a triple ``(src, dst, label)``,
+and ``groupoid_from_labels`` builds the label-rule ones.  The homotopy
+fibre of p over b is the pullback of p against the point b, with objects
+``(e, "*", phi: p e -> b)`` and arrow labels ``(alpha, ("id", "*"))``.  A
+homotopy quotient X//G is the Grothendieck sum of the action's family over
+BG, and ``check_family`` is the one check of a strict family, for sums and
+actions alike; it hands the sum each base arrow's transport as a list of
+fibre arrow numbers.  A sum's row of arrow (sigma, phi) has one stretch per
+base arrow tau out of the target of sigma: phi transported along tau, that
+fibre arrow's row as places (kept per fibre and arrow), offset by the first
+arrow over the base composite of sigma and tau.  ``relabel`` maps any
+groupoid's ids to plain integers.
 
 Cardinality is the sum over components of the inverse vertex-group order,
 an exact rational.  The relative cardinality of a map p: X -> B is the
@@ -50,6 +52,7 @@ representative per component.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -142,7 +145,7 @@ class ArrowNumbering:
         """Number the arrows; rows come from ``mul`` unless given."""
         labels = list(arrows)
         number = {a: i for i, a in enumerate(labels)}
-        onum = {x: i for i, x in enumerate(objects)}
+        onum = {x: i for i, x in enumerate(dict.fromkeys(objects))}
         source, target = [], []
         for s, t in arrows.values():
             source.append(onum.setdefault(s, len(onum)))
@@ -185,9 +188,8 @@ class FiniteGroupoid:
     numbering: Callable = field(init=False, repr=False, compare=False)
 
     _hom: dict = field(default_factory=dict, repr=False)
-    _from: dict = field(default_factory=dict, repr=False)
     _pi0: list | None = field(default=None, repr=False)
-    _class_of: dict | None = field(default=None, repr=False)
+    _class_of: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if (self.mul is None) == (self.row_rule is None):
@@ -238,17 +240,16 @@ class FiniteGroupoid:
 
     def arrows_from(self, x) -> list:
         """Arrows with source x, in the order of ``arrows``."""
-        index = self._from
-        if not index:
-            for a, (s, _) in self.arrows.items():
-                index.setdefault(s, []).append(a)
-        return index.get(x, [])
+        n = self.numbering()
+        o = n.object_number.get(x)
+        return [] if o is None else [n.labels[i] for i in n.outgoing[o]]
 
     def composable_pairs(self) -> Iterable[tuple]:
         """Every pair (f, g) with target(f) == source(g)."""
-        for f, (_, t) in self.arrows.items():
-            for g in self.arrows_from(t):
-                yield f, g
+        n = self.numbering()
+        for f, t in zip(n.labels, n.target):
+            for j in n.outgoing[t]:
+                yield f, n.labels[j]
 
     # -- validation ---------------------------------------------------------
     def check(self) -> "FiniteGroupoid":
@@ -308,7 +309,9 @@ class FiniteGroupoid:
         """Components as sorted object tuples, sorted by representative."""
         if self._pi0 is not None:
             return self._pi0
-        parent = {x: x for x in self.objects}
+        n = self.numbering()
+        onum = n.object_number
+        parent = list(range(len(onum)))
 
         def find(x):
             while parent[x] != x:
@@ -316,23 +319,22 @@ class FiniteGroupoid:
                 x = parent[x]
             return x
 
-        for (s, t) in self.arrows.values():
+        for s, t in zip(n.source, n.target):
             rs, rt = find(s), find(t)
             if rs != rt:
                 parent[rs] = rt
         comps: dict = {}
-        for x in self.objects:
-            comps.setdefault(find(x), []).append(x)
-        out = sorted((tuple(sorted(c, key=repr)) for c in comps.values()),
-                     key=lambda c: repr(c[0]))
-        self._pi0 = out
-        self._class_of = {x: c[0] for c in out for x in c}
-        return out
+        for x, i in onum.items():
+            comps.setdefault(find(i), []).append(x)
+        comps = {r: tuple(sorted(c, key=repr)) for r, c in comps.items()}
+        self._class_of = [comps[find(i)][0] for i in range(len(onum))]
+        self._pi0 = sorted(comps.values(), key=lambda c: repr(c[0]))
+        return self._pi0
 
     def class_of(self, x) -> ObjId:
         """Canonical representative (minimal object) of the class of x."""
         self.pi0()
-        return self._class_of[x]
+        return self._class_of[self.numbering().object_number[x]]
 
     def aut_group(self, x) -> Group:
         if x not in set(self.objects):
@@ -550,24 +552,11 @@ def homotopy_pullback(f: GroupoidMap, g: GroupoidMap
 
 
 def homotopy_fiber(p: GroupoidMap, b) -> tuple[FiniteGroupoid, GroupoidMap]:
-    """Pullback of p against the name of b: objects (e, phi: p e -> b)."""
+    """The pullback of p against the name of b, with its leg to the domain:
+    objects (e, "*", phi: p e -> b), arrows labelled (alpha, ("id", "*"))."""
     if b not in set(p.cod.objects):
         raise GroupoidError(f"unknown object {b!r}")
-    E, B = p.dom, p.cod
-    objects = [(e, phi) for e in E.objects for phi in B.hom(p.obj_map[e], b)]
-    arrows = []
-    for o in objects:
-        for alpha in E.arrows_from(o[0]):
-            e2 = E.target(alpha)
-            # phi == p(alpha) then phi2
-            for phi2 in B.hom(p.obj_map[e2], b):
-                if B.mul(p.arrow_map[alpha], phi2) == o[1]:
-                    arrows.append((o, (e2, phi2), alpha))
-    fib = groupoid_from_labels(objects, arrows,
-                               lambda a1, a2: E.mul(a1[2], a2[2]),
-                               lambda o: E.identities[o[0]])
-    incl = GroupoidMap(fib, E, {o: o[0] for o in objects},
-                       {a: a[2] for a in arrows})
+    fib, incl, _ = homotopy_pullback(p, name_map(p.cod, b))
     return fib, incl
 
 
@@ -733,32 +722,22 @@ def homotopy_sum(base: FiniteGroupoid,
     return total, proj
 
 
-def fibre_family(p: GroupoidMap) -> tuple[dict, dict, dict]:
+def fibre_family(p: GroupoidMap) -> tuple[dict, dict]:
     """The strict family of homotopy fibres of a map, with arrow transport.
 
-    Returns (fibres, inclusions, arrowact) indexed by codomain objects and
-    arrows; transport along sigma: b -> b2 sends (e, phi) to
-    (e, phi then sigma).
+    Returns (fibres, arrowact) indexed by codomain objects and arrows;
+    transport along sigma: b -> b2 sends (e, "*", phi) to
+    (e, "*", phi then sigma) and keeps each arrow's label.
     """
     B = p.cod
-    fibres = {}
-    inclusions = {}
-    for b in B.objects:
-        fib, incl = homotopy_fiber(p, b)
-        fibres[b] = fib
-        inclusions[b] = incl
+    fibres = {b: homotopy_fiber(p, b)[0] for b in B.objects}
     arrowact = {}
     for sigma, (b, b2) in B.arrows.items():
-        src, dst = fibres[b], fibres[b2]
-        omap = {}
-        for (e, phi) in src.objects:
-            omap[(e, phi)] = (e, B.mul(phi, sigma))
-        amap = {}
-        for a in src.arrows:
-            (e, phi), (e2, phi2), alpha = a
-            amap[a] = (omap[(e, phi)], omap[(e2, phi2)], alpha)
-        arrowact[sigma] = GroupoidMap(src, dst, omap, amap)
-    return fibres, inclusions, arrowact
+        src = fibres[b]
+        omap = {o: (o[0], "*", B.mul(o[2], sigma)) for o in src.objects}
+        amap = {a: (omap[a[0]], omap[a[1]], a[2]) for a in src.arrows}
+        arrowact[sigma] = GroupoidMap(src, fibres[b2], omap, amap)
+    return fibres, arrowact
 
 
 # ---------------------------------------------------------------------------
@@ -843,14 +822,18 @@ def groupoid_to_doc(g: FiniteGroupoid) -> dict:
 
 def groupoid_from_doc(doc: Mapping) -> FiniteGroupoid:
     """Groupoid from an interchange document; every object id, endpoint and
-    arrow label must be a JSON scalar (not an array or object).  Arrow
-    labels are unique, and the compose rows name each composable pair of
-    arrows exactly once and no other pair."""
+    arrow label must be a JSON scalar (not an array or object), and neither
+    the object ids nor the labels may hold a boolean and the number Python
+    takes it for.  Object ids and arrow labels are unique, and the compose
+    rows name each composable pair of arrows exactly once and no other
+    pair, with an arrow between the pair's outer endpoints as composite."""
+    obj_ids, labels = {}, {}  # id -> its first spelling, per kind
     try:
-        objects = tuple(map(_doc_id, doc["objects"]))
-        arrows = {_doc_id(a["label"]): (_doc_id(a["src"]), _doc_id(a["dst"]))
+        objects = tuple(_doc_id(x, obj_ids) for x in doc["objects"])
+        arrows = {_doc_id(a["label"], labels): (_doc_id(a["src"], obj_ids),
+                                                _doc_id(a["dst"], obj_ids))
                   for a in doc["arrows"]}
-        table = {(_doc_id(f), _doc_id(h)): _doc_id(k)
+        table = {(_doc_id(f, labels), _doc_id(h, labels)): _doc_id(k, labels)
                  for f, h, k in doc["compose"]}
         if len(arrows) != len(doc["arrows"]):
             raise GroupoidError("duplicate arrow label")
@@ -859,6 +842,8 @@ def groupoid_from_doc(doc: Mapping) -> FiniteGroupoid:
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidError(f"malformed groupoid document: {exc}") from None
     known = set(objects)
+    if len(known) != len(objects):
+        raise GroupoidError("duplicate object ids")
     for a, (s, t) in arrows.items():
         if s not in known or t not in known:
             raise GroupoidError(f"arrow {a!r} has unknown endpoint")
@@ -870,6 +855,10 @@ def groupoid_from_doc(doc: Mapping) -> FiniteGroupoid:
     missing = sorted(pairs - table.keys(), key=repr)
     if missing:
         raise GroupoidError(f"composition missing on {missing[0]!r}")
+    for (f, h), k in table.items():
+        if arrows.get(k) != (arrows[f][0], arrows[h][1]):
+            raise GroupoidError(f"composite {k!r} of ({f!r}, {h!r}) is not an "
+                                f"arrow {arrows[f][0]!r} -> {arrows[h][1]!r}")
     by_dst: dict = {}
     for a, (s, t) in arrows.items():
         by_dst.setdefault(t, []).append(a)
@@ -884,9 +873,14 @@ def groupoid_from_doc(doc: Mapping) -> FiniteGroupoid:
     return g.check()
 
 
-def _doc_id(value):
+def _doc_id(value, seen: dict):
     if isinstance(value, (list, dict)):
         raise GroupoidError(f"id {value!r} is not a JSON scalar")
+    # Python takes true for 1 and false for 0
+    first = seen.setdefault(value, value)
+    if isinstance(first, bool) != isinstance(value, bool):
+        raise GroupoidError(f"ids {json.dumps(first)} and {json.dumps(value)} "
+                            "collide")
     return value
 
 
@@ -894,21 +888,21 @@ def groth_equivalence(p: GroupoidMap) -> tuple[FiniteGroupoid, GroupoidMap, Grou
     """The total groupoid of the fibre family of p, with the comparison
     functor to the domain and its quasi-inverse."""
     E, B = p.dom, p.cod
-    fibres, _, arrowact = fibre_family(p)
-    total, _ = homotopy_sum(B, fibres, arrowact)
-    # (b, (e, phi)) -> e ; (sigma, fibre arrow alpha) -> alpha
+    total, _ = homotopy_sum(B, *fibre_family(p))
+    # (b, (e, "*", phi)) -> e ; (sigma, fibre arrow over alpha) -> alpha
     fw = GroupoidMap(total, E, {o: o[1][0] for o in total.objects},
-                     {a: a[2][1][2] for a in total.arrows})
-    # e -> (p e, (e, id)) ; alpha -> (p alpha, transported fibre arrow)
+                     {a: a[2][1][2][0] for a in total.arrows})
+    # e -> (p e, (e, "*", id)) ; alpha -> (p alpha, transported fibre arrow)
     obj_map = {}
     for e in E.objects:
-        obj_map[e] = (p.obj_map[e], (e, B.identities[p.obj_map[e]]))
+        obj_map[e] = (p.obj_map[e], (e, "*", B.identities[p.obj_map[e]]))
     arrow_map = {}
     for alpha, (e, e2) in E.arrows.items():
         sigma = p.arrow_map[alpha]
         b2 = p.obj_map[e2]
-        src_in_fibre = (e, sigma)  # transport of (e, id) along sigma
-        fib_arrow = (src_in_fibre, (e2, B.identities[b2]), alpha)
+        src_in_fibre = (e, "*", sigma)  # transport of (e, "*", id) along sigma
+        fib_arrow = (src_in_fibre, (e2, "*", B.identities[b2]),
+                     (alpha, ("id", "*")))
         arrow_map[alpha] = (obj_map[e], obj_map[e2], (sigma, fib_arrow))
     bw = GroupoidMap(E, total, obj_map, arrow_map)
     return total, fw, bw

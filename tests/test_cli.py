@@ -319,6 +319,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
         assert captured.err.startswith("error: ")
 
 
+def test_a_boolean_beside_its_number_exits_2(tmp_path, capsys):
+    doc = tmp_path / "g.json"
+    doc.write_text('{"objects": [1, true], "arrows": [{"src": 1, "dst": 1, '
+                   '"label": "a"}, {"src": true, "dst": true, "label": "b"}], '
+                   '"compose": [["a", "a", "a"], ["b", "b", "b"]]}')
+    assert main(["groupoid", "--file", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: malformed groupoid document: "
+                            "ids 1 and true collide\n")
+
+
 @pytest.mark.parametrize("error", [DiagramError("broken diagram"),
                                    BoundMismatch("bounds differ"),
                                    ZeroDivisionError("division by zero")],

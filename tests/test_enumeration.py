@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -139,6 +140,13 @@ def raw_shapes(max_edges):
                             continue
 
 
+@pytest.fixture(scope="module")
+def raw_shape_list():
+    """``raw_shapes`` as a list, built once per edge bound for this module."""
+    return functools.lru_cache(maxsize=None)(
+        lambda max_edges: list(raw_shapes(max_edges)))
+
+
 def decorations(spec, shape):
     """Every decoration of a shape by ops of matching arity (one colour)."""
     colour = spec.colours[0]
@@ -161,13 +169,14 @@ def decorations(spec, shape):
     ("planar", 2, 5),
     ("cycle-generated-s3", None, 5),
 ])
-def test_generation_matches_raw_brute_force(name, max_arity, max_edges):
+def test_generation_matches_raw_brute_force(name, max_arity, max_edges,
+                                            raw_shape_list):
     if name == "cycle-generated-s3":
         spec = cycle_generated_s3_spec()
     else:
         spec = builtin(name, max_arity=max_arity) if max_arity else builtin(name)
     expected = set()
-    for shape in raw_shapes(max_edges):
+    for shape in raw_shape_list(max_edges):
         for t in decorations(spec, shape):
             expected.add(t.key())
     got = {t.key() for t in enumerate_ptrees(spec, Bound(max_edges))}

@@ -294,6 +294,27 @@ def test_fiber_of_unknown_object_rejected():
         homotopy_fiber(identity_map(discrete([0])), 99)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_fibre_is_the_search_over_the_point(seed):
+    # an arrow (e, phi) -> (e2, phi2) over b is an arrow alpha: e -> e2 with
+    # phi == p(alpha) then phi2, found here by a search of all such triples
+    rng = random.Random(seed)
+    p = random_map(rng, random_components(rng, max_group_order=3),
+                   random_components(rng, max_group_order=3)).check()
+    E, B = p.dom, p.cod
+    for b in B.objects:
+        fib, incl = homotopy_fiber(p, b)
+        incl.check()
+        assert list(fib.objects) == [(e, "*", phi) for e in E.objects
+                                     for phi in B.hom(p.obj_map[e], b)]
+        assert set(fib.arrows) == {
+            ((e, "*", phi), (e2, "*", phi2), (alpha, ("id", "*")))
+            for alpha, (e, e2) in E.arrows.items()
+            for phi in B.hom(p.obj_map[e], b)
+            for phi2 in B.hom(p.obj_map[e2], b)
+            if B.mul(p.arrow_map[alpha], phi2) == phi}
+
+
 def test_fiber_of_quotient_projection_measures_orbit():
     # swap action on 2 points plus a fixed point
     c2 = Group.cyclic(2)
@@ -459,7 +480,7 @@ def test_fibre_family_constructions_are_groupoids(seed):
     rng = random.Random(seed)
     p = random_map(rng, random_components(rng, max_group_order=3),
                    random_components(rng, max_group_order=3)).check()
-    total, proj = homotopy_sum(p.cod, *fibre_family(p)[::2])
+    total, proj = homotopy_sum(p.cod, *fibre_family(p))
     total.check(), proj.check()
     pb, p1, p2 = homotopy_pullback(p, p)
     pb.check(), p1.check(), p2.check()
@@ -501,7 +522,7 @@ def test_homotopy_sum_composes_by_base_and_transported_fibre(seed):
     rng = random.Random(seed)
     p = random_map(rng, random_components(rng, max_group_order=3),
                    random_components(rng, max_group_order=3)).check()
-    fibres, _, arrowact = fibre_family(p)
+    fibres, arrowact = fibre_family(p)
     base = p.cod
     total, _ = homotopy_sum(base, fibres, arrowact)
     for f, g in total.composable_pairs():
@@ -532,7 +553,7 @@ def _random_map(seed):
 
 def _fibre_sum(seed):
     p = _random_map(seed)
-    fibres, _, act = fibre_family(p)
+    fibres, act = fibre_family(p)
     return homotopy_sum(p.cod, fibres, act)[0], _family_rule(p.cod, fibres, act)
 
 
@@ -700,7 +721,7 @@ def _sum_over_a_fibre_of_a_sum(seed):
     _, proj = homotopy_sum(bg, fam, act)
     base = homotopy_fiber(proj, "*")[0]
     fam = {o: action.space for o in base.objects}
-    pulled = {a: act[proj.arrow_map[a[2]]] for a in base.arrows}
+    pulled = {a: act[proj.arrow_map[a[2][0]]] for a in base.arrows}
     return homotopy_sum(base, fam, pulled)[0], _family_rule(base, fam, pulled)
 
 
@@ -975,6 +996,44 @@ _E = {"src": 0, "dst": 0, "label": "e"}
 def test_interchange_rejects_contradictory_docs(doc, message):
     with pytest.raises(GroupoidError, match=message):
         groupoid_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"objects": [1, 1], "arrows": [], "compose": []}, "^duplicate object ids$"),
+    ({"objects": [0], "arrows": [_E], "compose": [["e", "e", "x"]]},
+     r"^composite 'x' of \('e', 'e'\) is not an arrow 0 -> 0$"),
+    ({"objects": [0, 1], "arrows": [_E, {"src": 1, "dst": 1, "label": "u"}],
+      "compose": [["e", "e", "u"], ["u", "u", "u"]]},
+     r"^composite 'u' of \('e', 'e'\) is not an arrow 0 -> 0$"),
+], ids=["duplicate-object", "unknown-composite", "composite-endpoints"])
+def test_interchange_names_row_errors_before_looking_for_units(doc, message):
+    with pytest.raises(GroupoidError, match=message):
+        groupoid_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"objects": [1, True], "arrows": [
+        {"src": 1, "dst": 1, "label": "a"},
+        {"src": True, "dst": True, "label": "b"}],
+      "compose": [["a", "a", "a"], ["b", "b", "b"]]}, "ids 1 and true collide"),
+    ({"objects": [0], "arrows": [
+        {"src": 0, "dst": 0, "label": 0}, {"src": 0, "dst": 0, "label": False}],
+      "compose": [[0, 0, 0], [0, False, False], [False, 0, False],
+                  [False, False, 0]]}, "ids 0 and false collide"),
+    ({"objects": [0], "arrows": [{"src": 0, "dst": False, "label": "e"}],
+      "compose": [["e", "e", "e"]]}, "ids 0 and false collide"),
+], ids=["objects", "labels", "endpoint"])
+def test_interchange_refuses_a_boolean_beside_its_number(doc, message):
+    with pytest.raises(GroupoidError, match=message):
+        groupoid_from_doc(doc)
+
+
+def test_interchange_keeps_object_ids_apart_from_labels():
+    # object true and arrow label 1 are ids of different kinds
+    g = groupoid_from_doc({"objects": [True], "arrows": [
+        {"src": True, "dst": True, "label": 1}], "compose": [[1, 1, 1]]})
+    assert g.objects == (True,) and g.identities == {True: 1}
+    assert g.cardinality() == 1
 
 
 def test_interchange_rejects_bad_docs():
