@@ -40,14 +40,19 @@ coefficient of ``crown ⊗ stump`` in the coproduct of the total Green
 function can be computed two independent ways:
 
 * ``fdb_lhs_coefficient``: sum over graft classes ``T`` of (number of cuts
-  of ``T`` pruning to the pair) divided by ``|Aut T|``.  The graft classes
-  come from one walk per stump (``stump_grafts``): it fills the stump
-  record's leaves in slot order, each from the crown records of its colour
-  that still fit the budget, and composes each stump node as soon as its
-  last leaf is filled, so the composed subtree is shared by every later
-  choice.  A filling's sorted crown keys name its pair.  Leaf slots of one
-  colour under a block-symmetric op take nondecreasing picks, since their
-  orderings give one graft.  No tree is built;
+  of ``T`` with the crown and the stump) divided by ``|Aut T|``.  The graft
+  classes come from one walk per stump (``stump_grafts``): it fills the
+  stump record's leaves in slot order, each from the crown records of its
+  colour that still fit the budget, and composes each stump node as soon
+  as its last leaf is filled, so the composed subtree is shared by every
+  later choice.  A filling's sorted crown keys name its pair.  Leaf slots
+  of one colour under a block-symmetric op take nondecreasing picks, since
+  their orderings give one graft.  The cuts are counted down the stump
+  (``stump_cuts``): a stump node sits on a node of ``T`` with the same op,
+  and each distinct arrangement of its children over the op's group
+  multiplies the children's counts.  Only that stump's crowns are counted,
+  so no cut table is filled (``cut_summary``, ``delta_*`` and
+  ``verify_phi`` fill them), and no tree is built;
 * ``fdb_rhs_coefficient``: coefficient of the crown in the product of
   root-coloured Green functions indexed by the stump's leaf profile,
   divided by ``|Aut stump|``.  ``verify_fdb`` builds that power once per
@@ -478,15 +483,75 @@ def graft_classes(crown: PForest, stump: TreeClass) -> list[TreeClass]:
     return list(_pair_grafts(crown, stump))
 
 
+def stump_cuts(t: TreeClass, s: TreeClass, memo: dict) -> dict[ForestKey, int]:
+    """Multiplicity of each crown (sorted keys) over the cuts of t whose
+    stump is the sub-stump s, counted down t and s together.  A trivial s
+    is the cut at t's root edge, with crown t (when the colours agree).
+    Otherwise t's op must be s's op, and a cut keeps t's root and cuts each
+    child of t to the child of s that its slot holds in some arrangement
+    of s's children over the op's group (``EndofunctorSpec.arrangements``):
+    for each distinct arrangement, the product of the children's counts,
+    their crowns merged.  A child whose op or node count cannot match is
+    not counted down.  ``memo`` keeps the counts by (t, s) and each stump
+    node's arrangements by s; it is the caller's, and lives as long as the
+    caller keeps it."""
+    if s.op is None:
+        return {(t.key,): 1} if t.root == s.root else {}
+    found = memo.get((t, s))
+    if found is not None:
+        return found
+    out: dict[ForestKey, int] = {}
+    if t.op == s.op and t.nodes >= s.nodes:
+        arrangements = memo.get(s)
+        if arrangements is None:
+            arrangements = memo[s] = s.spec.arrangements(s.op, s.children)
+        for arrangement in arrangements:
+            # the parts with one crown fold into (crown, mult) at once
+            crown, mult, parts = [], 1, []
+            for d, a in zip(t.children, arrangement):
+                if a.op is None:
+                    crown.append(d.key)
+                    continue
+                if d.op != a.op or d.nodes < a.nodes:
+                    break
+                part = stump_cuts(d, a, memo)
+                if len(part) == 1:
+                    (keys, m), = part.items()
+                    crown += keys
+                    mult *= m
+                elif part:
+                    parts.append(part.items())
+                else:
+                    break
+            else:
+                if not parts:
+                    key = tuple(sorted(crown))
+                    out[key] = out.get(key, 0) + mult
+                    continue
+                for combo in itertools.product(*parts):
+                    keys, m = list(crown), mult
+                    for more, x in combo:
+                        keys += more
+                        m *= x
+                    key = tuple(sorted(keys))
+                    out[key] = out.get(key, 0) + m
+    memo[(t, s)] = out
+    return out
+
+
 def fdb_lhs_coefficient(crown: PForest, stump: TreeClass,
-                        grafts: Iterable[TreeClass] | None = None) -> Fraction:
-    """Sum over graft classes T of (#cuts of T pruning to the pair)/|Aut T|,
-    summed in integers over a running lcm of the |Aut T|.  ``grafts`` are
-    the pair's graft classes from its stump's walk (``stump_grafts``); by
-    default ``graft_classes`` walks for them."""
-    target, num, den = (crown.keys, stump.key), 0, 1
+                        grafts: Iterable[TreeClass] | None = None,
+                        memo: dict | None = None) -> Fraction:
+    """Sum over graft classes T of (#cuts of T with the crown and the
+    stump)/|Aut T|, summed in integers over a running lcm of the |Aut T|.
+    Each T's cuts are counted down the stump (``stump_cuts``), so no cut
+    table is filled.  ``grafts`` are the pair's graft classes from its
+    stump's walk (``stump_grafts``); by default ``graft_classes`` walks for
+    them.  ``memo`` is the count's, shared by pairs of one stump; by
+    default it lives for this pair."""
+    num, den, memo = 0, 1, {} if memo is None else memo
     for c in graft_classes(crown, stump) if grafts is None else grafts:
-        if m := c.cuts.get(target):
+        if m := stump_cuts(c, stump, memo).get(crown.keys):
             if den % c.aut:
                 lcm = math.lcm(den, c.aut)
                 num, den = num * (lcm // den), lcm
@@ -591,8 +656,9 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
 
 
 def check_fdb_pair(crown: PForest, stump: TreeClass, powers: Mapping[Profile, Series],
-                   grafts: Iterable[TreeClass] | None = None) -> PairCheck:
-    lhs = fdb_lhs_coefficient(crown, stump, grafts)
+                   grafts: Iterable[TreeClass] | None = None,
+                   memo: dict | None = None) -> PairCheck:
+    lhs = fdb_lhs_coefficient(crown, stump, grafts, memo)
     rhs = fdb_rhs_coefficient(crown, stump, powers)
     return PairCheck(crown.keys, stump.key, lhs, rhs)
 
@@ -628,6 +694,28 @@ def _small_grafts(spec: EndofunctorSpec, results: list[PairCheck],
     return out
 
 
+def _stump_checks(s: TreeClass, crowns: list[PForest],
+                  candidates: Mapping[str, Sequence[TreeClass]],
+                  powers: Mapping[Profile, Series], max_nodes: int,
+                  max_edges: int) -> list[PairCheck]:
+    """The checks of one stump's pairs: its listed crowns, then the crowns
+    only its walk reached.  One ``stump_cuts`` memo serves them all and is
+    dropped on return."""
+    grafts = stump_grafts(s, candidates, max_nodes, max_edges)
+    memo: dict = {}
+    out = []
+    for f in crowns:
+        found = grafts.pop(f.keys, None)
+        chk = check_fdb_pair(f, s, powers, found or (), memo)
+        chk.reached = found is not None
+        out.append(chk)
+    for keys, found in grafts.items():  # reached by the walk alone
+        chk = check_fdb_pair(PForest(s.spec, keys), s, powers, found, memo)
+        chk.reached = False
+        out.append(chk)
+    return out
+
+
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                rooted: str | None = None) -> FdbReport:
     """Check the coefficient identity over every in-budget pair.
@@ -642,7 +730,9 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     (``stump_grafts``), filling its leaves in slot order from the crown
     classes within the budget and composing each node once its last leaf
     is filled, so one pass gives every pair of the stump with its graft
-    records, and no tree is built.  Only one stump's grafts are held at a
+    records, and no tree is built.  Each graft's cuts with the stump are
+    counted down the stump (``stump_cuts``), so no cut table is filled.
+    Only one stump's grafts, and the memo of its counts, are held at a
     time.  A pair that only one of the walk and the forest enumeration
     reaches fails and is listed.  A third route accumulates the
     coproducts of all trees within the budget, counting each tree's cuts
@@ -688,16 +778,8 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     candidates = _crown_candidates(enumerate_classes(spec, side_bound))
     results: list[PairCheck] = []
     for s, crowns in listed:
-        grafts = stump_grafts(s, candidates, max_total_nodes - s.nodes, max_edges_side)
-        for f in crowns:
-            found = grafts.pop(f.keys, None)
-            chk = check_fdb_pair(f, s, powers, found or ())
-            chk.reached = found is not None
-            results.append(chk)
-        for keys, found in grafts.items():  # reached by the walk alone
-            chk = check_fdb_pair(PForest(spec, keys), s, powers, found)
-            chk.reached = False
-            results.append(chk)
+        results += _stump_checks(s, crowns, candidates, powers,
+                                 max_total_nodes - s.nodes, max_edges_side)
 
     results.sort(key=lambda p: (p.stump, p.crown))
     failed = sum(1 for p in results if not p.passed)

@@ -44,7 +44,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .trees import (MAX_PARSE_DEPTH, Cut, GrammarError, MatchingNotBijective,
                     TreeDiagram, _Scanner, ideal_subtree, prune)
@@ -152,6 +152,17 @@ def _close_group(op: OpType) -> tuple[Perm, ...]:
                 seen.add(gh)
                 els.append(gh)
     return tuple(sorted(els))
+
+
+def _orderings(items: tuple) -> Iterator[tuple]:
+    """The distinct orderings of a multiset of hashable items, each once."""
+    if not items:
+        yield ()
+        return
+    for x in dict.fromkeys(items):
+        i = items.index(x)
+        for rest in _orderings(items[:i] + items[i + 1:]):
+            yield (x,) + rest
 
 
 def _symmetric_blocks(op: OpType) -> tuple[tuple[int, ...], ...] | None:
@@ -303,6 +314,28 @@ class EndofunctorSpec:
                     stabiliser *= run
         return ("(" + name + (":" + "".join(least) if least else "") + ")",
                 stabiliser)
+
+    def arrangements(self, name: str, items: Sequence) -> list[tuple]:
+        """The distinct tuples ``g·items`` (slot i holding ``items[g[i]]``)
+        over the group of op ``name``: the orbit whose least element
+        ``node_code`` takes.  A rigid op has one; a block-symmetric op has
+        the distinct orderings of each block's items, without listing its
+        group; any other op scans its group once."""
+        if name in self._rigid:
+            return [tuple(items)]
+        blocks = self._blocks.get(name)
+        if blocks is None:
+            return list(dict.fromkeys(tuple(map(items.__getitem__, g))
+                                      for g in self.sym_group(name)))
+        per_block = [list(_orderings(tuple(items[i] for i in slots))) for slots in blocks]
+        out = []
+        for orders in itertools.product(*per_block):
+            arranged = list(items)
+            for slots, order in zip(blocks, orders):
+                for i, x in zip(slots, order):
+                    arranged[i] = x
+            out.append(tuple(arranged))
+        return out
 
     def compose(self, op: str, children: Sequence[TreeClass]) -> TreeClass:
         """The record of op with trees of the given classes on its slots,

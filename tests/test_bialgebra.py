@@ -214,19 +214,75 @@ def test_equal_cut_keys_are_one_object():
     assert len(pairs) < entries
 
 
-def test_cross_check_detects_a_wrong_recursive_count():
+def test_cross_check_detects_a_wrong_recursive_count(monkeypatch):
     # The accumulation route counts cuts flat, so a wrong multiplicity in
-    # the recursive summary read by the LHS route shows as a cross failure.
+    # the recursive count read by the LHS route shows as a cross failure.
     spec = builtin("binary")
-    t = parse_ptree(spec, "(n2:(n2:__)_)")
+    t, s = tree_class(spec, "(n2:(n2:__)_)"), tree_class(spec, "(n2:__)")
     pair = (("(n2:__)", "_"), "(n2:__)")
-    summary = cut_summary(t)
-    assert summary[pair] == 1
-    summary[pair] += 1
+    count = bialgebra.stump_cuts
+    assert count(t, s, {}) == {pair[0]: 1}
+
+    def one_too_many(u, v, memo):
+        found = count(u, v, memo)
+        return {pair[0]: 2} if (u, v) == (t, s) else found
+
+    monkeypatch.setattr(bialgebra, "stump_cuts", one_too_many)
     rep = verify_fdb(spec, max_total_nodes=3, max_edges_side=5)
     assert rep.cross_failed > 0
     assert any(p.crown == pair[0] and p.stump == pair[1] and not p.passed
                for p in rep.pairs)
+
+
+@pytest.mark.parametrize("template", CUT_SPECS + [builtin("cyclic", max_arity=4)],
+                         ids=lambda s: s.name)
+def test_stump_cuts_equal_the_flat_count_of_each_stump(template):
+    # Every class's count down each of its stumps is its flat cut count
+    # restricted to that stump; down any other record the count is empty.
+    spec = fresh(template)
+    classes = enumerate_classes(spec, Bound(7))
+    others = enumerate_classes(spec, Bound(5))
+    memo, stumps_seen = {}, 0
+    for t in classes:
+        by_stump = {}
+        for (crown, stump), m in flat_cut_summary(t.tree).items():
+            by_stump.setdefault(stump, {})[crown] = m
+        for stump, crowns in by_stump.items():
+            s = tree_class(spec, stump)
+            assert bialgebra.stump_cuts(t, s, memo) == crowns, (t.key, stump)
+        for u in others:
+            if u.key not in by_stump:
+                assert bialgebra.stump_cuts(t, u, memo) == {}, (t.key, u.key)
+        stumps_seen += len(by_stump)
+    assert stumps_seen > len(classes) or len(classes) == 1
+
+
+@pytest.mark.parametrize("template, rooted", [
+    (builtin("planar", 3), None), (builtin("exp", 3), None),
+    (two_colour_spec(), "a"), (two_colour_spec(), "b")],
+    ids=["planar(3)", "exp(3)", "two-colour-a", "two-colour-b"])
+def test_the_fdb_path_fills_no_cut_table(monkeypatch, template, rooted):
+    spec, read, memos = fresh(template), [], {}
+    table = TreeClass.cuts
+    monkeypatch.setattr(TreeClass, "cuts", property(
+        lambda c: read.append(c.key) or table.fget(c)))
+    count = bialgebra.stump_cuts
+
+    def recording(t, s, memo):
+        memos[id(memo)] = memo
+        return count(t, s, memo)
+
+    monkeypatch.setattr(bialgebra, "stump_cuts", recording)
+    rep = verify_fdb(spec, 4, 6, rooted)
+    assert rep.passed and rep.pairs
+    assert read == []
+    assert [c.key for c in spec.classes.values()
+            if c.op is not None and c._cuts is not None] == []
+    # once the check returns, nothing but this list holds a count's memo
+    held = list(memos.values())
+    memos.clear()
+    assert len(held) > 1
+    assert all(r is held for r in gc.get_referrers(*held))
 
 
 def test_rooted_mode_checks_every_accumulated_pair(monkeypatch, two_colour):
@@ -677,9 +733,9 @@ def test_verify_fdb_sums_each_crowns_sizes_once(monkeypatch, name, nodes, edges)
     sized, checked = [], []
     check = bialgebra.check_fdb_pair
 
-    def recorded_check(crown, stump, powers, grafts=None):
+    def recorded_check(crown, stump, powers, *rest):
         checked.append((crown.keys, stump.key))
-        return check(crown, stump, powers, grafts)
+        return check(crown, stump, powers, *rest)
 
     for size in ("edge_count", "node_count"):
         monkeypatch.setattr(PForest, size, lambda f, real=getattr(PForest, size):
@@ -770,9 +826,9 @@ def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
     checked, sampled = [], []
     check, oracle = bialgebra.check_fdb_pair, bialgebra.graft_oracle_agrees
 
-    def recorded_check(crown, stump, powers, grafts=None):
+    def recorded_check(crown, stump, powers, *rest):
         checked.append((stump.key, crown.keys))
-        return check(crown, stump, powers, grafts)
+        return check(crown, stump, powers, *rest)
 
     def recorded_oracle(stump, crown):
         sampled.append((stump.key, crown.keys))
