@@ -64,7 +64,11 @@ function can be computed two independent ways:
 within the budget and counts its cuts flat, so it shares no composed
 record with the first; the graft records of a sample of pairs are also
 checked against trees grafted from the fillings that reached them, their
-flat cut counts and parsed keys.
+flat cut counts and parsed keys.  Each stage frees what it built before
+the next starts: the third route runs first and keeps only its
+coefficients (its trees live in ``enumerate_ptrees``'s table, on no
+record), and the graft records composed past the budget leave the spec's
+class table once the walks have run.
 """
 
 from __future__ import annotations
@@ -80,7 +84,8 @@ from .enumeration import (Bound, Profile, enumerate_classes, enumerate_pforests,
                           enumerate_ptrees)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
                        PTree, TreeClass, aut_order, forest_key_str,
-                       graft_decorated, intern, parse_ptree, tree_class)
+                       graft_decorated, intern, parse_ptree, tree_class,
+                       tree_in)
 from .trees import enumerate_cuts
 
 ZERO = Fraction(0)
@@ -559,18 +564,24 @@ def fdb_lhs_coefficient(crown: PForest, stump: TreeClass,
     return Fraction(num, den)
 
 
-def graft_oracle_agrees(stump: TreeClass, crown: PForest) -> bool:
+def graft_oracle_agrees(stump: TreeClass, crown: PForest,
+                        trees: dict[str, PTree] | None = None) -> bool:
     """Check the pair's graft records against the tree oracles: there is
-    one, and for each, the tree ``graft_decorated`` builds on
-    ``stump.tree`` from the filling that reached it, in slot order, has the
-    key and a cut giving the pair, counted flat on that tree; a parse of
-    the key has the sizes, leaf profile and |Aut|."""
-    spec, pair, tree = stump.spec, (crown.keys, stump.key), stump.tree
+    one, and for each, the tree ``graft_decorated`` builds on the stump's
+    tree from the filling that reached it, in slot order, has the key and a
+    cut giving the pair, counted flat on that tree; a parse of the key has
+    the sizes, leaf profile and |Aut|.  The stump's and the crown classes'
+    trees are built from their records' children (``tree_in``) in the table
+    ``trees``, which is the caller's (by default this call's), so no record
+    is given one."""
+    spec, pair = stump.spec, (crown.keys, stump.key)
+    trees = {} if trees is None else trees
+    tree = tree_in(stump, trees)
     # ``build_ptree`` numbers a record's tree so leaf ids ascend in slot order
     leaves = sorted(tree.shape.leaves)
     grafts = _pair_grafts(crown, stump)
     for c, filling in grafts.items():
-        g = graft_decorated(tree, {leaf: tree_class(spec, key).tree
+        g = graft_decorated(tree, {leaf: tree_in(tree_class(spec, key), trees)
                                    for leaf, key in zip(leaves, filling)})
         fresh = parse_ptree(spec, c.key)
         if (g.key() != c.key or fresh.key() != c.key
@@ -585,7 +596,7 @@ def graft_oracle_agrees(stump: TreeClass, crown: PForest) -> bool:
 # verification report
 
 
-@dataclass
+@dataclass(slots=True)
 class PairCheck:
     crown: ForestKey
     stump: str
@@ -716,6 +727,30 @@ def _stump_checks(s: TreeClass, crowns: list[PForest],
     return out
 
 
+def _oracle_sample(listed: Sequence[tuple[TreeClass, Sequence[PForest]]]
+                   ) -> list[tuple[TreeClass, PForest]]:
+    """Every stride-th of the listed (stump, crown) pairs, in listed order,
+    taken while walking ``listed``; the stride is the least that leaves at
+    most ``SAMPLE`` of them."""
+    stride = max(1, -(-sum(len(crowns) for _, crowns in listed) // SAMPLE))
+    out, start = [], 0  # ``start``: the index of the stump's first pair
+    for s, crowns in listed:
+        out += [(s, f) for f in crowns[-start % stride::stride]]
+        start += len(crowns)
+    return out
+
+
+def _evict(spec: EndofunctorSpec, start: int, max_edges: int):
+    """Remove from the spec's class table the records past its first
+    ``start`` with more than ``max_edges`` edges.  A child has fewer edges
+    than its parent, so no record left refers to a removed one; a later
+    lookup composes a removed record again."""
+    classes = spec.classes
+    for c in [c for c in itertools.islice(classes.values(), start, None)
+              if c.edges > max_edges]:
+        del classes[c.key]
+
+
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                rooted: str | None = None) -> FdbReport:
     """Check the coefficient identity over every in-budget pair.
@@ -726,28 +761,46 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     them is pushed through the full computation as a spot check).  Only
     profile-matched pairs with a nonzero side, and any failures, are listed.
 
-    Stumps are class records.  The LHS walks each stump once
-    (``stump_grafts``), filling its leaves in slot order from the crown
-    classes within the budget and composing each node once its last leaf
-    is filled, so one pass gives every pair of the stump with its graft
-    records, and no tree is built.  Each graft's cuts with the stump are
-    counted down the stump (``stump_cuts``), so no cut table is filled.
-    Only one stump's grafts, and the memo of its counts, are held at a
-    time.  A pair that only one of the walk and the forest enumeration
-    reaches fails and is listed.  A third route accumulates the
-    coproducts of all trees within the budget, counting each tree's cuts
-    flat (``flat_cut_summary``: enumerate, code from the tree's own pass)
-    and weighting it by its own |Aut| (``aut_order``), so it tests the
-    composition against the brute-force count.  It must agree with the
-    listed pairs whose graft size stays within the budget, and every pair
-    it finds must be listed; in rooted mode, every pair whose stump has the
-    rooted colour.  An evenly spaced sample of at most ``SAMPLE`` listed
-    pairs must pass ``graft_oracle_agrees``, which runs the same walk
-    restricted to the pair's crown and grafts trees for the records the LHS
-    summed.  Both count in ``cross_failed``.
+    The stages run in this order, and each frees what it built before the
+    next starts:
+
+    1. The pair space: the stump records and the crown forests within the
+       budget, each record composed from its children's.
+    2. The accumulation route (``_direct_accumulation``) builds every tree
+       within the budget, counts each tree's cuts flat (``flat_cut_summary``:
+       enumerate, code from the tree's own pass) and weights it by its own
+       |Aut| (``aut_order``), so it shares no composed record with the LHS.
+       It keeps only the accumulated coefficient of each pair; its trees
+       lived in ``enumerate_ptrees``'s table and are gone.
+    3. The RHS powers (``profile_powers``), and the LHS walk of each stump
+       (``stump_grafts``): it fills the stump's leaves in slot order from the
+       crown classes within the budget and composes each node once its last
+       leaf is filled, so one pass gives every pair of the stump with its
+       graft records, and no tree is built.  Each graft's cuts with the
+       stump are counted down the stump (``stump_cuts``), so no cut table is
+       filled.  Only one stump's grafts, and the memo of its counts, are
+       held at a time; the checks (``PairCheck``) hold keys, not records.
+       When the walk ends, the graft records it added to the spec's class
+       table with more edges than the budget allows are removed (``_evict``).
+       A pair that only one of the walk and the forest enumeration reaches
+       fails and is listed.
+    4. The spot checks: the sampled profile-mismatched pairs must vanish,
+       and an evenly spaced sample of at most ``SAMPLE`` listed pairs
+       (``_oracle_sample``) must pass ``graft_oracle_agrees``, which runs the
+       same walk restricted to the pair's crown and grafts trees for the
+       records the LHS summed; the sample's trees share one table, which no
+       record holds.  The records these checks add past the budget are
+       removed too.
+    5. The accumulation must agree with the listed pairs whose graft size
+       stays within the budget, and every pair it finds must be listed; in
+       rooted mode, every pair whose stump has the rooted colour.
+
+    Oracle and accumulation failures count in ``cross_failed``.
     """
     stumps, by_profile, total_pairs = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
+    acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
+
     side_bound = Bound(max_edges_side, max_total_nodes)
     listed: list[tuple[TreeClass, list[PForest]]] = []
     sampled: list[tuple[TreeClass, PForest]] = []
@@ -772,14 +825,15 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
                         sampled.append((s, f))
                         taken += 1
                         break
-    tasks = [(s, f) for s, crowns in listed for f in crowns]
 
     powers = profile_powers(spec, side_bound, {s.leaf_profile for s in stumps})
     candidates = _crown_candidates(enumerate_classes(spec, side_bound))
+    known = len(spec.classes)
     results: list[PairCheck] = []
     for s, crowns in listed:
         results += _stump_checks(s, crowns, candidates, powers,
                                  max_total_nodes - s.nodes, max_edges_side)
+    _evict(spec, known, max_edges_side)
 
     results.sort(key=lambda p: (p.stump, p.crown))
     failed = sum(1 for p in results if not p.passed)
@@ -791,14 +845,16 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
             failed += 1
             results.append(chk)
 
-    # the graft records of an evenly spaced sample of listed pairs
-    stride = max(1, -(-len(tasks) // SAMPLE))
-    cross_failed = sum(not graft_oracle_agrees(s, f)
-                       for s, f in tasks[::stride][:SAMPLE])
+    # the graft records of an evenly spaced sample of listed pairs, their
+    # trees in one table for the sample
+    trees: dict[str, PTree] = {}
+    cross_failed = sum(not graft_oracle_agrees(s, f, trees)
+                       for s, f in _oracle_sample(listed))
+    del trees
+    _evict(spec, known, max_edges_side)
 
     # independent accumulation cross-check on the common support
     small = _small_grafts(spec, results, by_profile, max_edges_side)
-    acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
     lhs_map = {(p.crown, p.stump): p.lhs for p in results}
     cross_checked = len(small)
     cross_failed += sum(acc.get((p.crown, p.stump), ZERO) != p.lhs for p in small)

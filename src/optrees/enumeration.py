@@ -6,9 +6,9 @@ node arities are unbounded.  Each stratum is composed from the occupied
 a class is one orbit of child tuples under the op's group.
 ``enumerate_classes`` hands out one class record (:class:`TreeClass`) per
 canonical key, in key order, each composed from its children's records,
-so no tree is built.  ``enumerate_ptrees`` reads the records'
-representative trees, which are built on first use; forests are
-multisets of the records' keys.
+so no tree is built.  ``enumerate_ptrees`` builds a representative tree
+per record, each from its children's, and leaves none on the records;
+forests are multisets of the records' keys.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .pfunctor import (EndofunctorSpec, ForestKey, OpType, PForest, PTree,
-                       SpecError, TreeClass)
+                       SpecError, TreeClass, tree_in)
 from .trees import ForestDiagram, disjoint_union
 
 Profile = tuple[tuple[str, int], ...]  # (colour, count) pairs, sorted by colour
@@ -149,8 +149,11 @@ def enumerate_classes(spec: EndofunctorSpec, bound: Bound, root_colour: str | No
 
 
 def enumerate_ptrees(spec: EndofunctorSpec, bound: Bound) -> list[PTree]:
-    """One representative per tree class within the bound, sorted by key."""
-    return [c.tree for c in enumerate_classes(spec, bound)]
+    """One representative per tree class within the bound, sorted by key.
+    Each is built from its children's in a table that lives for this call
+    (``tree_in``), so no record keeps one; the caller holds the trees."""
+    table: dict[str, PTree] = {}
+    return [tree_in(c, table) for c in enumerate_classes(spec, bound)]
 
 
 def enumerate_pforests(spec: EndofunctorSpec, bound: Bound) -> list[PForest]:

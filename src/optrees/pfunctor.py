@@ -44,7 +44,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .trees import (MAX_PARSE_DEPTH, Cut, GrammarError, MatchingNotBijective,
                     TreeDiagram, _Scanner, ideal_subtree, prune)
@@ -877,7 +877,9 @@ class TreeClass:
 
     @property
     def tree(self) -> PTree:
-        """A tree of the class, built from the children's trees."""
+        """A tree of the class, built from the children's trees.  The record
+        keeps it, and its sub-records keep theirs; ``tree_in`` builds a tree
+        that no record keeps."""
         if self._tree is not None:
             return self._tree
         for c in _unfilled(self, "_tree"):
@@ -907,13 +909,24 @@ class TreeClass:
         return self._cuts
 
 
-def _unfilled(record: TreeClass, slot: str) -> list[TreeClass]:
-    """Records under ``record``, itself too, whose ``slot`` is unset, each
-    once and after its children."""
+def tree_in(c: TreeClass, table: dict[str, PTree]) -> PTree:
+    """A tree of the class of ``c``, built from its children's trees in
+    ``table`` (by key), which it fills and which is the caller's.  A tree
+    that a record keeps is taken as it is; no record is given one."""
+    for d in _unfilled(c, "_tree", table):
+        t = table[d.key] = build_ptree(d.spec, d.op, [table.get(e.key) or e._tree
+                                                      for e in d.children])
+        t._key = d.key
+    return table.get(c.key) or c._tree
+
+
+def _unfilled(record: TreeClass, slot: str, done: Container[str] = ()) -> list[TreeClass]:
+    """Records under ``record``, itself too, whose ``slot`` is unset and
+    whose key is not in ``done``, each once and after its children."""
     order, stack = {}, [record]
     while stack:
         c = stack.pop()
-        if getattr(c, slot) is None:
+        if getattr(c, slot) is None and c.key not in done:
             order.pop(c.key, None)  # keep the last visit, below every parent
             order[c.key] = c
             stack.extend(c.children)

@@ -285,6 +285,66 @@ def test_the_fdb_path_fills_no_cut_table(monkeypatch, template, rooted):
     assert all(r is held for r in gc.get_referrers(*held))
 
 
+def test_the_stump_loop_finds_no_tree_on_a_record(monkeypatch):
+    # the accumulation route builds its trees in ``enumerate_ptrees``'s
+    # table and the graft oracle in one for its sample, so no record keeps a
+    # tree: not while the stump loop runs, nor in a second check of the spec
+    spec, held = fresh(builtin("planar", 3)), []
+    checks = bialgebra._stump_checks
+
+    def with_trees(spec):
+        return [c.key for c in spec.classes.values()
+                if c.op is not None and c._tree is not None]
+
+    def recording(s, *rest):
+        held.append(with_trees(s.spec))
+        return checks(s, *rest)
+
+    monkeypatch.setattr(bialgebra, "_stump_checks", recording)
+    for _ in range(2):
+        assert verify_fdb(spec, 4, 6).passed
+    assert len(held) > 2 and not any(held)
+    assert with_trees(spec) == []
+
+
+@pytest.mark.parametrize("rooted", [None, "o"], ids=["unrooted", "rooted"])
+def test_the_check_removes_the_graft_records_past_the_budget(monkeypatch, rooted):
+    spec, edges = fresh(builtin("planar", 3)), 6
+    composed = []
+    compose = spec.compose
+    monkeypatch.setattr(spec, "compose",
+                        lambda *args: composed.append(compose(*args)) or composed[-1])
+    rep = verify_fdb(spec, 4, edges, rooted)
+    assert rep.passed and rep.pairs
+    past = {c.key for c in composed if c.edges > edges}
+    assert past and past.isdisjoint(spec.classes)
+    assert all(spec.classes[d.key] is d
+               for c in spec.classes.values() for d in c.children)
+    # a second check composes the removed records again
+    composed.clear()
+    assert verify_fdb(spec, 4, edges, rooted).as_doc() == rep.as_doc()
+    assert {c.key for c in composed if c.edges > edges} == past
+    assert past.isdisjoint(spec.classes)
+
+
+@pytest.mark.parametrize("spec", [builtin("planar", 3), two_colour_spec()],
+                         ids=["planar(3)", "two-colour"])
+@pytest.mark.parametrize("sample", [1, 7, 200, 10**6])
+def test_the_oracle_sample_is_the_evenly_spaced_slice(monkeypatch, spec, sample):
+    # taken while walking the listed pairs, the sample is the stride slice
+    # of the list of all of them
+    nodes, edges = 4, 6
+    stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, nodes, edges, None)
+    listed = [(s, [f for n, f in by_profile.get(s.leaf_profile, ())
+                   if n <= nodes - s.nodes]) for s in stumps]
+    tasks = [(s, f) for s, crowns in listed for f in crowns]
+    monkeypatch.setattr(bialgebra, "SAMPLE", sample)
+    stride = max(1, -(-len(tasks) // sample))
+    assert len(tasks) > 20
+    assert bialgebra._oracle_sample(listed) == tasks[::stride][:sample]
+    assert bialgebra._oracle_sample([]) == []
+
+
 def test_rooted_mode_checks_every_accumulated_pair(monkeypatch, two_colour):
     # A pair the accumulation finds but no route checks is a cross failure
     # when its stump has the rooted colour.
@@ -830,9 +890,9 @@ def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
         checked.append((stump.key, crown.keys))
         return check(crown, stump, powers, *rest)
 
-    def recorded_oracle(stump, crown):
+    def recorded_oracle(stump, crown, *rest):
         sampled.append((stump.key, crown.keys))
-        return oracle(stump, crown)
+        return oracle(stump, crown, *rest)
 
     monkeypatch.setattr(bialgebra, "check_fdb_pair", recorded_check)
     monkeypatch.setattr(bialgebra, "graft_oracle_agrees", recorded_oracle)

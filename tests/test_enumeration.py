@@ -12,7 +12,7 @@ from optrees.bialgebra import _pair_grafts, green
 from optrees.cli import main
 from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
                                  enumerate_ptrees, matchings)
-from optrees.pfunctor import (EndofunctorSpec, PForest, SpecError, aut_order,
+from optrees.pfunctor import (EndofunctorSpec, PForest, PTree, SpecError, aut_order,
                               builtin, intern, parse_ptree, tree_class,
                               trivial_ptree, validate_ptree)
 from optrees.trees import validate_tree
@@ -223,6 +223,27 @@ def test_enumerate_classes_equals_the_interned_trees(template):
                 for c in classes] == [
             (t.key(), aut_order(t), t.root_colour, t.leaf_profile(),
              t.edge_count, t.node_count) for t in every if selected(t)]
+
+
+@pytest.mark.parametrize("template", [builtin("planar", 3), builtin("exp", 3)],
+                         ids=["planar(3)", "exp(3)"])
+def test_enumerate_ptrees_leaves_no_tree_on_a_record(template):
+    spec, bound = fresh(template), Bound(6, 4)
+    trees = enumerate_ptrees(spec, bound)
+    assert [c.key for c in spec.classes.values()
+            if c.op is not None and c._tree is not None] == []
+    # each tree's key, computed afresh from the tree, is its record's
+    assert [PTree(spec, t.shape, t.edge_colour, t.node_op).key() for t in trees] == [
+        c.key for c in enumerate_classes(spec, bound)]
+    assert len(trees) > 50
+
+
+def test_enumerate_ptrees_builds_trees_deeper_than_the_recursion_limit():
+    trees = enumerate_ptrees(builtin("identity"), Bound(1200))
+    assert len(trees) == 1200
+    # the deepest key sorts first
+    assert trees[0].key() == "(n1:" * 1199 + "_" + ")" * 1199
+    assert trees[0].edge_count == 1200
 
 
 @pytest.mark.parametrize("template", RECORD_SPECS, ids=lambda s: s.name)
