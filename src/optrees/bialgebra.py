@@ -65,10 +65,10 @@ within the budget and counts its cuts flat, so it shares no composed
 record with the first; the graft records of a sample of pairs are also
 checked against trees grafted from the fillings that reached them, their
 flat cut counts and parsed keys.  Each stage frees what it built before
-the next starts: the third route runs first and keeps only its
-coefficients (its trees live in ``enumerate_ptrees``'s table, on no
-record), and the graft records composed past the budget leave the spec's
-class table once the walks have run.
+the next starts: the third route runs first, drops each tree once its
+cuts are counted and keeps only its coefficients, the pairs are handed out
+stump by stump, and the graft records composed past the budget leave the
+spec's class table once the walks have run.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .enumeration import (Bound, Profile, enumerate_classes, enumerate_pforests,
                           enumerate_ptrees)
@@ -622,24 +622,27 @@ class FdbReport:
     max_total_nodes: int
     max_edges_side: int
     rooted: str | None
-    pairs: list[PairCheck]
-    checked: int
-    failed: int
-    zero_pairs: int
-    cross_checked: int
-    cross_failed: int
+    pairs: list[PairCheck] = field(default_factory=list)
+    checked: int = 0
+    failed: int = 0
+    zero_pairs: int = 0
+    cross_checked: int = 0
+    cross_failed: int = 0
 
     @property
     def passed(self) -> bool:
         return self.failed == 0 and self.cross_failed == 0
 
     def as_doc(self) -> dict:
+        return {**self.frame(), "pairs": [p.as_doc() for p in self.pairs]}
+
+    def frame(self) -> dict:
+        """The document without its pairs."""
         return {
             "spec": self.spec_label,
             "bound": {"max_total_nodes": self.max_total_nodes,
                       "max_edges_side": self.max_edges_side},
             "rooted": self.rooted,
-            "pairs": [p.as_doc() for p in self.pairs],
             "summary": {"checked": self.checked, "failed": self.failed,
                         "zero_pairs": self.zero_pairs,
                         "cross_checked": self.cross_checked,
@@ -678,40 +681,32 @@ def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
                          max_edges: int) -> dict[tuple[ForestKey, str], Fraction]:
     """Coproduct of the Green function accumulated tree by tree, with each
     tree's cuts counted flat and its weight from its own |Aut|, summed in
-    integers over the lcm of those orders."""
-    trees = enumerate_ptrees(spec, Bound(max_edges, max_total_nodes))
-    auts = [aut_order(t) for t in trees]
-    den = math.lcm(*auts)
+    integers over a running lcm of those orders.  Each tree is dropped once
+    its cuts are counted."""
+    trees = enumerate_ptrees(spec, Bound(max_edges, max_total_nodes))[::-1]
     acc: dict[tuple[ForestKey, str], int] = {}
-    for t, aut in zip(trees, auts):
+    den = 1
+    while trees:
+        t = trees.pop()
+        aut = aut_order(t)
+        if den % aut:
+            scale = math.lcm(den, aut) // den
+            for pair in acc:
+                acc[pair] *= scale
+            den *= scale
         w = den // aut
         for pair, mult in flat_cut_summary(t).items():
             acc[pair] = acc.get(pair, 0) + mult * w
     return {pair: Fraction(num, den) for pair, num in acc.items()}
 
 
-def _small_grafts(spec: EndofunctorSpec, results: list[PairCheck],
-                  by_profile: Mapping, max_edges: int) -> list[PairCheck]:
-    """The pairs whose grafts have at most ``max_edges`` edges; each crown's
-    edges are summed once."""
-    edges = {f.keys: f.edge_count() for fs in by_profile.values() for _, f in fs}
-    out = []
-    for p in results:
-        if p.crown not in edges:  # a crown only the stump's walk reached
-            edges[p.crown] = PForest(spec, p.crown).edge_count()
-        s = tree_class(spec, p.stump)
-        if edges[p.crown] + s.edges - s.leaves <= max_edges:
-            out.append(p)
-    return out
-
-
 def _stump_checks(s: TreeClass, crowns: list[PForest],
                   candidates: Mapping[str, Sequence[TreeClass]],
                   powers: Mapping[Profile, Series], max_nodes: int,
                   max_edges: int) -> list[PairCheck]:
-    """The checks of one stump's pairs: its listed crowns, then the crowns
-    only its walk reached.  One ``stump_cuts`` memo serves them all and is
-    dropped on return."""
+    """The checks of one stump's pairs, by crown: its listed crowns and the
+    crowns only its walk reached.  One ``stump_cuts`` memo serves them all
+    and is dropped on return."""
     grafts = stump_grafts(s, candidates, max_nodes, max_edges)
     memo: dict = {}
     out = []
@@ -724,6 +719,7 @@ def _stump_checks(s: TreeClass, crowns: list[PForest],
         chk = check_fdb_pair(PForest(s.spec, keys), s, powers, found, memo)
         chk.reached = False
         out.append(chk)
+    out.sort(key=lambda p: p.crown)
     return out
 
 
@@ -752,7 +748,8 @@ def _evict(spec: EndofunctorSpec, start: int, max_edges: int):
 
 
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
-               rooted: str | None = None) -> FdbReport:
+               rooted: str | None = None,
+               emit: Callable[[list[PairCheck]], object] | None = None) -> FdbReport:
     """Check the coefficient identity over every in-budget pair.
 
     Pairs whose crown root profile differs from the stump leaf profile have
@@ -760,29 +757,34 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     they are counted in bulk (a deterministic sample of about ``SAMPLE`` of
     them is pushed through the full computation as a spot check).  Only
     profile-matched pairs with a nonzero side, and any failures, are listed.
+    They are handed to ``emit`` a stump at a time, each list as soon as its
+    stump is done, in report order: by stump key, then crown, then the
+    failed spot checks.  By default the report keeps them in ``pairs``; with
+    ``emit``, it keeps none.
 
     The stages run in this order, and each frees what it built before the
     next starts:
 
-    1. The pair space: the stump records and the crown forests within the
-       budget, each record composed from its children's.
-    2. The accumulation route (``_direct_accumulation``) builds every tree
+    1. The accumulation route (``_direct_accumulation``) builds every tree
        within the budget, counts each tree's cuts flat (``flat_cut_summary``:
        enumerate, code from the tree's own pass) and weights it by its own
        |Aut| (``aut_order``), so it shares no composed record with the LHS.
-       It keeps only the accumulated coefficient of each pair; its trees
-       lived in ``enumerate_ptrees``'s table and are gone.
+       Each tree is dropped once its cuts are counted, and only the
+       accumulated coefficient of each pair is kept.
+    2. The pair space: the stump records and the crown forests within the
+       budget, each record composed from its children's.
     3. The RHS powers (``profile_powers``), and the LHS walk of each stump
-       (``stump_grafts``): it fills the stump's leaves in slot order from the
-       crown classes within the budget and composes each node once its last
-       leaf is filled, so one pass gives every pair of the stump with its
-       graft records, and no tree is built.  Each graft's cuts with the
-       stump are counted down the stump (``stump_cuts``), so no cut table is
-       filled.  Only one stump's grafts, and the memo of its counts, are
-       held at a time; the checks (``PairCheck``) hold keys, not records.
-       When the walk ends, the graft records it added to the spec's class
-       table with more edges than the budget allows are removed (``_evict``).
-       A pair that only one of the walk and the forest enumeration reaches
+       in key order (``stump_grafts``): it fills the stump's leaves in slot
+       order from the crown classes within the budget and composes each
+       node once its last leaf is filled, so one pass gives every pair of
+       the stump with its graft records, and no tree is built.  Each
+       graft's cuts with the stump are counted down the stump
+       (``stump_cuts``), so no cut table is filled.  Only one stump's
+       grafts and checks, and the memo of its counts, are held at a time.
+       Each check meets the accumulation at once, taking its coefficient
+       out, before it is handed out.  Then the graft records added to the
+       spec's class table past the budget are removed (``_evict``).  A
+       pair that only one of the walk and the forest enumeration reaches
        fails and is listed.
     4. The spot checks: the sampled profile-mismatched pairs must vanish,
        and an evenly spaced sample of at most ``SAMPLE`` listed pairs
@@ -791,15 +793,32 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
        records the LHS summed; the sample's trees share one table, which no
        record holds.  The records these checks add past the budget are
        removed too.
-    5. The accumulation must agree with the listed pairs whose graft size
-       stays within the budget, and every pair it finds must be listed; in
-       rooted mode, every pair whose stump has the rooted colour.
+    5. Each nonzero pair left in the accumulation, which no route computed,
+       fails; in rooted mode, each whose stump has the rooted colour.
 
     Oracle and accumulation failures count in ``cross_failed``.
     """
+    acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
     stumps, by_profile, total_pairs = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
-    acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
+    report = FdbReport(spec.name, max_total_nodes, max_edges_side, rooted,
+                       checked=total_pairs, zero_pairs=total_pairs)
+    emit = report.pairs.extend if emit is None else emit
+    # each crown's edges, summed once
+    edges = {f.keys: f.edge_count() for fs in by_profile.values() for _, f in fs}
+
+    def settle(p: PairCheck, s: TreeClass, failed: bool) -> bool:
+        """Count a computed pair and compare it with the accumulation when
+        its grafts fit the budget; true if it is listed (failed or nonzero)."""
+        report.zero_pairs -= 1
+        report.failed += failed
+        found = acc.pop((p.crown, p.stump), ZERO)
+        crown_edges = edges[p.crown] if p.crown in edges else \
+            PForest(spec, p.crown).edge_count()  # a crown only the walk reached
+        if crown_edges + s.edges - s.leaves <= max_edges_side:
+            report.cross_checked += 1
+            report.cross_failed += found != p.lhs
+        return bool(failed or p.lhs or p.rhs)
 
     side_bound = Bound(max_edges_side, max_total_nodes)
     listed: list[tuple[TreeClass, list[PForest]]] = []
@@ -829,42 +848,27 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     powers = profile_powers(spec, side_bound, {s.leaf_profile for s in stumps})
     candidates = _crown_candidates(enumerate_classes(spec, side_bound))
     known = len(spec.classes)
-    results: list[PairCheck] = []
-    for s, crowns in listed:
-        results += _stump_checks(s, crowns, candidates, powers,
-                                 max_total_nodes - s.nodes, max_edges_side)
+    for s, crowns in listed:  # stumps in key order
+        checks = _stump_checks(s, crowns, candidates, powers,
+                               max_total_nodes - s.nodes, max_edges_side)
+        emit([p for p in checks if settle(p, s, not p.passed)])
     _evict(spec, known, max_edges_side)
-
-    results.sort(key=lambda p: (p.stump, p.crown))
-    failed = sum(1 for p in results if not p.passed)
 
     # spot-check that sampled profile-mismatched pairs really vanish
     for s, f in sampled:
         chk = check_fdb_pair(f, s, powers)
         if chk.lhs or chk.rhs or not chk.passed:
-            failed += 1
-            results.append(chk)
+            settle(chk, s, True)
+            emit([chk])
 
     # the graft records of an evenly spaced sample of listed pairs, their
     # trees in one table for the sample
     trees: dict[str, PTree] = {}
-    cross_failed = sum(not graft_oracle_agrees(s, f, trees)
-                       for s, f in _oracle_sample(listed))
+    report.cross_failed += sum(not graft_oracle_agrees(s, f, trees)
+                               for s, f in _oracle_sample(listed))
     del trees
     _evict(spec, known, max_edges_side)
 
-    # independent accumulation cross-check on the common support
-    small = _small_grafts(spec, results, by_profile, max_edges_side)
-    lhs_map = {(p.crown, p.stump): p.lhs for p in results}
-    cross_checked = len(small)
-    cross_failed += sum(acc.get((p.crown, p.stump), ZERO) != p.lhs for p in small)
-    # every accumulated pair (with a stump of the rooted colour) is checked
-    for pair, val in acc.items():
-        if val and pair not in lhs_map and (
-                rooted is None or tree_class(spec, pair[1]).root == rooted):
-            cross_failed += 1
-
-    pairs = [p for p in results if not p.passed or p.lhs or p.rhs]
-    return FdbReport(spec.name, max_total_nodes, max_edges_side, rooted,
-                     pairs, total_pairs, failed,
-                     total_pairs - len(results), cross_checked, cross_failed)
+    report.cross_failed += sum(1 for (_, stump), val in acc.items() if val and (
+        rooted is None or tree_class(spec, stump).root == rooted))
+    return report

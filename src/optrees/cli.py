@@ -6,12 +6,14 @@ the verification suites ``verify fdb|classical|phi|groupoid``.
 Exit status: 0 on success or all checks passing, 1 on a verification
 failure, 2 on an input error (usage, spec, grammar, groupoid document,
 decoding, bound range, unreadable file), 3 on an internal error, reported
-in one ``internal error:`` line.  Results go to standard output only;
-diagnostics and timings go to standard error.  Structured output is a
-single JSON document with sorted keys and a ``schema_version`` field, so
-identical invocations are byte-identical.  It is written in bounded
-batches as it is encoded (``emit_structured``); the bytes are those of
-one ``json.dumps`` of the whole document.
+in one ``internal error:`` line; standard output may then hold part of a
+document.  Results go to standard output only; diagnostics and timings go
+to standard error.  Structured output is a single JSON document with
+sorted keys and a ``schema_version`` field, so identical invocations are
+byte-identical; its bytes are those of one ``json.dumps`` of the whole
+document.  It is written in bounded batches as it is encoded
+(``emit_structured``); ``verify fdb`` writes each stump's pairs as the
+check hands them out (``StructuredList``), and builds no document of them.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import itertools
 import json
 import sys
 import time
+from typing import Iterable
 
-from .bialgebra import (Bound, delta_tree, format_rational, green,
-                        profile_str, verify_fdb)
+from .bialgebra import (Bound, FdbReport, PairCheck, delta_tree,
+                        format_rational, green, profile_str, verify_fdb)
 from .classical import classical_verify, verify_phi
 from .enumeration import BoundError, enumerate_classes
 from .groupoid_suite import run_suite
@@ -34,6 +37,11 @@ from .trees import GrammarError
 
 SCHEMA_VERSION = 1
 BATCH = 8192  # encoder chunks joined into one write of structured output
+ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+# the members of an object of scalars in a top-level list, laid out as
+# ENCODER lays them out (no indent, so the C encoder runs)
+ITEM = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                        separators=(",\n      ", ": "))
 
 
 class UsageError(Exception):
@@ -86,11 +94,37 @@ def emit_structured(command: str, doc: dict):
     write: the same bytes as ``json.dumps`` with these settings, without
     holding every chunk and the whole text at once."""
     doc = {"schema_version": SCHEMA_VERSION, "command": command, **doc}
-    chunks = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False,
-                              separators=(",", ": ")).iterencode(doc)
+    chunks = ENCODER.iterencode(doc)
     while batch := list(itertools.islice(chunks, BATCH)):
         sys.stdout.write("".join(batch))
     sys.stdout.write("\n")
+
+
+class StructuredList:
+    """Writes the bytes of ``emit_structured`` of a document whose top-level
+    list at ``key`` comes item by item: the keys sorting before ``key`` are
+    read from ``doc``, and the rest from the document given to ``close``.
+    Nothing is written before the first item or ``close``.  Each item is a
+    nonempty object of scalars, encoded by the C encoder (``ITEM``)."""
+
+    def __init__(self, command: str, doc: dict, key: str):
+        self.command, self.key, self.written = command, key, False
+        self.head = self._halves(doc)[0]
+
+    def _halves(self, doc: dict) -> tuple[str, str]:
+        text = ENCODER.encode({"schema_version": SCHEMA_VERSION,
+                               "command": self.command, **doc, self.key: []})
+        head, _, tail = text.partition(f'"{self.key}": []')
+        return f'{head}"{self.key}": [', f"]{tail}\n"
+
+    def write(self, items: Iterable[dict]):
+        for item in items:
+            sys.stdout.write(("," if self.written else self.head) + "\n    {\n      "
+                             + ITEM.encode(item)[1:-1] + "\n    }")
+            self.written = True
+
+    def close(self, doc: dict):
+        sys.stdout.write(("\n  " if self.written else self.head) + self._halves(doc)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +221,31 @@ def cmd_groupoid(args) -> int:
     return 0
 
 
+def _print_pairs(pairs: list[PairCheck]):
+    for d in map(PairCheck.as_doc, pairs):
+        print(f"{'ok' if d['pass'] else 'FAIL'}  F={d['F']}  S={d['S']}  "
+              f"lhs={d['lhs']}  rhs={d['rhs']}")
+
+
 def cmd_verify_fdb(args) -> int:
+    """The listed pairs are written as ``verify_fdb`` hands them out."""
     spec = _spec_from_args(args)
     if args.rooted is not None:
         _check_colour(spec, args.rooted)
+    structured = args.format == "structured"
+    if structured:  # the bound, which sorts before the pairs, is known now
+        out = StructuredList("verify-fdb", FdbReport(
+            spec.name, args.max_nodes, args.max_edges, args.rooted).frame(), "pairs")
     report = verify_fdb(spec, max_total_nodes=args.max_nodes,
-                        max_edges_side=args.max_edges, rooted=args.rooted)
-    if args.format == "structured":
-        emit_structured("verify-fdb", report.as_doc())
+                        max_edges_side=args.max_edges, rooted=args.rooted,
+                        emit=(lambda pairs: out.write(map(PairCheck.as_doc, pairs)))
+                        if structured else _print_pairs)
+    if structured:
+        out.close(report.frame())
     else:
-        doc = report.as_doc()
-        for p in doc["pairs"]:
-            status = "ok" if p["pass"] else "FAIL"
-            print(f"{status}  F={p['F']}  S={p['S']}  lhs={p['lhs']}  rhs={p['rhs']}")
-        s = doc["summary"]
-        print(f"checked={s['checked']} failed={s['failed']} "
-              f"cross_checked={s['cross_checked']} cross_failed={s['cross_failed']}")
+        print(f"checked={report.checked} failed={report.failed} "
+              f"cross_checked={report.cross_checked} "
+              f"cross_failed={report.cross_failed}")
     return 0 if report.passed else 1
 
 

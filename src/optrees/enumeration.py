@@ -157,27 +157,36 @@ def enumerate_ptrees(spec: EndofunctorSpec, bound: Bound) -> list[PTree]:
 
 
 def enumerate_pforests(spec: EndofunctorSpec, bound: Bound) -> list[PForest]:
-    """All multisets of tree classes within the total bound, sorted by key."""
+    """All multisets of tree classes within the total bound, sorted by key.
+    The walk keeps its own stack, so a forest may have more trees than the
+    recursion limit."""
     classes = sorted((c.edges, c.nodes, c.key) for c in enumerate_classes(spec, bound))
-    out: list[ForestKey] = []
-    chosen: list[str] = []
 
-    def rec(start: int, edges_left: int, nodes_left: int | None):
-        out.append(tuple(sorted(chosen)))
+    def fitting(start: int, edges: int, nodes: int):
+        """Each class from index ``start`` that fits, with what is left."""
         for i in range(start, len(classes)):
-            e, n, key = classes[i]
-            if e > edges_left:
+            e, n, _ = classes[i]
+            if e > edges:
                 break
-            if nodes_left is not None and n > nodes_left:
-                continue
-            chosen.append(key)
-            rec(i, edges_left - e,
-                None if nodes_left is None else nodes_left - n)
-            chosen.pop()
+            if n <= nodes:
+                yield i, edges - e, nodes - n
 
     # classes come in edge order and indices never decrease, so every
-    # multiset is produced exactly once
-    rec(0, bound.max_edges, bound.max_nodes)
+    # multiset is produced exactly once; ``stack`` has a level per class in
+    # ``chosen`` and one below them.  Nodes never exceed edges, so the edge
+    # bound also bounds the nodes.
+    out: list[ForestKey] = [()]
+    chosen: list[str] = []
+    nodes = bound.max_edges if bound.max_nodes is None else bound.max_nodes
+    stack = [fitting(0, bound.max_edges, nodes)]
+    while stack:
+        if (step := next(stack[-1], None)) is None:
+            stack.pop()
+            del chosen[-1:]  # the class that opened the level
+            continue
+        chosen.append(classes[step[0]][2])
+        out.append(tuple(sorted(chosen)))
+        stack.append(fitting(*step))
     out.sort()
     return [PForest(spec, keys) for keys in out]
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -378,6 +379,26 @@ def test_route_three_weights_trees_by_their_own_aut(monkeypatch):
     spec = builtin("exp", max_arity=3)
     assert bialgebra._direct_accumulation(spec, 4, 6) == expected
     assert tree_class(spec, "(n2:__)").aut == 4  # the patch took effect
+
+
+def test_route_three_frees_each_tree_once_it_is_counted(monkeypatch):
+    # a tree's diagram is held by the tree alone, so a dead weak reference
+    # to it shows the tree is freed
+    spec = builtin("planar", 3)
+    expected = bialgebra._direct_accumulation(spec, 4, 6)
+    count, first, alive = bialgebra.flat_cut_summary, [], []
+
+    def recording(t):
+        if not first:
+            assert t.node_count > 0  # no record keeps it
+            first.append(weakref.ref(t.shape))
+        alive.append(first[0]() is not None)
+        return count(t)
+
+    monkeypatch.setattr(bialgebra, "flat_cut_summary", recording)
+    assert bialgebra._direct_accumulation(spec, 4, 6) == expected
+    assert len(alive) > 100
+    assert alive == [True] + [False] * (len(alive) - 1)
 
 
 @pytest.mark.parametrize("template", [builtin("exp", max_arity=3),

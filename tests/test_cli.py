@@ -2,16 +2,17 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from conftest import two_colour_spec
-from optrees import cli, groupoid_suite
+from optrees import bialgebra, cli, groupoid_suite
 from optrees.bialgebra import BoundMismatch
 from optrees.cli import main
 from optrees.groupoids import (Group, discrete, disjoint_union_groupoids,
                                groupoid_to_doc, one_object)
-from optrees.pfunctor import save_spec
+from optrees.pfunctor import builtin, load_spec, save_spec
 from optrees.trees import DiagramError
 
 
@@ -459,3 +460,195 @@ def test_emit_structured_holds_a_fraction_of_the_text(monkeypatch):
         tracemalloc.stop()
     assert sum(out.lengths) == length
     assert peak < length, peak / length
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_structured_list_writes_the_bytes_of_one_dumps(monkeypatch, rows):
+    # objects of scalars, with non-ASCII keys and values, come a few at a
+    # time between the keys before the list and the keys after it
+    items = [{"clé": f"(n{i % 7}:ñ_{i})", "aut_order": i, "pass": i % 2 == 0,
+              "none": None, "ratio": i / 4, "→": "⊗ ∅ \"q\"\n"} for i in range(rows)]
+    doc = {"count": rows, "ünïcode": "→ ⊗ ∅"}
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    stream = cli.StructuredList("test", {**doc, "ünïcode": None}, "résumé")
+    stream.write([])
+    assert out.writes == []
+    for i in range(0, rows, 2):
+        stream.write(items[i:i + 2])
+    stream.close(doc)
+    assert "".join(out.writes) == reference_text("test", {**doc, "résumé": items})
+
+
+FDB_STREAM_SPECS = [("identity", None), ("constant", None), ("binary", None),
+                    ("planar", 3), ("exp", 3), ("stable", 3)]
+
+
+def fdb_argv(name, arity, nodes=3, edges=4):
+    argv = ["verify", "fdb", "--functor", name, "--max-nodes", str(nodes),
+            "--max-edges", str(edges)]
+    return argv + ([] if arity is None else ["--max-arity", str(arity)])
+
+
+def table_text(doc):
+    """The table rendering of a verify-fdb document."""
+    s = doc["summary"]
+    return "".join(
+        [f"{'ok' if p['pass'] else 'FAIL'}  F={p['F']}  S={p['S']}  "
+         f"lhs={p['lhs']}  rhs={p['rhs']}\n" for p in doc["pairs"]]
+        + [f"checked={s['checked']} failed={s['failed']} "
+           f"cross_checked={s['cross_checked']} cross_failed={s['cross_failed']}\n"])
+
+
+def assert_stream_is_the_report(capsys, argv, report):
+    doc = report.as_doc()
+    for fmt, expected in (("structured", reference_text("verify-fdb", doc)),
+                          ("table", table_text(doc))):
+        code = main(argv + ["--format", fmt])
+        assert capsys.readouterr().out == expected, fmt
+        assert code == (0 if report.passed else 1), fmt
+
+
+@pytest.mark.parametrize("name, arity", FDB_STREAM_SPECS,
+                         ids=[n if a is None else f"{n}({a})" for n, a in FDB_STREAM_SPECS])
+def test_verify_fdb_stream_is_the_collected_report(capsys, name, arity):
+    report = bialgebra.verify_fdb(builtin(name, arity), 3, 4)
+    assert report.passed and report.pairs
+    assert_stream_is_the_report(capsys, fdb_argv(name, arity), report)
+
+
+@pytest.mark.parametrize("rooted", ["a", "b"])
+def test_verify_fdb_stream_is_the_collected_rooted_report(tmp_path, capsys, rooted):
+    path = str(tmp_path / "two.json")
+    save_spec(two_colour_spec(), path)
+    report = bialgebra.verify_fdb(load_spec(path), 4, 6, rooted)
+    assert report.passed and report.pairs
+    assert_stream_is_the_report(capsys, [
+        "verify", "fdb", "--spec-file", path, "--max-nodes", "4",
+        "--max-edges", "6", "--rooted", rooted], report)
+
+
+def plant_fault(monkeypatch, fault):
+    """Make every later check of planar(3) at (3, 4) fail: the first pair
+    with a nonzero LHS gets one more, the first sampled profile-mismatched
+    pair a nonzero RHS, the accumulation a pair that no route computes, or
+    the pair space loses a crown that stump walks still reach."""
+    target = []
+
+    def first(pair):
+        target[:] = target or [pair]
+        return target[0] == pair
+
+    if fault == "lhs-off-by-one":
+        lhs = bialgebra.fdb_lhs_coefficient
+
+        def planted(crown, stump, *rest):
+            value = lhs(crown, stump, *rest)
+            return value + 1 if value and first((crown.keys, stump.key)) else value
+
+        monkeypatch.setattr(bialgebra, "fdb_lhs_coefficient", planted)
+    elif fault == "sampled-pair-does-not-vanish":
+        rhs = bialgebra.fdb_rhs_coefficient
+
+        def planted(crown, stump, powers):
+            if crown.root_profile() != stump.leaf_profile and first(
+                    (crown.keys, stump.key)):
+                return Fraction(1)
+            return rhs(crown, stump, powers)
+
+        monkeypatch.setattr(bialgebra, "fdb_rhs_coefficient", planted)
+    elif fault == "crown-only-the-walk-reaches":
+        space = bialgebra._fdb_pair_space
+
+        def planted(*args):
+            stumps, by_profile, total_pairs = space(*args)
+            by_profile[(("o", 2),)] = [(n, f) for n, f in by_profile[(("o", 2),)]
+                                       if f.keys != ("(n0)", "_")]
+            return stumps, by_profile, total_pairs
+
+        monkeypatch.setattr(bialgebra, "_fdb_pair_space", planted)
+    else:
+        accumulate = bialgebra._direct_accumulation
+
+        def planted(*args):
+            acc = accumulate(*args)
+            assert (("_", "_"), "_") not in acc
+            acc[(("_", "_"), "_")] = Fraction(1)
+            return acc
+
+        monkeypatch.setattr(bialgebra, "_direct_accumulation", planted)
+
+
+@pytest.mark.parametrize("fault", ["lhs-off-by-one", "sampled-pair-does-not-vanish",
+                                   "unlisted-accumulated-pair",
+                                   "crown-only-the-walk-reaches"])
+def test_verify_fdb_stream_is_the_collected_failing_report(monkeypatch, capsys, fault):
+    plant_fault(monkeypatch, fault)
+    report = bialgebra.verify_fdb(builtin("planar", 3), 3, 4)
+    assert not report.passed
+    failing = [p for p in report.pairs if not p.passed]
+    if fault == "unlisted-accumulated-pair":
+        assert (report.failed, report.cross_failed, failing) == (0, 1, [])
+    elif fault == "crown-only-the-walk-reaches":
+        assert failing and not any(p.reached for p in failing)
+        assert report.failed == len(failing)
+    else:
+        assert report.failed == len(failing) == 1
+    if fault == "sampled-pair-does-not-vanish":
+        assert report.pairs[-1] is failing[0]  # after every stump's pairs
+    else:  # by stump, then crown
+        order = [(p.stump, p.crown) for p in report.pairs]
+        assert order == sorted(order)
+    assert_stream_is_the_report(capsys, fdb_argv("planar", 3), report)
+
+
+def test_verify_fdb_writes_each_stumps_pairs_before_the_next_stump(monkeypatch):
+    # the pairs of each stump are on stdout before the next stump's checks
+    # start, all of them before the graft oracle first runs, and the
+    # command builds no report document
+    report = bialgebra.verify_fdb(builtin("planar", 3), 3, 4)
+    out = RecordingStdout()
+    at_stump, at_oracle = [], []
+    checks, oracle = bialgebra._stump_checks, bialgebra.graft_oracle_agrees
+
+    def written():
+        return "".join(out.writes).count('"F": ')
+
+    def recorded_checks(s, *rest):
+        at_stump.append((s.key, written()))
+        return checks(s, *rest)
+
+    def recorded_oracle(*args):
+        at_oracle.append(written())
+        return oracle(*args)
+
+    def no_doc(self):
+        raise AssertionError("FdbReport.as_doc called")
+
+    monkeypatch.setattr(bialgebra, "_stump_checks", recorded_checks)
+    monkeypatch.setattr(bialgebra, "graft_oracle_agrees", recorded_oracle)
+    monkeypatch.setattr(bialgebra.FdbReport, "as_doc", no_doc)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(fdb_argv("planar", 3) + ["--format", "structured"]) == 0
+    assert len(at_stump) > 3
+    for key, count in at_stump:
+        assert count == sum(p.stump < key for p in report.pairs), key
+    assert at_oracle and at_oracle[0] == len(report.pairs)
+
+
+def test_verify_fdb_takes_a_crown_of_more_trees_than_the_recursion_limit(capsys):
+    code = main(["verify", "fdb", "--functor", "identity", "--max-nodes", "1",
+                 "--max-edges", "1100", "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["summary"]["failed"] == doc["summary"]["cross_failed"] == 0
+
+
+def test_verify_fdb_input_error_writes_no_output(capsys):
+    for fmt in ("structured", "table"):
+        code = main(["verify", "fdb", "--functor", "binary", "--max-edges", "0",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

@@ -246,6 +246,17 @@ def test_enumerate_ptrees_builds_trees_deeper_than_the_recursion_limit():
     assert trees[0].edge_count == 1200
 
 
+def test_enumerate_pforests_takes_forests_of_more_trees_than_the_recursion_limit():
+    # k trivial trees, 0 <= k <= 1100, or one node beside k <= 1098 of them
+    forests = enumerate_pforests(builtin("identity"), Bound(1100, 1))
+    assert len(forests) == 2200
+    assert max(len(f.keys) for f in forests) == 1100
+    assert forests == sorted(forests, key=lambda f: f.keys)
+    # a node bound of 0 leaves the forests of up to 7 trivial trees
+    assert [f.keys for f in enumerate_pforests(builtin("constant"), Bound(7, 0))] == [
+        ("_",) * k for k in range(8)]
+
+
 @pytest.mark.parametrize("template", RECORD_SPECS, ids=lambda s: s.name)
 def test_enumerated_keys_round_trip(template):
     spec = fresh(template)
