@@ -11,19 +11,20 @@ document.  Results go to standard output only; diagnostics and timings go
 to standard error.  Structured output is a single JSON document with
 sorted keys and a ``schema_version`` field, so identical invocations are
 byte-identical; its bytes are those of one ``json.dumps`` of the whole
-document.  It is written in bounded batches as it is encoded
-(``emit_structured``); ``verify fdb`` writes each stump's pairs as the
-check hands them out (``StructuredList``), and builds no document of them.
+document.  ``emit_structured`` encodes a top-level list item by item as
+the items come, an object of scalars by the C encoder, and writes in
+batches bounded by size: ``enumerate`` hands it a generator of its rows,
+and ``verify fdb`` writes each stump's pairs as the check hands them out
+(``StructuredList``).  Neither builds a list or document of its rows.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bialgebra import (Bound, FdbReport, PairCheck, delta_tree,
                         format_rational, green, profile_str, verify_fdb)
@@ -36,12 +37,16 @@ from .pfunctor import (EndofunctorSpec, SpecError, aut_order, builtin,
 from .trees import GrammarError
 
 SCHEMA_VERSION = 1
-BATCH = 8192  # encoder chunks joined into one write of structured output
+# a write of structured output, but the last, holds at least 8 * BATCH
+# characters: no more writes than one per BATCH chunks of ENCODER's, which
+# average about 6 characters
+BATCH = 8192
 ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
 # the members of an object of scalars in a top-level list, laid out as
 # ENCODER lays them out (no indent, so the C encoder runs)
 ITEM = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
                         separators=(",\n      ", ": "))
+SCALARS = {str, int, float, bool, type(None)}
 
 
 class UsageError(Exception):
@@ -90,22 +95,59 @@ def _check_colour(spec: EndofunctorSpec, colour: str):
 
 
 def emit_structured(command: str, doc: dict):
-    """Write the document as it is encoded, ``BATCH`` encoder chunks per
-    write: the same bytes as ``json.dumps`` with these settings, without
-    holding every chunk and the whole text at once."""
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, **doc}
-    chunks = ENCODER.iterencode(doc)
-    while batch := list(itertools.islice(chunks, BATCH)):
+    """Write the document with the bytes of one ``json.dumps`` with
+    ``ENCODER``'s settings.  A top-level list may be given as an iterator:
+    its items are encoded and written as they come (``_item``), so neither
+    the list nor the whole text is held."""
+    _write(_pieces({"schema_version": SCHEMA_VERSION, "command": command, **doc}))
+
+
+def _pieces(doc: dict) -> Iterator[str]:
+    sep = "{\n  "
+    for key in sorted(doc):
+        value = doc[key]
+        yield f"{sep}{ENCODER.encode(key)}: "
+        sep = ",\n  "
+        if isinstance(value, (list, Iterator)):
+            opened = False
+            for item in value:
+                yield ("," if opened else "[") + "\n    " + _item(item)
+                opened = True
+            yield "\n  ]" if opened else "[]"
+        else:
+            yield ENCODER.encode(value).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+def _item(value) -> str:
+    """An item of a top-level list, laid out as ``ENCODER`` lays it out
+    there: a nonempty object of scalars by the C encoder (``ITEM``), any
+    other value by ``ENCODER``, re-indented (no encoded string holds a
+    newline)."""
+    if type(value) is dict and value and SCALARS.issuperset(map(type, value.values())):
+        return "{\n      " + ITEM.encode(value)[1:-1] + "\n    }"
+    return ENCODER.encode(value).replace("\n", "\n    ")
+
+
+def _write(pieces: Iterable[str]):
+    """Write the pieces, joined into writes of at least ``8 * BATCH``
+    characters but the last."""
+    batch, size = [], 0
+    for text in pieces:
+        batch.append(text)
+        size += len(text)
+        if size >= 8 * BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    if batch:
         sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
 
 
 class StructuredList:
     """Writes the bytes of ``emit_structured`` of a document whose top-level
-    list at ``key`` comes item by item: the keys sorting before ``key`` are
-    read from ``doc``, and the rest from the document given to ``close``.
-    Nothing is written before the first item or ``close``.  Each item is a
-    nonempty object of scalars, encoded by the C encoder (``ITEM``)."""
+    list at ``key`` comes a few items at a time: the keys sorting before
+    ``key`` are read from ``doc``, and the rest from the document given to
+    ``close``.  Nothing is written before the first item or ``close``."""
 
     def __init__(self, command: str, doc: dict, key: str):
         self.command, self.key, self.written = command, key, False
@@ -117,10 +159,12 @@ class StructuredList:
         head, _, tail = text.partition(f'"{self.key}": []')
         return f'{head}"{self.key}": [', f"]{tail}\n"
 
-    def write(self, items: Iterable[dict]):
+    def write(self, items: Iterable):
+        _write(self._pieces(items))
+
+    def _pieces(self, items: Iterable) -> Iterator[str]:
         for item in items:
-            sys.stdout.write(("," if self.written else self.head) + "\n    {\n      "
-                             + ITEM.encode(item)[1:-1] + "\n    }")
+            yield ("," if self.written else self.head) + "\n    " + _item(item)
             self.written = True
 
     def close(self, doc: dict):
@@ -139,17 +183,17 @@ def cmd_enumerate(args) -> int:
         _check_colour(spec, args.root_colour)
     classes = enumerate_classes(spec, bound, root_colour=args.root_colour,
                                 leaf_profile=profile)
-    rows = [{"key": c.key, "tree": c.key, "aut_order": c.aut, "root": c.root,
-             "leaf_profile": profile_str(c.leaf_profile), "edges": c.edges,
-             "nodes": c.nodes} for c in classes]
     if args.format == "structured":
+        rows = ({"key": c.key, "tree": c.key, "aut_order": c.aut, "root": c.root,
+                 "leaf_profile": profile_str(c.leaf_profile), "edges": c.edges,
+                 "nodes": c.nodes} for c in classes)
         emit_structured("enumerate", {"spec": spec.name, "bound": bound.label(),
-                                      "classes": rows, "count": len(rows)})
+                                      "classes": rows, "count": len(classes)})
     else:
-        for r in rows:
-            print(f"{r['key']}\taut={r['aut_order']}\troot={r['root']}"
-                  f"\tleaves={r['leaf_profile']}\tedges={r['edges']}\tnodes={r['nodes']}")
-        print(f"# {len(rows)} classes", file=sys.stderr)
+        for c in classes:
+            print(f"{c.key}\taut={c.aut}\troot={c.root}\tleaves="
+                  f"{profile_str(c.leaf_profile)}\tedges={c.edges}\tnodes={c.nodes}")
+        print(f"# {len(classes)} classes", file=sys.stderr)
     return 0
 
 

@@ -210,7 +210,8 @@ class EndofunctorSpec:
 
     Immutable after construction apart from caches: the closures of the
     groups that are neither trivial nor block-symmetric, the enumeration
-    strata, the shared-key table of the cut tables (``shared_pair``), and
+    strata, the shared-key table of the cut tables (``shared_pair``), the
+    table of the records' leaf profiles (``shared_profile``), and
     ``classes``, the class table.  The class table maps each canonical key
     to its :class:`TreeClass` record; a trivial class's record is made with
     the spec, any other once, by ``compose`` from the records on its slots.
@@ -256,6 +257,7 @@ class EndofunctorSpec:
         self._groups: dict[str, tuple[Perm, ...]] = {}
         self._enum_cache: dict = {}
         self._shared: dict = {}
+        self._profiles: dict = {}
         self.trivial_classes = {c: TreeClass(self, self.trivial_key(c), c)
                                 for c in self.colours}
         self.classes = {c.key: c for c in self.trivial_classes.values()}
@@ -358,6 +360,21 @@ class EndofunctorSpec:
             pair = (shared.setdefault(crown, crown), shared.setdefault(stump, stump))
             shared[pair] = pair
         return pair
+
+    def shared_profile(self, source: str | tuple) -> tuple[tuple[str, int], ...]:
+        """The one leaf profile of the spec for ``source``: a trivial record's
+        colour, or the tuple of a composed record's children's profiles.
+        A profile is keyed by itself too: no tuple of profiles equals a
+        profile, but the empty tuple, which is its own sum."""
+        profile = self._profiles.get(source)
+        if profile is None:
+            counts: dict[str, int] = {}
+            parts = [((source, 1),)] if isinstance(source, str) else source
+            for colour, m in itertools.chain(*parts):
+                counts[colour] = counts.get(colour, 0) + m
+            profile = tuple(sorted(counts.items()))
+            profile = self._profiles[source] = self._profiles.setdefault(profile, profile)
+        return profile
 
     def trivial_key(self, colour: str) -> str:
         """Key of the trivial tree of a colour; the colour is written only
@@ -865,10 +882,8 @@ class TreeClass:
         self.nodes = (op is not None) + sum(c.nodes for c in children)
         self.leaves = 1 if op is None else sum(c.leaves for c in children)
         self.aut = stabiliser * math.prod(c.aut for c in children)
-        counts = {root: 1} if op is None else {}
-        for colour, m in itertools.chain.from_iterable(c.leaf_profile for c in children):
-            counts[colour] = counts.get(colour, 0) + m
-        self.leaf_profile = tuple(sorted(counts.items()))
+        self.leaf_profile = spec.shared_profile(
+            root if op is None else tuple(c.leaf_profile for c in children))
         self._tree = self._cuts = None
         if op is None:
             self._tree = trivial_ptree(spec, root)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -478,6 +479,117 @@ def test_structured_list_writes_the_bytes_of_one_dumps(monkeypatch, rows):
         stream.write(items[i:i + 2])
     stream.close(doc)
     assert "".join(out.writes) == reference_text("test", {**doc, "résumé": items})
+
+
+def scalar_rows(n):
+    """Objects of scalars: non-ASCII text, quotes, a newline, a float, None
+    and both bools."""
+    return [{"clé": f"(n{i % 7}:ñ_{i})", "quote": 'say "ö"\n→', "ratio": i / 3,
+             "none": None, "pass": i % 2 == 0, "fail": i % 2 == 1, "aut_order": i}
+            for i in range(n)]
+
+
+STREAMED_DOCS = {
+    "empty": {"rows": []},
+    "one item": {"rows": scalar_rows(1), "count": 1},
+    "scalars": {"rows": scalar_rows(6), "ünïcode": "→ ⊗ ∅"},
+    "mixed": {"rows": [{}, *scalar_rows(2), {"nested": [1, {"é": []}], "x": {}},
+                       [], {"a": [{}]}, 3, "s\n", None, {"a": 1}, {}]},
+    "second list": {"rows": scalar_rows(3), "zweite": [*scalar_rows(2), {}, [[]]],
+                    "summary": {"count": 3, "pass": True}},
+}
+
+
+@pytest.mark.parametrize("name", STREAMED_DOCS)
+def test_emit_structured_writes_a_list_given_as_an_iterator(monkeypatch, name):
+    doc = STREAMED_DOCS[name]
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli.emit_structured("test", {**doc, "rows": iter(doc["rows"])})
+    assert "".join(out.writes) == reference_text("test", doc)
+
+
+def test_emit_structured_writes_before_the_iterator_ends(monkeypatch):
+    out = RecordingStdout(keep=False)
+    written = []
+
+    def rows():
+        for row in scalar_rows(3000):
+            written.append(sum(out.lengths))
+            yield row
+
+    monkeypatch.setattr(sys, "stdout", out)
+    cli.emit_structured("test", {"rows": rows()})
+    assert sum(out.lengths) == len(reference_text("test", {"rows": scalar_rows(3000)}))
+    assert len(out.lengths) > 3
+    assert written[-1] > sum(out.lengths) / 2  # batches went out as rows came
+    assert max(out.lengths[:-1]) < 2 * 8 * cli.BATCH
+
+
+class HashingStdout:
+    """A stdout that keeps only the md5 and length of what is written."""
+
+    def __init__(self):
+        self.md5, self.length = hashlib.md5(), 0
+
+    def write(self, text):
+        self.md5.update(text.encode("utf-8"))
+        self.length += len(text)
+
+
+def test_enumerate_streams_its_rows(monkeypatch):
+    # the records of exp(7) to 9 edges take about 2 MB; the rows as dicts
+    # and the text through the indented encoder took the peak to 4.5 MB
+    out = HashingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--functor", "exp", "--max-arity", "7",
+                     "--max-edges", "9", "--format", "structured"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.md5.hexdigest() == "ea441f43618876020e9ce05e3b01217b"
+    assert peak < 3_000_000, peak
+
+
+def test_enumerate_table_text(tmp_path, capsys):
+    assert main(["enumerate", "--functor", "exp", "--max-arity", "2",
+                 "--max-edges", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "(n0)\taut=1\troot=o\tleaves=-\tedges=1\tnodes=1\n"
+        "(n1:(n0))\taut=1\troot=o\tleaves=-\tedges=2\tnodes=2\n"
+        "(n1:(n1:(n0)))\taut=1\troot=o\tleaves=-\tedges=3\tnodes=3\n"
+        "(n1:(n1:_))\taut=1\troot=o\tleaves=o:1\tedges=3\tnodes=2\n"
+        "(n1:_)\taut=1\troot=o\tleaves=o:1\tedges=2\tnodes=1\n"
+        "(n2:(n0)(n0))\taut=2\troot=o\tleaves=-\tedges=3\tnodes=3\n"
+        "(n2:(n0)_)\taut=1\troot=o\tleaves=o:1\tedges=3\tnodes=2\n"
+        "(n2:__)\taut=2\troot=o\tleaves=o:2\tedges=3\tnodes=1\n"
+        "_\taut=1\troot=o\tleaves=o:1\tedges=1\tnodes=0\n")
+    assert captured.err.startswith("# 9 classes\n")
+    path = str(tmp_path / "two.json")
+    save_spec(two_colour_spec(), path)
+    assert main(["enumerate", "--spec-file", path, "--max-edges", "3",
+                 "--root-colour", "a"]) == 0
+    assert capsys.readouterr().out == (
+        "(f:__)\taut=1\troot=a\tleaves=a:1,b:1\tedges=3\tnodes=1\n"
+        "_a\taut=1\troot=a\tleaves=a:1\tedges=1\tnodes=0\n")
+
+
+def test_a_reader_that_stops_early_gets_exit_2_and_one_error_line():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "optrees.cli", "enumerate", "--functor", "exp",
+         "--max-arity", "7", "--max-edges", "9", "--format", "structured"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert head.startswith(b'{\n  "bound": ')
+    assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 FDB_STREAM_SPECS = [("identity", None), ("constant", None), ("binary", None),

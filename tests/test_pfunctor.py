@@ -393,6 +393,20 @@ def test_class_records_match_a_fresh_parse(template):
         assert tree_class(spec, k).tree is c.tree
 
 
+@pytest.mark.parametrize("spec", [builtin("exp", max_arity=3), two_colour_spec()],
+                         ids=["exp(3)", "two-colour"])
+def test_records_of_equal_leaf_profile_share_it(spec):
+    enumerate_ptrees(spec, Bound(7))
+    one, children = {}, {}
+    for c in spec.classes.values():
+        assert one.setdefault(c.leaf_profile, c.leaf_profile) is c.leaf_profile, c.key
+        children.setdefault(c.leaf_profile, set()).add(
+            tuple(d.leaf_profile for d in c.children) if c.op else c.root)
+    # some profile is the sum of unequal children's profiles
+    assert max(map(len, children.values())) > 1
+    assert len(one) < len(spec.classes) / 2
+
+
 def test_class_interned_once_on_first_sight_of_its_key():
     spec = builtin("exp", max_arity=3)
     k = "(n2:(n2:__)_)"

@@ -1,6 +1,7 @@
 """Every span target of ``perfbench/tracer.py`` must exist in the package,
-and the Faà di Bruno spans and the groupoid-suite workload's spans must
-fire on a tiny run, or their per-layer metrics would silently read 0."""
+and the Faà di Bruno spans, the groupoid-suite workload's spans and the
+structured writer's span must fire on a tiny run, or their per-layer
+metrics would silently read 0."""
 
 import importlib.util
 import json
@@ -70,3 +71,19 @@ def test_the_groupoid_suite_spans_fire_on_a_tiny_run(capsys):
     laws = [tracer.LAW_PREFIX + name for name, _ in groupoid_suite.LAWS]
     for name in workload.spans + tuple(laws):
         assert spans[name]["calls"] > 0, name
+
+
+def test_the_writer_span_fires_on_a_tiny_enumerate(capsys):
+    # enum-exp's cli.emit_structured.self_s times the writer, which encodes
+    # the rows as the command's generator hands them out
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = optrees.cli.main(["enumerate", "--functor", "exp", "--max-arity", "3",
+                                 "--max-edges", "4", "--format", "structured"])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["count"] > 10
+    assert t.summary()["spans"]["cli.emit_structured"]["calls"] == 1
