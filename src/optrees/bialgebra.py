@@ -30,7 +30,8 @@ the union of the children's crowns, and the stump is ``op`` on their
 stumps, coded by ``EndofunctorSpec.node_code``, the one rule that also
 codes every node of a tree.  The multiplicity is the product of the
 children's.  ``flat_cut_summary`` is the brute-force count: every cut is
-enumerated and its parts coded from the tree's own pass, pruning none off.
+enumerated and its kept nodes coded from the tree's own pass, pruning none
+off.
 
 Green functions
 ---------------
@@ -41,34 +42,23 @@ function can be computed two independent ways:
 
 * ``fdb_lhs_coefficient``: sum over graft classes ``T`` of (number of cuts
   of ``T`` with the crown and the stump) divided by ``|Aut T|``.  The graft
-  classes come from one walk per stump (``stump_grafts``): it fills the
-  stump record's leaves in slot order, each from the crown records of its
-  colour that still fit the budget, and composes each stump node as soon
-  as its last leaf is filled, so the composed subtree is shared by every
-  later choice.  A filling's sorted crown keys name its pair.  Leaf slots
-  of one colour under a block-symmetric op take nondecreasing picks, since
-  their orderings give one graft.  The cuts are counted down the stump
-  (``stump_cuts``): a stump node sits on a node of ``T`` with the same op,
-  and each distinct arrangement of its children over the op's group
-  multiplies the children's counts.  Only that stump's crowns are counted,
-  so no cut table is filled (``cut_summary``, ``delta_*`` and
-  ``verify_phi`` fill them), and no tree is built;
+  classes come from one walk over class records per stump
+  (``stump_grafts``) and their cuts are counted down the stump
+  (``stump_cuts``), so no cut table is filled and no tree is built;
 * ``fdb_rhs_coefficient``: coefficient of the crown in the product of
   root-coloured Green functions indexed by the stump's leaf profile,
   divided by ``|Aut stump|``.  ``verify_fdb`` builds that power once per
-  leaf profile from the whole truncated Green functions (``profile_powers``)
-  and reads every pair's coefficient from it.
+  leaf profile from the whole truncated Green functions, convolving
+  integer numerators (``profile_powers``), and reads every pair's
+  coefficient from it.
 
 ``verify_fdb`` checks exact equality over every pair within a budget of
 (max total nodes, max edges per side).  A third route builds every tree
 within the budget and counts its cuts flat, so it shares no composed
 record with the first; the graft records of a sample of pairs are also
 checked against trees grafted from the fillings that reached them, their
-flat cut counts and parsed keys.  Each stage frees what it built before
-the next starts: the third route runs first, drops each tree once its
-cuts are counted and keeps only its coefficients, the pairs are handed out
-stump by stump, and the graft records composed past the budget leave the
-spec's class table once the walks have run.
+grafting cuts and parsed keys.  Its docstring lists the stages, each of
+which frees what it built before the next starts.
 """
 
 from __future__ import annotations
@@ -76,6 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -86,7 +77,7 @@ from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
                        PTree, TreeClass, aut_order, forest_key_str,
                        graft_decorated, intern, parse_ptree, tree_class,
                        tree_in)
-from .trees import enumerate_cuts
+from .trees import Cut, enumerate_cuts
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -190,31 +181,35 @@ def cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
 def flat_cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
     """Cut summary counted cut by cut from t's own canonical pass, reading
     no class record: the flat oracle for ``cut_summary``, and the cut count
-    of the accumulation route and the graft oracle.  A crown part is keyed
-    by the code of its root edge (the trivial key at a leaf of t); the stump
-    is coded over the kept nodes by ``node_code``, with ``_`` on its leaves."""
-    spec, shape, colour = t.spec, t.shape, t.edge_colour
-    codes, node_code, trivial_key = t.edge_codes(), spec.node_code, spec.trivial_key
-    above, inputs, output = shape.node_above, shape.node_inputs, shape.node_output
-    bottom_up, root = shape.nodes_top_down[::-1], shape.root
-    counter: dict[tuple[ForestKey, str], int] = {}
-    for cut in enumerate_cuts(shape):
-        kept = cut.kept
-        if not kept:
-            stump = trivial_key(colour[root])
-            pair = ((codes.get(root, stump),), stump)
-        else:
-            crown, stump_codes = [], {}
-            for n in bottom_up:
-                if n in kept:
-                    ins = inputs[n]
-                    crown += [codes.get(e) or trivial_key(colour[e])
-                              for e in ins if above.get(e) not in kept]
-                    stump_codes[output[n]] = node_code(
-                        t.node_op[n], [stump_codes.get(e, "_") for e in ins])[0]
-            pair = (tuple(sorted(crown)), stump_codes[root])
-        counter[pair] = counter.get(pair, 0) + 1
-    return counter
+    of the accumulation route."""
+    pair = _cut_coder(t)
+    return Counter(pair(cut.nodes) for cut in enumerate_cuts(t.shape))
+
+
+def _cut_coder(t: PTree) -> Callable[[Sequence[int]], tuple[ForestKey, str]]:
+    """The (crown, stump) pair of a cut of t, given its kept nodes top down,
+    coded from t's own pass.  A crown part is keyed by the code of its root
+    edge (the trivial key at a leaf of t); the stump is coded over the kept
+    nodes only, children first, by ``node_code``, with ``_`` on its leaves."""
+    codes, node_code, trivial_key = t.edge_codes(), t.spec.node_code, t.spec.trivial_key
+    shape, colour = t.shape, t.edge_colour
+
+    def pair(nodes: Sequence[int]) -> tuple[ForestKey, str]:
+        if not nodes:  # the root-edge cut
+            trivial = trivial_key(colour[shape.root])
+            return (codes.get(shape.root, trivial),), trivial
+        crown, stump = [], {}
+        for n in reversed(nodes):
+            parts = []
+            for e in shape.node_inputs[n]:
+                code = stump.get(e)  # coded when the node above e is kept
+                if code is None:
+                    crown.append(codes.get(e) or trivial_key(colour[e]))
+                    code = "_"
+                parts.append(code)
+            stump[shape.node_output[n]] = node_code(t.node_op[n], parts)[0]
+        return tuple(sorted(crown)), stump[shape.root]
+    return pair
 
 
 def _class_coproduct(c: TreeClass, bound: Bound) -> TensorSeries:
@@ -317,7 +312,8 @@ def green(spec: EndofunctorSpec, bound: Bound,
 def series_mul(a: Series, b: Series) -> Series:
     """Exact convolution on forest monomials, truncated by the common bound
     (tested on the summed sizes of the factor terms, as in ``tensor_mul``).
-    b's terms are walked in edge order, up to the edge bound."""
+    b's terms are walked in edge order, up to the edge bound.  Sums start
+    from 0, so integer coefficients give integer coefficients."""
     _require_same_bound(a, b)
     spec, admits, max_edges = a.spec, a.bound.admits, a.bound.max_edges
     terms_b = sorted(((*_sizes(spec, k2), k2, c2) for k2, c2 in b.coeffs.items()),
@@ -330,7 +326,7 @@ def series_mul(a: Series, b: Series) -> Series:
                 break
             if admits(e1 + e2, n1 + n2):
                 key = _merge_key(k1, k2)
-                out[key] = out.get(key, ZERO) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
     return Series(spec, a.bound, out)
 
 
@@ -339,9 +335,9 @@ def series_one(spec: EndofunctorSpec, bound: Bound) -> Series:
 
 
 def series_powers(a: Series, n: int) -> list[Series]:
-    """a⁰, a¹, …, aⁿ, each the product of the one before and a."""
-    out = [series_one(a.spec, a.bound)]
-    for _ in range(n):
+    """a⁰, a¹ = a, …, aⁿ, each after a¹ the product of the one before and a."""
+    out = [series_one(a.spec, a.bound), a][:n + 1]
+    while len(out) <= n:
         out.append(series_mul(out[-1], a))
     return out
 
@@ -361,14 +357,23 @@ def series_add(a: Series, b: Series) -> Series:
 def profile_powers(spec: EndofunctorSpec, bound: Bound,
                    profiles: Iterable[Profile]) -> dict[Profile, Series]:
     """For each leaf profile, the product over its colours c of G_c^{m_c},
-    the powers of the root-coloured Green functions.  Each G_c^k is built
-    once, as G_c^{k-1}·G_c."""
-    profiles = set(profiles)
-    top = dict(sorted(itertools.chain.from_iterable(profiles)))  # largest m per c
-    chains = {colour: series_powers(green(spec, bound, root_colour=colour), m)
-              for colour, m in top.items()}
-    return {p: functools.reduce(series_mul, (chains[c][m] for c, m in p),
-                                series_one(spec, bound)) for p in profiles}
+    the powers of the root-coloured Green functions.  They are convolved in
+    integers: G_c is D_c·G_c over D_c, the lcm of its |Aut T|, each
+    (D_c·G_c)^k is built once, as (D_c·G_c)^{k-1}·D_c·G_c, and a profile's
+    product is divided by ∏ D_c^{m_c} once per term."""
+    profiles, chains = set(profiles), {}  # colour -> (D_c, powers of D_c·G_c)
+    for colour, m in dict(sorted(itertools.chain(*profiles))).items():  # top m
+        g = green(spec, bound, root_colour=colour).coeffs
+        den = math.lcm(*(q.denominator for q in g.values()))
+        chains[colour] = den, series_powers(Series(spec, bound, {
+            k: q.numerator * den // q.denominator for k, q in g.items()}), m)
+
+    def power(p: Profile) -> Series:
+        num = functools.reduce(series_mul, [chains[c][1][m] for c, m in p]
+                               or [series_one(spec, bound)])
+        den = math.prod(chains[c][0] ** m for c, m in p)
+        return Series(spec, bound, {k: Fraction(v, den) for k, v in num.coeffs.items()})
+    return {p: power(p) for p in profiles}
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +573,10 @@ def graft_oracle_agrees(stump: TreeClass, crown: PForest,
                         trees: dict[str, PTree] | None = None) -> bool:
     """Check the pair's graft records against the tree oracles: there is
     one, and for each, the tree ``graft_decorated`` builds on the stump's
-    tree from the filling that reached it, in slot order, has the key and a
-    cut giving the pair, counted flat on that tree; a parse of the key has
-    the sizes, leaf profile and |Aut|.  The stump's and the crown classes'
+    tree from the filling that reached it, in slot order, has the key, and
+    its grafting cut (the stump tree's nodes, which the graft keeps) gives
+    the pair, coded from that tree's own pass; a parse of the key has the
+    sizes, leaf profile and |Aut|.  The stump's and the crown classes'
     trees are built from their records' children (``tree_in``) in the table
     ``trees``, which is the caller's (by default this call's), so no record
     is given one."""
@@ -587,7 +593,7 @@ def graft_oracle_agrees(stump: TreeClass, crown: PForest,
         if (g.key() != c.key or fresh.key() != c.key
                 or (fresh.edge_count, fresh.node_count, fresh.leaf_profile(),
                     aut_order(fresh)) != (c.edges, c.nodes, c.leaf_profile, c.aut)
-                or not flat_cut_summary(g).get(pair)):
+                or _cut_coder(g)(Cut(g.shape, tree.shape.node_inputs).nodes) != pair):
             return False
     return bool(grafts)
 
@@ -767,14 +773,15 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
 
     1. The accumulation route (``_direct_accumulation``) builds every tree
        within the budget, counts each tree's cuts flat (``flat_cut_summary``:
-       enumerate, code from the tree's own pass) and weights it by its own
-       |Aut| (``aut_order``), so it shares no composed record with the LHS.
+       enumerate, code the kept nodes from the tree's own pass) and weights
+       it by its own |Aut| (``aut_order``): it shares no record with the LHS.
        Each tree is dropped once its cuts are counted, and only the
        accumulated coefficient of each pair is kept.
     2. The pair space: the stump records and the crown forests within the
        budget, each record composed from its children's.
-    3. The RHS powers (``profile_powers``), and the LHS walk of each stump
-       in key order (``stump_grafts``): it fills the stump's leaves in slot
+    3. The RHS powers (``profile_powers``, integer numerators over one
+       denominator per profile), and the LHS walk of each stump in key
+       order (``stump_grafts``): it fills the stump's leaves in slot
        order from the crown classes within the budget and composes each
        node once its last leaf is filled, so one pass gives every pair of
        the stump with its graft records, and no tree is built.  Each
@@ -790,9 +797,9 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
        and an evenly spaced sample of at most ``SAMPLE`` listed pairs
        (``_oracle_sample``) must pass ``graft_oracle_agrees``, which runs the
        same walk restricted to the pair's crown and grafts trees for the
-       records the LHS summed; the sample's trees share one table, which no
-       record holds.  The records these checks add past the budget are
-       removed too.
+       records the LHS summed: the grafting cut of each must give the pair.
+       The sample's trees share one table, which no record holds.  The
+       records these checks add past the budget are removed too.
     5. Each nonzero pair left in the accumulation, which no route computed,
        fails; in rooted mode, each whose stump has the rooted colour.
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Iterable, Iterator
@@ -438,9 +439,12 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
+        sys.stdout.flush()  # a closed reader is an error here, not at exit
     except (UsageError, SpecError, GrammarError, GroupoidError, BoundError,
             OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):  # so the flush at exit writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

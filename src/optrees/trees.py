@@ -280,19 +280,28 @@ class Cut:
             if p is not None and p not in self.kept:
                 raise DiagramError(f"kept set not closed towards the root at node {n}")
 
+    @view
+    def nodes(self) -> tuple[int, ...]:
+        """The kept nodes in the tree's top-down order."""
+        return tuple(n for n in self.tree.nodes_top_down if n in self.kept)
+
 
 def enumerate_cuts(tree: TreeDiagram) -> list[Cut]:
     """All cuts of a tree, ordered by kept-set size then sorted node ids.
 
     The empty kept set (the root-edge cut) and the full node set are always
-    included; the trivial tree has exactly one cut.
+    included; the trivial tree has exactly one cut.  A kept set grows as its
+    ``nodes`` with their bit mask, so it is closed and not checked again.
     """
-    kept_sets = [frozenset()]
+    kept_sets, bit = [((), 1)], {None: 1}  # every set holds bit 1, the root edge's
     for n in tree.nodes_top_down:  # a node may join the sets holding its parent
-        p = tree.parent_node(n)
-        kept_sets += [s | {n} for s in kept_sets if p is None or p in s]
-    kept_sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return [Cut(tree, s) for s in kept_sets]
+        held, bit[n] = bit[tree.parent_node(n)], 1 << len(bit)
+        kept_sets += [(s + (n,), m | bit[n]) for s, m in kept_sets if m & held]
+    kept_sets.sort(key=lambda sm: (len(sm[0]), sorted(sm[0])))
+    cuts = [object.__new__(Cut) for _ in kept_sets]  # no __post_init__ check
+    for cut, (nodes, _) in zip(cuts, kept_sets):
+        cut.__dict__.update(tree=tree, kept=frozenset(nodes), nodes=nodes)
+    return cuts
 
 
 def subtree_of_cut(cut: Cut) -> TreeDiagram:

@@ -61,6 +61,12 @@ def cycle_generated_s3_spec():
         name="cycle-generated-s3")
 
 
+def cut_specs():
+    """Every builtin spec and the specs above: the specs the cut tests run on."""
+    return all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(),
+                                  split_block_spec(), cycle_generated_s3_spec()]
+
+
 def triple_left(spec, ts, bound):
     """(delta x id) applied to a tensor map."""
     out = {}

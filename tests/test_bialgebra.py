@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (all_builtin_specs, cycle_generated_s3_spec,
-                      split_block_spec, symmetric_two_colour_spec, triple_left,
-                      triple_right, two_colour_spec)
+from conftest import (all_builtin_specs, cut_specs, cycle_generated_s3_spec,
+                      symmetric_two_colour_spec, triple_left, triple_right,
+                      two_colour_spec)
 from optrees import bialgebra, pfunctor
 from optrees.classical import verify_phi
 from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
@@ -21,7 +21,8 @@ from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
                                fdb_rhs_coefficient, flat_cut_summary,
                                format_rational, graft_oracle_agrees, green,
                                profile_powers, series_add, series_mul,
-                               series_powers, tensor_mul, verify_fdb)
+                               series_one, series_powers, tensor_mul,
+                               verify_fdb)
 from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
                                  enumerate_ptrees)
 from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
@@ -153,8 +154,7 @@ def test_node_grading_preserved(exp3):
             assert nodes == t.node_count
 
 
-CUT_SPECS = all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(),
-                                   split_block_spec(), cycle_generated_s3_spec()]
+CUT_SPECS = cut_specs()
 
 
 def fresh(template):
@@ -495,6 +495,39 @@ def test_graft_oracle_catches_a_graft_on_the_wrong_leaf(monkeypatch):
             m.setattr(bialgebra, "graft_decorated", onto_the_wrong_leaf)
             verdicts.append((right, graft_oracle_agrees(stump, crown)))
     assert verdicts == [(True, False), (True, False)]
+
+
+def test_graft_oracle_rejects_a_record_whose_filling_is_wrong(monkeypatch):
+    # The tree t is grafted onto the stump S = (n2:(n2:__)_) from the crown
+    # F = {_, _, S} and from F2 = {A, A, _}, A = (n2:__).  The oracle of
+    # (F, S) must reject t's record when its filling lands on the wrong
+    # leaves (another tree is grafted), and when it is F2's filling: t is
+    # grafted, and another cut of t gives (F, S), but its grafting cut gives
+    # (F2, S).
+    spec = builtin("exp", max_arity=2)
+    a, b = "(n2:__)", "(n2:(n2:__)_)"
+    stump, crown = tree_class(spec, b), PForest.from_keys(spec, ["_", "_", b])
+    other = PForest.from_keys(spec, [a, a, "_"])
+    t = "(n2:(n2:(n2:__)_)(n2:__))"
+    honest = bialgebra._pair_grafts
+    fillings = {f.keys: {c.key: filling for c, filling in honest(f, stump).items()}
+                for f in (crown, other)}
+    right = fillings[crown.keys][t]
+    assert t in fillings[other.keys] and right != right[::-1]
+    monkeypatch.setattr(bialgebra, "SAMPLE", 10**6)  # every listed pair
+    verdicts = []
+    for forged in (None, right[::-1], fillings[other.keys][t]):
+        def pair_grafts(f, s, forged=forged):
+            grafts = honest(f, s)
+            if forged is None or (f.keys, s.key) != (crown.keys, stump.key):
+                return grafts
+            return {c: forged if c.key == t else filling
+                    for c, filling in grafts.items()}
+        monkeypatch.setattr(bialgebra, "_pair_grafts", pair_grafts)
+        report = verify_fdb(spec, 4, 7)
+        verdicts.append((graft_oracle_agrees(stump, crown), report.failed,
+                         report.cross_failed))
+    assert verdicts == [(True, 0, 0), (False, 0, 1), (False, 0, 1)]
 
 
 def test_a_record_keeps_its_own_tree_when_a_parse_of_its_key_is_interned():
@@ -838,6 +871,40 @@ def test_rhs_rejects_a_power_that_cuts_the_crown(exp3):
     # 2 orders of the two classes, each weighted 1/2, over |Aut stump| = 2
     assert standalone_rhs(crown, stump) == Fraction(1, 2)
     assert fdb_lhs_coefficient(crown, stump) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
+def test_integer_profile_powers_equal_the_fraction_products(template):
+    spec, bound = fresh(template), Bound(6, 4)
+    profiles = {c.leaf_profile for c in enumerate_classes(spec, bound)} | {()}
+    if len(spec.colours) > 1:
+        profiles.add(((spec.colours[0], 1), (spec.colours[1], 2)))
+    powers = profile_powers(spec, bound, profiles)
+    assert set(powers) == profiles
+    for profile in profiles:
+        expected = series_one(spec, bound)
+        for colour, m in profile:
+            g = green(spec, bound, root_colour=colour)
+            expected = series_mul(expected, series_powers(g, m)[m])
+        assert powers[profile].coeffs == expected.coeffs, profile
+        assert {type(q) for q in powers[profile].coeffs.values()} <= {Fraction}
+    assert powers[()].coeffs == {EMPTY: 1}
+
+
+@pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
+def test_series_mul_of_integer_scaled_series_is_the_scaled_product(template):
+    spec, bound = fresh(template), Bound(6, 4)
+    greens = [green(spec, bound, root_colour=c) for c in spec.colours]
+    greens.append(series_add(greens[0], series_mul(greens[-1], greens[-1])))
+    for a, b in itertools.product(greens, repeat=2):
+        da = math.lcm(*(q.denominator for q in a.coeffs.values()))
+        db = math.lcm(*(q.denominator for q in b.coeffs.values()))
+        product = series_mul(
+            Series(spec, bound, {k: int(q * da) for k, q in a.coeffs.items()}),
+            Series(spec, bound, {k: int(q * db) for k, q in b.coeffs.items()}))
+        assert {type(v) for v in product.coeffs.values()} <= {int}
+        assert product.coeffs == {k: q * da * db
+                                  for k, q in series_mul(a, b).coeffs.items()}
 
 
 def test_power_profile_matches_plain_power(exp3):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -412,6 +413,9 @@ class RecordingStdout:
             self.writes.append(text)
         self.lengths.append(len(text))
 
+    def flush(self):
+        pass
+
 
 def synthetic_document(rows):
     """Rows with non-ASCII keys and values, empty objects and lists, and
@@ -536,6 +540,9 @@ class HashingStdout:
         self.md5.update(text.encode("utf-8"))
         self.length += len(text)
 
+    def flush(self):
+        pass
+
 
 def test_enumerate_streams_its_rows(monkeypatch):
     # the records of exp(7) to 9 edges take about 2 MB; the rows as dicts
@@ -590,6 +597,25 @@ def test_a_reader_that_stops_early_gets_exit_2_and_one_error_line():
     assert proc.wait() == 2
     assert head.startswith(b'{\n  "bound": ')
     assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--functor", "exp", "--max-arity", "3", "--max-edges", "3",
+     "--format", "structured"],
+    ["aut", "--functor", "exp", "--max-arity", "3", "--tree", "(n2:__)"]])
+def test_output_that_fits_the_buffer_of_a_closed_pipe_gets_exit_2(argv):
+    # stdout is buffered, so the whole document waits for the flush at the
+    # end of the command; a flush at interpreter exit would fail with 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "optrees.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 FDB_STREAM_SPECS = [("identity", None), ("constant", None), ("binary", None),

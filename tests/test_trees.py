@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from conftest import cut_specs
+from optrees.enumeration import Bound, enumerate_ptrees
 from optrees.trees import (MAX_PARSE_DEPTH, Cut, CycleDetected, DiagramError,
                            ForestDiagram, GrammarError, MatchingNotBijective,
                            MultipleRoots,
@@ -177,13 +179,22 @@ def random_tree(rng, n_nodes):
 
 
 def test_cut_enumeration_matches_brute_force():
+    # the kept sets in order (size, then sorted ids), each with its nodes top
+    # down: random shapes and every tree of the cut specs within a bound
     rng = random.Random(7)
     samples = [linear_tree(12), star_tree(5)]
     samples += [random_tree(rng, rng.randint(1, 8)) for _ in range(20)]
+    samples += [t.shape for spec in cut_specs()
+                for t in enumerate_ptrees(spec, Bound(7, 5))]
     for t in samples:
         assert t.node_count <= 12
-        got = {c.kept for c in enumerate_cuts(t)}
-        assert got == brute_force_cuts(t)
+        cuts = enumerate_cuts(t)
+        assert [c.kept for c in cuts] == sorted(brute_force_cuts(t),
+                                                key=lambda s: (len(s), sorted(s)))
+        for c in cuts:
+            assert c.nodes == Cut(t, c.kept).nodes  # checks the set is closed
+            assert all(t.parent_node(n) in (None, *c.nodes[:i])
+                       for i, n in enumerate(c.nodes))
 
 
 def test_cuts_of_a_ladder_deeper_than_the_recursion_limit():
