@@ -19,10 +19,6 @@ from .enumeration import (Bound, enumerate_classes, enumerate_pforests,
 from .bialgebra import (FdbReport, Series, TensorSeries, counit, delta_monomial,
                         delta_series, delta_tree, fdb_lhs_coefficient,
                         fdb_rhs_coefficient, green, series_mul, verify_fdb)
-from .classical import (ClassicalReport, NullaryOpsPresent, PhiReport,
-                        classical_verify, delta_generator, phi,
-                        set_partitions, surjection_delta,
-                        type_count_closed_form, verify_phi)
 from .groupoids import (FiniteGroupoid, Group, GroupAction, GroupoidError,
                         GroupoidMap, discrete, homotopy_fiber,
                         homotopy_pullback, homotopy_quotient, homotopy_sum,
@@ -31,3 +27,13 @@ from .groupoids import (FiniteGroupoid, Group, GroupAction, GroupoidError,
 from .groupoid_suite import SuiteReport, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``classical``'s names, imported on first access: only its commands load it."""
+    if name in {"ClassicalReport", "NullaryOpsPresent", "PhiReport", "classical_verify",
+                "delta_generator", "phi", "set_partitions", "surjection_delta",
+                "type_count_closed_form", "verify_phi"}:
+        from . import classical
+        return getattr(classical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

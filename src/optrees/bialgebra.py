@@ -188,23 +188,23 @@ def flat_cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
 
 def _cut_coder(t: PTree) -> Callable[[Sequence[int]], tuple[ForestKey, str]]:
     """The (crown, stump) pair of a cut of t, given its kept nodes top down,
-    coded from t's own pass.  A crown part is keyed by the code of its root
-    edge (the trivial key at a leaf of t); the stump is coded over the kept
-    nodes only, children first, by ``node_code``, with ``_`` on its leaves."""
-    codes, node_code, trivial_key = t.edge_codes(), t.spec.node_code, t.spec.trivial_key
-    shape, colour = t.shape, t.edge_colour
+    coded from t's own pass.  A crown part is keyed by its root edge's code
+    (the trivial key at a leaf of t), both found once per tree; the stump is
+    coded over the kept nodes, children first, by ``node_code``, with ``_`` on its leaves."""
+    node_code, trivial_key, shape = t.spec.node_code, t.spec.trivial_key, t.shape
+    keys = t.edge_codes() | {e: trivial_key(t.edge_colour[e]) for e in shape.leaves}
+    root_cut = (keys[shape.root],), trivial_key(t.edge_colour[shape.root])
 
     def pair(nodes: Sequence[int]) -> tuple[ForestKey, str]:
-        if not nodes:  # the root-edge cut
-            trivial = trivial_key(colour[shape.root])
-            return (codes.get(shape.root, trivial),), trivial
+        if not nodes:
+            return root_cut
         crown, stump = [], {}
         for n in reversed(nodes):
             parts = []
             for e in shape.node_inputs[n]:
                 code = stump.get(e)  # coded when the node above e is kept
                 if code is None:
-                    crown.append(codes.get(e) or trivial_key(colour[e]))
+                    crown.append(keys[e])
                     code = "_"
                 parts.append(code)
             stump[shape.node_output[n]] = node_code(t.node_op[n], parts)[0]
@@ -395,7 +395,7 @@ def fdb_rhs_coefficient(crown: PForest, stump: TreeClass,
             raise BoundMismatch(
                 f"crown {crown} exceeds the power's bound {power.bound}")
         return ZERO
-    return coefficient / stump.aut
+    return coefficient / stump.aut if stump.aut > 1 else coefficient
 
 
 def _plan(c: TreeClass, crowns: Mapping[str, Sequence[TreeClass]], prev: int,
@@ -611,10 +611,10 @@ class PairCheck:
     # False when only one of the stump's walk and the forest enumeration
     # reaches the pair
     reached: bool = True
+    passed: bool = field(init=False)  # decided once, when the check is made
 
-    @property
-    def passed(self) -> bool:
-        return self.reached and self.lhs == self.rhs
+    def __post_init__(self):
+        self.passed = self.reached and self.lhs == self.rhs
 
     def as_doc(self) -> dict:
         return {"F": forest_key_str(self.crown), "S": self.stump,
@@ -677,10 +677,10 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
 
 def check_fdb_pair(crown: PForest, stump: TreeClass, powers: Mapping[Profile, Series],
                    grafts: Iterable[TreeClass] | None = None,
-                   memo: dict | None = None) -> PairCheck:
+                   memo: dict | None = None, reached: bool = True) -> PairCheck:
     lhs = fdb_lhs_coefficient(crown, stump, grafts, memo)
     rhs = fdb_rhs_coefficient(crown, stump, powers)
-    return PairCheck(crown.keys, stump.key, lhs, rhs)
+    return PairCheck(crown.keys, stump.key, lhs, rhs, reached)
 
 
 def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
@@ -718,13 +718,9 @@ def _stump_checks(s: TreeClass, crowns: list[PForest],
     out = []
     for f in crowns:
         found = grafts.pop(f.keys, None)
-        chk = check_fdb_pair(f, s, powers, found or (), memo)
-        chk.reached = found is not None
-        out.append(chk)
+        out.append(check_fdb_pair(f, s, powers, found or (), memo, found is not None))
     for keys, found in grafts.items():  # reached by the walk alone
-        chk = check_fdb_pair(PForest(s.spec, keys), s, powers, found, memo)
-        chk.reached = False
-        out.append(chk)
+        out.append(check_fdb_pair(PForest(s.spec, keys), s, powers, found, memo, False))
     out.sort(key=lambda p: p.crown)
     return out
 
@@ -797,9 +793,11 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
        and an evenly spaced sample of at most ``SAMPLE`` listed pairs
        (``_oracle_sample``) must pass ``graft_oracle_agrees``, which runs the
        same walk restricted to the pair's crown and grafts trees for the
-       records the LHS summed: the grafting cut of each must give the pair.
-       The sample's trees share one table, which no record holds.  The
-       records these checks add past the budget are removed too.
+       records the LHS summed: the grafting cut of each must give the pair,
+       and a parse of each record's key (one pass, into one tree) must give
+       its sizes, leaf profile and |Aut|.  The sample's trees share one
+       table, which no record holds.  The records these checks add past the
+       budget are removed too.
     5. Each nonzero pair left in the accumulation, which no route computed,
        fails; in rooted mode, each whose stump has the rooted colour.
 

@@ -29,7 +29,6 @@ from typing import Iterable, Iterator
 
 from .bialgebra import (Bound, FdbReport, PairCheck, delta_tree,
                         format_rational, green, profile_str, verify_fdb)
-from .classical import classical_verify, verify_phi
 from .enumeration import BoundError, enumerate_classes
 from .groupoid_suite import run_suite
 from .groupoids import GroupoidError, groupoid_from_doc
@@ -48,6 +47,7 @@ ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
 ITEM = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
                         separators=(",\n      ", ": "))
 SCALARS = {str, int, float, bool, type(None)}
+_string = json.encoder.encode_basestring  # a str as ITEM encodes it
 
 
 class UsageError(Exception):
@@ -144,11 +144,19 @@ def _write(pieces: Iterable[str]):
         sys.stdout.write("".join(batch))
 
 
+def _pair_row(p: PairCheck) -> str:
+    """``_item(p.as_doc())``, formatted from the check: a listed pair's row."""
+    return (f'{{\n      "F": {_string(forest_key_str(p.crown))},\n      "S": '
+            f'{_string(p.stump)},\n      "lhs": "{format_rational(p.lhs)}",\n      '
+            f'"pass": {"true" if p.passed else "false"},\n      '
+            f'"rhs": "{format_rational(p.rhs)}"\n    }}')
+
+
 class StructuredList:
     """Writes the bytes of ``emit_structured`` of a document whose top-level
-    list at ``key`` comes a few items at a time: the keys sorting before
-    ``key`` are read from ``doc``, and the rest from the document given to
-    ``close``.  Nothing is written before the first item or ``close``."""
+    list at ``key`` comes a few ``_item`` texts at a time: the keys sorting
+    before ``key`` are read from ``doc``, and the rest from the document
+    given to ``close``.  Nothing is written before the first item or ``close``."""
 
     def __init__(self, command: str, doc: dict, key: str):
         self.command, self.key, self.written = command, key, False
@@ -160,12 +168,12 @@ class StructuredList:
         head, _, tail = text.partition(f'"{self.key}": []')
         return f'{head}"{self.key}": [', f"]{tail}\n"
 
-    def write(self, items: Iterable):
-        _write(self._pieces(items))
+    def write(self, texts: Iterable[str]):
+        _write(self._pieces(texts))
 
-    def _pieces(self, items: Iterable) -> Iterator[str]:
-        for item in items:
-            yield ("," if self.written else self.head) + "\n    " + _item(item)
+    def _pieces(self, texts: Iterable[str]) -> Iterator[str]:
+        for text in texts:
+            yield ("," if self.written else self.head) + "\n    " + text
             self.written = True
 
     def close(self, doc: dict):
@@ -283,7 +291,7 @@ def cmd_verify_fdb(args) -> int:
             spec.name, args.max_nodes, args.max_edges, args.rooted).frame(), "pairs")
     report = verify_fdb(spec, max_total_nodes=args.max_nodes,
                         max_edges_side=args.max_edges, rooted=args.rooted,
-                        emit=(lambda pairs: out.write(map(PairCheck.as_doc, pairs)))
+                        emit=(lambda pairs: out.write(map(_pair_row, pairs)))
                         if structured else _print_pairs)
     if structured:
         out.close(report.frame())
@@ -295,6 +303,7 @@ def cmd_verify_fdb(args) -> int:
 
 
 def cmd_verify_classical(args) -> int:
+    from .classical import classical_verify
     report = classical_verify(_at_least(args.max_degree, 0, "--max-degree"))
     if args.format == "structured":
         emit_structured("verify-classical", report.as_doc())
@@ -308,6 +317,7 @@ def cmd_verify_classical(args) -> int:
 
 
 def cmd_verify_phi(args) -> int:
+    from .classical import verify_phi
     spec = _spec_from_args(args)
     report = verify_phi(spec, max_n=_at_least(args.max_n, 0, "--max-n"),
                         bound=Bound(args.max_edges))

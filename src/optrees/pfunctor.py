@@ -746,10 +746,16 @@ def _scan_ident(sc: _Scanner) -> str:
     return "".join(chars)
 
 
-def _parse_decorated(spec: EndofunctorSpec, sc: _Scanner,
-                     expect_colour: str | None, depth: int = 0) -> PTree:
+def _parse_decorated(spec: EndofunctorSpec, sc: _Scanner, expect_colour: str | None,
+                     parts: tuple[dict, dict, dict, dict], depth: int = 0) -> int:
+    """Read one tree into ``parts`` (edge colours, node inputs, node
+    outputs, node ops) and return its root edge.  Edges are numbered as they
+    are read and nodes as they close, so the ids are those ``build_ptree``
+    gives: edges in pre-order, each node after its children."""
+    edge_colour, node_inputs, node_output, node_op = parts
     sc.skip_ws()
     ch = sc.peek()
+    e = len(edge_colour)
     if ch == "_":
         sc.advance()
         colour = None
@@ -766,7 +772,8 @@ def _parse_decorated(spec: EndofunctorSpec, sc: _Scanner,
             raise sc.error(f"unknown colour {colour!r}")
         if expect_colour is not None and colour != expect_colour:
             raise sc.error(f"colour {colour!r} does not match slot colour {expect_colour!r}")
-        return trivial_ptree(spec, colour)
+        edge_colour[e] = colour
+        return e
     if ch == "(":
         if depth >= MAX_PARSE_DEPTH:
             raise sc.error(f"nodes nested deeper than {MAX_PARSE_DEPTH}")
@@ -776,7 +783,8 @@ def _parse_decorated(spec: EndofunctorSpec, sc: _Scanner,
         op = spec.by_name.get(opname)
         if op is None:
             raise sc.error(f"unknown op {opname!r}")
-        children: list[PTree] = []
+        edge_colour[e] = op.out
+        ins: list[int] = []
         sc.skip_ws()
         if sc.peek() == ":":
             sc.advance()
@@ -786,28 +794,36 @@ def _parse_decorated(spec: EndofunctorSpec, sc: _Scanner,
                     break
                 if sc.peek() is None:
                     raise sc.error("unexpected end of input, expected ')'")
-                i = len(children)
+                i = len(ins)
                 want = op.ins[i] if i < op.arity else None
-                children.append(_parse_decorated(spec, sc, want, depth + 1))
+                ins.append(_parse_decorated(spec, sc, want, parts, depth + 1))
         sc.skip_ws()
         if sc.peek() != ")":
             raise sc.error("expected ')'")
         sc.advance()
-        if len(children) != op.arity:
+        if len(ins) != op.arity:
             raise sc.error(
-                f"op {opname!r} has arity {op.arity}, got {len(children)} children")
+                f"op {opname!r} has arity {op.arity}, got {len(ins)} children")
         if expect_colour is not None and op.out != expect_colour:
             raise sc.error(f"op {opname!r} output {op.out!r} does not match "
                            f"slot colour {expect_colour!r}")
-        return build_ptree(spec, opname, children)
+        n = len(node_inputs)
+        node_inputs[n], node_output[n], node_op[n] = tuple(ins), e, opname
+        return e
     if ch is None:
         raise sc.error("unexpected end of input")
     raise sc.error(f"unexpected character {ch!r}")
 
 
+def _read_ptree(spec: EndofunctorSpec, sc: _Scanner) -> PTree:
+    colours, inputs, outputs, ops = parts = {}, {}, {}, {}
+    _parse_decorated(spec, sc, None, parts)
+    return PTree(spec, TreeDiagram(tuple(range(len(colours))), inputs, outputs), colours, ops)
+
+
 def parse_ptree(spec: EndofunctorSpec, text: str) -> PTree:
     sc = _Scanner(text)
-    t = _parse_decorated(spec, sc, None)
+    t = _read_ptree(spec, sc)
     sc.skip_ws()
     if sc.peek() is not None:
         raise sc.error("trailing input after tree")
@@ -1066,7 +1082,7 @@ def parse_pforest(spec: EndofunctorSpec, text: str) -> PForest:
         return PForest(spec, ())
     trees = []
     while True:
-        trees.append(_parse_decorated(spec, sc, None))
+        trees.append(_read_ptree(spec, sc))
         sc.skip_ws()
         if sc.peek() == "·":
             sc.advance()

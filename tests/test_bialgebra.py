@@ -1087,3 +1087,32 @@ def test_format_rational():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(3)) == "3/1"
     assert format_rational(Fraction(0)) == "0/1"
+
+
+# (checked, zero_pairs, cross_checked, listed pairs, oracle-sampled pairs) of
+# verify_fdb at (4, 7) on the six specs of acceptance criterion 1.  A faster
+# check must still cover as many pairs by every route.
+FDB_SIX_COVERAGE = {
+    ("identity", None): (117, 102, 15, 15, 15),
+    ("constant", None): (56, 53, 3, 3, 3),
+    ("binary", None): (159, 125, 23, 34, 34),
+    ("planar", 3): (13325, 10799, 1790, 2526, 195),
+    ("exp", 3): (4853, 4002, 625, 851, 171),
+    ("stable", 3): (236, 195, 24, 41, 41),
+}
+
+
+@pytest.mark.parametrize("name, arity", FDB_SIX_COVERAGE,
+                         ids=[n if a is None else f"{n}({a})" for n, a in FDB_SIX_COVERAGE])
+def test_fdb_coverage_per_route_is_pinned(monkeypatch, name, arity):
+    oracle, sampled = bialgebra.graft_oracle_agrees, []
+
+    def counted(*args):
+        sampled.append(args[:2])
+        return oracle(*args)
+
+    monkeypatch.setattr(bialgebra, "graft_oracle_agrees", counted)
+    rep = verify_fdb(builtin(name, arity), 4, 7)
+    assert rep.failed == rep.cross_failed == 0
+    assert (rep.checked, rep.zero_pairs, rep.cross_checked, len(rep.pairs),
+            len(set(sampled))) == FDB_SIX_COVERAGE[(name, arity)]

@@ -480,7 +480,7 @@ def test_structured_list_writes_the_bytes_of_one_dumps(monkeypatch, rows):
     stream.write([])
     assert out.writes == []
     for i in range(0, rows, 2):
-        stream.write(items[i:i + 2])
+        stream.write(map(cli._item, items[i:i + 2]))
     stream.close(doc)
     assert "".join(out.writes) == reference_text("test", {**doc, "résumé": items})
 
@@ -738,6 +738,36 @@ def test_verify_fdb_stream_is_the_collected_failing_report(monkeypatch, capsys, 
         order = [(p.stump, p.crown) for p in report.pairs]
         assert order == sorted(order)
     assert_stream_is_the_report(capsys, fdb_argv("planar", 3), report)
+
+
+@pytest.mark.parametrize("fault", [None, "lhs-off-by-one"], ids=["honest", "failing"])
+def test_a_pair_row_is_the_item_of_its_document(monkeypatch, fault):
+    # rows of the two-colour spec (trivial keys like _a) unrooted and rooted,
+    # of planar(3) (the empty crown ε), and of a failing pair
+    if fault:
+        plant_fault(monkeypatch, fault)
+    reports = [bialgebra.verify_fdb(builtin("planar", 3), 3, 4)]
+    if not fault:
+        reports += [bialgebra.verify_fdb(two_colour_spec(), 4, 6, rooted)
+                    for rooted in (None, "b")]
+    pairs = [p for report in reports for p in report.pairs]
+    assert [cli._pair_row(p) for p in pairs] == [cli._item(p.as_doc()) for p in pairs]
+    docs = [p.as_doc() for p in pairs]
+    assert [d["pass"] for d in docs].count(False) == (1 if fault else 0)
+    if not fault:
+        assert any(d["F"] == "ε" for d in docs)
+        assert any("_a" in d["F"] for d in docs) and any("_b" in d["F"] for d in docs)
+
+
+def test_importing_the_cli_leaves_classical_unloaded():
+    # ``classical`` is loaded by its own commands and by its names on the
+    # package, on first access
+    code = ("import sys, optrees.cli\n"
+            "print('optrees.classical' in sys.modules)\n"
+            "from optrees import classical_verify\n"
+            "print('optrees.classical' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["False", "True"], proc.stderr
 
 
 def test_verify_fdb_writes_each_stumps_pairs_before_the_next_stump(monkeypatch):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_builtin_specs, cycle_generated_s3_spec,
+from conftest import (all_builtin_specs, cut_specs, cycle_generated_s3_spec,
                       symmetric_two_colour_spec, two_colour_spec)
 from optrees.bialgebra import flat_cut_summary, graft_classes
-from optrees.enumeration import Bound, enumerate_pforests, enumerate_ptrees
+from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
+                                 enumerate_ptrees)
 from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
                               OpType, PForest, PTree, SpecError, UnknownBuiltin,
                               UnknownOp, aut_order, aut_order_forest,
@@ -19,7 +20,7 @@ from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
                               forest_mul, graft_decorated, group_order,
                               intern, isomorphisms_brute, parse_pforest,
                               parse_ptree, parse_ptree_or_shape, save_spec,
-                              load_spec, trivial_ptree, tree_class,
+                              load_spec, trivial_ptree, tree_class, tree_in,
                               validate_ptree)
 from optrees.trees import (GrammarError, MatchingNotBijective, parse_tree,
                            validate_tree)
@@ -492,6 +493,49 @@ def test_decorated_parse_limits_nesting_depth():
         assert "line 1, column 2001" in str(err.value)
         with pytest.raises(GrammarError):
             parse_pforest(spec, "_·" + text)
+
+
+def key_order_tree(c):
+    """The tree of record ``c`` by ``build_ptree``, with the children on the
+    slots its key writes them on, and whether every record below it keeps
+    its children in that order (so ``tree_in`` builds this same tree)."""
+    if c.op is None:
+        return trivial_ptree(c.spec, c.root), True
+
+    def code(d):
+        return d.key if d.nodes else "_"
+
+    kids = next(k for k in c.spec.arrangements(c.op, c.children)
+                if f"({c.op}{':' if k else ''}{''.join(map(code, k))})" == c.key)
+    built = [key_order_tree(d) for d in kids]
+    return (build_ptree(c.spec, c.op, [t for t, _ in built]),
+            kids == c.children and all(same for _, same in built))
+
+
+@pytest.mark.parametrize("spec", cut_specs() + [builtin("cyclic", max_arity=4)],
+                         ids=lambda spec: spec.name)
+def test_a_parsed_key_is_numbered_as_build_ptree_numbers_it(spec):
+    # edges in pre-order and each node after its children, the ids of
+    # build_ptree, inserted in id order as build_ptree inserts them
+    def parts(t):
+        return [(list(d.items()) if isinstance(d, dict) else d) for d in (
+            t.shape.edges, t.shape.node_inputs, t.shape.node_output,
+            t.edge_colour, t.node_op)]
+
+    classes = enumerate_classes(spec, Bound(7, 5))
+    in_key_order = 0
+    for c in classes:
+        t = parse_ptree(spec, c.key)
+        built, same = key_order_tree(c)
+        assert parts(t) == parts(built), c.key
+        if same:
+            in_key_order += 1
+            assert parts(t) == parts(tree_in(c, {})), c.key
+    assert in_key_order
+    keys = [c.key for c in classes]
+    for i in range(0, len(keys), 5):
+        assert parse_pforest(spec, "·".join(keys[i:i + 5])).keys == tuple(
+            sorted(keys[i:i + 5]))
 
 
 def test_multicolour_leaf_annotation():
