@@ -67,7 +67,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -96,16 +95,13 @@ class BoundMismatch(ValueError):
     """Binary series operation on series with different bounds."""
 
 
-@dataclass
 class Series:
     """Finitely supported map forest-monomial -> rational, with its bound."""
 
-    spec: EndofunctorSpec
-    bound: Bound
-    coeffs: dict[ForestKey, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
+    def __init__(self, spec: EndofunctorSpec, bound: Bound,
+                 coeffs: Mapping[ForestKey, Fraction]):
+        self.spec, self.bound = spec, bound
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     def coefficient(self, key: ForestKey) -> Fraction:
         return self.coeffs.get(tuple(key), ZERO)
@@ -126,16 +122,13 @@ class Series:
         return " + ".join(parts)
 
 
-@dataclass
 class TensorSeries:
     """Finitely supported map (forest, forest) -> rational."""
 
-    spec: EndofunctorSpec
-    bound: Bound
-    coeffs: dict[tuple[ForestKey, ForestKey], Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
+    def __init__(self, spec: EndofunctorSpec, bound: Bound,
+                 coeffs: Mapping[tuple[ForestKey, ForestKey], Fraction]):
+        self.spec, self.bound = spec, bound
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     def coefficient(self, left: ForestKey, right: ForestKey) -> Fraction:
         return self.coeffs.get((tuple(left), tuple(right)), ZERO)
@@ -602,19 +595,16 @@ def graft_oracle_agrees(stump: TreeClass, crown: PForest,
 # verification report
 
 
-@dataclass(slots=True)
 class PairCheck:
-    crown: ForestKey
-    stump: str
-    lhs: Fraction
-    rhs: Fraction
-    # False when only one of the stump's walk and the forest enumeration
-    # reaches the pair
-    reached: bool = True
-    passed: bool = field(init=False)  # decided once, when the check is made
+    __slots__ = ("crown", "stump", "lhs", "rhs", "reached", "passed")
 
-    def __post_init__(self):
-        self.passed = self.reached and self.lhs == self.rhs
+    def __init__(self, crown: ForestKey, stump: str, lhs: Fraction, rhs: Fraction,
+                 reached: bool = True):
+        # ``reached`` is False when only one of the stump's walk and the
+        # forest enumeration reaches the pair; ``passed`` is decided once,
+        # when the check is made
+        self.crown, self.stump, self.lhs, self.rhs = crown, stump, lhs, rhs
+        self.reached, self.passed = reached, reached and lhs == rhs
 
     def as_doc(self) -> dict:
         return {"F": forest_key_str(self.crown), "S": self.stump,
@@ -622,18 +612,16 @@ class PairCheck:
                 "pass": self.passed}
 
 
-@dataclass
 class FdbReport:
-    spec_label: str
-    max_total_nodes: int
-    max_edges_side: int
-    rooted: str | None
-    pairs: list[PairCheck] = field(default_factory=list)
-    checked: int = 0
-    failed: int = 0
-    zero_pairs: int = 0
-    cross_checked: int = 0
-    cross_failed: int = 0
+    def __init__(self, spec_label: str, max_total_nodes: int, max_edges_side: int,
+                 rooted: str | None, pairs: list[PairCheck] | None = None,
+                 checked: int = 0, failed: int = 0, zero_pairs: int = 0,
+                 cross_checked: int = 0, cross_failed: int = 0):
+        self.spec_label, self.rooted = spec_label, rooted
+        self.max_total_nodes, self.max_edges_side = max_total_nodes, max_edges_side
+        self.pairs = [] if pairs is None else pairs
+        self.checked, self.failed, self.zero_pairs = checked, failed, zero_pairs
+        self.cross_checked, self.cross_failed = cross_checked, cross_failed
 
     @property
     def passed(self) -> bool:

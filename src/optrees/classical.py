@@ -33,7 +33,6 @@ Green function); it requires a spec with one colour and no nullary ops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -181,12 +180,9 @@ def weighted_series(max_weight: int) -> ClassicalSeries:
             for k in range(1, max_weight + 1)}
 
 
-@dataclass
 class ClassicalRow:
-    monomial: SurjClass
-    k: int
-    lhs: Fraction
-    rhs: Fraction
+    def __init__(self, monomial: SurjClass, k: int, lhs: Fraction, rhs: Fraction):
+        self.monomial, self.k, self.lhs, self.rhs = monomial, k, lhs, rhs
 
     @property
     def passed(self) -> bool:
@@ -198,14 +194,14 @@ class ClassicalRow:
                 "pass": self.passed}
 
 
-@dataclass
 class ClassicalReport:
-    max_degree: int
-    multiplicity_checked: int
-    multiplicity_failed: int
-    rows: list[ClassicalRow]
-    checked: int
-    failed: int
+    def __init__(self, max_degree: int, multiplicity_checked: int,
+                 multiplicity_failed: int, rows: list[ClassicalRow], checked: int,
+                 failed: int):
+        self.max_degree, self.rows = max_degree, rows
+        self.multiplicity_checked = multiplicity_checked
+        self.multiplicity_failed = multiplicity_failed
+        self.checked, self.failed = checked, failed
 
     @property
     def passed(self) -> bool:
@@ -327,24 +323,20 @@ def phi(spec: EndofunctorSpec, element: ClassicalSeries | SurjClass,
     return total
 
 
-@dataclass
 class PhiRow:
-    n: int
-    checked: int
-    failed: int
+    def __init__(self, n: int, checked: int, failed: int):
+        self.n, self.checked, self.failed = n, checked, failed
 
     def as_doc(self) -> dict:
         return {"n": self.n, "checked": self.checked, "failed": self.failed,
                 "pass": self.failed == 0}
 
 
-@dataclass
 class PhiReport:
-    spec_label: str
-    max_n: int
-    max_edges: int
-    rows: list[PhiRow]
-    green_match: bool
+    def __init__(self, spec_label: str, max_n: int, max_edges: int, rows: list[PhiRow],
+                 green_match: bool):
+        self.spec_label, self.max_n, self.max_edges = spec_label, max_n, max_edges
+        self.rows, self.green_match = rows, green_match
 
     @property
     def passed(self) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .pfunctor import (EndofunctorSpec, ForestKey, OpType, PForest, PTree,
@@ -29,18 +28,26 @@ class BoundError(ValueError):
     """A bound out of range."""
 
 
-@dataclass(frozen=True)
 class Bound:
     """Resource bounds for enumeration and series truncation."""
 
-    max_edges: int
-    max_nodes: int | None = None
-
-    def __post_init__(self):
-        if self.max_edges < 1:
+    def __init__(self, max_edges: int, max_nodes: int | None = None):
+        if max_edges < 1:
             raise BoundError("max_edges must be >= 1")
-        if self.max_nodes is not None and self.max_nodes < 0:
+        if max_nodes is not None and max_nodes < 0:
             raise BoundError("max_nodes must be >= 0")
+        self.max_edges, self.max_nodes = max_edges, max_nodes
+
+    def __eq__(self, other):
+        if not isinstance(other, Bound):
+            return NotImplemented
+        return (self.max_edges, self.max_nodes) == (other.max_edges, other.max_nodes)
+
+    def __hash__(self):
+        return hash((self.max_edges, self.max_nodes))
+
+    def __repr__(self):
+        return f"Bound(max_edges={self.max_edges!r}, max_nodes={self.max_nodes!r})"
 
     def admits(self, edges: int, nodes: int) -> bool:
         return edges <= self.max_edges and (self.max_nodes is None

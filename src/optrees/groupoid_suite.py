@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groupoids import (FiniteGroupoid, Group, GroupAction, GroupoidMap,
@@ -74,10 +73,9 @@ def all_homs(g: Group, h: Group) -> list[dict]:
     return out
 
 
-@dataclass
 class ComponentData:
-    objects: tuple
-    group: Group
+    def __init__(self, objects: tuple, group: Group):
+        self.objects, self.group = objects, group
 
 
 def random_components(rng: random.Random, max_components=2, max_objects=2,
@@ -336,11 +334,10 @@ LAWS = [
 ]
 
 
-@dataclass
 class SuiteReport:
-    seed: int
-    count: int
-    results: dict  # law name -> (instances, failed)
+    def __init__(self, seed: int, count: int, results: dict):
+        # results: law name -> (instances, failed)
+        self.seed, self.count, self.results = seed, count, results
 
     @property
     def passed(self) -> bool:

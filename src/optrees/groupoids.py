@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -65,13 +64,11 @@ class GroupoidError(ValueError):
     pass
 
 
-@dataclass
 class Group:
     """Finite group by multiplication table; ``mul[(a, b)]`` is "a then b"."""
 
-    elements: tuple
-    mul: dict
-    identity: Hashable
+    def __init__(self, elements: tuple, mul: dict, identity: Hashable):
+        self.elements, self.mul, self.identity = elements, mul, identity
 
     def check(self) -> "Group":
         """The table must be total on the elements; the group laws are then
@@ -121,28 +118,19 @@ class Group:
         return cls(tuple(els), mul, (0, 0))
 
 
-@dataclass(frozen=True)
 class ArrowNumbering:
     """A groupoid's arrows numbered 0, 1, ... in ``arrows`` order, with
     objects numbered in ``objects`` order (an endpoint outside ``objects``
     after them).  ``row_n(i)`` lists "i then j" for each j in
     ``outgoing[target[i]]``, and ``mul_n(i, j)`` is one entry of it; an
-    entry is None when that composite is not an arrow.
+    entry is None when that composite is not an arrow; rows come from
+    ``mul`` unless ``row_n`` is given.  ``number`` and ``object_number`` map
+    labels and objects to numbers, ``source`` and ``target`` arrow numbers
+    to object numbers, ``outgoing`` an object number to its arrow numbers
+    in ``arrows`` order, and ``place`` an arrow to its index there.
     """
 
-    labels: list
-    number: dict  # arrow label -> number
-    object_number: dict  # object -> number
-    source: list  # arrow number -> object number
-    target: list
-    outgoing: list  # object number -> arrow numbers, in ``arrows`` order
-    place: list  # arrow number -> its index in ``outgoing[source]``
-    row_n: Callable
-    mul_n: Callable
-
-    @classmethod
-    def build(cls, objects, arrows: dict, mul, row_n) -> "ArrowNumbering":
-        """Number the arrows; rows come from ``mul`` unless given."""
+    def __init__(self, objects, arrows: dict, mul, row_n):
         labels = list(arrows)
         number = {a: i for i, a in enumerate(labels)}
         onum = {x: i for i, x in enumerate(dict.fromkeys(objects))}
@@ -171,40 +159,36 @@ class ArrowNumbering:
             if last[0] != i:
                 last[:] = i, rows(i)
             return last[1][place[j]]
-        return cls(labels, number, onum, source, target, outgoing, place,
-                   row_n, mul_n)
+        self.labels, self.number, self.object_number = labels, number, onum
+        self.source, self.target, self.outgoing = source, target, outgoing
+        self.place, self.row_n, self.mul_n = place, row_n, mul_n
 
 
-@dataclass
 class FiniteGroupoid:
-    objects: tuple
-    arrows: dict  # label -> (src, dst)
-    mul: Callable | None  # mul(f, g) is "f then g", for target(f) == source(g)
-    identities: dict  # object -> label
-    # rows on arrow numbers (see ``ArrowNumbering``); a groupoid is given
-    # exactly one of ``mul`` and ``row_rule``
-    row_rule: Callable | None = field(default=None, repr=False)
-    # numbering() -> ArrowNumbering, built on first call
-    numbering: Callable = field(init=False, repr=False, compare=False)
+    """``arrows`` maps a label to (src, dst), ``mul(f, g)`` is "f then g" for
+    target(f) == source(g), and ``identities`` maps an object to a label.
+    ``row_rule`` gives rows on arrow numbers (see ``ArrowNumbering``); a
+    groupoid is given exactly one of ``mul`` and ``row_rule``."""
 
-    _hom: dict = field(default_factory=dict, repr=False)
-    _pi0: list | None = field(default=None, repr=False)
-    _class_of: list | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if (self.mul is None) == (self.row_rule is None):
+    def __init__(self, objects: tuple, arrows: dict, mul: Callable | None,
+                 identities: dict, row_rule: Callable | None = None):
+        if (mul is None) == (row_rule is None):
             raise GroupoidError("a groupoid needs one rule: on labels or on numbers")
-        # closures over the fields, not over the groupoid: a reference cycle
-        # would keep a large total alive until the cyclic collector runs
-        objects, arrows, mul, row_n = (self.objects, self.arrows, self.mul,
-                                       self.row_rule)
+        self.objects, self.arrows, self.identities = objects, arrows, identities
+        self.row_rule = row_rule
+        self._hom: dict = {}
+        self._pi0: list | None = None
+        self._class_of: list | None = None
+        # closures over the arguments, not over the groupoid: a reference
+        # cycle would keep a large total alive until the cyclic collector runs
         built: list = []
 
         def numbering() -> ArrowNumbering:
+            """The ``ArrowNumbering``, built on first call."""
             if not built:
-                built.append(ArrowNumbering.build(objects, arrows, mul, row_n))
+                built.append(ArrowNumbering(objects, arrows, mul, row_rule))
             return built[0]
-        self.numbering = numbering
+        self.numbering, self.mul = numbering, mul
         if mul is None:
             def label_mul(f, g):
                 n = numbering()
@@ -438,12 +422,10 @@ def terminal() -> FiniteGroupoid:
 # maps
 
 
-@dataclass
 class GroupoidMap:
-    dom: FiniteGroupoid
-    cod: FiniteGroupoid
-    obj_map: dict
-    arrow_map: dict
+    def __init__(self, dom: FiniteGroupoid, cod: FiniteGroupoid, obj_map: dict,
+                 arrow_map: dict):
+        self.dom, self.cod, self.obj_map, self.arrow_map = dom, cod, obj_map, arrow_map
 
     def check(self) -> "GroupoidMap":
         if set(self.obj_map) != set(self.dom.objects):
@@ -560,15 +542,14 @@ def homotopy_fiber(p: GroupoidMap, b) -> tuple[FiniteGroupoid, GroupoidMap]:
     return fib, incl
 
 
-@dataclass
 class GroupAction:
     """Right action of a finite group on a groupoid, by tables: g acts by
     the functor x -> ``obj_act[(x, g)]``, a -> ``arrow_act[(a, g)]``."""
 
-    group: Group
-    space: FiniteGroupoid
-    obj_act: dict  # (object, group element) -> object
-    arrow_act: dict  # (arrow, group element) -> arrow
+    def __init__(self, group: Group, space: FiniteGroupoid, obj_act: dict,
+                 arrow_act: dict):
+        self.group, self.space = group, space
+        self.obj_act, self.arrow_act = obj_act, arrow_act
 
     def family(self) -> tuple[FiniteGroupoid, dict, dict]:
         """The action as a strict family over BG: the space over the one

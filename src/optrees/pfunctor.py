@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .trees import (MAX_PARSE_DEPTH, Cut, GrammarError, MatchingNotBijective,
@@ -193,12 +192,22 @@ def _symmetric_blocks(op: OpType) -> tuple[tuple[int, ...], ...] | None:
     return plan
 
 
-@dataclass(frozen=True)
 class OpType:
-    name: str
-    out: str
-    ins: tuple[str, ...]
-    sym_gens: tuple[Perm, ...] = ()
+    """An operation: its output colour, its input colours, and generators of
+    the symmetry group of its inputs.  Equal fields make equal ops."""
+
+    def __init__(self, name: str, out: str, ins: tuple[str, ...],
+                 sym_gens: tuple[Perm, ...] = ()):
+        self.name, self.out, self.ins, self.sym_gens = name, out, ins, sym_gens
+
+    def __eq__(self, other):
+        if not isinstance(other, OpType):
+            return NotImplemented
+        return (self.name, self.out, self.ins, self.sym_gens) == \
+            (other.name, other.out, other.ins, other.sym_gens)
+
+    def __hash__(self):
+        return hash((self.name, self.out, self.ins, self.sym_gens))
 
     @property
     def arity(self) -> int:
@@ -433,6 +442,9 @@ BUILTIN_NAMES = ("exp", "planar", "binary", "identity", "constant",
                  "trivial", "effective", "stable", "cyclic")
 
 _UNBOUNDED = {"exp", "planar", "effective", "stable", "cyclic"}
+# exp(K) keeps K - 1 transpositions of length K per op, about K**3 / 3 ints,
+# and trees within E edges use only arities below E
+MAX_ARITY = 64
 
 
 def builtin(name: str, max_arity: int | None = None) -> EndofunctorSpec:
@@ -443,7 +455,8 @@ def builtin(name: str, max_arity: int | None = None) -> EndofunctorSpec:
     binary op), ``identity`` (one unary op), ``constant`` (one nullary op),
     ``trivial`` (no ops), ``effective`` (exp without the nullary op) and
     ``stable`` (exp without nullary and unary ops).  Arity-unbounded
-    families require ``max_arity``; the others refuse it.
+    families require ``max_arity``, at most ``MAX_ARITY``; the others
+    refuse it.
     """
     if name not in BUILTIN_NAMES:
         raise UnknownBuiltin(f"unknown builtin spec {name!r}")
@@ -452,6 +465,8 @@ def builtin(name: str, max_arity: int | None = None) -> EndofunctorSpec:
             raise SpecError(f"builtin {name!r} requires max_arity")
         if max_arity < 0:
             raise SpecError("max_arity must be nonnegative")
+        if max_arity > MAX_ARITY:
+            raise SpecError(f"max_arity must be at most {MAX_ARITY}, got {max_arity}")
     elif max_arity is not None:
         raise SpecError(f"builtin {name!r} has fixed arities and takes no max_arity")
     c = "o"
@@ -1003,12 +1018,19 @@ def forest_key_str(key: ForestKey) -> str:
     return "·".join(key) if key else "ε"
 
 
-@dataclass(frozen=True)
 class PForest:
     """Multiset of decorated-tree classes, as a sorted key tuple."""
 
-    spec: EndofunctorSpec
-    keys: ForestKey
+    def __init__(self, spec: EndofunctorSpec, keys: ForestKey):
+        self.spec, self.keys = spec, keys
+
+    def __eq__(self, other):
+        if not isinstance(other, PForest):
+            return NotImplemented
+        return self.spec == other.spec and self.keys == other.keys
+
+    def __hash__(self):
+        return hash((self.spec, self.keys))
 
     @classmethod
     def from_trees(cls, spec: EndofunctorSpec, trees: Iterable[PTree]) -> "PForest":

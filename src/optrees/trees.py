@@ -25,7 +25,6 @@ inverse up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
@@ -92,13 +91,12 @@ class view:
 Matching = dict[int, int]
 
 
-@dataclass(eq=False)
 class ForestDiagram:
     """Finite forest diagram; treat instances as immutable after creation."""
 
-    edges: tuple[int, ...]
-    node_inputs: dict[int, tuple[int, ...]]
-    node_output: dict[int, int]
+    def __init__(self, edges: tuple[int, ...], node_inputs: dict[int, tuple[int, ...]],
+                 node_output: dict[int, int]):
+        self.edges, self.node_inputs, self.node_output = edges, node_inputs, node_output
 
     def __eq__(self, other):
         if not isinstance(other, ForestDiagram):
@@ -170,7 +168,6 @@ class ForestDiagram:
         return tuple(order)
 
 
-@dataclass(eq=False)
 class TreeDiagram(ForestDiagram):
     """Forest diagram with exactly one root edge."""
 
@@ -259,7 +256,6 @@ def empty_forest() -> ForestDiagram:
 # cuts, pruning, grafting
 
 
-@dataclass(eq=True)
 class Cut:
     """A root-containing subtree of ``tree``, given by the kept node set.
 
@@ -267,18 +263,19 @@ class Cut:
     there is a node below its output edge, that node is kept too.
     """
 
-    tree: TreeDiagram
-    kept: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kept", frozenset(self.kept))
-        t = self.tree
+    def __init__(self, tree: TreeDiagram, kept: Iterable[int]):
+        self.tree, self.kept = tree, frozenset(kept)
         for n in self.kept:
-            if n not in t.node_inputs:
+            if n not in tree.node_inputs:
                 raise DiagramError(f"kept node {n} not in tree")
-            p = t.parent_node(n)
+            p = tree.parent_node(n)
             if p is not None and p not in self.kept:
                 raise DiagramError(f"kept set not closed towards the root at node {n}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Cut):
+            return NotImplemented
+        return self.tree == other.tree and self.kept == other.kept
 
     @view
     def nodes(self) -> tuple[int, ...]:
@@ -298,7 +295,7 @@ def enumerate_cuts(tree: TreeDiagram) -> list[Cut]:
         held, bit[n] = bit[tree.parent_node(n)], 1 << len(bit)
         kept_sets += [(s + (n,), m | bit[n]) for s, m in kept_sets if m & held]
     kept_sets.sort(key=lambda sm: (len(sm[0]), sorted(sm[0])))
-    cuts = [object.__new__(Cut) for _ in kept_sets]  # no __post_init__ check
+    cuts = [object.__new__(Cut) for _ in kept_sets]  # no __init__ check
     for cut, (nodes, _) in zip(cuts, kept_sets):
         cut.__dict__.update(tree=tree, kept=frozenset(nodes), nodes=nodes)
     return cuts

@@ -14,8 +14,8 @@ from conftest import (all_builtin_specs, cut_specs, cycle_generated_s3_spec,
                       two_colour_spec)
 from optrees import bialgebra, pfunctor
 from optrees.classical import verify_phi
-from optrees.bialgebra import (Bound, BoundMismatch, Series, TensorSeries,
-                               counit, counit_left,
+from optrees.bialgebra import (Bound, BoundMismatch, FdbReport, PairCheck, Series,
+                               TensorSeries, counit, counit_left,
                                counit_right, cut_summary, delta_monomial,
                                delta_series, delta_tree, fdb_lhs_coefficient,
                                fdb_rhs_coefficient, flat_cut_summary,
@@ -747,6 +747,40 @@ def test_exp_square_cherry_coefficient(exp3):
 def test_bound_mismatch_rejected(exp3):
     with pytest.raises(BoundMismatch):
         series_mul(green(exp3, Bound(3)), green(exp3, Bound(4)))
+
+
+def test_bound_messages_keep_their_text(exp3):
+    with pytest.raises(BoundMismatch) as info:
+        series_mul(green(exp3, Bound(3)), green(exp3, Bound(4)))
+    assert str(info.value) == ("bounds differ: Bound(max_edges=3, max_nodes=None) "
+                               "vs Bound(max_edges=4, max_nodes=None)")
+    crown = PForest.from_keys(exp3, ["(n2:__)", "_"])
+    powers = profile_powers(exp3, Bound(3), [(("o", 2),)])
+    with pytest.raises(BoundMismatch) as info:
+        fdb_rhs_coefficient(crown, tree_class(exp3, "(n2:__)"), powers)
+    assert str(info.value) == ("crown (n2:__)·_ exceeds the power's bound "
+                               "Bound(max_edges=3, max_nodes=None)")
+
+
+def test_series_and_report_records(exp3):
+    # series drop zero terms and compare by spec and terms
+    one = Fraction(1)
+    a = Series(exp3, Bound(3), {("_",): one, ("(n2:__)",): Fraction(0)})
+    assert a.coeffs == {("_",): one}
+    assert a == Series(spec=exp3, bound=Bound(3), coeffs={("_",): one})
+    assert a != Series(exp3, Bound(3), {("_",): Fraction(2)})
+    t = TensorSeries(exp3, Bound(3), {(EMPTY, ("_",)): one, (("_",), EMPTY): 0})
+    assert t.coeffs == {(EMPTY, ("_",)): one} and t != TensorSeries(exp3, Bound(3), {})
+    report = FdbReport("exp(3)", 4, 6, None, checked=5, zero_pairs=3)
+    assert report.pairs == [] and report.passed
+    assert report.frame() == {
+        "spec": "exp(3)", "bound": {"max_total_nodes": 4, "max_edges_side": 6},
+        "rooted": None, "summary": {"checked": 5, "failed": 0, "zero_pairs": 3,
+                                    "cross_checked": 0, "cross_failed": 0}}
+    check = PairCheck(("_",), "(n2:__)", Fraction(1, 2), Fraction(1, 2))
+    assert check.reached and check.passed and not hasattr(check, "__dict__")
+    assert not PairCheck(("_",), "_", one, Fraction(2)).passed
+    assert not PairCheck(("_",), "_", one, one, reached=False).passed
 
 
 def random_terms(rng, forests, count):

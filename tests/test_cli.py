@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import two_colour_spec
-from optrees import bialgebra, cli, groupoid_suite
+from optrees import bialgebra, cli, groupoid_suite, pfunctor
 from optrees.bialgebra import BoundMismatch
 from optrees.cli import main
 from optrees.groupoids import (Group, discrete, disjoint_union_groupoids,
@@ -768,6 +768,32 @@ def test_importing_the_cli_leaves_classical_unloaded():
             "print('optrees.classical' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout.split() == ["False", "True"], proc.stderr
+
+
+def test_importing_the_package_generates_no_code():
+    # no record class is a dataclass, so a cold start neither loads the
+    # modules that generate and compile their methods nor runs them
+    code = ("import sys\n"
+            "names = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+            "import optrees.cli\n"
+            "print(sorted(set(names) & set(sys.modules)))\n"
+            "import optrees.classical\n"
+            "print(sorted(set(names) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines() == ["[]", "[]"], proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--functor", "exp", "--max-edges", "3"],
+    ["verify", "fdb", "--functor", "stable", "--max-nodes", "3", "--max-edges", "3"]])
+def test_an_arity_above_the_limit_is_one_error_line(command, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(pfunctor, "OpType", lambda *a: built.append(a))
+    assert main(command + ["--max-arity", str(pfunctor.MAX_ARITY + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == (f"error: max_arity must be at most {pfunctor.MAX_ARITY}, "
+                            f"got {pfunctor.MAX_ARITY + 1}\n")
 
 
 def test_verify_fdb_writes_each_stumps_pairs_before_the_next_stump(monkeypatch):

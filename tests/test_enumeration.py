@@ -10,8 +10,8 @@ from conftest import (all_builtin_specs, cycle_generated_s3_spec,
 from optrees import pfunctor
 from optrees.bialgebra import _pair_grafts, green
 from optrees.cli import main
-from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
-                                 enumerate_ptrees, matchings)
+from optrees.enumeration import (Bound, BoundError, enumerate_classes,
+                                 enumerate_pforests, enumerate_ptrees, matchings)
 from optrees.pfunctor import (EndofunctorSpec, PForest, PTree, SpecError, aut_order,
                               builtin, intern, parse_ptree, tree_class,
                               trivial_ptree, validate_ptree)
@@ -23,6 +23,21 @@ def test_bound_validation():
         Bound(0)
     with pytest.raises(ValueError):
         Bound(3, -1)
+
+
+def test_bounds_are_values():
+    assert Bound(5) == Bound(5, None) == Bound(max_edges=5)
+    assert Bound(5, 2) == Bound(max_edges=5, max_nodes=2)
+    assert hash(Bound(5, 2)) == hash(Bound(5, max_nodes=2))
+    assert Bound(5) != Bound(6) and Bound(5, 2) != Bound(5, 3)
+    assert Bound(5) != Bound(5, 0) and Bound(5) != (5, None)
+    assert len({Bound(5), Bound(5), Bound(5, 2)}) == 2
+    assert repr(Bound(5, 2)) == "Bound(max_edges=5, max_nodes=2)"
+    assert str(Bound(8)) == "Bound(max_edges=8, max_nodes=None)"
+    with pytest.raises(BoundError, match="max_edges must be >= 1"):
+        Bound(max_edges=0, max_nodes=3)
+    with pytest.raises(BoundError, match="max_nodes must be >= 0"):
+        Bound(2, max_nodes=-1)
     assert Bound(3).admits(3, 100)
     assert not Bound(3, 2).admits(3, 3)
 

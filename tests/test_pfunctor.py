@@ -12,8 +12,9 @@ from conftest import (all_builtin_specs, cut_specs, cycle_generated_s3_spec,
 from optrees.bialgebra import flat_cut_summary, graft_classes
 from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
                                  enumerate_ptrees)
-from optrees.pfunctor import (ArityMismatch, ColourMismatch, EndofunctorSpec,
-                              OpType, PForest, PTree, SpecError, UnknownBuiltin,
+from optrees import pfunctor
+from optrees.pfunctor import (MAX_ARITY, ArityMismatch, ColourMismatch,
+                              EndofunctorSpec, OpType, PForest, PTree, SpecError, UnknownBuiltin,
                               UnknownOp, aut_order, aut_order_forest,
                               automorphisms, build_ptree, builtin,
                               decorate_shape, decorated_automorphism,
@@ -69,6 +70,36 @@ def test_builtin_errors():
     for name in ("binary", "identity", "constant", "trivial"):
         with pytest.raises(SpecError, match="fixed arities"):
             builtin(name, max_arity=2)
+
+
+@pytest.mark.parametrize("name", ["exp", "planar", "cyclic", "effective", "stable"])
+def test_builtin_refuses_an_arity_above_the_limit_before_building_an_op(
+        name, monkeypatch):
+    assert max(op.arity for op in builtin(name, MAX_ARITY).ops) == MAX_ARITY
+    built = []
+    monkeypatch.setattr(pfunctor, "OpType", lambda *a: built.append(a))
+    with pytest.raises(SpecError, match=f"max_arity must be at most {MAX_ARITY}, "
+                                        f"got {MAX_ARITY + 1}$"):
+        builtin(name, max_arity=MAX_ARITY + 1)
+    assert built == []
+
+
+def test_op_types_and_forests_are_values(exp3):
+    op = OpType("f", "a", ("a", "b"), ((0, 1),))
+    same = OpType(name="f", out="a", ins=("a", "b"), sym_gens=((0, 1),))
+    assert op == same and hash(op) == hash(same) and len({op, same}) == 1
+    for other in (OpType("g", "a", ("a", "b"), ((0, 1),)),
+                  OpType("f", "b", ("a", "b"), ((0, 1),)),
+                  OpType("f", "a", ("b", "a"), ((0, 1),)),
+                  OpType("f", "a", ("a", "b"))):
+        assert op != other
+    assert OpType("c", "a", ()).sym_gens == ()
+    forest = PForest.from_keys(exp3, ["_", "(n2:__)"])
+    assert forest == PForest(exp3, ("(n2:__)", "_")) == PForest(spec=exp3, keys=forest.keys)
+    assert hash(forest) == hash(PForest(exp3, ("(n2:__)", "_")))
+    assert forest != PForest(exp3, ("_",))
+    assert forest != PForest(builtin("exp", max_arity=3), forest.keys)  # another spec
+    assert len({forest, PForest(exp3, forest.keys), PForest(exp3, ())}) == 2
 
 
 def test_bad_symmetry_generator_rejected():

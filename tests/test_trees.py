@@ -215,6 +215,17 @@ def test_invalid_cut_rejected():
         Cut(t, frozenset({1}))  # node 1 kept, parent node 0 dropped
 
 
+def test_cuts_compare_by_tree_and_kept_set():
+    t = linear_tree(3)
+    cut = Cut(t, [1, 0])  # any iterable of nodes, kept as a frozenset
+    assert cut.kept == frozenset({0, 1}) and isinstance(cut.kept, frozenset)
+    assert cut == Cut(tree=linear_tree(3), kept=frozenset({0, 1}))
+    assert cut != Cut(t, {0}) and cut != Cut(linear_tree(4), {0, 1})
+    assert enumerate_cuts(t) == [Cut(t, c.kept) for c in enumerate_cuts(t)]
+    with pytest.raises(DiagramError, match="kept node 7 not in tree"):
+        Cut(t, {7})
+
+
 # -- prune ------------------------------------------------------------------
 
 def test_prune_full_cut():
