@@ -66,7 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -76,7 +76,7 @@ from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
                        PTree, TreeClass, aut_order, forest_key_str,
                        graft_decorated, intern, parse_ptree, tree_class,
                        tree_in)
-from .trees import Cut, enumerate_cuts
+from .trees import Cut, cut_node_tuples
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -174,9 +174,8 @@ def cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
 def flat_cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
     """Cut summary counted cut by cut from t's own canonical pass, reading
     no class record: the flat oracle for ``cut_summary``, and the cut count
-    of the accumulation route."""
-    pair = _cut_coder(t)
-    return Counter(pair(cut.nodes) for cut in enumerate_cuts(t.shape))
+    of the accumulation route.  No ``Cut`` is built: a cut is its kept nodes."""
+    return Counter(map(_cut_coder(t), cut_node_tuples(t.shape)))
 
 
 def _cut_coder(t: PTree) -> Callable[[Sequence[int]], tuple[ForestKey, str]]:
@@ -446,7 +445,7 @@ def _fill(slots: list, j: int, stack: tuple, picks: tuple, filling: tuple,
 
 
 def stump_grafts(stump: TreeClass, crowns: Mapping[str, Sequence[TreeClass]],
-                 max_nodes: int, max_edges: int
+                 max_nodes: int, max_edges: int, memo: defaultdict | None = None
                  ) -> dict[ForestKey, dict[TreeClass, tuple[str, ...]]]:
     """Every graft onto the stump of crown forests with at most ``max_nodes``
     nodes and ``max_edges`` edges, in one walk: the stump's leaves are
@@ -455,12 +454,24 @@ def stump_grafts(stump: TreeClass, crowns: Mapping[str, Sequence[TreeClass]],
     so every later choice shares it.  Leaf slots of one colour under a
     block-symmetric op take nondecreasing picks, one filling per orbit of
     theirs.  Maps each crown (sorted keys) to its graft classes, each with
-    the first filling (crown keys in slot order) that reached it."""
+    the first filling (crown keys in slot order) that reached it.  ``memo``
+    (a ``defaultdict(dict)``) keeps each composite by op, then by children;
+    a new record keeps the children tuple that is its key.  It is the
+    caller's, by default this walk's own, and must be dropped before a
+    record it holds is removed from the spec's class table."""
     head: list = []
     slots: list = []
     _plan(stump, crowns, -1, head, slots)
     out: dict = {}
-    _fill(slots, 0, tuple(head), (), (), max_nodes, max_edges, stump.spec.compose, out)
+    memo, spec_compose = defaultdict(dict) if memo is None else memo, stump.spec.compose
+
+    def compose(op, children):
+        c = (by_children := memo[op]).get(children)
+        if c is None:
+            c = spec_compose(op, children)
+            by_children[children] = c
+        return c
+    _fill(slots, 0, tuple(head), (), (), max_nodes, max_edges, compose, out)
     return out
 
 
@@ -697,11 +708,11 @@ def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
 def _stump_checks(s: TreeClass, crowns: list[PForest],
                   candidates: Mapping[str, Sequence[TreeClass]],
                   powers: Mapping[Profile, Series], max_nodes: int,
-                  max_edges: int) -> list[PairCheck]:
+                  max_edges: int, composed: defaultdict) -> list[PairCheck]:
     """The checks of one stump's pairs, by crown: its listed crowns and the
     crowns only its walk reached.  One ``stump_cuts`` memo serves them all
-    and is dropped on return."""
-    grafts = stump_grafts(s, candidates, max_nodes, max_edges)
+    and is dropped on return; the walk keeps its composites in ``composed``."""
+    grafts = stump_grafts(s, candidates, max_nodes, max_edges, composed)
     memo: dict = {}
     out = []
     for f in crowns:
@@ -757,8 +768,9 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
 
     1. The accumulation route (``_direct_accumulation``) builds every tree
        within the budget, counts each tree's cuts flat (``flat_cut_summary``:
-       enumerate, code the kept nodes from the tree's own pass) and weights
-       it by its own |Aut| (``aut_order``): it shares no record with the LHS.
+       grow each cut's kept nodes, with no ``Cut`` built, and code them from
+       the tree's own pass) and weights it by its own |Aut| (``aut_order``):
+       it shares no record with the LHS.
        Each tree is dropped once its cuts are counted, and only the
        accumulated coefficient of each pair is kept.
     2. The pair space: the stump records and the crown forests within the
@@ -768,15 +780,17 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
        order (``stump_grafts``): it fills the stump's leaves in slot
        order from the crown classes within the budget and composes each
        node once its last leaf is filled, so one pass gives every pair of
-       the stump with its graft records, and no tree is built.  Each
-       graft's cuts with the stump are counted down the stump
-       (``stump_cuts``), so no cut table is filled.  Only one stump's
-       grafts and checks, and the memo of its counts, are held at a time.
-       Each check meets the accumulation at once, taking its coefficient
-       out, before it is handed out.  Then the graft records added to the
-       spec's class table past the budget are removed (``_evict``).  A
-       pair that only one of the walk and the forest enumeration reaches
-       fails and is listed.
+       the stump with its graft records, and no tree is built.  The walks
+       share one memo of their composites by op and children, so a node
+       that several stumps fill alike is composed once.  Each graft's cuts
+       with the stump are counted down the stump (``stump_cuts``), so no
+       cut table is filled.  Only one stump's grafts and checks, and the
+       memo of its counts, are held at a time.  Each check meets the
+       accumulation at once, taking its coefficient out, before it is
+       handed out.  Then the composite memo is dropped, and the graft
+       records added to the spec's class table past the budget are removed
+       (``_evict``), so the memo never returns one.  A pair that only one
+       of the walk and the forest enumeration reaches fails and is listed.
     4. The spot checks: the sampled profile-mismatched pairs must vanish,
        and an evenly spaced sample of at most ``SAMPLE`` listed pairs
        (``_oracle_sample``) must pass ``graft_oracle_agrees``, which runs the
@@ -840,11 +854,12 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
 
     powers = profile_powers(spec, side_bound, {s.leaf_profile for s in stumps})
     candidates = _crown_candidates(enumerate_classes(spec, side_bound))
-    known = len(spec.classes)
+    known, composed = len(spec.classes), defaultdict(dict)  # all walks' composites
     for s, crowns in listed:  # stumps in key order
         checks = _stump_checks(s, crowns, candidates, powers,
-                               max_total_nodes - s.nodes, max_edges_side)
+                               max_total_nodes - s.nodes, max_edges_side, composed)
         emit([p for p in checks if settle(p, s, not p.passed)])
+    del composed  # it holds records the eviction removes
     _evict(spec, known, max_edges_side)
 
     # spot-check that sampled profile-mismatched pairs really vanish

@@ -283,20 +283,27 @@ class Cut:
         return tuple(n for n in self.tree.nodes_top_down if n in self.kept)
 
 
-def enumerate_cuts(tree: TreeDiagram) -> list[Cut]:
-    """All cuts of a tree, ordered by kept-set size then sorted node ids.
-
-    The empty kept set (the root-edge cut) and the full node set are always
-    included; the trivial tree has exactly one cut.  A kept set grows as its
-    ``nodes`` with their bit mask, so it is closed and not checked again.
-    """
+def cut_node_tuples(tree: TreeDiagram) -> list[tuple[int, ...]]:
+    """The kept nodes of every cut of a tree, each tuple in the tree's
+    top-down order, the tuples in no particular order.  A kept set grows as
+    its nodes with their bit mask, so it is closed and not checked again."""
     kept_sets, bit = [((), 1)], {None: 1}  # every set holds bit 1, the root edge's
     for n in tree.nodes_top_down:  # a node may join the sets holding its parent
         held, bit[n] = bit[tree.parent_node(n)], 1 << len(bit)
         kept_sets += [(s + (n,), m | bit[n]) for s, m in kept_sets if m & held]
-    kept_sets.sort(key=lambda sm: (len(sm[0]), sorted(sm[0])))
+    return [s for s, _ in kept_sets]
+
+
+def enumerate_cuts(tree: TreeDiagram) -> list[Cut]:
+    """All cuts of a tree, ordered by kept-set size then sorted node ids.
+
+    The empty kept set (the root-edge cut) and the full node set are always
+    included; the trivial tree has exactly one cut.  The kept sets are
+    those of ``cut_node_tuples``, so they are closed and not checked again.
+    """
+    kept_sets = sorted(cut_node_tuples(tree), key=lambda s: (len(s), sorted(s)))
     cuts = [object.__new__(Cut) for _ in kept_sets]  # no __init__ check
-    for cut, (nodes, _) in zip(cuts, kept_sets):
+    for cut, nodes in zip(cuts, kept_sets):
         cut.__dict__.update(tree=tree, kept=frozenset(nodes), nodes=nodes)
     return cuts
 

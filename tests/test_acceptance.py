@@ -268,10 +268,15 @@ def test_criterion_9_groupoid_suite():
 
 # -- criterion 10 ----------------------------------------------------------------
 
-def cli(args):
-    proc = subprocess.run([sys.executable, "-m", "optrees.cli", *args],
-                          capture_output=True)
-    return proc.returncode, proc.stdout
+def cli_twice(args, tmp_path):
+    """The exit codes and stdouts of two runs of a command, started at once.
+    Each writes to a file of its own, so neither waits on a pipe."""
+    outs, procs = [tmp_path / "out1", tmp_path / "out2"], []
+    for out in outs:
+        with open(out, "wb") as fh:
+            procs.append(subprocess.Popen([sys.executable, "-m", "optrees.cli", *args],
+                                          stdout=fh, stderr=subprocess.DEVNULL))
+    return [p.wait() for p in procs], [out.read_bytes() for out in outs]
 
 
 def test_criterion_10_determinism(tmp_path):
@@ -300,8 +305,7 @@ def test_criterion_10_determinism(tmp_path):
     commands.append(["verify", "groupoid", "--count", "200", "--seed", "0"])
     for cmd in commands:
         full = cmd + ["--format", "structured"]
-        code1, out1 = cli(full)
-        code2, out2 = cli(full)
+        (code1, code2), (out1, out2) = cli_twice(full, tmp_path)
         assert code1 == code2 == 0, full
         assert out1 == out2, full
         assert out1.strip(), full

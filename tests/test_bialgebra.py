@@ -5,6 +5,7 @@ import json
 import math
 import random
 import weakref
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
                               TreeClass, aut_order, automorphisms, builtin,
                               parse_ptree, prune_decorated, tree_class,
                               trivial_ptree)
-from optrees.trees import enumerate_cuts
+from optrees.trees import Cut, cut_node_tuples, enumerate_cuts
 
 EMPTY = EMPTY_FOREST_KEY
 
@@ -449,6 +450,16 @@ def test_flat_cut_summary_equals_the_pruned_count(spec):
         assert flat_cut_summary(t) == pruned_cut_summary(t), t.key()
 
 
+@pytest.mark.parametrize("spec", FLAT_SPECS, ids=lambda s: s.name)
+def test_route_three_counts_the_kept_nodes_of_every_cut(spec):
+    # the kept-node tuples route 3 codes are the cuts' tuples, as a
+    # multiset, each top down as the coder needs
+    for t in enumerate_ptrees(spec, Bound(7, 4)):
+        tuples, cuts = cut_node_tuples(t.shape), enumerate_cuts(t.shape)
+        assert Counter(tuples) == Counter(c.nodes for c in cuts), t.key()
+        assert all(c.nodes == Cut(t.shape, c.kept).nodes for c in cuts)
+
+
 def test_flat_cut_summary_of_a_trivial_tree_and_two_coloured_leaves(two_colour):
     trivial = trivial_ptree(two_colour, "b")
     assert flat_cut_summary(trivial) == pruned_cut_summary(trivial) == {
@@ -588,6 +599,54 @@ def test_stump_walk_reaches_the_listed_pairs_with_their_single_pair_grafts(templ
                     == fdb_lhs_coefficient(f, s)), (f.keys, s.key)
             listed += 1
     assert listed
+
+
+@pytest.mark.parametrize("template", CUT_SPECS + [builtin("cyclic", max_arity=4)],
+                         ids=lambda s: s.name)
+def test_a_composite_memo_shared_by_every_walk_changes_no_walk(template):
+    # each stump's walk with one memo kept across all stumps gives the map
+    # of a walk with its own: the crowns in order, each with the same
+    # records, in order, and their first fillings (the specs include
+    # split-block, whose swapped slots are not adjacent)
+    spec, nodes, edges = fresh(template), 4, 6
+    candidates, memo = crown_candidates(spec, nodes, edges), defaultdict(dict)
+    stumps = [s for s, _ in listed_pairs(spec, nodes, edges)]
+    shared = [bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges, memo)
+              for s in stumps]
+    # only a stump with a node above a leaf composes
+    assert bool(memo) == any(s.op is not None and s.leaves for s in stumps)
+    assert all(c.op == op and c is spec.compose(op, children)
+               for op, by_children in memo.items()
+               for children, c in by_children.items())
+    for s, walked in zip(stumps, shared):
+        alone = bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges)
+        assert list(walked) == list(alone), s.key
+        for crown, grafts in alone.items():
+            assert len(walked[crown]) == len(grafts), (s.key, crown)
+            assert all(c is d and walked[crown][c] == grafts[d]
+                       for c, d in zip(walked[crown], grafts)), (s.key, crown)
+
+
+@pytest.mark.parametrize("name, shared, stumps, calls", [
+    ("planar", True, 238, 985), ("planar", False, 238, 3852),
+    ("exp", True, 87, 300), ("exp", False, 87, 985)],
+    ids=["planar(3) one memo", "planar(3) a memo per walk",
+         "exp(3) one memo", "exp(3) a memo per walk"])
+def test_the_walks_compose_each_node_once_per_memo(name, shared, stumps, calls):
+    # at (4, 6) a memo shared by the walks of all stumps composes a third to
+    # a quarter of what a memo per walk does; under exp's symmetric ops a
+    # walk meets one composite in several slot orders, each a hit
+    spec, nodes, edges = fresh(builtin(name, 3)), 4, 6
+    candidates = crown_candidates(spec, nodes, edges)
+    listed = [s for s, _ in listed_pairs(spec, nodes, edges)]
+    composed, compose = [], spec.compose
+    spec.compose = lambda *args: composed.append(args) or compose(*args)
+    memo = defaultdict(dict) if shared else None
+    for s in listed:
+        bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges, memo)
+    assert (len(listed), len(composed)) == (stumps, calls)
+    if shared:
+        assert len(set(composed)) == calls == sum(map(len, memo.values()))
 
 
 def test_a_pair_only_one_side_reaches_fails_and_is_named(monkeypatch):

@@ -10,7 +10,8 @@ from optrees.trees import (MAX_PARSE_DEPTH, Cut, CycleDetected, DiagramError,
                            ForestDiagram, GrammarError, MatchingNotBijective,
                            MultipleRoots,
                            NoRoot, NonInjectiveS, NonInjectiveT,
-                           disjoint_union, empty_forest, enumerate_cuts,
+                           cut_node_tuples, disjoint_union, empty_forest,
+                           enumerate_cuts,
                            forest_components, graft, ideal_subtree,
                            parse_forest, parse_tree, print_forest, print_tree,
                            prune, trivial_tree, validate_forest,
@@ -200,6 +201,13 @@ def test_cut_enumeration_matches_brute_force():
 def test_cuts_of_a_ladder_deeper_than_the_recursion_limit():
     cuts = enumerate_cuts(linear_tree(1200))
     assert [len(c.kept) for c in cuts] == list(range(1201))
+
+
+def test_the_kept_node_tuples_of_a_ladder_deeper_than_the_recursion_limit():
+    # each cut of a chain keeps a prefix of it, top down
+    t = linear_tree(1200)
+    assert (Counter(cut_node_tuples(t)) == Counter(c.nodes for c in enumerate_cuts(t))
+            == Counter(tuple(range(k)) for k in range(1201)))
 
 
 def test_cut_order_is_by_size_then_ids():
