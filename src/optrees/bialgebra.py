@@ -47,18 +47,19 @@ function can be computed two independent ways:
   (``stump_cuts``), so no cut table is filled and no tree is built;
 * ``fdb_rhs_coefficient``: coefficient of the crown in the product of
   root-coloured Green functions indexed by the stump's leaf profile,
-  divided by ``|Aut stump|``.  ``verify_fdb`` builds that power once per
+  divided by ``|Aut stump|``.  ``fdb_checks`` builds that power once per
   leaf profile from the whole truncated Green functions, convolving
   integer numerators (``profile_powers``), and reads every pair's
   coefficient from it.
 
-``verify_fdb`` checks exact equality over every pair within a budget of
-(max total nodes, max edges per side).  A third route builds every tree
-within the budget and counts its cuts flat, so it shares no composed
-record with the first; the graft records of a sample of pairs are also
-checked against trees grafted from the fillings that reached them, their
-grafting cuts and parsed keys.  Its docstring lists the stages, each of
-which frees what it built before the next starts.
+``fdb_checks`` checks exact equality over every pair within a budget of
+(max total nodes, max edges per side), yielding the listed pairs, and
+``verify_fdb`` collects them.  A third route builds every tree within the
+budget and counts its cuts flat, so it shares no composed record with the
+first; the graft records of a sample of pairs are also checked against
+trees grafted from the fillings that reached them, their grafting cuts
+and parsed keys.  The docstring of ``fdb_checks`` lists the stages, each
+of which frees what it built before the next starts.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .enumeration import (Bound, Profile, enumerate_classes, enumerate_pforests,
                           enumerate_ptrees)
@@ -749,19 +750,25 @@ def _evict(spec: EndofunctorSpec, start: int, max_edges: int):
 
 
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
-               rooted: str | None = None,
-               emit: Callable[[list[PairCheck]], object] | None = None) -> FdbReport:
-    """Check the coefficient identity over every in-budget pair.
+               rooted: str | None = None) -> FdbReport:
+    """The report of ``fdb_checks``, its listed pairs kept in ``pairs``."""
+    report = FdbReport(spec.name, max_total_nodes, max_edges_side, rooted)
+    report.pairs = list(fdb_checks(spec, report))
+    return report
+
+
+def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
+    """Check the coefficient identity over every pair within the bound of
+    ``report``, counting into ``report``.
 
     Pairs whose crown root profile differs from the stump leaf profile have
     no grafts and no monomial in the profile power, so both sides vanish;
     they are counted in bulk (a deterministic sample of about ``SAMPLE`` of
     them is pushed through the full computation as a spot check).  Only
-    profile-matched pairs with a nonzero side, and any failures, are listed.
-    They are handed to ``emit`` a stump at a time, each list as soon as its
-    stump is done, in report order: by stump key, then crown, then the
-    failed spot checks.  By default the report keeps them in ``pairs``; with
-    ``emit``, it keeps none.
+    profile-matched pairs with a nonzero side, and any failures, are listed:
+    they are yielded in report order, by stump key, then crown, then the
+    failed spot checks, each stump's as soon as its stump is done.  The
+    report's counts are final once the generator is exhausted.
 
     The stages run in this order, and each frees what it built before the
     next starts:
@@ -787,7 +794,7 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
        cut table is filled.  Only one stump's grafts and checks, and the
        memo of its counts, are held at a time.  Each check meets the
        accumulation at once, taking its coefficient out, before it is
-       handed out.  Then the composite memo is dropped, and the graft
+       yielded.  Then the composite memo is dropped, and the graft
        records added to the spec's class table past the budget are removed
        (``_evict``), so the memo never returns one.  A pair that only one
        of the walk and the forest enumeration reaches fails and is listed.
@@ -805,12 +812,12 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
 
     Oracle and accumulation failures count in ``cross_failed``.
     """
+    max_total_nodes, max_edges_side = report.max_total_nodes, report.max_edges_side
+    rooted = report.rooted
     acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
     stumps, by_profile, total_pairs = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
-    report = FdbReport(spec.name, max_total_nodes, max_edges_side, rooted,
-                       checked=total_pairs, zero_pairs=total_pairs)
-    emit = report.pairs.extend if emit is None else emit
+    report.checked = report.zero_pairs = total_pairs
     # each crown's edges, summed once
     edges = {f.keys: f.edge_count() for fs in by_profile.values() for _, f in fs}
 
@@ -858,7 +865,7 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
     for s, crowns in listed:  # stumps in key order
         checks = _stump_checks(s, crowns, candidates, powers,
                                max_total_nodes - s.nodes, max_edges_side, composed)
-        emit([p for p in checks if settle(p, s, not p.passed)])
+        yield from (p for p in checks if settle(p, s, not p.passed))
     del composed  # it holds records the eviction removes
     _evict(spec, known, max_edges_side)
 
@@ -867,7 +874,7 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
         chk = check_fdb_pair(f, s, powers)
         if chk.lhs or chk.rhs or not chk.passed:
             settle(chk, s, True)
-            emit([chk])
+            yield chk
 
     # the graft records of an evenly spaced sample of listed pairs, their
     # trees in one table for the sample
@@ -879,4 +886,3 @@ def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
 
     report.cross_failed += sum(1 for (_, stump), val in acc.items() if val and (
         rooted is None or tree_class(spec, stump).root == rooted))
-    return report

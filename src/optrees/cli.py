@@ -11,11 +11,11 @@ document.  Results go to standard output only; diagnostics and timings go
 to standard error.  Structured output is a single JSON document with
 sorted keys and a ``schema_version`` field, so identical invocations are
 byte-identical; its bytes are those of one ``json.dumps`` of the whole
-document.  ``emit_structured`` encodes a top-level list item by item as
-the items come, an object of scalars by the C encoder, and writes in
-batches bounded by size: ``enumerate`` hands it a generator of its rows,
-and ``verify fdb`` writes each stump's pairs as the check hands them out
-(``StructuredList``).  Neither builds a list or document of its rows.
+document.  ``emit_structured`` is the one writer of structured output.
+It encodes a top-level list item by item as the items come, an object of
+scalars by the C encoder, and writes in batches bounded by size:
+``enumerate`` and ``verify fdb`` hand it generators of their rows, so
+neither builds a list or document of its rows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import sys
 import time
 from typing import Iterable, Iterator
 
-from .bialgebra import (Bound, FdbReport, PairCheck, delta_tree,
+# ``verify_fdb`` is unused here; perfbench's selftest checks the tracer wraps it
+from .bialgebra import (Bound, FdbReport, PairCheck, delta_tree, fdb_checks,
                         format_rational, green, profile_str, verify_fdb)
 from .enumeration import BoundError, enumerate_classes
 from .groupoid_suite import run_suite
@@ -95,11 +96,17 @@ def _check_colour(spec: EndofunctorSpec, colour: str):
                          f"{', '.join(spec.colours)}")
 
 
+class Row(str):
+    """An item of a top-level list, already laid out as ``_item`` lays it out."""
+
+
 def emit_structured(command: str, doc: dict):
     """Write the document with the bytes of one ``json.dumps`` with
     ``ENCODER``'s settings.  A top-level list may be given as an iterator:
-    its items are encoded and written as they come (``_item``), so neither
-    the list nor the whole text is held."""
+    its items are encoded and written as they come (``_item``; a ``Row`` is
+    written as it is), so neither the list nor the whole text is held.  A
+    value given as a function of no arguments is called when its key is
+    written, so it sees what the lists before it left."""
     _write(_pieces({"schema_version": SCHEMA_VERSION, "command": command, **doc}))
 
 
@@ -107,12 +114,15 @@ def _pieces(doc: dict) -> Iterator[str]:
     sep = "{\n  "
     for key in sorted(doc):
         value = doc[key]
+        if callable(value):
+            value = value()
         yield f"{sep}{ENCODER.encode(key)}: "
         sep = ",\n  "
         if isinstance(value, (list, Iterator)):
             opened = False
             for item in value:
-                yield ("," if opened else "[") + "\n    " + _item(item)
+                yield (("," if opened else "[") + "\n    "
+                       + (item if isinstance(item, Row) else _item(item)))
                 opened = True
             yield "\n  ]" if opened else "[]"
         else:
@@ -144,40 +154,12 @@ def _write(pieces: Iterable[str]):
         sys.stdout.write("".join(batch))
 
 
-def _pair_row(p: PairCheck) -> str:
+def _pair_row(p: PairCheck) -> Row:
     """``_item(p.as_doc())``, formatted from the check: a listed pair's row."""
-    return (f'{{\n      "F": {_string(forest_key_str(p.crown))},\n      "S": '
-            f'{_string(p.stump)},\n      "lhs": "{format_rational(p.lhs)}",\n      '
-            f'"pass": {"true" if p.passed else "false"},\n      '
-            f'"rhs": "{format_rational(p.rhs)}"\n    }}')
-
-
-class StructuredList:
-    """Writes the bytes of ``emit_structured`` of a document whose top-level
-    list at ``key`` comes a few ``_item`` texts at a time: the keys sorting
-    before ``key`` are read from ``doc``, and the rest from the document
-    given to ``close``.  Nothing is written before the first item or ``close``."""
-
-    def __init__(self, command: str, doc: dict, key: str):
-        self.command, self.key, self.written = command, key, False
-        self.head = self._halves(doc)[0]
-
-    def _halves(self, doc: dict) -> tuple[str, str]:
-        text = ENCODER.encode({"schema_version": SCHEMA_VERSION,
-                               "command": self.command, **doc, self.key: []})
-        head, _, tail = text.partition(f'"{self.key}": []')
-        return f'{head}"{self.key}": [', f"]{tail}\n"
-
-    def write(self, texts: Iterable[str]):
-        _write(self._pieces(texts))
-
-    def _pieces(self, texts: Iterable[str]) -> Iterator[str]:
-        for text in texts:
-            yield ("," if self.written else self.head) + "\n    " + text
-            self.written = True
-
-    def close(self, doc: dict):
-        sys.stdout.write(("\n  " if self.written else self.head) + self._halves(doc)[1])
+    return Row(f'{{\n      "F": {_string(forest_key_str(p.crown))},\n      "S": '
+               f'{_string(p.stump)},\n      "lhs": "{format_rational(p.lhs)}",\n      '
+               f'"pass": {"true" if p.passed else "false"},\n      '
+               f'"rhs": "{format_rational(p.rhs)}"\n    }}')
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +256,20 @@ def cmd_groupoid(args) -> int:
     return 0
 
 
-def _print_pairs(pairs: list[PairCheck]):
-    for d in map(PairCheck.as_doc, pairs):
-        print(f"{'ok' if d['pass'] else 'FAIL'}  F={d['F']}  S={d['S']}  "
-              f"lhs={d['lhs']}  rhs={d['rhs']}")
-
-
 def cmd_verify_fdb(args) -> int:
-    """The listed pairs are written as ``verify_fdb`` hands them out."""
+    """The listed pairs are written as ``fdb_checks`` yields them."""
     spec = _spec_from_args(args)
     if args.rooted is not None:
         _check_colour(spec, args.rooted)
-    structured = args.format == "structured"
-    if structured:  # the bound, which sorts before the pairs, is known now
-        out = StructuredList("verify-fdb", FdbReport(
-            spec.name, args.max_nodes, args.max_edges, args.rooted).frame(), "pairs")
-    report = verify_fdb(spec, max_total_nodes=args.max_nodes,
-                        max_edges_side=args.max_edges, rooted=args.rooted,
-                        emit=(lambda pairs: out.write(map(_pair_row, pairs)))
-                        if structured else _print_pairs)
-    if structured:
-        out.close(report.frame())
+    report = FdbReport(spec.name, args.max_nodes, args.max_edges, args.rooted)
+    checks = fdb_checks(spec, report)
+    if args.format == "structured":  # the summary sorts after the pairs
+        emit_structured("verify-fdb", {**report.frame(), "pairs": map(_pair_row, checks),
+                                       "summary": lambda: report.frame()["summary"]})
     else:
+        for p in checks:
+            print(f"{'ok' if p.passed else 'FAIL'}  F={forest_key_str(p.crown)}  "
+                  f"S={p.stump}  lhs={format_rational(p.lhs)}  rhs={format_rational(p.rhs)}")
         print(f"checked={report.checked} failed={report.failed} "
               f"cross_checked={report.cross_checked} "
               f"cross_failed={report.cross_failed}")

@@ -468,21 +468,26 @@ def test_emit_structured_holds_a_fraction_of_the_text(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [0, 1, 5])
-def test_structured_list_writes_the_bytes_of_one_dumps(monkeypatch, rows):
-    # objects of scalars, with non-ASCII keys and values, come a few at a
-    # time between the keys before the list and the keys after it
+def test_emit_structured_calls_function_values_as_their_keys_are_written(
+        monkeypatch, rows):
+    # objects of scalars, with non-ASCII keys and values, every other one
+    # given laid out already, between a value read before the list and one
+    # read after it
     items = [{"clé": f"(n{i % 7}:ñ_{i})", "aut_order": i, "pass": i % 2 == 0,
               "none": None, "ratio": i / 4, "→": "⊗ ∅ \"q\"\n"} for i in range(rows)]
-    doc = {"count": rows, "ünïcode": "→ ⊗ ∅"}
+    made = []
+
+    def given():
+        for i, item in enumerate(items):
+            made.append(i)
+            yield cli.Row(cli._item(item)) if i % 2 else item
+
     out = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", out)
-    stream = cli.StructuredList("test", {**doc, "ünïcode": None}, "résumé")
-    stream.write([])
-    assert out.writes == []
-    for i in range(0, rows, 2):
-        stream.write(map(cli._item, items[i:i + 2]))
-    stream.close(doc)
-    assert "".join(out.writes) == reference_text("test", {**doc, "résumé": items})
+    cli.emit_structured("test", {"count": lambda: len(made), "résumé": given(),
+                                 "ünïcode": lambda: f"→ {len(made)} ⊗ ∅"})
+    assert "".join(out.writes) == reference_text(
+        "test", {"count": 0, "résumé": items, "ünïcode": f"→ {rows} ⊗ ∅"})
 
 
 def scalar_rows(n):
@@ -797,23 +802,34 @@ def test_an_arity_above_the_limit_is_one_error_line(command, capsys, monkeypatch
 
 
 def test_verify_fdb_writes_each_stumps_pairs_before_the_next_stump(monkeypatch):
-    # the pairs of each stump are on stdout before the next stump's checks
-    # start, all of them before the graft oracle first runs, and the
-    # command builds no report document
-    report = bialgebra.verify_fdb(builtin("planar", 3), 3, 4)
-    out = RecordingStdout()
+    # the rows go out in the writer's batches as the stumps are checked: when
+    # each stump's checks start, and when the graft oracle first runs, the
+    # rows of the stumps before it that are not on stdout yet are less than
+    # a batch; the command builds no report document.  At (4, 6) the rows
+    # take several batches.
+    report = bialgebra.verify_fdb(builtin("planar", 3), 4, 6)
+    text = reference_text("verify-fdb", report.as_doc())
+    assert len(text) > 2 * 8 * cli.BATCH
+    ends, end = {}, text.index('"pairs": ') + len('"pairs": ')
+    for p in report.pairs:  # where each stump's last row ends in the text
+        end += len("[\n    ") + len(cli._pair_row(p))
+        ends[p.stump] = end
+    out = RecordingStdout(keep=False)
     at_stump, at_oracle = [], []
     checks, oracle = bialgebra._stump_checks, bialgebra.graft_oracle_agrees
 
-    def written():
-        return "".join(out.writes).count('"F": ')
+    def unwritten(key=None):
+        """The text to the end of the rows of the stumps before ``key``
+        (every stump if None) that is not on stdout yet."""
+        done = max((e for s, e in ends.items() if key is None or s < key), default=0)
+        return done - sum(out.lengths)
 
     def recorded_checks(s, *rest):
-        at_stump.append((s.key, written()))
+        at_stump.append(unwritten(s.key))
         return checks(s, *rest)
 
     def recorded_oracle(*args):
-        at_oracle.append(written())
+        at_oracle.append(unwritten())
         return oracle(*args)
 
     def no_doc(self):
@@ -823,11 +839,11 @@ def test_verify_fdb_writes_each_stumps_pairs_before_the_next_stump(monkeypatch):
     monkeypatch.setattr(bialgebra, "graft_oracle_agrees", recorded_oracle)
     monkeypatch.setattr(bialgebra.FdbReport, "as_doc", no_doc)
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(fdb_argv("planar", 3) + ["--format", "structured"]) == 0
-    assert len(at_stump) > 3
-    for key, count in at_stump:
-        assert count == sum(p.stump < key for p in report.pairs), key
-    assert at_oracle and at_oracle[0] == len(report.pairs)
+    assert main(fdb_argv("planar", 3, 4, 6) + ["--format", "structured"]) == 0
+    assert sum(out.lengths) == len(text)
+    assert len(at_stump) > 100 and at_oracle
+    assert max(at_stump) < 8 * cli.BATCH and at_oracle[0] < 8 * cli.BATCH
+    assert len(out.lengths) > 2
 
 
 def test_verify_fdb_takes_a_crown_of_more_trees_than_the_recursion_limit(capsys):

@@ -1,7 +1,7 @@
 """Every span target of ``perfbench/tracer.py`` must exist in the package,
-and the Faà di Bruno spans, the groupoid-suite workload's spans and the
-structured writer's span must fire on a tiny run, or their per-layer
-metrics would silently read 0."""
+and the Faà di Bruno spans (through the library and through the command),
+the groupoid-suite workload's spans and the structured writer's span must
+fire on a tiny run, or their per-layer metrics would silently read 0."""
 
 import importlib.util
 import json
@@ -52,6 +52,26 @@ def test_the_fdb_spans_fire_on_a_tiny_check():
         t.uninstall()
     spans = t.summary()["spans"]
     for name in ("bialgebra.verify_fdb", "bialgebra.fdb_lhs_coefficient",
+                 "bialgebra.graft_classes", "bialgebra.fdb_rhs_coefficient"):
+        assert spans[name]["calls"] > 0, name
+
+
+def test_the_fdb_spans_fire_on_a_tiny_command(capsys):
+    # the command runs the check while the writer pulls its rows, so fdb-six
+    # times the check's own work under cli.emit_structured
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = optrees.cli.main(["verify", "fdb", "--functor", "exp", "--max-arity", "3",
+                                 "--max-nodes", "3", "--max-edges", "4",
+                                 "--format", "structured"])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pairs"]
+    spans = t.summary()["spans"]
+    for name in ("cli.emit_structured", "bialgebra.fdb_lhs_coefficient",
                  "bialgebra.graft_classes", "bialgebra.fdb_rhs_coefficient"):
         assert spans[name]["calls"] > 0, name
 
