@@ -19,8 +19,8 @@ ideal subtrees over the stump's leaves.  It is multiplicative on forest
 monomials.  The counit sends a monomial to 1 when all its trees are
 trivial, else 0 (forced by the counit laws, which the tests verify).
 
-``cut_summary`` reads it from the class record, which composes it from
-its children's by the Hochschild 1-cocycle property of grafting:
+``cut_summary`` composes it from the class record's children's
+(``cuts_in``) by the Hochschild 1-cocycle property of grafting:
 
     Δ(op(T₁…T_k)) = T ⊗ | + op(ΔT₁, …, ΔT_k),   Δ(|) = | ⊗ |.
 
@@ -74,7 +74,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .enumeration import (Bound, Profile, enumerate_classes, enumerate_pforests,
                           enumerate_ptrees)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
-                       PTree, TreeClass, aut_order, forest_key_str,
+                       PTree, TreeClass, aut_order, cuts_in, forest_key_str,
                        graft_decorated, intern, parse_ptree, tree_class,
                        tree_in)
 from .trees import Cut, cut_node_tuples
@@ -169,7 +169,7 @@ def _merge_key(a: ForestKey, b: ForestKey) -> ForestKey:
 def cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
     """Multiplicity of each (crown class, stump class) over the cuts of t:
     the cuts of t's class record, composed from its children's."""
-    return intern(t).cuts
+    return cuts_in(intern(t), {})
 
 
 def flat_cut_summary(t: PTree) -> dict[tuple[ForestKey, str], int]:
@@ -205,15 +205,15 @@ def _cut_coder(t: PTree) -> Callable[[Sequence[int]], tuple[ForestKey, str]]:
     return pair
 
 
-def _class_coproduct(c: TreeClass, bound: Bound) -> TensorSeries:
-    """Coproduct of a tree class: one term per pair of its record's cuts."""
+def _class_coproduct(c: TreeClass, bound: Bound, table: dict) -> TensorSeries:
+    """Coproduct of a tree class: one term per pair of its cuts in ``table``."""
     return TensorSeries(c.spec, bound, {(crown, (stump,)): Fraction(mult)
-                                        for (crown, stump), mult in c.cuts.items()})
+                                        for (crown, stump), mult in cuts_in(c, table).items()})
 
 
 def delta_tree(t: PTree, bound: Bound | None = None) -> TensorSeries:
     """Coproduct of a single tree class: one term per cut."""
-    return _class_coproduct(intern(t), Bound(t.edge_count) if bound is None else bound)
+    return _class_coproduct(intern(t), Bound(t.edge_count) if bound is None else bound, {})
 
 
 def _sizes(spec: EndofunctorSpec, key: ForestKey) -> tuple[int, int]:
@@ -242,19 +242,23 @@ def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     return TensorSeries(spec, a.bound, out)
 
 
-def delta_monomial(spec: EndofunctorSpec, key: ForestKey, bound: Bound) -> TensorSeries:
-    """Coproduct of a forest monomial: product of the tree coproducts."""
+def delta_monomial(spec: EndofunctorSpec, key: ForestKey, bound: Bound,
+                   table: dict | None = None) -> TensorSeries:
+    """Coproduct of a forest monomial: product of the tree coproducts, their
+    cut tables filled in ``table`` (``cuts_in``), by default this call's."""
+    table = {} if table is None else table
     acc = TensorSeries(spec, bound, {(EMPTY_FOREST_KEY, EMPTY_FOREST_KEY): ONE})
     for k in key:
-        acc = tensor_mul(acc, _class_coproduct(tree_class(spec, k), bound))
+        acc = tensor_mul(acc, _class_coproduct(tree_class(spec, k), bound, table))
     return acc
 
 
 def delta_series(s: Series) -> TensorSeries:
-    """Coproduct of a series, term by term (exact: cuts never grow sides)."""
-    out = TensorSeries(s.spec, s.bound, {})
+    """Coproduct of a series, term by term (exact: cuts never grow sides),
+    its cut tables in one table for the call."""
+    out, table = TensorSeries(s.spec, s.bound, {}), {}
     for key, c in s.coeffs.items():
-        part = delta_monomial(s.spec, key, s.bound)
+        part = delta_monomial(s.spec, key, s.bound, table)
         for pair, m in part.coeffs.items():
             out.coeffs[pair] = out.coeffs.get(pair, ZERO) + c * m
     out.coeffs = {k: v for k, v in out.coeffs.items() if v}

@@ -7,8 +7,8 @@ a class is one orbit of child tuples under the op's group.
 ``enumerate_classes`` hands out one class record (:class:`TreeClass`) per
 canonical key, in key order, each composed from its children's records,
 so no tree is built.  ``enumerate_ptrees`` builds a representative tree
-per record, each from its children's, and leaves none on the records;
-forests are multisets of the records' keys.
+per record, each from its children's, in a table of its own; forests are
+multisets of the records' keys.
 """
 
 from __future__ import annotations
@@ -201,7 +201,8 @@ def enumerate_pforests(spec: EndofunctorSpec, bound: Bound) -> list[PForest]:
 def instantiate_forest(f: PForest) -> tuple[list[PTree], ForestDiagram, list[int]]:
     """Component instances, their disjoint-union diagram, and the root edge
     id of each component inside the union (components in key order)."""
-    comps = [c.tree for c in f.classes()]
+    table: dict[str, PTree] = {}
+    comps = [tree_in(c, table) for c in f.classes()]
     diagram = disjoint_union([t.shape for t in comps])
     roots = []
     e_off = 0

@@ -219,15 +219,11 @@ class EndofunctorSpec:
 
     Immutable after construction apart from caches: the closures of the
     groups that are neither trivial nor block-symmetric, the enumeration
-    strata, the shared-key table of the cut tables (``shared_pair``), the
-    table of the records' leaf profiles (``shared_profile``), and
-    ``classes``, the class table.  The class table maps each canonical key
-    to its :class:`TreeClass` record; a trivial class's record is made with
-    the spec, any other once, by ``compose`` from the records on its slots.
-    The shared-key table maps each crown key, stump code and (crown, stump)
-    pair of the records' ``cuts`` to one object equal to it, so the cut
-    tables hold each once; its values are immutable and live as long as
-    ``classes``.
+    strata, the table of the records' leaf profiles (``shared_profile``),
+    and ``classes``, the class table.  The class table maps each canonical
+    key to its :class:`TreeClass` record; a trivial class's record is made
+    with the spec, any other once, by ``compose`` from the records on its
+    slots.
     """
 
     def __init__(self, colours: Sequence[str], ops: Sequence[OpType], name: str = "custom"):
@@ -265,7 +261,6 @@ class EndofunctorSpec:
                        if all(g == tuple(range(op.arity)) for g in op.sym_gens)}
         self._groups: dict[str, tuple[Perm, ...]] = {}
         self._enum_cache: dict = {}
-        self._shared: dict = {}
         self._profiles: dict = {}
         self.trivial_classes = {c: TreeClass(self, self.trivial_key(c), c)
                                 for c in self.colours}
@@ -358,17 +353,6 @@ class EndofunctorSpec:
             c = self.classes[code] = TreeClass(
                 self, code, self.by_name[op].out, op, tuple(children), stabiliser)
         return c
-
-    def shared_pair(self, crown: ForestKey, stump: str) -> tuple[ForestKey, str]:
-        """The one (crown, stump) object of the spec equal to the given pair,
-        so equal entries of all cut tables share their keys; a new pair's
-        crown and stump are shared too."""
-        shared = self._shared
-        pair = shared.get((crown, stump))
-        if pair is None:
-            pair = (shared.setdefault(crown, crown), shared.setdefault(stump, stump))
-            shared[pair] = pair
-        return pair
 
     def shared_profile(self, source: str | tuple) -> tuple[tuple[str, int], ...]:
         """The one leaf profile of the spec for ``source``: a trivial record's
@@ -900,11 +884,11 @@ def parse_ptree_or_shape(spec: EndofunctorSpec, text: str) -> PTree:
 class TreeClass:
     """One isomorphism class of decorated trees, as a record: trivial (no
     ``op``) or ``op`` with the ``children`` records on its slots.  Every
-    invariant is a function of the op and of the children's; ``tree`` and
-    ``cuts`` are filled in on first use, from the children's."""
+    field is a function of the op and of the children's; a tree of the class
+    and its cut table live in tables the caller owns (``tree_in``, ``cuts_in``)."""
 
     __slots__ = ("spec", "key", "op", "children", "edges", "nodes", "leaves",
-                 "root", "leaf_profile", "aut", "_tree", "_cuts")
+                 "root", "leaf_profile", "aut")
 
     def __init__(self, spec: EndofunctorSpec, key: str, root: str,
                  op: str | None = None, children: tuple = (), stabiliser: int = 1):
@@ -915,64 +899,72 @@ class TreeClass:
         self.aut = stabiliser * math.prod(c.aut for c in children)
         self.leaf_profile = spec.shared_profile(
             root if op is None else tuple(c.leaf_profile for c in children))
-        self._tree = self._cuts = None
-        if op is None:
-            self._tree = trivial_ptree(spec, root)
-            self._tree._key = key
-            self._cuts = {spec.shared_pair((key,), key): 1}
-
-    @property
-    def tree(self) -> PTree:
-        """A tree of the class, built from the children's trees.  The record
-        keeps it, and its sub-records keep theirs; ``tree_in`` builds a tree
-        that no record keeps."""
-        if self._tree is not None:
-            return self._tree
-        for c in _unfilled(self, "_tree"):
-            c._tree = build_ptree(c.spec, c.op, [d._tree for d in c.children])
-            c._tree._key = c.key
-        return self._tree
-
-    @property
-    def cuts(self) -> dict[tuple[ForestKey, str], int]:
-        """Multiplicity of each (crown class, stump class) over the cuts of
-        the class, from the children's (see ``optrees.bialgebra``)."""
-        if self._cuts is not None:
-            return self._cuts
-        for c in _unfilled(self, "_cuts"):
-            spec, op, kept = c.spec, c.op, {}
-            shared_pair, node_code = spec.shared_pair, spec.node_code
-            for combo in itertools.product(*(
-                    [(crown, stump if stump[0] == "(" else "_", m)
-                     for (crown, stump), m in d._cuts.items()]
-                    for d in c.children)):
-                # a nullary op has one empty combination
-                crowns, stumps, mults = zip(*combo) if combo else ((), (), ())
-                pair = shared_pair(tuple(sorted(itertools.chain(*crowns))),
-                                   node_code(op, stumps)[0])
-                kept[pair] = kept.get(pair, 0) + math.prod(mults)
-            c._cuts = {shared_pair((c.key,), spec.trivial_key(c.root)): 1, **kept}
-        return self._cuts
 
 
 def tree_in(c: TreeClass, table: dict[str, PTree]) -> PTree:
     """A tree of the class of ``c``, built from its children's trees in
-    ``table`` (by key), which it fills and which is the caller's.  A tree
-    that a record keeps is taken as it is; no record is given one."""
-    for d in _unfilled(c, "_tree", table):
-        t = table[d.key] = build_ptree(d.spec, d.op, [table.get(e.key) or e._tree
-                                                      for e in d.children])
+    ``table`` (by key), which it fills and which is the caller's.  Each
+    subtree's edges take one block of ids, in slot order."""
+    for d in _unfilled(c, table):
+        t = table[d.key] = (trivial_ptree(d.spec, d.root) if d.op is None else
+                            build_ptree(d.spec, d.op, [table[e.key] for e in d.children]))
         t._key = d.key
-    return table.get(c.key) or c._tree
+    return table[c.key]
 
 
-def _unfilled(record: TreeClass, slot: str, done: Container[str] = ()) -> list[TreeClass]:
-    """Records under ``record``, itself too, whose ``slot`` is unset and
-    whose key is not in ``done``, each once and after its children."""
+def cuts_in(c: TreeClass, table: dict) -> dict[tuple[ForestKey, str], int]:
+    """Multiplicity of each (crown class, stump class) over the cuts of the
+    class of ``c``, composed from its children's cut tables in ``table``,
+    which it fills and which is the caller's (see ``optrees.bialgebra``).
+    ``table`` maps each filled record's key to its cut table, and each crown
+    and (crown, stump) pair of the tables to one object equal to it; a stump
+    is held as the key of the one-tree crown ``(stump,)``.  The children are
+    folded in one at a time, equal partial (crown, codes) states merged, the
+    codes kept sorted within each block of a block-symmetric op as
+    ``node_code`` sorts them, so equal children give few states."""
+    def share(crown: ForestKey, stump: str) -> tuple[ForestKey, str]:
+        pair = (table.setdefault(crown, crown), table.setdefault((stump,), (stump,))[0])
+        return table.setdefault(pair, pair)
+
+    for d in _unfilled(c, table):
+        spec, op = d.spec, d.op
+        cuts = table[d.key] = {share((d.key,), spec.trivial_key(d.root)): 1}
+        if op is None:
+            continue
+        # per slot, the slots up to it of its block, whose codes are sorted
+        sort_at = {i: [j for j in slots if j <= i]
+                   for slots in spec._blocks[op] or () for i in slots[1:]}
+        states: dict[tuple[ForestKey, tuple[str, ...]], int] = {((), ()): 1}
+        for i, e in enumerate(d.children):
+            parts = [(crown, stump if stump[0] == "(" else "_", m)
+                     for (crown, stump), m in table[e.key].items()]
+            here, folded = sort_at.get(i), {}
+            for (crown, codes), m in states.items():
+                for more, stump, x in parts:
+                    grown = codes + (stump,)
+                    if here:
+                        grown = list(grown)
+                        for j, code in zip(here, sorted(grown[j] for j in here)):
+                            grown[j] = code
+                        grown = tuple(grown)
+                    # each part's crown is sorted, so only two merged need a sort
+                    state = (tuple(sorted(crown + more)) if crown and more
+                             else crown or more, grown)
+                    folded[state] = folded.get(state, 0) + m * x
+            states = folded
+        for (crown, codes), m in states.items():
+            pair = share(crown, spec.node_code(op, codes)[0])
+            cuts[pair] = cuts.get(pair, 0) + m
+    return table[c.key]
+
+
+def _unfilled(record: TreeClass, done: Container[str]) -> list[TreeClass]:
+    """Records under ``record``, itself too, whose key is not in ``done``,
+    each once and after its children."""
     order, stack = {}, [record]
     while stack:
         c = stack.pop()
-        if getattr(c, slot) is None and c.key not in done:
+        if c.key not in done:
             order.pop(c.key, None)  # keep the last visit, below every parent
             order[c.key] = c
             stack.extend(c.children)
@@ -980,8 +972,8 @@ def _unfilled(record: TreeClass, slot: str, done: Container[str] = ()) -> list[T
 
 
 def intern(t: PTree) -> TreeClass:
-    """The record of t's class, composed along t's nodes.  The record keeps
-    its own tree, built from its children on first use; it never takes t."""
+    """The record of t's class, composed along t's nodes; the record never
+    keeps t."""
     spec = t.spec
     c = spec.classes.get(t._key)
     if c is None:

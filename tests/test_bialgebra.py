@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 import weakref
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -28,8 +29,8 @@ from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
                                  enumerate_ptrees)
 from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
                               TreeClass, aut_order, automorphisms, builtin,
-                              parse_ptree, prune_decorated, tree_class,
-                              trivial_ptree)
+                              cuts_in, parse_ptree, prune_decorated, tree_class,
+                              tree_in, trivial_ptree)
 from optrees.trees import Cut, cut_node_tuples, enumerate_cuts
 
 EMPTY = EMPTY_FOREST_KEY
@@ -159,7 +160,7 @@ CUT_SPECS = cut_specs()
 
 
 def fresh(template):
-    """A copy of the spec, so no class record holds a summary yet."""
+    """A copy of the spec with an empty class table."""
     return EndofunctorSpec(template.colours, template.ops, name=template.name)
 
 
@@ -194,26 +195,90 @@ def test_cut_tables_do_not_depend_on_the_order_they_are_filled(template):
     for largest_first in (True, False):
         classes = sorted(enumerate_classes(fresh(template), Bound(7, 5)),
                          key=lambda c: (c.edges, c.key), reverse=largest_first)
-        tables.append({c.key: c.cuts for c in classes})
+        table = {}
+        tables.append({c.key: cuts_in(c, table) for c in classes})
     assert tables[0] == tables[1]
 
 
 def test_equal_cut_keys_are_one_object():
-    spec = fresh(builtin("planar", max_arity=3))
+    spec, table = fresh(builtin("planar", max_arity=3)), {}
     pair = (("(n2:__)", "_"), "(n2:__)")
-    left, right = (next(k for k in tree_class(spec, key).cuts if k == pair)
+    left, right = (next(k for k in cuts_in(tree_class(spec, key), table) if k == pair)
                    for key in ("(n2:(n2:__)_)", "(n2:_(n2:__))"))
     assert left is right
-    # every key, crown and stump of every table is the spec's one copy
+    # every key, crown and stump of every table is the call table's one copy
     pairs, crowns, stumps, entries = {}, {}, {}, 0
     for c in enumerate_classes(spec, Bound(6, 4)):
-        for key in c.cuts:
+        for key in cuts_in(c, table):
             crown, stump = key
             assert pairs.setdefault(key, key) is key
             assert crowns.setdefault(crown, crown) is crown
             assert stumps.setdefault(stump, stump) is stump
             entries += 1
     assert len(pairs) < entries
+
+
+def test_a_wide_symmetric_corolla_has_one_term_per_number_of_cut_leaves():
+    # the 2**24 combinations of the children's cut tables fold into 25
+    # states, one per number of cut children
+    k = 24
+    spec = builtin("exp", max_arity=k)
+    t = parse_ptree(spec, f"(n{k}:" + "(n0)" * k + ")")
+    start = time.perf_counter()
+    ts = delta_tree(t)
+    elapsed = time.perf_counter() - start
+    expected = {((t.key(),), ("_",)): 1}
+    for j in range(k + 1):
+        stump = f"(n{k}:" + "(n0)" * (k - j) + "_" * j + ")"
+        expected[(("(n0)",) * j, (stump,))] = math.comb(k, j)
+    assert ts.coeffs == expected
+    assert elapsed < 1
+
+
+RECORD_FIELDS = ("spec", "key", "op", "children", "edges", "nodes", "leaves",
+                 "root", "leaf_profile", "aut")
+
+
+def snapshot(spec):
+    return {c.key: (c, tuple(getattr(c, f) for f in TreeClass.__slots__))
+            for c in spec.classes.values()}
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: delta_series(green(spec, Bound(7, 5))),
+    lambda spec: verify_phi(spec, 4, Bound(7)),
+    lambda spec: [cut_summary(t) for t in enumerate_ptrees(spec, Bound(7))],
+], ids=["delta_series", "verify_phi", "cut_summary"])
+def test_a_record_holds_only_its_invariants(run):
+    assert sorted(TreeClass.__slots__) == sorted(RECORD_FIELDS)
+    spec = fresh(builtin("effective", 3))
+    enumerate_classes(spec, Bound(7))
+    before = snapshot(spec)
+    assert not hasattr(next(iter(spec.classes.values())), "__dict__")
+    run(spec)
+    after = snapshot(spec)
+    assert {k: after[k] for k in before} == before
+    for k, (c, fields) in before.items():
+        assert after[k][0] is c and all(
+            x is y for x, y in zip(after[k][1], fields)), k
+
+
+@pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
+def test_a_record_composed_again_after_eviction_has_the_same_cut_table(template):
+    # the records are composed from parsed keys, so no enumeration keeps them
+    spec = fresh(template)
+    known = len(spec.classes)
+    keys = [c.key for c in enumerate_classes(fresh(template), Bound(6, 4))]
+    old = {k: tree_class(spec, k) for k in keys}
+    before = {k: dict(cuts_in(c, {})) for k, c in old.items()}
+    bialgebra._evict(spec, known, 3)
+    evicted = [k for k, c in old.items() if c.edges > 3]
+    assert all(k not in spec.classes for k in evicted)
+    assert evicted or len(keys) < 4
+    for k in evicted:
+        again = tree_class(spec, k)
+        assert again is not old[k]
+        assert cuts_in(again, {}) == before[k], k
 
 
 def test_cross_check_detects_a_wrong_recursive_count(monkeypatch):
@@ -247,7 +312,7 @@ def test_stump_cuts_equal_the_flat_count_of_each_stump(template):
     memo, stumps_seen = {}, 0
     for t in classes:
         by_stump = {}
-        for (crown, stump), m in flat_cut_summary(t.tree).items():
+        for (crown, stump), m in flat_cut_summary(tree_in(t, {})).items():
             by_stump.setdefault(stump, {})[crown] = m
         for stump, crowns in by_stump.items():
             s = tree_class(spec, stump)
@@ -265,9 +330,13 @@ def test_stump_cuts_equal_the_flat_count_of_each_stump(template):
     ids=["planar(3)", "exp(3)", "two-colour-a", "two-colour-b"])
 def test_the_fdb_path_fills_no_cut_table(monkeypatch, template, rooted):
     spec, read, memos = fresh(template), [], {}
-    table = TreeClass.cuts
-    monkeypatch.setattr(TreeClass, "cuts", property(
-        lambda c: read.append(c.key) or table.fget(c)))
+
+    def fill(c, table):
+        read.append(c.key)
+        raise AssertionError("a cut table was filled")
+
+    monkeypatch.setattr(pfunctor, "cuts_in", fill)
+    monkeypatch.setattr(bialgebra, "cuts_in", fill)
     count = bialgebra.stump_cuts
 
     def recording(t, s, memo):
@@ -278,8 +347,6 @@ def test_the_fdb_path_fills_no_cut_table(monkeypatch, template, rooted):
     rep = verify_fdb(spec, 4, 6, rooted)
     assert rep.passed and rep.pairs
     assert read == []
-    assert [c.key for c in spec.classes.values()
-            if c.op is not None and c._cuts is not None] == []
     # once the check returns, nothing but this list holds a count's memo
     held = list(memos.values())
     memos.clear()
@@ -287,26 +354,28 @@ def test_the_fdb_path_fills_no_cut_table(monkeypatch, template, rooted):
     assert all(r is held for r in gc.get_referrers(*held))
 
 
-def test_the_stump_loop_finds_no_tree_on_a_record(monkeypatch):
+def test_the_stump_loop_runs_with_no_tree_alive(monkeypatch):
     # the accumulation route builds its trees in ``enumerate_ptrees``'s
-    # table and the graft oracle in one for its sample, so no record keeps a
-    # tree: not while the stump loop runs, nor in a second check of the spec
-    spec, held = fresh(builtin("planar", 3)), []
-    checks = bialgebra._stump_checks
+    # table and the graft oracle in one for its sample, and both are freed,
+    # so no built tree is alive while the stump loop runs, nor in a second
+    # check of the spec; a tree's diagram is held by the tree alone
+    spec, built, held = fresh(builtin("planar", 3)), [], []
+    build, checks = pfunctor.build_ptree, bialgebra._stump_checks
 
-    def with_trees(spec):
-        return [c.key for c in spec.classes.values()
-                if c.op is not None and c._tree is not None]
+    def building(*args):
+        t = build(*args)
+        built.append(weakref.ref(t.shape))
+        return t
 
     def recording(s, *rest):
-        held.append(with_trees(s.spec))
+        held.append(sum(r() is not None for r in built))
         return checks(s, *rest)
 
+    monkeypatch.setattr(pfunctor, "build_ptree", building)
     monkeypatch.setattr(bialgebra, "_stump_checks", recording)
     for _ in range(2):
         assert verify_fdb(spec, 4, 6).passed
-    assert len(held) > 2 and not any(held)
-    assert with_trees(spec) == []
+    assert len(held) > 2 and len(built) > 100 and not any(held)
 
 
 @pytest.mark.parametrize("rooted", [None, "o"], ids=["unrooted", "rooted"])
@@ -411,11 +480,11 @@ def test_integer_sums_equal_the_sums_of_fractions(template):
     # terms summed as fractions give the same coefficients.
     spec = fresh(template)
     stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, 4, 6, None)
-    mixed = 0
+    mixed, table = 0, {}
     for s in stumps:
         for _, f in by_profile.get(s.leaf_profile, ()):
             terms = [(m, c.aut) for c in bialgebra.graft_classes(f, s)
-                     if (m := c.cuts.get((f.keys, s.key)))]
+                     if (m := cuts_in(c, table).get((f.keys, s.key)))]
             mixed += len({aut for _, aut in terms}) > 1
             assert fdb_lhs_coefficient(f, s) == sum(
                 (Fraction(m, aut) for m, aut in terms), Fraction(0))
@@ -480,7 +549,7 @@ def test_flat_cut_count_reads_no_record(monkeypatch):
     accumulated = bialgebra._direct_accumulation(spec, 4, 6)
     for t in trees:
         t._key = "(wrong)"
-    monkeypatch.setattr(TreeClass, "cuts", property(lambda self: {}))
+    monkeypatch.setattr(bialgebra, "cuts_in", lambda c, table: {})
     assert cut_summary(trees[-1]) == {}  # the patch took effect
     assert [flat_cut_summary(t) for t in trees] == expected
     assert bialgebra._direct_accumulation(spec, 4, 6) == accumulated
@@ -501,7 +570,7 @@ def test_graft_oracle_catches_a_graft_on_the_wrong_leaf(monkeypatch):
     for empty_cuts in (False, True):
         with monkeypatch.context() as m:
             if empty_cuts:
-                m.setattr(TreeClass, "cuts", property(lambda self: {}))
+                m.setattr(bialgebra, "cuts_in", lambda c, table: {})
             right = graft_oracle_agrees(stump, crown)
             m.setattr(bialgebra, "graft_decorated", onto_the_wrong_leaf)
             verdicts.append((right, graft_oracle_agrees(stump, crown)))
@@ -541,10 +610,10 @@ def test_graft_oracle_rejects_a_record_whose_filling_is_wrong(monkeypatch):
     assert verdicts == [(True, 0, 0), (False, 0, 1), (False, 0, 1)]
 
 
-def test_a_record_keeps_its_own_tree_when_a_parse_of_its_key_is_interned():
+def test_a_records_tree_is_built_from_its_children_when_a_parse_of_its_key_is_interned():
     # enumeration composes the class with its children in the order
     # _, _, (n1:_); a parse of the key has them in the key's order, so a
-    # record adopting the parsed tree would put the oracle's grafts on other
+    # tree taken from the parse would put the oracle's grafts on other
     # leaves than the composed record's
     spec = builtin("exp", max_arity=3)
     enumerate_classes(spec, Bound(6))
@@ -553,7 +622,12 @@ def test_a_record_keeps_its_own_tree_when_a_parse_of_its_key_is_interned():
     assert [c.key for c in record.children] == ["_", "_", "(n1:_)"]
     parsed = parse_ptree(spec, k)
     assert bialgebra.intern(parsed) is record
-    assert record.tree is not parsed
+
+    def leaf_slots(t):
+        shape = t.shape
+        return [e in shape.leaves for e in shape.node_inputs[shape.node_above[shape.root]]]
+    assert leaf_slots(parsed) == [False, True, True]
+    assert leaf_slots(tree_in(record, {})) == [True, True, False]
     fitting = [f for f in enumerate_pforests(spec, Bound(4))
                if f.root_profile() == record.leaf_profile]
     assert len(fitting) > 8
@@ -736,7 +810,7 @@ def test_fdb_pairs_and_phi_build_no_tree(monkeypatch, spec):
     assert all(p.passed for p in checks) and any(p.lhs for p in checks)
     assert verify_phi(builtin("effective", 3), 4, Bound(8)).passed
     assert built == []
-    max(stumps, key=lambda s: s.nodes).tree  # the count sees trees when they are built
+    tree_in(max(stumps, key=lambda s: s.nodes), {})  # the count sees trees when they are built
     assert built
 
 
@@ -1162,9 +1236,9 @@ def test_leaf_marked_summand_relation():
 
 
 def test_power_profile_multicolour_oracle(two_colour):
-    bound = Bound(6)
-    trees_a = [c.tree for c in enumerate_classes(two_colour, bound, root_colour="a")]
-    trees_b = [c.tree for c in enumerate_classes(two_colour, bound, root_colour="b")]
+    bound, table = Bound(6), {}
+    trees_a = [tree_in(c, table) for c in enumerate_classes(two_colour, bound, root_colour="a")]
+    trees_b = [tree_in(c, table) for c in enumerate_classes(two_colour, bound, root_colour="b")]
     profile = (("a", 1), ("b", 1))
     power = profile_powers(two_colour, bound, [profile])[profile]
     for ta in trees_a:

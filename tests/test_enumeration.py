@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -245,12 +246,14 @@ def test_enumerate_classes_equals_the_interned_trees(template):
 def test_enumerate_ptrees_leaves_no_tree_on_a_record(template):
     spec, bound = fresh(template), Bound(6, 4)
     trees = enumerate_ptrees(spec, bound)
-    assert [c.key for c in spec.classes.values()
-            if c.op is not None and c._tree is not None] == []
     # each tree's key, computed afresh from the tree, is its record's
     assert [PTree(spec, t.shape, t.edge_colour, t.node_op).key() for t in trees] == [
         c.key for c in enumerate_classes(spec, bound)]
     assert len(trees) > 50
+    # the caller holds the trees alone: a tree's diagram is held by the tree
+    shapes = [weakref.ref(t.shape) for t in trees]
+    del trees
+    assert [r for r in shapes if r() is not None] == []
 
 
 def test_enumerate_ptrees_builds_trees_deeper_than_the_recursion_limit():

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 import weakref
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from optrees import groupoids
+from optrees.cli import main
 from optrees.groupoid_suite import (GROUP_CATALOG, all_homs, build_groupoid,
                                     coloured_set_groupoid, random_action,
                                     random_components, random_groupoid,
@@ -1060,6 +1062,70 @@ def test_interchange_rejects_bad_docs():
 def test_interchange_rejects_non_scalar_ids(doc):
     with pytest.raises(GroupoidError, match="not a JSON scalar"):
         groupoid_from_doc(doc)
+
+
+# scalars, wrong kinds and near misses that a mutation writes into a document
+_FUZZ_VALUES = [0, 1, 2, -1, 1.0, 2.5, True, False, None, "", "e", "*", "0",
+                [], [0], [0, 0, 0], {}, {"src": 0}, "abc"]
+
+
+def _mutated(doc, rng):
+    """A copy of the document with one random change at a random place: a
+    value replaced (by one of the document's own scalars as often as by a
+    value of ``_FUZZ_VALUES``), an entry dropped, duplicated or added, or
+    two entries swapped."""
+    doc = json.loads(json.dumps(doc))
+    paths, scalars, stack = [()], [], [((), doc)]
+    while stack:  # every container in the document, by its path
+        path, node = stack.pop()
+        keys = range(len(node)) if isinstance(node, list) else list(node)
+        for k in keys:
+            if isinstance(node[k], (list, dict)):
+                paths.append(path + (k,))
+                stack.append((path + (k,), node[k]))
+            else:
+                scalars.append(node[k])
+    path = rng.choice(paths)
+    node = doc
+    for k in path:
+        node = node[k]
+    keys = list(range(len(node))) if isinstance(node, list) else list(node)
+    kind = rng.randrange(5) if keys else 3
+    if kind == 0:
+        node[rng.choice(keys)] = rng.choice(rng.choice([scalars, _FUZZ_VALUES]))
+    elif kind == 1:
+        del node[rng.choice(keys)]
+    elif kind == 2 and isinstance(node, list):
+        node.insert(rng.randrange(len(node) + 1), node[rng.choice(keys)])
+    elif kind == 3:
+        value = rng.choice(_FUZZ_VALUES)
+        if isinstance(node, list):
+            node.insert(rng.randrange(len(node) + 1), value)
+        else:
+            node[rng.choice(["objects", "arrows", "compose", "src", "dst", "label"])] = value
+    else:
+        a, b = rng.choice(keys), rng.choice(keys)
+        node[a], node[b] = node[b], node[a]
+    return doc
+
+
+def test_mutated_documents_exit_cleanly(tmp_path, capsys):
+    # a mutation of a constructed groupoid's document is either a groupoid
+    # (exit 0) or a document error (exit 2), never an internal error (3)
+    bases = [groupoid_to_doc(g.relabel()[0]) for g in (
+        standard_component([0, 1, 2], Group.cyclic(2)),
+        one_object(Group.symmetric(3)),
+        disjoint_union_groupoids([one_object(Group.cyclic(2)), discrete([0, 1])]))]
+    rng, path, codes = random.Random(20240607), tmp_path / "g.json", set()
+    for i in range(120):
+        doc = _mutated(bases[i % len(bases)], rng)
+        path.write_text(json.dumps(doc))
+        for fmt in ("table", "structured"):
+            code = main(["groupoid", "--file", str(path), "--format", fmt])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (doc, err)
+            codes.add(code)
+    assert codes == {0, 2}
 
 
 # -- the family groupoid ---------------------------------------------------------------

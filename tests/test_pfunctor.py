@@ -16,7 +16,7 @@ from optrees import pfunctor
 from optrees.pfunctor import (MAX_ARITY, ArityMismatch, ColourMismatch,
                               EndofunctorSpec, OpType, PForest, PTree, SpecError, UnknownBuiltin,
                               UnknownOp, aut_order, aut_order_forest,
-                              automorphisms, build_ptree, builtin,
+                              automorphisms, build_ptree, builtin, cuts_in,
                               decorate_shape, decorated_automorphism,
                               forest_mul, graft_decorated, group_order,
                               intern, isomorphisms_brute, parse_pforest,
@@ -232,7 +232,7 @@ def test_canon_is_complete_invariant():
                 assert not isomorphisms_brute(t1, t2)
         for t in classes:
             # rebuilt representative is isomorphic to the original
-            assert isomorphisms_brute(t, tree_class(spec, t.key()).tree)
+            assert isomorphisms_brute(t, tree_in(tree_class(spec, t.key()), {}))
 
 
 # -- automorphism orders --------------------------------------------------------
@@ -399,11 +399,10 @@ def test_class_records_match_a_fresh_parse(template):
     trees = enumerate_ptrees(spec, bound)
     assert trees
     for t in trees:
-        # the record's own tree has the same ids, but enumeration builds its
-        # trees apart and leaves none on the records; only a trivial record
-        # lends the tree it always keeps
-        own = tree_class(spec, t.key()).tree
-        assert (own is t) == (t.node_count == 0)
+        # a tree built from the record in a table of its own has the same
+        # ids, but is not the enumeration's tree
+        own = tree_in(tree_class(spec, t.key()), {})
+        assert own is not t
         assert (own.shape, own.edge_colour, own.node_op) == (
             t.shape, t.edge_colour, t.node_op)
     # and the graft classes composed from them, up to 7 edges
@@ -411,6 +410,7 @@ def test_class_records_match_a_fresh_parse(template):
               if s.edge_count + f.edge_count() - s.leaf_count() <= 7
               for c in graft_classes(f, intern(s))}
     assert any(spec.classes[k].edges > bound.max_edges for k in grafts)
+    table, cuts = {}, {}
     for k in sorted(grafts | {t.key() for t in trees}):
         c = spec.classes[k]
         fresh = parse_ptree(spec, k)
@@ -421,8 +421,8 @@ def test_class_records_match_a_fresh_parse(template):
         assert c.root == fresh.root_colour
         assert c.leaf_profile == fresh.leaf_profile()
         assert c.aut == len(automorphisms(fresh))
-        assert c.cuts == flat_cut_summary(fresh), k
-        assert tree_class(spec, k).tree is c.tree
+        assert cuts_in(c, cuts) == flat_cut_summary(fresh), k
+        assert tree_in(tree_class(spec, k), table) is tree_in(c, table)
 
 
 @pytest.mark.parametrize("spec", [builtin("exp", max_arity=3), two_colour_spec()],
@@ -445,12 +445,13 @@ def test_class_interned_once_on_first_sight_of_its_key():
     parsed = parse_ptree(spec, k)
     record = tree_class(spec, k)
     assert spec.classes[k] is record and intern(parsed) is record
-    # the record's tree is built from its children, not taken from a parse
-    t = record.tree
+    # a tree of the record is built from its children, not taken from a parse
+    table = {}
+    t = tree_in(record, table)
     assert t is not parsed and t.key() == k
-    assert tree_class(spec, k).tree is t
+    assert tree_in(tree_class(spec, k), table) is t
     # enumeration keeps the record it finds instead of making a second one
-    assert t in enumerate_ptrees(spec, Bound(5))
+    assert record in enumerate_classes(spec, Bound(5))
 
 
 @pytest.mark.parametrize("template", [builtin("exp", max_arity=3), two_colour_spec()],
@@ -464,7 +465,7 @@ def test_trivial_record_tree_carries_its_key(template, monkeypatch):
     monkeypatch.setattr(PTree, "edge_codes", no_codes)
     for c in spec.colours:
         record = spec.trivial_classes[c]
-        assert record.tree.key() == record.key == spec.trivial_key(c)
+        assert tree_in(record, {}).key() == record.key == spec.trivial_key(c)
 
 
 # -- forests ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from optrees.bialgebra import (_pair_grafts, counit_left, counit_right,
 from optrees.enumeration import Bound
 from optrees.pfunctor import (PForest, aut_order, build_ptree, builtin,
                               graft_decorated, intern, parse_ptree, tree_class,
-                              trivial_ptree)
+                              tree_in, trivial_ptree)
 from optrees.trees import parse_tree, print_tree
 
 SPECS = [builtin("exp", max_arity=3), builtin("exp", max_arity=5),
@@ -96,7 +96,7 @@ def test_key_parses_back_to_its_class(spec, data):
 @given(data=st.data())
 def test_composed_graft_is_the_class_of_the_grafted_tree(spec, data):
     stump = intern(data.draw(ptrees(spec, max_nodes=3)))
-    tree = stump.tree
+    tree = tree_in(stump, {})
     crown = {leaf: data.draw(ptrees(spec, max_nodes=3,
                                     colour=tree.edge_colour[leaf]))
              for leaf in sorted(tree.shape.leaves)}
