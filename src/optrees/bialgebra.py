@@ -206,8 +206,8 @@ def _cut_coder(t: PTree) -> Callable[[Sequence[int]], tuple[ForestKey, str]]:
 
 
 def _class_coproduct(c: TreeClass, bound: Bound, table: dict) -> TensorSeries:
-    """Coproduct of a tree class: one term per pair of its cuts in ``table``."""
-    return TensorSeries(c.spec, bound, {(crown, (stump,)): Fraction(mult)
+    """Coproduct of a tree class: its cut pairs' integer multiplicities in ``table``."""
+    return TensorSeries(c.spec, bound, {(crown, (stump,)): mult
                                         for (crown, stump), mult in cuts_in(c, table).items()})
 
 
@@ -226,7 +226,8 @@ def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Componentwise product, truncating each side by the common bound.
 
     Sizes add under the product, so each factor term's sides are measured
-    once and the bound is tested on the sums before the keys are merged."""
+    once and the bound is tested on the sums before the keys are merged;
+    sums start from 0, as in ``series_mul``."""
     _require_same_bound(a, b)
     spec, admits = a.spec, a.bound.admits
     terms_b = [(l2, r2, c2, _sizes(spec, l2), _sizes(spec, r2))
@@ -238,7 +239,7 @@ def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
             if not (admits(le1 + le2, ln1 + ln2) and admits(re1 + re2, rn1 + rn2)):
                 continue
             key = (_merge_key(l1, l2), _merge_key(r1, r2))
-            out[key] = out.get(key, ZERO) + c1 * c2
+            out[key] = out.get(key, 0) + c1 * c2
     return TensorSeries(spec, a.bound, out)
 
 
@@ -247,7 +248,7 @@ def delta_monomial(spec: EndofunctorSpec, key: ForestKey, bound: Bound,
     """Coproduct of a forest monomial: product of the tree coproducts, their
     cut tables filled in ``table`` (``cuts_in``), by default this call's."""
     table = {} if table is None else table
-    acc = TensorSeries(spec, bound, {(EMPTY_FOREST_KEY, EMPTY_FOREST_KEY): ONE})
+    acc = TensorSeries(spec, bound, {(EMPTY_FOREST_KEY, EMPTY_FOREST_KEY): 1})
     for k in key:
         acc = tensor_mul(acc, _class_coproduct(tree_class(spec, k), bound, table))
     return acc
@@ -255,7 +256,8 @@ def delta_monomial(spec: EndofunctorSpec, key: ForestKey, bound: Bound,
 
 def delta_series(s: Series) -> TensorSeries:
     """Coproduct of a series, term by term (exact: cuts never grow sides),
-    its cut tables in one table for the call."""
+    its cut tables in one table for the call.  Each monomial's integer
+    multiplicities meet its rational coefficient once per pair."""
     out, table = TensorSeries(s.spec, s.bound, {}), {}
     for key, c in s.coeffs.items():
         part = delta_monomial(s.spec, key, s.bound, table)
@@ -461,20 +463,21 @@ def stump_grafts(stump: TreeClass, crowns: Mapping[str, Sequence[TreeClass]],
     theirs.  Maps each crown (sorted keys) to its graft classes, each with
     the first filling (crown keys in slot order) that reached it.  ``memo``
     (a ``defaultdict(dict)``) keeps each composite by op, then by children;
-    a new record keeps the children tuple that is its key.  It is the
-    caller's, by default this walk's own, and must be dropped before a
-    record it holds is removed from the spec's class table."""
+    a new record keeps the children tuple that is its key.  Under ``None``
+    it keeps by key the records that the class table lacked (``compose``'s
+    ``table``), so no graft enters the class table and each lives as long
+    as the memo.  The memo is the caller's, by default this walk's own."""
     head: list = []
     slots: list = []
     _plan(stump, crowns, -1, head, slots)
     out: dict = {}
-    memo, spec_compose = defaultdict(dict) if memo is None else memo, stump.spec.compose
+    memo = defaultdict(dict) if memo is None else memo
+    table, spec_compose = memo[None], stump.spec.compose
 
     def compose(op, children):
         c = (by_children := memo[op]).get(children)
         if c is None:
-            c = spec_compose(op, children)
-            by_children[children] = c
+            c = by_children[children] = spec_compose(op, children, table)
         return c
     _fill(slots, 0, tuple(head), (), (), max_nodes, max_edges, compose, out)
     return out
@@ -498,7 +501,8 @@ def _pair_grafts(crown: PForest, stump: TreeClass) -> dict[TreeClass, tuple[str,
 
 def graft_classes(crown: PForest, stump: TreeClass) -> list[TreeClass]:
     """Records of all tree classes obtained by grafting crown onto stump
-    along some matching, once each, in the order first reached."""
+    along some matching, once each, in the order first reached.  A class
+    that the class table lacks gets a record of this call's walk only."""
     return list(_pair_grafts(crown, stump))
 
 
@@ -716,7 +720,8 @@ def _stump_checks(s: TreeClass, crowns: list[PForest],
                   max_edges: int, composed: defaultdict) -> list[PairCheck]:
     """The checks of one stump's pairs, by crown: its listed crowns and the
     crowns only its walk reached.  One ``stump_cuts`` memo serves them all
-    and is dropped on return; the walk keeps its composites in ``composed``."""
+    and is dropped on return; the walk keeps its composites, and the graft
+    records that the class table lacks, in ``composed``."""
     grafts = stump_grafts(s, candidates, max_nodes, max_edges, composed)
     memo: dict = {}
     out = []
@@ -740,17 +745,6 @@ def _oracle_sample(listed: Sequence[tuple[TreeClass, Sequence[PForest]]]
         out += [(s, f) for f in crowns[-start % stride::stride]]
         start += len(crowns)
     return out
-
-
-def _evict(spec: EndofunctorSpec, start: int, max_edges: int):
-    """Remove from the spec's class table the records past its first
-    ``start`` with more than ``max_edges`` edges.  A child has fewer edges
-    than its parent, so no record left refers to a removed one; a later
-    lookup composes a removed record again."""
-    classes = spec.classes
-    for c in [c for c in itertools.islice(classes.values(), start, None)
-              if c.edges > max_edges]:
-        del classes[c.key]
 
 
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
@@ -793,15 +787,15 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
        node once its last leaf is filled, so one pass gives every pair of
        the stump with its graft records, and no tree is built.  The walks
        share one memo of their composites by op and children, so a node
-       that several stumps fill alike is composed once.  Each graft's cuts
+       that several stumps fill alike is composed once; the memo also
+       holds the graft records that the class table lacks, so the check
+       adds none to it and they go with the memo.  Each graft's cuts
        with the stump are counted down the stump (``stump_cuts``), so no
        cut table is filled.  Only one stump's grafts and checks, and the
        memo of its counts, are held at a time.  Each check meets the
        accumulation at once, taking its coefficient out, before it is
-       yielded.  Then the composite memo is dropped, and the graft
-       records added to the spec's class table past the budget are removed
-       (``_evict``), so the memo never returns one.  A pair that only one
-       of the walk and the forest enumeration reaches fails and is listed.
+       yielded.  A pair that only one of the walk and the forest
+       enumeration reaches fails and is listed.
     4. The spot checks: the sampled profile-mismatched pairs must vanish,
        and an evenly spaced sample of at most ``SAMPLE`` listed pairs
        (``_oracle_sample``) must pass ``graft_oracle_agrees``, which runs the
@@ -809,8 +803,8 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
        records the LHS summed: the grafting cut of each must give the pair,
        and a parse of each record's key (one pass, into one tree) must give
        its sizes, leaf profile and |Aut|.  The sample's trees share one
-       table, which no record holds.  The records these checks add past the
-       budget are removed too.
+       table, which no record holds; each of these walks keeps its graft
+       records in a memo of its own.
     5. Each nonzero pair left in the accumulation, which no route computed,
        fails; in rooted mode, each whose stump has the rooted colour.
 
@@ -865,13 +859,12 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
 
     powers = profile_powers(spec, side_bound, {s.leaf_profile for s in stumps})
     candidates = _crown_candidates(enumerate_classes(spec, side_bound))
-    known, composed = len(spec.classes), defaultdict(dict)  # all walks' composites
+    composed = defaultdict(dict)  # all walks' composites, and their records
     for s, crowns in listed:  # stumps in key order
         checks = _stump_checks(s, crowns, candidates, powers,
                                max_total_nodes - s.nodes, max_edges_side, composed)
         yield from (p for p in checks if settle(p, s, not p.passed))
-    del composed  # it holds records the eviction removes
-    _evict(spec, known, max_edges_side)
+    del composed
 
     # spot-check that sampled profile-mismatched pairs really vanish
     for s, f in sampled:
@@ -886,7 +879,6 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
     report.cross_failed += sum(not graft_oracle_agrees(s, f, trees)
                                for s, f in _oracle_sample(listed))
     del trees
-    _evict(spec, known, max_edges_side)
 
     report.cross_failed += sum(1 for (_, stump), val in acc.items() if val and (
         rooted is None or tree_class(spec, stump).root == rooted))

@@ -223,7 +223,8 @@ class EndofunctorSpec:
     and ``classes``, the class table.  The class table maps each canonical
     key to its :class:`TreeClass` record; a trivial class's record is made
     with the spec, any other once, by ``compose`` from the records on its
-    slots.
+    slots.  No record leaves it; a caller that keeps its records to itself
+    (a Faà di Bruno check's graft walk) passes ``compose`` its own table.
     """
 
     def __init__(self, colours: Sequence[str], ops: Sequence[OpType], name: str = "custom"):
@@ -343,14 +344,18 @@ class EndofunctorSpec:
             out.append(tuple(arranged))
         return out
 
-    def compose(self, op: str, children: Sequence[TreeClass]) -> TreeClass:
-        """The record of op with trees of the given classes on its slots,
-        interned by its code.  The children must fit the op's slots."""
+    def compose(self, op: str, children: Sequence[TreeClass],
+                table: dict[str, TreeClass] | None = None) -> TreeClass:
+        """The record of op with trees of the given classes on its slots: the
+        one in ``table`` (by default the class table), else in the class
+        table, else a new one interned in ``table`` by its code.  The children
+        must fit the op's slots."""
         code, stabiliser = self.node_code(
             op, [c.key if c.nodes else "_" for c in children])
-        c = self.classes.get(code)
+        table = self.classes if table is None else table
+        c = table.get(code) or self.classes.get(code)
         if c is None:
-            c = self.classes[code] = TreeClass(
+            c = table[code] = TreeClass(
                 self, code, self.by_name[op].out, op, tuple(children), stabiliser)
         return c
 

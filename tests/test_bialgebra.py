@@ -264,21 +264,24 @@ def test_a_record_holds_only_its_invariants(run):
 
 
 @pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
-def test_a_record_composed_again_after_eviction_has_the_same_cut_table(template):
-    # the records are composed from parsed keys, so no enumeration keeps them
-    spec = fresh(template)
-    known = len(spec.classes)
-    keys = [c.key for c in enumerate_classes(fresh(template), Bound(6, 4))]
-    old = {k: tree_class(spec, k) for k in keys}
-    before = {k: dict(cuts_in(c, {})) for k, c in old.items()}
-    bialgebra._evict(spec, known, 3)
-    evicted = [k for k, c in old.items() if c.edges > 3]
-    assert all(k not in spec.classes for k in evicted)
-    assert evicted or len(keys) < 4
-    for k in evicted:
-        again = tree_class(spec, k)
-        assert again is not old[k]
-        assert cuts_in(again, {}) == before[k], k
+def test_two_walks_compose_a_graft_past_the_budget_alike(template):
+    # each walk keeps the grafts past the enumerated bound in its own memo,
+    # so two walks compose two records of one class: equal in key, fields
+    # and cut table, and neither in the class table
+    spec, nodes, edges = fresh(template), 4, 4
+    candidates = crown_candidates(spec, nodes, edges)
+    first, second = [{c.key: c for s, _ in listed_pairs(spec, nodes, edges)
+                      for grafts in bialgebra.stump_grafts(
+                          s, candidates, nodes - s.nodes, edges).values()
+                      for c in grafts if c.edges > edges} for _ in range(2)]
+    assert first.keys() == second.keys()
+    assert first or template.name in ("constant", "trivial")
+    for k, c in first.items():
+        again = second[k]
+        assert again is not c and k not in spec.classes
+        fields = ("op", "edges", "nodes", "leaves", "root", "leaf_profile", "aut")
+        assert [getattr(again, f) for f in fields] == [getattr(c, f) for f in fields]
+        assert cuts_in(again, {}) == cuts_in(c, {}), k
 
 
 def test_cross_check_detects_a_wrong_recursive_count(monkeypatch):
@@ -391,11 +394,61 @@ def test_the_check_removes_the_graft_records_past_the_budget(monkeypatch, rooted
     assert past and past.isdisjoint(spec.classes)
     assert all(spec.classes[d.key] is d
                for c in spec.classes.values() for d in c.children)
-    # a second check composes the removed records again
+    # a second check composes those records again, into its own memo
     composed.clear()
     assert verify_fdb(spec, 4, edges, rooted).as_doc() == rep.as_doc()
     assert {c.key for c in composed if c.edges > edges} == past
     assert past.isdisjoint(spec.classes)
+
+
+def test_two_interleaved_checks_each_give_the_pairs_of_a_check_alone():
+    # check A starts and yields a pair; check B runs 400 pairs; A finishes,
+    # then B.  Neither takes a record out of the class table that the other
+    # enumerated, or leaves a graft past both budgets in it
+    template = builtin("cyclic", 3)
+    spec = fresh(template)
+    a, b = FdbReport(spec.name, 4, 5, None), FdbReport(spec.name, 5, 8, None)
+    checks_a, checks_b = bialgebra.fdb_checks(spec, a), bialgebra.fdb_checks(spec, b)
+    pairs_a = [next(checks_a)]
+    pairs_b = list(itertools.islice(checks_b, 400))
+    pairs_a += checks_a
+    pairs_b += checks_b
+    for report, pairs in [(a, pairs_a), (b, pairs_b)]:
+        alone = verify_fdb(fresh(template), report.max_total_nodes, report.max_edges_side)
+        assert report.passed and report.frame() == alone.frame()
+        assert [p.as_doc() for p in pairs] == [p.as_doc() for p in alone.pairs]
+    assert all(spec.classes[c.key] is c for c in enumerate_classes(spec, Bound(8, 5)))
+    assert max(c.edges for c in spec.classes.values()) <= 8
+
+
+def test_an_enumeration_while_a_check_is_paused_stays_in_the_class_table():
+    spec = fresh(builtin("planar", 3))
+    report = FdbReport(spec.name, 4, 5, None)
+    checks = bialgebra.fdb_checks(spec, report)
+    next(checks)
+    records = enumerate_classes(spec, Bound(8))
+    assert len(records) == 6016
+    assert list(checks) and report.passed
+    assert all(spec.classes[c.key] is c for c in records)
+    assert all(tree_class(spec, c.key) is c for c in records)
+    assert max(c.edges for c in spec.classes.values()) <= 8
+
+
+def test_a_walk_reaches_one_record_per_class_when_the_class_table_grows_between_walks():
+    # the walk of (n2:__) composes (n2:(n1:(n1:_))(n1:_)), 7 edges, into
+    # the shared memo; an enumeration then puts the class in the class
+    # table.  The walk of (n2:(n1:_)(n1:_)) meets it for the crown
+    # (n1:_)·_ through the memo and, with its children swapped, through
+    # ``compose``: both must give the memo's record, or it counts twice
+    spec, nodes, edges = fresh(builtin("exp", 3)), 4, 5
+    candidates, memo = crown_candidates(spec, nodes, edges), defaultdict(dict)
+    first, second = tree_class(spec, "(n2:__)"), tree_class(spec, "(n2:(n1:_)(n1:_))")
+    bialgebra.stump_grafts(first, candidates, nodes - first.nodes, edges, memo)
+    enumerate_classes(spec, Bound(2 * edges, nodes))
+    walked = bialgebra.stump_grafts(second, candidates, nodes - second.nodes, edges, memo)
+    alone = bialgebra.stump_grafts(second, candidates, nodes - second.nodes, edges)
+    assert list(walked) == list(alone)
+    assert all(by_key(walked[crown]) == by_key(grafts) for crown, grafts in alone.items())
 
 
 @pytest.mark.parametrize("spec", [builtin("planar", 3), two_colour_spec()],
@@ -657,6 +710,13 @@ def listed_pairs(spec, nodes, edges):
             for s in stumps]
 
 
+def by_key(grafts):
+    """A walk's graft records of one crown as (key, filling), in order: two
+    walks with memos of their own compose two records of a class the class
+    table lacks."""
+    return [(c.key, filling) for c, filling in grafts.items()]
+
+
 @pytest.mark.parametrize("template", CUT_SPECS, ids=lambda s: s.name)
 def test_stump_walk_reaches_the_listed_pairs_with_their_single_pair_grafts(template):
     # one walk per stump reaches exactly the stump's crowns of the
@@ -668,7 +728,8 @@ def test_stump_walk_reaches_the_listed_pairs_with_their_single_pair_grafts(templ
         grafts = bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges)
         assert set(grafts) == {f.keys for f in crowns}, s.key
         for f in crowns:
-            assert grafts[f.keys] == bialgebra._pair_grafts(f, s), (f.keys, s.key)
+            assert by_key(grafts[f.keys]) == by_key(bialgebra._pair_grafts(f, s)), \
+                (f.keys, s.key)
             assert (fdb_lhs_coefficient(f, s, grafts[f.keys])
                     == fdb_lhs_coefficient(f, s)), (f.keys, s.key)
             listed += 1
@@ -687,18 +748,21 @@ def test_a_composite_memo_shared_by_every_walk_changes_no_walk(template):
     stumps = [s for s, _ in listed_pairs(spec, nodes, edges)]
     shared = [bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges, memo)
               for s in stumps]
-    # only a stump with a node above a leaf composes
-    assert bool(memo) == any(s.op is not None and s.leaves for s in stumps)
-    assert all(c.op == op and c is spec.compose(op, children)
-               for op, by_children in memo.items()
-               for children, c in by_children.items())
+    # only a stump with a node above a leaf composes; ``None`` keeps the
+    # records that the class table lacks
+    ops = [op for op in memo if op is not None]
+    assert bool(ops) == any(s.op is not None and s.leaves for s in stumps)
+    assert all(c.op == op and c is spec.compose(op, children, memo[None])
+               for op in ops for children, c in memo[op].items())
+    assert memo[None].keys().isdisjoint(spec.classes)
     for s, walked in zip(stumps, shared):
         alone = bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges)
         assert list(walked) == list(alone), s.key
         for crown, grafts in alone.items():
-            assert len(walked[crown]) == len(grafts), (s.key, crown)
-            assert all(c is d and walked[crown][c] == grafts[d]
-                       for c, d in zip(walked[crown], grafts)), (s.key, crown)
+            assert by_key(walked[crown]) == by_key(grafts), (s.key, crown)
+            # a record of the class table is the one both walks reach
+            assert all(c is d for c, d in zip(walked[crown], grafts)
+                       if d.key in spec.classes), (s.key, crown)
 
 
 @pytest.mark.parametrize("name, shared, stumps, calls", [
@@ -714,13 +778,15 @@ def test_the_walks_compose_each_node_once_per_memo(name, shared, stumps, calls):
     candidates = crown_candidates(spec, nodes, edges)
     listed = [s for s, _ in listed_pairs(spec, nodes, edges)]
     composed, compose = [], spec.compose
-    spec.compose = lambda *args: composed.append(args) or compose(*args)
+    spec.compose = lambda op, children, table: composed.append(
+        (op, children)) or compose(op, children, table)
     memo = defaultdict(dict) if shared else None
     for s in listed:
         bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges, memo)
     assert (len(listed), len(composed)) == (stumps, calls)
     if shared:
-        assert len(set(composed)) == calls == sum(map(len, memo.values()))
+        assert len(set(composed)) == calls == sum(
+            len(by_children) for op, by_children in memo.items() if op is not None)
 
 
 def test_a_pair_only_one_side_reaches_fails_and_is_named(monkeypatch):

@@ -145,15 +145,18 @@ def raw_shapes(max_edges):
                     node_inputs = {m: [] for m in nodes}
                     for edge, m in zip(others, parents):
                         node_inputs[m].append(edge)
-                    # orderings of each node's inputs
+                    # orderings of each node's inputs; whether the diagram
+                    # is a tree does not depend on them, so a choice whose
+                    # first ordering fails is dropped with all its others
                     pools = [list(itertools.permutations(node_inputs[m]))
                              for m in nodes]
-                    for choice in itertools.product(*pools):
+                    for i, choice in enumerate(itertools.product(*pools)):
                         ni = {m: choice[m] for m in nodes}
                         try:
                             yield validate_tree(edges, ni, dict(zip(nodes, outs)))
                         except Exception:
-                            continue
+                            if i == 0:
+                                break
 
 
 @pytest.fixture(scope="module")

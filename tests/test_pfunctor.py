@@ -405,14 +405,16 @@ def test_class_records_match_a_fresh_parse(template):
         assert own is not t
         assert (own.shape, own.edge_colour, own.node_op) == (
             t.shape, t.edge_colour, t.node_op)
-    # and the graft classes composed from them, up to 7 edges
-    grafts = {c.key for s in trees for f in enumerate_pforests(spec, bound)
+    # and the graft classes composed from them, up to 7 edges; a walk keeps
+    # those past the enumerated bound to itself
+    grafts = {c.key: c for s in trees for f in enumerate_pforests(spec, bound)
               if s.edge_count + f.edge_count() - s.leaf_count() <= 7
               for c in graft_classes(f, intern(s))}
-    assert any(spec.classes[k].edges > bound.max_edges for k in grafts)
+    past = {k for k, c in grafts.items() if c.edges > bound.max_edges}
+    assert past and past.isdisjoint(spec.classes)
     table, cuts = {}, {}
-    for k in sorted(grafts | {t.key() for t in trees}):
-        c = spec.classes[k]
+    for k in sorted(grafts.keys() | {t.key() for t in trees}):
+        c = grafts[k] if k in past else spec.classes[k]
         fresh = parse_ptree(spec, k)
         assert c.key == fresh.key() == k
         assert c.edges == fresh.edge_count
