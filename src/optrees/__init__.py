@@ -1,5 +1,15 @@
 """Exact-arithmetic bialgebra of decorated operadic trees, Green functions
-and a finite groupoid calculus."""
+and a finite groupoid calculus.
+
+Only the ``groupoid`` and ``verify groupoid`` commands run the groupoid
+calculus, so ``groupoids`` and ``groupoid_suite`` are lazy modules: each is
+in ``sys.modules`` and bound here from the start, and is compiled and run
+on its first attribute access.  ``classical`` is imported on first use.
+The names of all three modules are served on the package by
+``__getattr__``."""
+
+import importlib.util
+import sys
 
 from .trees import (Cut, CycleDetected, DiagramError, ForestDiagram,
                     GrammarError, MatchingNotBijective, MultipleRoots,
@@ -19,21 +29,36 @@ from .enumeration import (Bound, enumerate_classes, enumerate_pforests,
 from .bialgebra import (FdbReport, Series, TensorSeries, counit, delta_monomial,
                         delta_series, delta_tree, fdb_lhs_coefficient,
                         fdb_rhs_coefficient, green, series_mul, verify_fdb)
-from .groupoids import (FiniteGroupoid, Group, GroupAction, GroupoidError,
-                        GroupoidMap, discrete, homotopy_fiber,
-                        homotopy_pullback, homotopy_quotient, homotopy_sum,
-                        is_equivalence, one_object, pushforward_cardinality,
-                        relative_cardinality)
-from .groupoid_suite import SuiteReport, run_suite
 
 __version__ = "0.1.0"
 
 
+def _lazy(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+groupoids, groupoid_suite = _lazy("groupoids"), _lazy("groupoid_suite")
+
+_MODULE_OF = {
+    **dict.fromkeys(("ClassicalReport", "NullaryOpsPresent", "PhiReport",
+                     "classical_verify", "delta_generator", "phi", "set_partitions",
+                     "surjection_delta", "type_count_closed_form", "verify_phi"),
+                    "classical"),
+    **dict.fromkeys(("FiniteGroupoid", "Group", "GroupAction", "GroupoidError",
+                     "GroupoidMap", "discrete", "homotopy_fiber", "homotopy_pullback",
+                     "homotopy_quotient", "homotopy_sum", "is_equivalence",
+                     "one_object", "pushforward_cardinality", "relative_cardinality"),
+                    "groupoids"),
+    "SuiteReport": "groupoid_suite", "run_suite": "groupoid_suite"}
+
+
 def __getattr__(name: str):
-    """``classical``'s names, imported on first access: only its commands load it."""
-    if name in {"ClassicalReport", "NullaryOpsPresent", "PhiReport", "classical_verify",
-                "delta_generator", "phi", "set_partitions", "surjection_delta",
-                "type_count_closed_form", "verify_phi"}:
-        from . import classical
-        return getattr(classical, name)
+    """The names of ``classical``, ``groupoids`` and ``groupoid_suite``,
+    loaded on first access: only their own commands run them."""
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -228,13 +228,25 @@ def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     Sizes add under the product, so each factor term's sides are measured
     once and the bound is tested on the sums before the keys are merged;
     sums start from 0, as in ``series_mul``."""
+    return _tensor_mul(a, b, {})
+
+
+def _tensor_mul(a: TensorSeries, b: TensorSeries, sizes: dict) -> TensorSeries:
+    """``tensor_mul``, measuring each side once in ``sizes``, the caller's
+    map of forest key to (edges, nodes), which it fills."""
     _require_same_bound(a, b)
     spec, admits = a.spec, a.bound.admits
-    terms_b = [(l2, r2, c2, _sizes(spec, l2), _sizes(spec, r2))
-               for (l2, r2), c2 in b.coeffs.items()]
+
+    def size(key: ForestKey) -> tuple[int, int]:
+        found = sizes.get(key)
+        if found is None:
+            found = sizes[key] = _sizes(spec, key)
+        return found
+
+    terms_b = [(l2, r2, c2, size(l2), size(r2)) for (l2, r2), c2 in b.coeffs.items()]
     out: dict[tuple[ForestKey, ForestKey], Fraction] = {}
     for (l1, r1), c1 in a.coeffs.items():
-        (le1, ln1), (re1, rn1) = _sizes(spec, l1), _sizes(spec, r1)
+        (le1, ln1), (re1, rn1) = size(l1), size(r1)
         for l2, r2, c2, (le2, ln2), (re2, rn2) in terms_b:
             if not (admits(le1 + le2, ln1 + ln2) and admits(re1 + re2, rn1 + rn2)):
                 continue
@@ -246,11 +258,13 @@ def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
 def delta_monomial(spec: EndofunctorSpec, key: ForestKey, bound: Bound,
                    table: dict | None = None) -> TensorSeries:
     """Coproduct of a forest monomial: product of the tree coproducts, their
-    cut tables filled in ``table`` (``cuts_in``), by default this call's."""
+    cut tables filled in ``table`` (``cuts_in``), by default this call's, and
+    the sizes of the product's sides in ``table[None]``."""
     table = {} if table is None else table
+    sizes = table.setdefault(None, {})
     acc = TensorSeries(spec, bound, {(EMPTY_FOREST_KEY, EMPTY_FOREST_KEY): 1})
     for k in key:
-        acc = tensor_mul(acc, _class_coproduct(tree_class(spec, k), bound, table))
+        acc = _tensor_mul(acc, _class_coproduct(tree_class(spec, k), bound, table), sizes)
     return acc
 
 

@@ -16,6 +16,12 @@ It encodes a top-level list item by item as the items come, an object of
 scalars by the C encoder, and writes in batches bounded by size:
 ``enumerate`` and ``verify fdb`` hand it generators of their rows, so
 neither builds a list or document of its rows.
+
+``groupoids`` and ``groupoid_suite`` are lazy modules (see ``optrees``):
+their names are looked up on them when a command calls or catches them, so
+only ``groupoid``, ``verify groupoid`` and an exception that reaches
+``main``'s handlers load them.
+``classical`` is imported by its own commands.
 """
 
 from __future__ import annotations
@@ -27,12 +33,11 @@ import sys
 import time
 from typing import Iterable, Iterator
 
+from . import groupoid_suite, groupoids
 # ``verify_fdb`` is unused here; perfbench's selftest checks the tracer wraps it
 from .bialgebra import (Bound, FdbReport, PairCheck, delta_tree, fdb_checks,
                         format_rational, green, profile_str, verify_fdb)
 from .enumeration import BoundError, enumerate_classes
-from .groupoid_suite import run_suite
-from .groupoids import GroupoidError, groupoid_from_doc
 from .pfunctor import (EndofunctorSpec, SpecError, aut_order, builtin,
                        forest_key_str, load_spec, parse_ptree_or_shape)
 from .trees import GrammarError
@@ -238,7 +243,7 @@ def cmd_green(args) -> int:
 def cmd_groupoid(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    g = groupoid_from_doc(doc)
+    g = groupoids.groupoid_from_doc(doc)
     comps = g.pi0()
     rows = [{"class": repr(c[0]), "objects": len(c),
              "aut_order": len(g.hom(c[0], c[0]))} for c in comps]
@@ -307,7 +312,7 @@ def cmd_verify_phi(args) -> int:
 
 
 def cmd_verify_groupoid(args) -> int:
-    report = run_suite(count=_at_least(args.count, 1, "--count"),
+    report = groupoid_suite.run_suite(count=_at_least(args.count, 1, "--count"),
                        seed=args.seed)
     if args.format == "structured":
         emit_structured("verify-groupoid", report.as_doc())
@@ -424,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader is an error here, not at exit
-    except (UsageError, SpecError, GrammarError, GroupoidError, BoundError,
+    except (UsageError, SpecError, GrammarError, groupoids.GroupoidError, BoundError,
             OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError):  # so the flush at exit writes nowhere

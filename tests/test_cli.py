@@ -788,6 +788,84 @@ def test_importing_the_package_generates_no_code():
     assert proc.stdout.splitlines() == ["[]", "[]"], proc.stderr
 
 
+GROUPOID_NAMES = {
+    "groupoids": ("FiniteGroupoid", "Group", "GroupAction", "GroupoidError",
+                  "GroupoidMap", "discrete", "homotopy_fiber", "homotopy_pullback",
+                  "homotopy_quotient", "homotopy_sum", "is_equivalence", "one_object",
+                  "pushforward_cardinality", "relative_cardinality"),
+    "groupoid_suite": ("SuiteReport", "run_suite")}
+
+
+def test_importing_the_cli_runs_no_groupoid_module():
+    # the groupoid modules are lazy: ``import optrees.cli`` neither imports
+    # nor runs them, and their names resolve on the package and on them
+    code = ("import sys\n"
+            "ran = []\n"
+            "sys.addaudithook(lambda event, args: event == 'exec' and ran.append(\n"
+            "    getattr(args[0], 'co_filename', '').rpartition('/')[2]))\n"
+            "import optrees.cli\n"
+            "print(sorted(f for f in ran if f.startswith('groupoid')),\n"
+            "      'optrees.classical' in sys.modules)\n"
+            "import optrees\n"
+            f"for module, names in {GROUPOID_NAMES!r}.items():\n"
+            "    for name in names:\n"
+            "        exec(f'from optrees import {name} as value')\n"
+            "        assert value is getattr(getattr(optrees, module), name), name\n"
+            "print(sorted(f for f in ran if f.startswith('groupoid')),\n"
+            "      'optrees.classical' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines() == [
+        "[] False", "['groupoid_suite.py', 'groupoids.py'] False"], proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "optrees.cli" in imported
+    assert not imported & {"optrees.groupoids", "optrees.groupoid_suite",
+                           "optrees.classical"}
+
+
+def test_a_lazy_package_name_is_the_name_of_its_module():
+    import optrees
+    names = {**GROUPOID_NAMES, "classical": (
+        "ClassicalReport", "NullaryOpsPresent", "PhiReport", "classical_verify",
+        "delta_generator", "phi", "set_partitions", "surjection_delta",
+        "type_count_closed_form", "verify_phi")}
+    for module, module_names in names.items():
+        for name in module_names:
+            assert getattr(optrees, name) is getattr(
+                sys.modules[f"optrees.{module}"], name), name
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        optrees.nosuch
+
+
+def test_errors_of_a_fresh_process_keep_their_exit_codes(tmp_path):
+    # ``main`` catches ``groupoids.GroupoidError`` by reading it from the lazy
+    # module when an error reaches it, in a process that has not loaded it
+    bad_doc = tmp_path / "g.json"
+    bad_doc.write_text('{"objects": [0], "arrows": [{"src": 0, "dst": 1, '
+                       '"label": "e"}], "compose": []}')
+    not_json = tmp_path / "not.json"
+    not_json.write_text('{"objects": [')
+    for args, message in (
+            (["groupoid", "--file", str(bad_doc)], "error: arrow 'e' has unknown endpoint"),
+            (["groupoid", "--file", str(not_json)], "error: Expecting value"),
+            (["enumerate", "--functor", "nosuch", "--max-edges", "3"],
+             "error: unknown builtin"),
+            (["enumerate", "--spec-file", str(tmp_path / "none.json"),
+              "--max-edges", "3"], "error: [Errno 2]"),
+            (["enumerate", "--spec-file", str(tmp_path), "--max-edges", "3"],
+             "error: [Errno 21]")):
+        code, out, err = run_cli(args)
+        assert (code, out) == (2, ""), (args, err)
+        assert len(err.splitlines()) == 1 and err.startswith(message), (args, err)
+    code = ("import sys, optrees.cli as cli\n"
+            "cli.delta_tree = lambda t: 1 / 0\n"
+            "sys.exit(cli.main(['delta', '--functor', 'identity', '--tree', '(_)']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == ["internal error: ZeroDivisionError: division by zero"]
+
+
 @pytest.mark.parametrize("command", [
     ["enumerate", "--functor", "exp", "--max-edges", "3"],
     ["verify", "fdb", "--functor", "stable", "--max-nodes", "3", "--max-edges", "3"]])

@@ -1,18 +1,24 @@
 """Every span target of ``perfbench/tracer.py`` must exist in the package,
 and the Faà di Bruno spans (through the library and through the command),
 the groupoid-suite workload's spans and the structured writer's span must
-fire on a tiny run, or their per-layer metrics would silently read 0."""
+fire on a tiny run, or their per-layer metrics would silently read 0.  The
+tracer wraps the modules in ``sys.modules`` once ``optrees.cli`` is
+imported, so one test runs it in a fresh process, where no other test has
+imported a module that the CLI leaves unloaded."""
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-import optrees.cli  # loads every module the tracer patches
+import optrees.cli  # puts every module the tracer patches in sys.modules
 from optrees import bialgebra, groupoid_suite
 from optrees.pfunctor import builtin
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name):
@@ -39,6 +45,25 @@ def test_every_tracer_target_resolves():
         t.uninstall()
     assert missing == []
     assert t.leftover_wrappers() == []
+
+
+def test_a_fresh_traced_command_resolves_every_target_and_fires_the_groupoid_spans(
+        tmp_path):
+    # perfbench/tracer.py imports only optrees.cli before it installs
+    tracer, workload = load_tracer(), load("workloads").WORKLOADS["groupoid-suite"]
+    out = tmp_path / "trace.json"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), str(out), "--", "verify",
+         "groupoid", "--count", "20", "--format", "structured"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["failed"] == 0
+    report = json.loads(out.read_text())
+    assert report["missing"] == [] and report["leftover_wrappers"] == []
+    laws = [tracer.LAW_PREFIX + name for name, _ in groupoid_suite.LAWS]
+    for name in workload.spans + tuple(laws):
+        assert report["spans"][name]["calls"] > 0, name
 
 
 def test_the_fdb_spans_fire_on_a_tiny_check():
