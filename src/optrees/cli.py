@@ -11,11 +11,11 @@ document.  Results go to standard output only; diagnostics and timings go
 to standard error.  Structured output is a single JSON document with
 sorted keys and a ``schema_version`` field, so identical invocations are
 byte-identical; its bytes are those of one ``json.dumps`` of the whole
-document.  ``emit_structured`` is the one writer of structured output.
-It encodes a top-level list item by item as the items come, an object of
-scalars by the C encoder, and writes in batches bounded by size:
-``enumerate`` and ``verify fdb`` hand it generators of their rows, so
-neither builds a list or document of its rows.
+document.  ``emit_structured`` is the one writer of structured output.  It
+encodes a top-level list item by item as the items come, in writes bounded
+by size: ``enumerate`` and ``verify fdb`` hand it generators of ``Row``s
+formatted from each class record or pair check, so neither builds a list of
+its rows; other lists' objects of scalars go through the C encoder.
 
 ``groupoids`` and ``groupoid_suite`` are lazy modules (see ``optrees``):
 their names are looked up on them when a command calls or catches them, so
@@ -38,7 +38,7 @@ from . import groupoid_suite, groupoids
 from .bialgebra import (Bound, FdbReport, PairCheck, delta_tree, fdb_checks,
                         format_rational, green, profile_str, verify_fdb)
 from .enumeration import BoundError, enumerate_classes
-from .pfunctor import (EndofunctorSpec, SpecError, aut_order, builtin,
+from .pfunctor import (EndofunctorSpec, SpecError, TreeClass, aut_order, builtin,
                        forest_key_str, load_spec, parse_ptree_or_shape)
 from .trees import GrammarError
 
@@ -167,6 +167,18 @@ def _pair_row(p: PairCheck) -> Row:
                f'"rhs": "{format_rational(p.rhs)}"\n    }}')
 
 
+def _class_row(c: TreeClass, profiles: dict) -> Row:
+    """``_item`` of the class's ``enumerate`` row, formatted from the record;
+    ``profiles`` keeps each shared leaf profile's string, once formatted."""
+    profile = profiles.get(c.leaf_profile) or profiles.setdefault(
+        c.leaf_profile, _string(profile_str(c.leaf_profile)))
+    key = _string(c.key)
+    return Row(f'{{\n      "aut_order": {c.aut},\n      "edges": {c.edges},\n      '
+               f'"key": {key},\n      "leaf_profile": {profile},\n      '
+               f'"nodes": {c.nodes},\n      "root": {_string(c.root)},\n      '
+               f'"tree": {key}\n    }}')
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -180,9 +192,8 @@ def cmd_enumerate(args) -> int:
     classes = enumerate_classes(spec, bound, root_colour=args.root_colour,
                                 leaf_profile=profile)
     if args.format == "structured":
-        rows = ({"key": c.key, "tree": c.key, "aut_order": c.aut, "root": c.root,
-                 "leaf_profile": profile_str(c.leaf_profile), "edges": c.edges,
-                 "nodes": c.nodes} for c in classes)
+        profiles = {}
+        rows = (_class_row(c, profiles) for c in classes)
         emit_structured("enumerate", {"spec": spec.name, "bound": bound.label(),
                                       "classes": rows, "count": len(classes)})
     else:

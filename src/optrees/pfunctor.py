@@ -898,12 +898,18 @@ class TreeClass:
     def __init__(self, spec: EndofunctorSpec, key: str, root: str,
                  op: str | None = None, children: tuple = (), stabiliser: int = 1):
         self.spec, self.key, self.root, self.op, self.children = spec, key, root, op, children
-        self.edges = 1 + sum(c.edges for c in children)
-        self.nodes = (op is not None) + sum(c.nodes for c in children)
-        self.leaves = 1 if op is None else sum(c.leaves for c in children)
-        self.aut = stabiliser * math.prod(c.aut for c in children)
-        self.leaf_profile = spec.shared_profile(
-            root if op is None else tuple(c.leaf_profile for c in children))
+        if op is None:
+            self.edges, self.nodes, self.leaves, self.aut = 1, 0, 1, stabiliser
+            self.leaf_profile = spec.shared_profile(root)
+            return
+        edges, nodes, leaves, aut = 1, 1, 0, stabiliser
+        for c in children:
+            edges += c.edges
+            nodes += c.nodes
+            leaves += c.leaves
+            aut *= c.aut
+        self.edges, self.nodes, self.leaves, self.aut = edges, nodes, leaves, aut
+        self.leaf_profile = spec.shared_profile(tuple([c.leaf_profile for c in children]))
 
 
 def tree_in(c: TreeClass, table: dict[str, PTree]) -> PTree:

@@ -10,8 +10,9 @@ import pytest
 
 from conftest import two_colour_spec
 from optrees import bialgebra, cli, groupoid_suite, pfunctor
-from optrees.bialgebra import BoundMismatch
+from optrees.bialgebra import BoundMismatch, profile_str
 from optrees.cli import main
+from optrees.enumeration import Bound, enumerate_classes
 from optrees.groupoids import (Group, discrete, disjoint_union_groupoids,
                                groupoid_to_doc, one_object)
 from optrees.pfunctor import builtin, load_spec, save_spec
@@ -762,6 +763,30 @@ def test_a_pair_row_is_the_item_of_its_document(monkeypatch, fault):
     if not fault:
         assert any(d["F"] == "ε" for d in docs)
         assert any("_a" in d["F"] for d in docs) and any("_b" in d["F"] for d in docs)
+
+
+def test_a_class_row_is_the_item_of_its_document():
+    # rows of exp(3), of planar(2) (the trivial record _) and of the
+    # two-colour spec (trivial keys _a and _b, profiles of two colours)
+    # unrooted, rooted at b and filtered by a leaf profile; one table of
+    # profile strings serves them all, as it serves one command
+    two = two_colour_spec()
+    classes = [c for run in (
+        enumerate_classes(builtin("exp", 3), Bound(5)),
+        enumerate_classes(builtin("planar", 2), Bound(5)),
+        enumerate_classes(two, Bound(5)),
+        enumerate_classes(two, Bound(5), root_colour="b"),
+        enumerate_classes(two, Bound(5), leaf_profile=(("a", 2), ("b", 1))))
+        for c in run]
+    old_dict_rows = [{"key": c.key, "tree": c.key, "aut_order": c.aut, "root": c.root,
+                      "leaf_profile": profile_str(c.leaf_profile), "edges": c.edges,
+                      "nodes": c.nodes} for c in classes]
+    profiles = {}
+    assert ([cli._class_row(c, profiles) for c in classes]
+            == [cli._item(row) for row in old_dict_rows])
+    assert {"_", "_a", "_b"} <= {c.key for c in classes}
+    assert any(len(c.leaf_profile) > 1 for c in classes)
+    assert max(c.aut for c in classes) > 1
 
 
 def test_importing_the_cli_leaves_classical_unloaded():

@@ -142,21 +142,33 @@ def raw_shapes(max_edges):
                 others = edges[1:]
                 for parents in itertools.product(nodes, repeat=len(others)) \
                         if n else ([()] if not others else []):
+                    if not walks_to_the_root(outs, parents):
+                        continue
                     node_inputs = {m: [] for m in nodes}
                     for edge, m in zip(others, parents):
                         node_inputs[m].append(edge)
                     # orderings of each node's inputs; whether the diagram
-                    # is a tree does not depend on them, so a choice whose
-                    # first ordering fails is dropped with all its others
+                    # is a tree does not depend on them
                     pools = [list(itertools.permutations(node_inputs[m]))
                              for m in nodes]
-                    for i, choice in enumerate(itertools.product(*pools)):
+                    for choice in itertools.product(*pools):
                         ni = {m: choice[m] for m in nodes}
-                        try:
-                            yield validate_tree(edges, ni, dict(zip(nodes, outs)))
-                        except Exception:
-                            if i == 0:
-                                break
+                        yield validate_tree(edges, ni, dict(zip(nodes, outs)))
+
+
+def walks_to_the_root(outs, parents):
+    """Whether the walk down from every node, through its output edge to
+    the node that edge enters, ends at the root edge 0.  Each edge is one
+    node's input at most and edge 0 none, so this is the one tree axiom a
+    parent map of ``raw_shapes`` can break: else the walk cycles."""
+    for m in range(len(outs)):
+        for _ in outs:
+            if outs[m] == 0:
+                break
+            m = parents[outs[m] - 1]
+        else:
+            return False
+    return True
 
 
 @pytest.fixture(scope="module")

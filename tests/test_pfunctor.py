@@ -391,10 +391,17 @@ def test_rigid_op_node_code_closes_no_group():
 
 @pytest.mark.parametrize("template", [
     builtin("exp", max_arity=3), two_colour_spec(), builtin("planar", max_arity=3),
-    symmetric_two_colour_spec()],
-    ids=["exp3", "two-colour", "planar3", "symmetric-two-colour"])
+    symmetric_two_colour_spec(), builtin("cyclic", max_arity=3),
+    cycle_generated_s3_spec()],
+    ids=["exp3", "two-colour", "planar3", "symmetric-two-colour", "cyclic3",
+         "cycle-generated-s3"])
 def test_class_records_match_a_fresh_parse(template):
+    # under cyclic(3) and the cycle-generated S_3 a record's |Aut| multiplies
+    # stabilisers found by the orbit scan, not by sorting blocks
     spec = EndofunctorSpec(template.colours, template.ops, name=template.name)
+    for colour, c in spec.trivial_classes.items():
+        assert (c.edges, c.nodes, c.leaves, c.aut, c.children) == (1, 0, 1, 1, ())
+        assert c.leaf_profile == ((colour, 1),)
     bound = Bound(5)
     trees = enumerate_ptrees(spec, bound)
     assert trees
