@@ -108,9 +108,14 @@ class Series:
         return self.coeffs.get(tuple(key), ZERO)
 
     def __eq__(self, other):
-        if not isinstance(other, Series):
+        # a series never equals a tensor series, even with equal coefficients
+        if type(other) is not type(self):
             return NotImplemented
         return self.spec is other.spec and self.coeffs == other.coeffs
+
+    @staticmethod
+    def _monomial_str(key: ForestKey) -> str:
+        return forest_key_str(key) if key else "1"
 
     def terms_str(self) -> str:
         if not self.coeffs:
@@ -118,37 +123,20 @@ class Series:
         parts = []
         for key in sorted(self.coeffs):
             c = self.coeffs[key]
-            mono = forest_key_str(key) if key else "1"
+            mono = self._monomial_str(key)
             parts.append(mono if c == 1 else f"{format_rational(c)} {mono}")
         return " + ".join(parts)
 
 
-class TensorSeries:
+class TensorSeries(Series):
     """Finitely supported map (forest, forest) -> rational."""
-
-    def __init__(self, spec: EndofunctorSpec, bound: Bound,
-                 coeffs: Mapping[tuple[ForestKey, ForestKey], Fraction]):
-        self.spec, self.bound = spec, bound
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     def coefficient(self, left: ForestKey, right: ForestKey) -> Fraction:
         return self.coeffs.get((tuple(left), tuple(right)), ZERO)
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorSeries):
-            return NotImplemented
-        return self.spec is other.spec and self.coeffs == other.coeffs
-
-    def terms_str(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for left, right in sorted(self.coeffs):
-            c = self.coeffs[(left, right)]
-            mono = f"{forest_key_str(left) if left else '1'} ⊗ " \
-                   f"{forest_key_str(right) if right else '1'}"
-            parts.append(mono if c == 1 else f"{format_rational(c)} {mono}")
-        return " + ".join(parts)
+    @staticmethod
+    def _monomial_str(key: tuple[ForestKey, ForestKey]) -> str:
+        return " ⊗ ".join(map(Series._monomial_str, key))
 
 
 def _require_same_bound(a, b):
@@ -272,13 +260,13 @@ def delta_series(s: Series) -> TensorSeries:
     """Coproduct of a series, term by term (exact: cuts never grow sides),
     its cut tables in one table for the call.  Each monomial's integer
     multiplicities meet its rational coefficient once per pair."""
-    out, table = TensorSeries(s.spec, s.bound, {}), {}
+    out: dict[tuple[ForestKey, ForestKey], Fraction] = {}
+    table: dict = {}
     for key, c in s.coeffs.items():
         part = delta_monomial(s.spec, key, s.bound, table)
         for pair, m in part.coeffs.items():
-            out.coeffs[pair] = out.coeffs.get(pair, ZERO) + c * m
-    out.coeffs = {k: v for k, v in out.coeffs.items() if v}
-    return out
+            out[pair] = out.get(pair, ZERO) + c * m
+    return TensorSeries(s.spec, s.bound, out)
 
 
 def counit(spec: EndofunctorSpec, key: ForestKey) -> Fraction:
@@ -289,22 +277,23 @@ def counit(spec: EndofunctorSpec, key: ForestKey) -> Fraction:
     return ONE
 
 
+def _counit_side(ts: TensorSeries, side: int) -> Series:
+    """The counit applied to one side (0 left, 1 right) of a tensor series."""
+    out: dict[ForestKey, Fraction] = {}
+    for pair, c in ts.coeffs.items():
+        if counit(ts.spec, pair[side]):
+            out[pair[1 - side]] = out.get(pair[1 - side], ZERO) + c
+    return Series(ts.spec, ts.bound, out)
+
+
 def counit_left(ts: TensorSeries) -> Series:
     """(counit ⊗ id) applied to a tensor series."""
-    out: dict[ForestKey, Fraction] = {}
-    for (left, right), c in ts.coeffs.items():
-        if counit(ts.spec, left):
-            out[right] = out.get(right, ZERO) + c
-    return Series(ts.spec, ts.bound, out)
+    return _counit_side(ts, 0)
 
 
 def counit_right(ts: TensorSeries) -> Series:
     """(id ⊗ counit) applied to a tensor series."""
-    out: dict[ForestKey, Fraction] = {}
-    for (left, right), c in ts.coeffs.items():
-        if counit(ts.spec, right):
-            out[left] = out.get(left, ZERO) + c
-    return Series(ts.spec, ts.bound, out)
+    return _counit_side(ts, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +495,14 @@ def _crown_candidates(classes: Iterable[TreeClass]) -> dict[str, list[TreeClass]
     return out
 
 
-def _pair_grafts(crown: PForest, stump: TreeClass) -> dict[TreeClass, tuple[str, ...]]:
-    """The stump's walk restricted to the crown's classes and sizes: the
-    pair's graft classes, each with the filling that reached it."""
+def graft_classes(crown: PForest, stump: TreeClass) -> dict[TreeClass, tuple[str, ...]]:
+    """Records of all tree classes obtained by grafting crown onto stump
+    along some matching, once each, in the order first reached, each with
+    the filling that reached it: the stump's walk restricted to the crown's
+    classes and sizes.  A class that the class table lacks gets a record of
+    this call's walk only."""
     return stump_grafts(stump, _crown_candidates(dict.fromkeys(crown.classes())),
                         crown.node_count(), crown.edge_count()).get(crown.keys, {})
-
-
-def graft_classes(crown: PForest, stump: TreeClass) -> list[TreeClass]:
-    """Records of all tree classes obtained by grafting crown onto stump
-    along some matching, once each, in the order first reached.  A class
-    that the class table lacks gets a record of this call's walk only."""
-    return list(_pair_grafts(crown, stump))
 
 
 def stump_cuts(t: TreeClass, s: TreeClass, memo: dict) -> dict[ForestKey, int]:
@@ -612,7 +597,7 @@ def graft_oracle_agrees(stump: TreeClass, crown: PForest,
     tree = tree_in(stump, trees)
     # ``build_ptree`` numbers a record's tree so leaf ids ascend in slot order
     leaves = sorted(tree.shape.leaves)
-    grafts = _pair_grafts(crown, stump)
+    grafts = graft_classes(crown, stump)
     for c, filling in grafts.items():
         g = graft_decorated(tree, {leaf: tree_in(tree_class(spec, key), trees)
                                    for leaf, key in zip(leaves, filling)})

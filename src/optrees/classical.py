@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Mapping
 from .bialgebra import (Bound, Series, TensorSeries, delta_series,
                         format_rational, green, series_add, series_mul,
                         series_one, series_scale)
-from .pfunctor import EndofunctorSpec, PForest, SpecError
+from .pfunctor import EndofunctorSpec, PForest, SpecError, multiset
 
 SurjClass = tuple[tuple[int, int], ...]  # sorted ((k, multiplicity), ...)
 
@@ -66,10 +66,7 @@ def generator(n: int) -> SurjClass:
 
 
 def class_mul(a: SurjClass, b: SurjClass) -> SurjClass:
-    counts: dict[int, int] = {}
-    for k, m in a + b:
-        counts[k] = counts.get(k, 0) + m
-    return tuple(sorted(counts.items()))
+    return multiset(a + b)
 
 
 def weight(c: SurjClass) -> int:
@@ -107,10 +104,7 @@ def set_partitions(items: list) -> Iterator[list[list]]:
 
 
 def partition_type(part: list[list]) -> SurjClass:
-    counts: dict[int, int] = {}
-    for block in part:
-        counts[len(block)] = counts.get(len(block), 0) + 1
-    return tuple(sorted(counts.items()))
+    return multiset((len(block), 1) for block in part)
 
 
 def type_count_closed_form(n: int, typ: SurjClass) -> int:
@@ -363,15 +357,15 @@ def verify_phi(spec: EndofunctorSpec, max_n: int, bound: Bound) -> PhiReport:
     for n in range(1, max_n + 1):
         image = phi(spec, generator(n), bound)
         rhs = delta_series(image)
-        lhs = TensorSeries(spec, bound, {})
+        terms: dict = {}
         for (left, right), m in delta_generator(n).items():
             left_s = phi(spec, left, bound)
             right_s = phi(spec, right, bound)
             for kf, cf in left_s.coeffs.items():
                 for ks, cs in right_s.coeffs.items():
                     key = (kf, ks)
-                    lhs.coeffs[key] = lhs.coeffs.get(key, ZERO) + m * cf * cs
-        lhs.coeffs = {k: v for k, v in lhs.coeffs.items() if v}
+                    terms[key] = terms.get(key, ZERO) + m * cf * cs
+        lhs = TensorSeries(spec, bound, terms)
 
         checked = failed = 0
         for key in sorted(set(lhs.coeffs) | set(rhs.coeffs)):

@@ -215,15 +215,18 @@ def law_groth(rng) -> bool:
                          relative_cardinality(identity_map(p.dom)))
 
 
+def _on_domain(m: GroupoidMap, dom: FiniteGroupoid) -> GroupoidMap:
+    """The same map on ``dom``, a domain equal to its own."""
+    return GroupoidMap(dom, m.cod, {x: m.obj_map[x] for x in dom.objects},
+                       {ar: m.arrow_map[ar] for ar in dom.arrows})
+
+
 def law_relrel(rng) -> bool:
     a = random_components(rng)
     b = random_components(rng)
     c = random_components(rng)
     p = random_map(rng, a, b).check()
-    t = random_map(rng, b, c).check()
-    t = GroupoidMap(p.cod, t.cod,
-                    {x: t.obj_map[x] for x in p.cod.objects},
-                    {ar: t.arrow_map[ar] for ar in p.cod.arrows})
+    t = _on_domain(random_map(rng, b, c).check(), p.cod)
     direct = relative_cardinality(compose_maps(p, t))
     pushed = pushforward_cardinality(relative_cardinality(p), t)
     return vectors_equal(direct, pushed)
@@ -234,10 +237,7 @@ def law_doublecounting(rng) -> bool:
     a = random_components(rng)
     b = random_components(rng)
     left = random_map(rng, u, b).check()
-    right = random_map(rng, u, a).check()
-    right = GroupoidMap(left.dom, right.cod,
-                        {x: right.obj_map[x] for x in left.dom.objects},
-                        {ar: right.arrow_map[ar] for ar in left.dom.arrows})
+    right = _on_domain(random_map(rng, u, a).check(), left.dom)
     card = left.dom.cardinality()
     lhs = sum(relative_cardinality(left).values(), Fraction(0))
     rhs = sum(relative_cardinality(right).values(), Fraction(0))
@@ -279,10 +279,7 @@ def law_fubini(rng) -> bool:
     b = random_components(rng, max_components=2, max_objects=2)
     c = random_components(rng, max_components=2, max_objects=2)
     p = random_map(rng, a, b).check()
-    t = random_map(rng, b, c).check()
-    t = GroupoidMap(p.cod, t.cod,
-                    {x: t.obj_map[x] for x in p.cod.objects},
-                    {ar: t.arrow_map[ar] for ar in p.cod.arrows})
+    t = _on_domain(random_map(rng, b, c).check(), p.cod)
     direct = relative_cardinality(compose_maps(p, t))
     fibres, arrowact = fibre_family(p)
     iterated: dict = {}

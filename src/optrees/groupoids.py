@@ -167,15 +167,14 @@ class ArrowNumbering:
 class FiniteGroupoid:
     """``arrows`` maps a label to (src, dst), ``mul(f, g)`` is "f then g" for
     target(f) == source(g), and ``identities`` maps an object to a label.
-    ``row_rule`` gives rows on arrow numbers (see ``ArrowNumbering``); a
-    groupoid is given exactly one of ``mul`` and ``row_rule``."""
+    ``row_n`` gives rows on arrow numbers (see ``ArrowNumbering``); a
+    groupoid is given exactly one of ``mul`` and ``row_n``."""
 
     def __init__(self, objects: tuple, arrows: dict, mul: Callable | None,
-                 identities: dict, row_rule: Callable | None = None):
-        if (mul is None) == (row_rule is None):
+                 identities: dict, row_n: Callable | None = None):
+        if (mul is None) == (row_n is None):
             raise GroupoidError("a groupoid needs one rule: on labels or on numbers")
         self.objects, self.arrows, self.identities = objects, arrows, identities
-        self.row_rule = row_rule
         self._hom: dict = {}
         self._pi0: list | None = None
         self._class_of: list | None = None
@@ -186,7 +185,7 @@ class FiniteGroupoid:
         def numbering() -> ArrowNumbering:
             """The ``ArrowNumbering``, built on first call."""
             if not built:
-                built.append(ArrowNumbering(objects, arrows, mul, row_rule))
+                built.append(ArrowNumbering(objects, arrows, mul, row_n))
             return built[0]
         self.numbering, self.mul = numbering, mul
         if mul is None:

@@ -46,7 +46,8 @@ import math
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .trees import (MAX_PARSE_DEPTH, Cut, GrammarError, MatchingNotBijective,
-                    TreeDiagram, _Scanner, ideal_subtree, prune)
+                    TreeDiagram, _read_forest_text, _read_tree_text, _Scanner,
+                    ideal_subtree, prune)
 
 
 class SpecError(ValueError):
@@ -190,6 +191,15 @@ def _symmetric_blocks(op: OpType) -> tuple[tuple[int, ...], ...] | None:
     if any(len({find(i) for i in slots}) > 1 for slots in plan):
         return None
     return plan
+
+
+def multiset(pairs: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The (item, count) pairs as a multiset: each item once, with its
+    counts summed, sorted by item."""
+    counts: dict = {}
+    for item, m in pairs:
+        counts[item] = counts.get(item, 0) + m
+    return tuple(sorted(counts.items()))
 
 
 class OpType:
@@ -366,11 +376,8 @@ class EndofunctorSpec:
         profile, but the empty tuple, which is its own sum."""
         profile = self._profiles.get(source)
         if profile is None:
-            counts: dict[str, int] = {}
             parts = [((source, 1),)] if isinstance(source, str) else source
-            for colour, m in itertools.chain(*parts):
-                counts[colour] = counts.get(colour, 0) + m
-            profile = tuple(sorted(counts.items()))
+            profile = multiset(itertools.chain(*parts))
             profile = self._profiles[source] = self._profiles.setdefault(profile, profile)
         return profile
 
@@ -523,11 +530,7 @@ class PTree:
         return self.shape.node_count
 
     def leaf_profile(self) -> tuple[tuple[str, int], ...]:
-        counts: dict[str, int] = {}
-        for e in self.shape.leaves:
-            c = self.edge_colour[e]
-            counts[c] = counts.get(c, 0) + 1
-        return tuple(sorted(counts.items()))
+        return multiset((self.edge_colour[e], 1) for e in self.shape.leaves)
 
     def leaf_count(self) -> int:
         return len(self.shape.leaves)
@@ -826,12 +829,7 @@ def _read_ptree(spec: EndofunctorSpec, sc: _Scanner) -> PTree:
 
 
 def parse_ptree(spec: EndofunctorSpec, text: str) -> PTree:
-    sc = _Scanner(text)
-    t = _read_ptree(spec, sc)
-    sc.skip_ws()
-    if sc.peek() is not None:
-        raise sc.error("trailing input after tree")
-    return t
+    return _read_tree_text(text, lambda sc: _read_ptree(spec, sc))
 
 
 def decorate_shape(spec: EndofunctorSpec, shape: TreeDiagram) -> PTree:
@@ -1048,13 +1046,7 @@ class PForest:
 
     @property
     def items(self) -> tuple[tuple[str, int], ...]:
-        out: list[tuple[str, int]] = []
-        for k in self.keys:
-            if out and out[-1][0] == k:
-                out[-1] = (k, out[-1][1] + 1)
-            else:
-                out.append((k, 1))
-        return tuple(out)
+        return multiset((k, 1) for k in self.keys)
 
     def classes(self) -> list[TreeClass]:
         return [tree_class(self.spec, k) for k in self.keys]
@@ -1066,17 +1058,10 @@ class PForest:
         return sum(c.nodes for c in self.classes())
 
     def root_profile(self) -> tuple[tuple[str, int], ...]:
-        counts: dict[str, int] = {}
-        for c in self.classes():
-            counts[c.root] = counts.get(c.root, 0) + 1
-        return tuple(sorted(counts.items()))
+        return multiset((c.root, 1) for c in self.classes())
 
     def leaf_profile(self) -> tuple[tuple[str, int], ...]:
-        counts: dict[str, int] = {}
-        for c in self.classes():
-            for colour, m in c.leaf_profile:
-                counts[colour] = counts.get(colour, 0) + m
-        return tuple(sorted(counts.items()))
+        return multiset(itertools.chain(*(c.leaf_profile for c in self.classes())))
 
 
 def forest_mul(a: PForest, b: PForest) -> PForest:
@@ -1097,25 +1082,7 @@ def aut_order_forest(f: PForest) -> int:
 
 
 def parse_pforest(spec: EndofunctorSpec, text: str) -> PForest:
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() == "ε":
-        sc.advance()
-        sc.skip_ws()
-        if sc.peek() is not None:
-            raise sc.error("trailing input after empty forest")
-        return PForest(spec, ())
-    trees = []
-    while True:
-        trees.append(_read_ptree(spec, sc))
-        sc.skip_ws()
-        if sc.peek() == "·":
-            sc.advance()
-            continue
-        if sc.peek() is None:
-            break
-        raise sc.error("expected '·' between forest components")
-    return PForest.from_trees(spec, trees)
+    return PForest.from_trees(spec, _read_forest_text(text, lambda sc: _read_ptree(spec, sc)))
 
 
 # ---------------------------------------------------------------------------

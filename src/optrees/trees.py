@@ -25,7 +25,7 @@ inverse up to isomorphism.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 class DiagramError(ValueError):
@@ -202,19 +202,19 @@ def _check_raw(edges, node_inputs, node_output):
     return edges, node_inputs, node_output, seen_inputs
 
 
-def _check_walk(diagram: ForestDiagram):
-    roots = set(diagram.roots)
-    step = diagram.walk_down
+def _check_walk(diagram: ForestDiagram, inputs: set[int]):
+    """Walk down from each edge to a root (an edge not in ``inputs``)."""
+    below, output = diagram.node_below, diagram.node_output
     state: dict[int, int] = {}  # 0 visiting, 1 done
     for start in diagram.edges:
         e = start
         trail = []
-        while e not in roots and state.get(e) != 1:
+        while e in inputs and state.get(e) != 1:
             if state.get(e) == 0:
                 raise CycleDetected(f"walk from edge {start} cycles at edge {e}")
             state[e] = 0
             trail.append(e)
-            e = step[e]
+            e = output[below[e]]
         for t in trail:
             state[t] = 1
 
@@ -223,9 +223,9 @@ def validate_forest(edges: Iterable[int],
                     node_inputs: Mapping[int, Iterable[int]],
                     node_output: Mapping[int, int]) -> ForestDiagram:
     """Check the forest axioms on raw data and return a ForestDiagram."""
-    edges, node_inputs, node_output, _ = _check_raw(edges, node_inputs, node_output)
+    edges, node_inputs, node_output, seen_inputs = _check_raw(edges, node_inputs, node_output)
     d = ForestDiagram(edges, node_inputs, node_output)
-    _check_walk(d)
+    _check_walk(d, seen_inputs)
     return d
 
 
@@ -240,7 +240,7 @@ def validate_tree(edges: Iterable[int],
     if len(roots) > 1:
         raise MultipleRoots(f"tree diagram has several root edges: {roots}")
     d = TreeDiagram(edges, node_inputs, node_output)
-    _check_walk(d)
+    _check_walk(d, seen_inputs)
     return d
 
 
@@ -452,14 +452,15 @@ def disjoint_union(parts: Iterable[ForestDiagram]) -> ForestDiagram:
 
 
 class _Scanner:
+    """A position in the text; an error counts its line and column."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def error(self, msg: str) -> GrammarError:
-        return GrammarError(msg, self.line, self.col)
+        text, pos = self.text, self.pos
+        return GrammarError(msg, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
     def peek(self) -> str | None:
         return self.text[self.pos] if self.pos < len(self.text) else None
@@ -467,29 +468,43 @@ class _Scanner:
     def advance(self) -> str:
         ch = self.text[self.pos]
         self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
         return ch
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t\n\r":
-            self.advance()
+            self.pos += 1
 
 
-class _TreeBuilder:
-    def __init__(self):
-        self.edge_n = 0
-        self.node_n = 0
-        self.node_inputs: dict[int, tuple[int, ...]] = {}
-        self.node_output: dict[int, int] = {}
+def _read_tree_text(text: str, read: Callable[[_Scanner], object]):
+    """The one tree ``read`` reads from the text, then no trailing input."""
+    sc = _Scanner(text)
+    t = read(sc)
+    sc.skip_ws()
+    if sc.peek() is not None:
+        raise sc.error("trailing input after tree")
+    return t
 
-    def new_edge(self) -> int:
-        e = self.edge_n
-        self.edge_n += 1
-        return e
+
+def _read_forest_text(text: str, read: Callable[[_Scanner], object]) -> list:
+    """The trees ``read`` reads from ``"ε" | tree ("·" tree)*``, none for ε."""
+    sc = _Scanner(text)
+    sc.skip_ws()
+    if sc.peek() == "ε":
+        sc.advance()
+        sc.skip_ws()
+        if sc.peek() is not None:
+            raise sc.error("trailing input after empty forest")
+        return []
+    trees = []
+    while True:
+        trees.append(read(sc))
+        sc.skip_ws()
+        if sc.peek() == "·":
+            sc.advance()
+            continue
+        if sc.peek() is None:
+            return trees
+        raise sc.error("expected '·' between forest components")
 
 
 # Deepest node nesting the parsers accept.  The two parsers (this one and
@@ -499,19 +514,24 @@ class _TreeBuilder:
 MAX_PARSE_DEPTH = 500
 
 
-def _parse_subtree(sc: _Scanner, b: _TreeBuilder, out_edge: int, depth: int = 0):
+def _parse_subtree(sc: _Scanner, parts: tuple[list, dict, dict], depth: int = 0) -> int:
+    """Read one tree into ``parts`` (edges, node inputs, node outputs) and
+    return its root edge.  Edges are numbered as they are read and nodes as
+    they open."""
+    edges, node_inputs, node_output = parts
+    e = len(edges)
+    edges.append(e)
     sc.skip_ws()
     ch = sc.peek()
     if ch == "_":
         sc.advance()
-        return
+        return e
     if ch == "(":
         if depth >= MAX_PARSE_DEPTH:
             raise sc.error(f"nodes nested deeper than {MAX_PARSE_DEPTH}")
         sc.advance()
-        node = b.node_n
-        b.node_n += 1
-        b.node_output[node] = out_edge
+        node = len(node_output)
+        node_output[node] = e
         ins = []
         while True:
             sc.skip_ws()
@@ -523,48 +543,24 @@ def _parse_subtree(sc: _Scanner, b: _TreeBuilder, out_edge: int, depth: int = 0)
                 raise sc.error("unexpected end of input, expected ')'")
             if ch not in "_(":
                 raise sc.error(f"unexpected character {ch!r}")
-            e = b.new_edge()
-            ins.append(e)
-            _parse_subtree(sc, b, e, depth + 1)
-        b.node_inputs[node] = tuple(ins)
-        return
+            ins.append(_parse_subtree(sc, parts, depth + 1))
+        node_inputs[node] = tuple(ins)
+        return e
     if ch is None:
         raise sc.error("unexpected end of input")
     raise sc.error(f"unexpected character {ch!r}")
 
 
 def parse_tree(text: str) -> TreeDiagram:
-    sc = _Scanner(text)
-    b = _TreeBuilder()
-    root = b.new_edge()
-    _parse_subtree(sc, b, root)
-    sc.skip_ws()
-    if sc.peek() is not None:
-        raise sc.error("trailing input after tree")
-    return validate_tree(range(b.edge_n), b.node_inputs, b.node_output)
+    parts = [], {}, {}
+    _read_tree_text(text, lambda sc: _parse_subtree(sc, parts))
+    return validate_tree(*parts)
 
 
 def parse_forest(text: str) -> ForestDiagram:
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() == "ε":
-        sc.advance()
-        sc.skip_ws()
-        if sc.peek() is not None:
-            raise sc.error("trailing input after empty forest")
-        return empty_forest()
-    b = _TreeBuilder()
-    while True:
-        root = b.new_edge()
-        _parse_subtree(sc, b, root)
-        sc.skip_ws()
-        if sc.peek() == "·":
-            sc.advance()
-            continue
-        if sc.peek() is None:
-            break
-        raise sc.error("expected '·' between forest components")
-    return validate_forest(range(b.edge_n), b.node_inputs, b.node_output)
+    parts = [], {}, {}
+    _read_forest_text(text, lambda sc: _parse_subtree(sc, parts))
+    return validate_forest(*parts)
 
 
 def _print_from_edge(d: ForestDiagram, edge: int) -> str:

@@ -642,7 +642,7 @@ def test_graft_oracle_rejects_a_record_whose_filling_is_wrong(monkeypatch):
     stump, crown = tree_class(spec, b), PForest.from_keys(spec, ["_", "_", b])
     other = PForest.from_keys(spec, [a, a, "_"])
     t = "(n2:(n2:(n2:__)_)(n2:__))"
-    honest = bialgebra._pair_grafts
+    honest = bialgebra.graft_classes
     fillings = {f.keys: {c.key: filling for c, filling in honest(f, stump).items()}
                 for f in (crown, other)}
     right = fillings[crown.keys][t]
@@ -656,7 +656,7 @@ def test_graft_oracle_rejects_a_record_whose_filling_is_wrong(monkeypatch):
                 return grafts
             return {c: forged if c.key == t else filling
                     for c, filling in grafts.items()}
-        monkeypatch.setattr(bialgebra, "_pair_grafts", pair_grafts)
+        monkeypatch.setattr(bialgebra, "graft_classes", pair_grafts)
         report = verify_fdb(spec, 4, 7)
         verdicts.append((graft_oracle_agrees(stump, crown), report.failed,
                          report.cross_failed))
@@ -693,7 +693,7 @@ def test_graft_record_fills_leaves_in_slot_order_colour_by_colour(two_colour):
     stump = tree_class(two_colour, "(f:(f:__)(g:__))")
     crown = PForest.from_keys(two_colour, ["(f:__)", "_a", "_b", "(g:__)"])
     record = tree_class(two_colour, "(f:(f:(f:__)_)(g:_(g:__)))")
-    assert bialgebra._pair_grafts(crown, stump)[record] == (
+    assert bialgebra.graft_classes(crown, stump)[record] == (
         "(f:__)", "_b", "_a", "(g:__)")
 
 
@@ -728,7 +728,7 @@ def test_stump_walk_reaches_the_listed_pairs_with_their_single_pair_grafts(templ
         grafts = bialgebra.stump_grafts(s, candidates, nodes - s.nodes, edges)
         assert set(grafts) == {f.keys for f in crowns}, s.key
         for f in crowns:
-            assert by_key(grafts[f.keys]) == by_key(bialgebra._pair_grafts(f, s)), \
+            assert by_key(grafts[f.keys]) == by_key(bialgebra.graft_classes(f, s)), \
                 (f.keys, s.key)
             assert (fdb_lhs_coefficient(f, s, grafts[f.keys])
                     == fdb_lhs_coefficient(f, s)), (f.keys, s.key)
@@ -980,6 +980,23 @@ def test_series_and_report_records(exp3):
     assert check.reached and check.passed and not hasattr(check, "__dict__")
     assert not PairCheck(("_",), "_", one, Fraction(2)).passed
     assert not PairCheck(("_",), "_", one, one, reached=False).passed
+
+
+def test_series_text_and_equality(exp3):
+    # "0" without terms, "1" for the empty monomial, a coefficient written
+    # unless it is 1, " ⊗ " between the sides; a series never equals a
+    # tensor series, even with equal terms
+    bound = Bound(3)
+    s = Series(exp3, bound, {EMPTY: 1, ("_",): Fraction(1, 2), ("_", "_"): 1,
+                             ("(n2:__)",): Fraction(2)})
+    assert s.terms_str() == "1 + 2/1 (n2:__) + 1/2 _ + _·_"
+    t = TensorSeries(exp3, bound, {(EMPTY, ("_",)): 1, (("_", "_"), EMPTY): 1,
+                                   (("_",), ("(n2:__)",)): Fraction(2, 3)})
+    assert t.terms_str() == "1 ⊗ _ + 2/3 _ ⊗ (n2:__) + _·_ ⊗ 1"
+    assert Series(exp3, bound, {}).terms_str() == TensorSeries(exp3, bound, {}).terms_str() == "0"
+    for terms in ({}, {("_",): 1}):
+        a, b = Series(exp3, bound, terms), TensorSeries(exp3, bound, terms)
+        assert a != b and b != a and not a == b and not b == a
 
 
 def random_terms(rng, forests, count):

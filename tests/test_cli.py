@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -185,6 +187,43 @@ def test_parse_error_exit_code(capsys):
     assert main(["delta", "--functor", "identity", "--tree", "(("]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+# the tree grammars' alphabet, and trees of each fuzzed spec that a
+# mutation starts from
+_TREE_TOKENS = ["_", "(", ")", ":", "·", "ε", "n0", "n1", "n2", "f", "g", "o", "a", "b",
+                "_a", "_b", " ", "\t", "\n", "\r"]
+_TREE_SEEDS = [["_", "(n2:__)", "(n1:(n2:_(n0)))", "(_(__))"],
+               ["_", "(n1:(n1:_))", "((_))"],
+               ["_b", "(f:_a_b)", "(g:(f:_a_b)(g:_a_b))", "(__)"]]
+
+
+def test_fuzzed_tree_text_exits_cleanly(tmp_path, capsys):
+    # a seeded --tree text, random tokens or a mutated tree, is a tree
+    # (exit 0) or a grammar or decoration error (exit 2), never an internal
+    # error (3); a grammar error names its line and column
+    path = tmp_path / "two-colour.json"
+    save_spec(two_colour_spec(), str(path))
+    specs = [["--functor", "exp", "--max-arity", "2"], ["--functor", "identity"],
+             ["--spec-file", str(path)]]
+    rng, codes = random.Random(20261020), set()
+    for i in range(150):
+        if i % 2:
+            tokens = [rng.choice(_TREE_TOKENS) for _ in range(rng.randint(0, 12))]
+        else:
+            tokens = list(rng.choice(_TREE_SEEDS[i % 3]))
+            for _ in range(rng.randint(0, 2)):
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(_TREE_TOKENS))
+        text = "".join(tokens)
+        for command in ("aut", "delta"):
+            code = main([command, *specs[i % 3], "--tree", text])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (text, err)
+            if code == 2:
+                assert re.fullmatch(r"error: .+ \(line \d+, column \d+\)\n", err) or \
+                    re.fullmatch(r"error: (cannot infer|inferred colours) .+\n", err), (text, err)
+            codes.add(code)
+    assert codes == {0, 2}
 
 
 def test_usage_error_exit_code():

@@ -9,7 +9,7 @@ from conftest import (all_builtin_specs, cycle_generated_s3_spec,
                       split_block_spec, symmetric_two_colour_spec,
                       two_colour_spec)
 from optrees import pfunctor
-from optrees.bialgebra import _pair_grafts, green
+from optrees.bialgebra import graft_classes, green
 from optrees.cli import main
 from optrees.enumeration import (Bound, BoundError, enumerate_classes,
                                  enumerate_pforests, enumerate_ptrees, matchings)
@@ -462,9 +462,9 @@ def test_multiset_arrangements():
     planar = builtin("planar", max_arity=3)
     stump = tree_class(planar, "(n3:___)")
     crown = PForest.from_keys(planar, ["_", "_", "(n1:_)"])
-    out = list(_pair_grafts(crown, stump).values())
+    out = list(graft_classes(crown, stump).values())
     assert out == [("_", "_", "(n1:_)"), ("_", "(n1:_)", "_"), ("(n1:_)", "_", "_")]
-    assert list(_pair_grafts(PForest.from_keys(planar, []),
+    assert list(graft_classes(PForest.from_keys(planar, []),
                              tree_class(planar, "(n0)")).values()) == [()]
 
 
@@ -473,22 +473,22 @@ def test_graft_class_assignments_counts(exp3, two_colour):
     # pair's graft classes: one per class reached
     cherry = tree_class(exp3, "(n2:__)")
     crown = PForest.from_keys(exp3, ["(n1:_)", "(n1:_)"])
-    assert list(_pair_grafts(crown, cherry).values()) == [("(n1:_)", "(n1:_)")]
+    assert list(graft_classes(crown, cherry).values()) == [("(n1:_)", "(n1:_)")]
     # the cherry's two leaves are one symmetric block: one ordering is taken
     crown2 = PForest.from_keys(exp3, ["(n1:_)", "_"])
-    assert list(_pair_grafts(crown2, cherry).values()) == [("_", "(n1:_)")]
+    assert list(graft_classes(crown2, cherry).values()) == [("_", "(n1:_)")]
     # leaves of two colours (slot order a, b, a, b): every ordering of
     # each colour's crown classes
     stump = tree_class(two_colour, "(f:(f:__)(g:__))")
     assert stump.leaf_profile == (("a", 2), ("b", 2))
     crown3 = PForest.from_keys(two_colour, ["(f:__)", "_a", "(g:__)", "_b"])
-    assert sorted(_pair_grafts(crown3, stump).values()) == sorted(
+    assert sorted(graft_classes(crown3, stump).values()) == sorted(
         (a[0], b[0], a[1], b[1]) for a in [("(f:__)", "_a"), ("_a", "(f:__)")]
         for b in [("(g:__)", "_b"), ("_b", "(g:__)")])
     crown4 = PForest.from_keys(two_colour, ["_a", "_a", "(g:__)", "_b"])
-    assert len(_pair_grafts(crown4, stump)) == 2
+    assert len(graft_classes(crown4, stump)) == 2
     # a crown whose root profile is not the leaf profile has no filling
     for keys in (["_a", "_a", "_b"], ["_a", "_b", "_b", "_b"], ["_a", "_a", "_a", "_b"]):
-        assert _pair_grafts(PForest.from_keys(two_colour, keys), stump) == {}
-    assert _pair_grafts(PForest.from_keys(exp3, ["_"]), cherry) == {}
+        assert graft_classes(PForest.from_keys(two_colour, keys), stump) == {}
+    assert graft_classes(PForest.from_keys(exp3, ["_"]), cherry) == {}
     assert not builtin("planar", max_arity=2).group_is_block_symmetric("n2")

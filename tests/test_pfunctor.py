@@ -523,6 +523,38 @@ def test_parse_errors_have_positions():
         assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize("read, spec, text, message, line, col", [
+    (parse_ptree, "identity", "\n" + "(n1:" * 501, "nodes nested deeper than 500", 2, 2001),
+    (parse_ptree, "exp", "(\n\t:", "expected an identifier", 2, 2),
+    (parse_ptree, "exp", "_x", "unknown colour 'x'", 1, 3),
+    (parse_ptree, "two-colour", "_", "leaf colour required for multi-colour specs", 1, 2),
+    (parse_ptree, "two-colour", "(f:_b_b)", "colour 'b' does not match slot colour 'a'", 1, 6),
+    (parse_ptree, "exp", "(zz:_)", "unknown op 'zz'", 1, 4),
+    (parse_ptree, "exp", "(n2:_", "unexpected end of input, expected ')'", 1, 6),
+    (parse_ptree, "exp", "(n2 _)", "expected ')'", 1, 5),
+    (parse_ptree, "exp", "(n2:_)", "op 'n2' has arity 2, got 1 children", 1, 7),
+    (parse_ptree, "two-colour", "(f:_a(f:_a_b))",
+     "op 'f' output 'a' does not match slot colour 'b'", 1, 14),
+    (parse_ptree, "exp", "\r\n\t", "unexpected end of input", 2, 2),
+    (parse_ptree, "exp", ")", "unexpected character ')'", 1, 1),
+    (parse_ptree, "exp", "(n2:\rx_)", "unexpected character 'x'", 1, 6),
+    (parse_ptree, "exp", "(n2:__) \n_", "trailing input after tree", 2, 1),
+    (parse_pforest, "exp", "ε _", "trailing input after empty forest", 1, 3),
+    (parse_pforest, "exp", "_\r_", "expected '·' between forest components", 1, 3),
+    (parse_pforest, "exp", "_·\t(n2:__", "unexpected end of input, expected ')'", 1, 10),
+    (parse_pforest, "exp", "(n2:__)·\n(n1:)", "op 'n1' has arity 1, got 0 children", 2, 6),
+])
+def test_every_decorated_grammar_error_names_its_line_and_column(read, spec, text, message,
+                                                                 line, col):
+    # a column counts characters since the last newline; tab and \r are one
+    spec = {"identity": builtin("identity"), "exp": builtin("exp", max_arity=2),
+            "two-colour": two_colour_spec()}[spec]
+    with pytest.raises(GrammarError) as err:
+        read(spec, text)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_decorated_parse_limits_nesting_depth():
     spec = builtin("identity")
     deep = parse_ptree(spec, "(n1:" * 500 + "_" + ")" * 500)

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from conftest import (cycle_generated_s3_spec, symmetric_two_colour_spec,
                       triple_left, triple_right, two_colour_spec)
-from optrees.bialgebra import (_pair_grafts, counit_left, counit_right,
-                               delta_monomial, delta_tree)
+from optrees.bialgebra import (counit_left, counit_right, delta_monomial,
+                               delta_tree, graft_classes)
 from optrees.enumeration import Bound
 from optrees.pfunctor import (PForest, aut_order, build_ptree, builtin,
                               graft_decorated, intern, parse_ptree, tree_class,
@@ -101,7 +101,7 @@ def test_composed_graft_is_the_class_of_the_grafted_tree(spec, data):
                                     colour=tree.edge_colour[leaf]))
              for leaf in sorted(tree.shape.leaves)}
     grafted = graft_decorated(tree, crown)
-    reached = {c.key: c for c in _pair_grafts(
+    reached = {c.key: c for c in graft_classes(
         PForest.from_trees(spec, crown.values()), stump)}
     assert reached[grafted.key()].aut == aut_order(grafted)
 
@@ -143,6 +143,6 @@ def test_multiset_arrangements_are_the_sorted_distinct_permutations(items):
     stump = tree_class(PLANAR, f"(n{len(items)}" + (":" + "_" * len(items)
                                                     if items else "") + ")")
     crown = PForest.from_keys(PLANAR, [CROWN_OF[i] for i in items])
-    assert (list(_pair_grafts(crown, stump).values())
+    assert (list(graft_classes(crown, stump).values())
             == [tuple(CROWN_OF[i] for i in p)
                 for p in sorted(set(itertools.permutations(items)))])

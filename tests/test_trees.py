@@ -391,6 +391,29 @@ def test_parse_limits_nesting_depth():
             parse_forest("_·" + "(" * n + "_" + ")" * n)
 
 
+@pytest.mark.parametrize("read, text, message, line, col", [
+    (parse_tree, "(" * 501, "nodes nested deeper than 500", 1, 501),
+    (parse_tree, "\n" + "(" * 501, "nodes nested deeper than 500", 2, 501),
+    (parse_tree, "(_", "unexpected end of input, expected ')'", 1, 3),
+    (parse_tree, "(_\n x)", "unexpected character 'x'", 2, 2),
+    (parse_tree, "", "unexpected end of input", 1, 1),
+    (parse_tree, " \t\n\r\n ", "unexpected end of input", 3, 2),
+    (parse_tree, "\rx", "unexpected character 'x'", 1, 2),
+    (parse_tree, "(_)\n\t_", "trailing input after tree", 2, 2),
+    (parse_forest, "ε\r\n_", "trailing input after empty forest", 2, 1),
+    (parse_forest, "_\t_", "expected '·' between forest components", 1, 3),
+    (parse_forest, "_·\n\n(x)", "unexpected character 'x'", 3, 2),
+    (parse_forest, "_·", "unexpected end of input", 1, 3),
+    (parse_forest, "_·" + "(" * 501, "nodes nested deeper than 500", 1, 503),
+])
+def test_every_grammar_error_names_its_line_and_column(read, text, message, line, col):
+    # a column counts characters since the last newline; tab and \r are one
+    with pytest.raises(GrammarError) as err:
+        read(text)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_print_roundtrip_at_the_deepest_nesting_parsed():
     text = "(" * MAX_PARSE_DEPTH + "_" + ")" * MAX_PARSE_DEPTH
     assert print_tree(parse_tree(text)) == text
