@@ -61,10 +61,23 @@ def cycle_generated_s3_spec():
         name="cycle-generated-s3")
 
 
+def partial_blocks_spec():
+    """One colour, with ops whose transpositions connect some of their slots
+    but not all: p swaps slots 0 and 1 of three, q swaps 0 and 1 and swaps
+    2 and 3 of four."""
+    return EndofunctorSpec(
+        ["o"],
+        [OpType("n0", "o", ()),
+         OpType("p", "o", ("o",) * 3, ((1, 0, 2),)),
+         OpType("q", "o", ("o",) * 4, ((1, 0, 2, 3), (0, 1, 3, 2)))],
+        name="partial-blocks")
+
+
 def cut_specs():
     """Every builtin spec and the specs above: the specs the cut tests run on."""
     return all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(),
-                                  split_block_spec(), cycle_generated_s3_spec()]
+                                  split_block_spec(), cycle_generated_s3_spec(),
+                                  partial_blocks_spec()]
 
 
 def triple_left(spec, ts, bound):
