@@ -404,11 +404,11 @@ def _plan(c: TreeClass, crowns: Mapping[str, Sequence[TreeClass]], prev: int,
           head: list, slots: list):
     """Append the steps that rebuild the record ``c`` on a stack, its leaves
     filled in slot order.  Each leaf is a slot (candidates, previous slot,
-    steps after it): its colour's crown candidates, the slot (or -1) whose
-    pick it may not go below, and the steps run once it is filled, each
-    ``(None, record)`` (push a leaf-free subtree) or ``(op, k)`` (compose op
-    on the top k records).  Records pushed before the first leaf go to
-    ``head``, the stack the walk starts from."""
+    steps after it): its colour's crown candidates, the last leaf slot
+    before it of its block (or -1), whose pick it may not go below, and the
+    steps run once it is filled, each ``(None, record)`` (push a leaf-free
+    subtree) or ``(op, k)`` (compose op on the top k records).  Records
+    pushed before the first leaf go to ``head``, the walk's first stack."""
     if not c.leaves:
         if slots:
             slots[-1][2].append((None, c))
@@ -418,13 +418,14 @@ def _plan(c: TreeClass, crowns: Mapping[str, Sequence[TreeClass]], prev: int,
     if c.op is None:
         slots.append((crowns.get(c.root, ()), prev, []))
         return
-    # leaf slots of one colour of a block-symmetric op are interchangeable
-    block = {} if c.spec.group_is_block_symmetric(c.op) else None
-    for d in c.children:
+    # the leaf slots of one block of the op are interchangeable
+    block = {i: b[0] for b in c.spec._blocks[c.op] or () for i in b}
+    last: dict[int, int] = {}  # per block, its last leaf slot so far
+    for i, d in enumerate(c.children):
         before = -1
-        if block is not None and d.op is None:
-            before = block.get(d.root, -1)
-            block[d.root] = len(slots)
+        if i in block and d.op is None:
+            before = last.get(block[i], -1)
+            last[block[i]] = len(slots)
         _plan(d, crowns, before, head, slots)
     slots[-1][2].append((c.op, len(c.children)))
 
@@ -461,9 +462,9 @@ def stump_grafts(stump: TreeClass, crowns: Mapping[str, Sequence[TreeClass]],
     nodes and ``max_edges`` edges, in one walk: the stump's leaves are
     filled in slot order, each from ``crowns[colour]`` (records sorted by
     node count), and a stump node is composed once its last leaf is filled,
-    so every later choice shares it.  Leaf slots of one colour under a
-    block-symmetric op take nondecreasing picks, one filling per orbit of
-    theirs.  Maps each crown (sorted keys) to its graft classes, each with
+    so every later choice shares it.  The leaf slots of one block of a
+    stump node take nondecreasing picks, one filling per orbit of theirs.
+    Maps each crown (sorted keys) to its graft classes, each with
     the first filling (crown keys in slot order) that reached it.  ``memo``
     (a ``defaultdict(dict)``) keeps each composite by op, then by children;
     a new record keeps the children tuple that is its key.  Under ``None``

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from typing import Iterator
 
 from .pfunctor import (EndofunctorSpec, ForestKey, OpType, PForest, PTree,
@@ -93,19 +94,22 @@ def _slot_fillings(spec: EndofunctorSpec, op: OpType, cells: dict, edges: int,
     ``nodes`` nodes in all, filled slot by slot from the occupied cells and
     pruned on the edges left (one per slot left) and the nodes left.
 
-    Under a block-symmetric group, a run of adjacent slots of one colour
-    takes nondecreasing cells, and m slots on one cell a multiset of m
-    records: one arrangement per orbit when each block is such a run.  A
-    rigid op meets each class once too; other ops may meet one twice.
+    The slots of one block of the op (``EndofunctorSpec.node_code``) take
+    nondecreasing cells, and the m slots of a block on one cell a multiset
+    of m records: one arrangement per orbit when the group permutes the
+    slots within blocks.  An op whose group is scanned may meet a class
+    twice.
     """
-    k, block = op.arity, spec.group_is_block_symmetric(op.name)
+    k = op.arity
     rows = [cells.get(c, []) for c in op.ins]
-    # the first slot of each slot's run of interchangeable adjacent slots
-    lead = list(itertools.accumulate(range(k), lambda a, i: a if block and
-                                     op.ins[i] == op.ins[a] else i))
+    # each slot's previous slot and first slot in its block, or itself
+    prev, lead = list(range(k)), list(range(k))
+    for slots in spec._blocks[op.name] or ():
+        for a, b in zip(slots, slots[1:]):
+            prev[b], lead[b] = a, slots[0]
     found: list[tuple[int, ...]] = []  # the cell picked for each slot
 
-    def walk(i: int, start: int, edges_left: int, nodes_left: int, picks: tuple):
+    def walk(i: int, edges_left: int, nodes_left: int, picks: tuple):
         if i == k:
             if edges_left == 0 <= nodes_left:
                 found.append(picks)
@@ -113,23 +117,26 @@ def _slot_fillings(spec: EndofunctorSpec, op: OpType, cells: dict, edges: int,
         rest = k - 1 - i
         # the last slot takes the edges left
         first = 0 if rest else bisect.bisect_left(rows[i], (edges_left,))
-        for j in range(max(first, start if lead[i] != i else 0), len(rows[i])):
+        for j in range(max(first, picks[prev[i]] if prev[i] < i else 0), len(rows[i])):
             ce, cn, _ = rows[i][j]
             if ce > edges_left - rest:
                 break
             if cn <= nodes_left:
-                walk(i + 1, j, edges_left - ce, nodes_left - cn, picks + (j,))
+                walk(i + 1, edges_left - ce, nodes_left - cn, picks + (j,))
 
-    walk(0, 0, edges, nodes, ())
+    walk(0, edges, nodes, ())
     for picks in found:
-        if all(lead[i] == i or picks[i] != picks[i - 1] for i in range(1, k)):
+        if all(prev[i] == i or picks[i] != picks[prev[i]] for i in range(1, k)):
             yield from itertools.product(*(rows[i][j][2] for i, j in enumerate(picks)))
             continue
-        runs = [(rows[i][j][2], len(list(g))) for (i, j), g in
-                itertools.groupby(range(k), lambda i: (lead[i], picks[i]))]
-        for combo in itertools.product(*(itertools.combinations_with_replacement(*run)
-                                         for run in runs)):
-            yield tuple(itertools.chain.from_iterable(combo))
+        runs: dict[tuple[int, int], list[int]] = {}  # the slots of a block on a cell
+        for i in range(k):
+            runs.setdefault((lead[i], picks[i]), []).append(i)
+        order = [i for run in runs.values() for i in run]  # the slots run by run
+        arrange = operator.itemgetter(*sorted(range(k), key=order.__getitem__))  # to slot order
+        for combo in itertools.product(*(itertools.combinations_with_replacement(
+                rows[run[0]][picks[run[0]]][2], len(run)) for run in runs.values())):
+            yield arrange(tuple(itertools.chain.from_iterable(combo)))
 
 
 def enumerate_classes(spec: EndofunctorSpec, bound: Bound, root_colour: str | None = None,

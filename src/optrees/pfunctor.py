@@ -16,16 +16,17 @@ Canonical form
 ``PTree.key`` is a complete isomorphism invariant computed bottom-up by one
 rule, ``EndofunctorSpec.node_code``: the code of a node is its operation name
 followed by the lexicographically least arrangement of its children's codes
-over the op's symmetry group.  An op is *block-symmetric* when, within each
-block of equally coloured input slots, its transposition generators connect
-every slot; its group is then all colour-preserving permutations, the least
-arrangement sorts the codes within each block, and the stabiliser of the
-codes has order ∏ m! over the runs of m equal codes in a block.  A rigid
-op (trivial group) keeps the codes in slot order, with stabiliser 1.  Any
-other group is closed from its generators, and one scan of it collects the
-whole orbit of the child codes: the orbit's least element is the
-arrangement, and the stabiliser has order |group| / |orbit|
-(orbit–stabiliser).  Since
+over the op's symmetry group.  The op's *blocks* are the sets of two or
+more slots that its transposition generators connect.  When every other
+generator keeps each slot in its block, the group is exactly the
+permutations within the blocks: the least arrangement sorts the codes
+within each block, and the stabiliser of the codes has order ∏ m! over the
+runs of m equal codes in a block (1 for an op with no blocks, whose group is
+trivial).  Any other group is closed from its generators, and one scan of
+it collects the whole orbit of the child codes: the orbit's least element
+is the arrangement, and the stabiliser has order |group| / |orbit|
+(orbit–stabiliser).  The enumeration and the graft walk read the same
+blocks to fill interchangeable slots in nondecreasing order.  Since
 |Aut op(T₁…T_k)| = |stabiliser| · ∏ |Aut T_i|, the automorphism order of a
 tree is the product of its node stabiliser orders, kept by the same pass
 that codes the nodes.  The canonical key doubles as the canonical string of
@@ -78,8 +79,8 @@ def _perm_mul(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-# Largest group closed from generators (9!); a larger block-symmetric group
-# is coded by sorting, given its transpositions.
+# Largest group closed from generators (9!); a larger group of permutations
+# within blocks is coded by sorting, given its transpositions.
 MAX_GROUP_ORDER = 362_880
 
 
@@ -166,11 +167,12 @@ def _orderings(items: tuple) -> Iterator[tuple]:
 
 
 def _symmetric_blocks(op: OpType) -> tuple[tuple[int, ...], ...] | None:
-    """The slots of each input colour with two or more slots, when the
-    transposition generators connect every such block; otherwise None.
+    """The blocks of two or more slots that the transposition generators
+    connect, in slot order, when every other generator keeps each slot in
+    its block; otherwise None.
 
-    Every generator preserves colours, so in the first case the group is
-    exactly the group of all colour-preserving permutations.
+    In the first case the group is exactly the group of all permutations
+    within the blocks; with no blocks it is trivial.
     """
     parent = list(range(op.arity))
 
@@ -180,17 +182,16 @@ def _symmetric_blocks(op: OpType) -> tuple[tuple[int, ...], ...] | None:
             i = parent[i]
         return i
 
-    for g in op.sym_gens:
-        moved = [i for i in range(op.arity) if g[i] != i]
+    moves = [(g, [i for i in range(op.arity) if g[i] != i]) for g in op.sym_gens]
+    for _, moved in moves:
         if len(moved) == 2:
             parent[find(moved[0])] = find(moved[1])
-    blocks: dict[str, list[int]] = {}
-    for i, c in enumerate(op.ins):
-        blocks.setdefault(c, []).append(i)
-    plan = tuple(tuple(slots) for slots in blocks.values() if len(slots) > 1)
-    if any(len({find(i) for i in slots}) > 1 for slots in plan):
+    if any(find(g[i]) != find(i) for g, moved in moves if len(moved) > 2 for i in moved):
         return None
-    return plan
+    blocks: dict[int, list[int]] = {}
+    for i in range(op.arity):
+        blocks.setdefault(find(i), []).append(i)
+    return tuple(tuple(slots) for slots in blocks.values() if len(slots) > 1)
 
 
 def multiset(pairs: Iterable[tuple]) -> tuple[tuple, ...]:
@@ -228,7 +229,7 @@ class EndofunctorSpec:
     """Colours plus typed operations with input symmetry groups.
 
     Immutable after construction apart from caches: the closures of the
-    groups that are neither trivial nor block-symmetric, the enumeration
+    groups that do not permute slots within blocks, the enumeration
     strata, the table of the records' leaf profiles (``shared_profile``),
     and ``classes``, the class table.  The class table maps each canonical
     key to its :class:`TreeClass` record; a trivial class's record is made
@@ -268,8 +269,6 @@ class EndofunctorSpec:
                         raise SpecError(f"op {op.name!r}: generator {g} breaks input colours")
             self.by_name[op.name] = op
         self._blocks = {op.name: _symmetric_blocks(op) for op in self.ops}
-        self._rigid = {op.name for op in self.ops
-                       if all(g == tuple(range(op.arity)) for g in op.sym_gens)}
         self._groups: dict[str, tuple[Perm, ...]] = {}
         self._enum_cache: dict = {}
         self._profiles: dict = {}
@@ -293,27 +292,20 @@ class EndofunctorSpec:
             g = self._groups[name] = _close_group(self.op(name))
         return g
 
-    def group_is_block_symmetric(self, name: str) -> bool:
-        """True when the op's transposition generators connect each block of
-        equally coloured slots, so its group is all colour-preserving
-        permutations."""
-        return self._blocks[self.op(name).name] is not None
-
     def node_code(self, name: str, codes: Sequence[str]) -> tuple[str, int]:
         """Code of a node of op ``name`` whose slots hold subtrees with the
         given codes, and the order of the stabiliser of those codes.
 
-        A rigid op (trivial group) keeps the codes in slot order, with
-        stabiliser 1.  A block-symmetric op sorts the codes within each
-        block of equally coloured slots; the stabiliser has ∏ m! elements
-        over the runs of m equal codes in a block.  Any other op scans its
-        group once for the orbit of the code tuple: its least element is the
-        canonical arrangement, and by orbit–stabiliser the stabiliser has
-        |group| / |orbit| elements.
+        An op whose group permutes the slots within blocks sorts the codes
+        within each block; the stabiliser has ∏ m! elements over the runs of
+        m equal codes in a block, and 1 when the op has no blocks (a trivial
+        group).  Any other op scans its group once for the orbit of the code
+        tuple: its least element is the canonical arrangement, and by
+        orbit–stabiliser the stabiliser has |group| / |orbit| elements.
         """
-        if name in self._rigid:
-            return ("(" + name + (":" + "".join(codes) if codes else "") + ")", 1)
         blocks = self._blocks.get(name)
+        if blocks == ():
+            return ("(" + name + (":" + "".join(codes) if codes else "") + ")", 1)
         if blocks is None:
             group = self.sym_group(name)
             orbit = {tuple(map(codes.__getitem__, g)) for g in group}
@@ -335,11 +327,10 @@ class EndofunctorSpec:
     def arrangements(self, name: str, items: Sequence) -> list[tuple]:
         """The distinct tuples ``g·items`` (slot i holding ``items[g[i]]``)
         over the group of op ``name``: the orbit whose least element
-        ``node_code`` takes.  A rigid op has one; a block-symmetric op has
-        the distinct orderings of each block's items, without listing its
-        group; any other op scans its group once."""
-        if name in self._rigid:
-            return [tuple(items)]
+        ``node_code`` takes.  An op whose group permutes the slots within
+        blocks has the distinct orderings of each block's items (one tuple
+        when it has no blocks), without listing its group; any other op
+        scans its group once."""
         blocks = self._blocks.get(name)
         if blocks is None:
             return list(dict.fromkeys(tuple(map(items.__getitem__, g))
@@ -929,8 +920,8 @@ def cuts_in(c: TreeClass, table: dict) -> dict[tuple[ForestKey, str], int]:
     and (crown, stump) pair of the tables to one object equal to it; a stump
     is held as the key of the one-tree crown ``(stump,)``.  The children are
     folded in one at a time, equal partial (crown, codes) states merged, the
-    codes kept sorted within each block of a block-symmetric op as
-    ``node_code`` sorts them, so equal children give few states."""
+    codes kept sorted within each block of the op as ``node_code`` sorts
+    them, so equal children give few states."""
     def share(crown: ForestKey, stump: str) -> tuple[ForestKey, str]:
         pair = (table.setdefault(crown, crown), table.setdefault((stump,), (stump,))[0])
         return table.setdefault(pair, pair)

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (all_builtin_specs, cut_specs, cycle_generated_s3_spec,
-                      symmetric_two_colour_spec, triple_left, triple_right,
-                      two_colour_spec)
+                      partial_blocks_spec, symmetric_two_colour_spec, triple_left,
+                      triple_right, two_colour_spec)
 from optrees import bialgebra, pfunctor
 from optrees.classical import verify_phi
 from optrees.bialgebra import (Bound, BoundMismatch, FdbReport, PairCheck, Series,
@@ -818,15 +818,18 @@ def test_a_pair_only_one_side_reaches_fails_and_is_named(monkeypatch):
 
 
 @pytest.mark.parametrize("name, fillings, results", [
-    ("exp", 6872, 6714), ("stable", 132, 126), ("cyclic", 12231, 9149)])
+    ("exp", 6872, 6714), ("stable", 132, 126), ("cyclic", 12231, 9149),
+    ("partial-blocks", 2041, 2041)])
 def test_symmetric_leaf_slots_take_nondecreasing_picks(monkeypatch, name, fillings, results):
-    # Under a block-symmetric op, leaf slots of one colour take their
-    # candidates in nondecreasing order, so exp(3) and stable(3) compose
-    # far fewer fillings than the 12,689 and 229 orderings of their crown
-    # keys.  cyclic(3)'s rotations of three slots are not a block group:
-    # only its binary op's leaves are constrained, and some classes are
-    # still reached twice.
-    spec, nodes, edges = builtin(name, max_arity=3), 5, 8
+    # The leaf slots of one block of an op take their candidates in
+    # nondecreasing order, so exp(3) and stable(3) compose far fewer
+    # fillings than the 12,689 and 229 orderings of their crown keys, and
+    # partial-blocks, whose blocks do not fill its one colour, reaches each
+    # class once (3,151 fillings when only whole colours were blocks).
+    # cyclic(3)'s rotations of three slots have no blocks: only its binary
+    # op's leaves are constrained, and some classes are still reached twice.
+    spec = partial_blocks_spec() if name == "partial-blocks" else builtin(name, max_arity=3)
+    nodes, edges = 5, 8
     fill, finished = bialgebra._fill, []
 
     def counted(slots, j, *args):

@@ -2,19 +2,20 @@ import functools
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from conftest import (all_builtin_specs, cycle_generated_s3_spec,
-                      split_block_spec, symmetric_two_colour_spec,
-                      two_colour_spec)
+                      partial_blocks_spec, split_block_spec,
+                      symmetric_two_colour_spec, two_colour_spec)
 from optrees import pfunctor
 from optrees.bialgebra import graft_classes, green
 from optrees.cli import main
 from optrees.enumeration import (Bound, BoundError, enumerate_classes,
                                  enumerate_pforests, enumerate_ptrees, matchings)
 from optrees.pfunctor import (EndofunctorSpec, PForest, PTree, SpecError, aut_order,
-                              builtin, intern, parse_ptree, tree_class,
+                              builtin, group_order, intern, parse_ptree, tree_class,
                               trivial_ptree, validate_ptree)
 from optrees.trees import validate_tree
 
@@ -349,8 +350,10 @@ def test_node_cap_counts_beyond_the_brute_force_oracle(name, count):
     (builtin("exp", max_arity=3), Bound(16, 5), 1_932),
     (symmetric_two_colour_spec(), Bound(9), 83 - 2),
     (symmetric_two_colour_spec(), Bound(9, 4), 51 - 2),
+    (split_block_spec(), Bound(10), 201),
+    (partial_blocks_spec(), Bound(12), 6_136),
 ], ids=["exp7", "planar3-capped", "exp3-capped", "symmetric-two-colour",
-        "symmetric-two-colour-capped"])
+        "symmetric-two-colour-capped", "split-block", "partial-blocks"])
 def test_rigid_and_block_symmetric_ops_compose_each_class_once(
         monkeypatch, template, bound, calls):
     spec, composed = fresh(template), []
@@ -360,6 +363,48 @@ def test_rigid_and_block_symmetric_ops_compose_each_class_once(
     classes = enumerate_classes(spec, bound)
     # every class but the trivial ones is composed, and only once
     assert len(composed) == len(classes) - len(spec.colours) == calls
+
+
+def cardinality_series(spec, bound):
+    """Per root colour, Σ x^edges y^nodes / |Aut T| over the trees T within
+    the bound, as {(edges, nodes): Fraction}: the fixed point of
+    g_c = x + x·y·Σ_{op: out = c} Π_i g_{in_i} / |G_op|, truncated to the
+    bound.  It reads each op's input colours and group order, and no slot
+    rule, record or tree."""
+    max_nodes = bound.max_edges if bound.max_nodes is None else bound.max_nodes
+    orders = {op.name: group_order(op) for op in spec.ops}
+
+    def times(a, b):
+        out = {}
+        for (e, n), x in a.items():
+            for (f, m), y in b.items():
+                if e + f <= bound.max_edges and n + m <= max_nodes:
+                    out[e + f, n + m] = out.get((e + f, n + m), 0) + x * y
+        return out
+
+    g = {c: {(1, 0): Fraction(1)} for c in spec.colours}
+    for _ in range(bound.max_edges):  # each round fixes the next edge count
+        new = {c: {(1, 0): Fraction(1)} for c in spec.colours}
+        for op in spec.ops:
+            term = functools.reduce(times, (g[c] for c in op.ins), {(0, 0): Fraction(1)})
+            for (e, n), x in times({(1, 1): Fraction(1)}, term).items():
+                new[op.out][e, n] = new[op.out].get((e, n), 0) + x / orders[op.name]
+        g = new
+    return {(c, e, n): x for c, terms in g.items() for (e, n), x in terms.items() if x}
+
+
+@pytest.mark.parametrize("spec", all_builtin_specs() + [
+    two_colour_spec(), symmetric_two_colour_spec(), split_block_spec(),
+    cycle_generated_s3_spec(), partial_blocks_spec()], ids=lambda s: s.name)
+def test_classes_count_as_the_cardinality_fixed_point(spec):
+    # Σ 1/|Aut| per (root, edges, nodes) over the enumerated classes equals
+    # the groupoid cardinality of the trees there: it checks that the
+    # enumeration meets every class once and that each |Aut| is right
+    bound, by_cell = Bound(12, 5), {}
+    for c in enumerate_classes(spec, bound):
+        cell = (c.root, c.edges, c.nodes)
+        by_cell[cell] = by_cell.get(cell, 0) + Fraction(1, c.aut)
+    assert by_cell == cardinality_series(spec, bound)
 
 
 def test_enumerate_and_green_build_no_tree(monkeypatch, capsys):
@@ -491,4 +536,4 @@ def test_graft_class_assignments_counts(exp3, two_colour):
     for keys in (["_a", "_a", "_b"], ["_a", "_b", "_b", "_b"], ["_a", "_a", "_a", "_b"]):
         assert graft_classes(PForest.from_keys(two_colour, keys), stump) == {}
     assert graft_classes(PForest.from_keys(exp3, ["_"]), cherry) == {}
-    assert not builtin("planar", max_arity=2).group_is_block_symmetric("n2")
+    assert builtin("planar", max_arity=2)._blocks["n2"] == ()

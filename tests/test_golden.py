@@ -19,19 +19,20 @@ import json
 import os
 import random
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-
-ROOT = Path(__file__).resolve().parent.parent
-TABLE = Path(__file__).resolve().parent / "golden.json"
 
 from conftest import two_colour_spec
 from test_cli import HashingStdout
 from optrees.cli import main
 from optrees.pfunctor import builtin, parse_pforest, parse_ptree, parse_ptree_or_shape
 from optrees.trees import parse_forest, parse_tree
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = Path(__file__).resolve().parent / "golden.json"
 
 EXP2 = ["--functor", "exp", "--max-arity", "2"]
 EXP3 = ["--functor", "exp", "--max-arity", "3"]
@@ -165,14 +166,13 @@ def grammar_outcome() -> dict:
 def run_case(argv) -> dict:
     """The digest and length of stdout, the exit code and, for an error
     exit, the first line of stderr, of ``main(argv)`` run from the root."""
-    out, err, cwd, stdout = HashingStdout(), io.StringIO(), os.getcwd(), sys.stdout
+    out, err, cwd = HashingStdout(), io.StringIO(), os.getcwd()
     os.chdir(ROOT)
-    sys.stdout = out
-    try:
-        with redirect_stderr(err):
+    try:  # argparse wraps its usage line to the width in COLUMNS
+        with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), \
+                redirect_stderr(err):
             code = main(argv)
     finally:
-        sys.stdout = stdout
         os.chdir(cwd)
     row = {"code": code, "md5": out.md5.hexdigest(), "length": out.length}
     if code not in (0, 1):
@@ -186,20 +186,22 @@ def current_table() -> dict:
     return table
 
 
-GOLDEN = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(TABLE.read_text(encoding="utf-8"))
 
 
-def test_the_table_names_every_case():
-    assert sorted(GOLDEN) == sorted([*CASES, "grammar-corpus"])
+def test_the_table_names_every_case(golden):
+    assert sorted(golden) == sorted([*CASES, "grammar-corpus"])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_command_output_is_the_recorded_one(name):
-    assert run_case(CASES[name]) == GOLDEN[name]
+def test_command_output_is_the_recorded_one(golden, name):
+    assert run_case(CASES[name]) == golden[name]
 
 
-def test_grammar_readers_give_the_recorded_outcomes():
-    assert grammar_outcome() == GOLDEN["grammar-corpus"]
+def test_grammar_readers_give_the_recorded_outcomes(golden):
+    assert grammar_outcome() == golden["grammar-corpus"]
 
 
 if __name__ == "__main__":

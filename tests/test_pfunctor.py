@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_builtin_specs, cut_specs, cycle_generated_s3_spec,
+                      partial_blocks_spec, split_block_spec,
                       symmetric_two_colour_spec, two_colour_spec)
 from optrees.bialgebra import flat_cut_summary, graft_classes
 from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
@@ -320,7 +321,8 @@ def orbit_scan(spec, name, codes):
 
 NODE_CODE_OPS = [(spec, op.name) for spec in
                  [*all_builtin_specs(4), two_colour_spec(),
-                  symmetric_two_colour_spec(), cycle_generated_s3_spec()]
+                  symmetric_two_colour_spec(), cycle_generated_s3_spec(),
+                  split_block_spec(), partial_blocks_spec()]
                  for op in spec.ops]
 
 
@@ -333,6 +335,37 @@ def test_node_code_equals_orbit_scan(spec, name, data):
     codes = tuple(data.draw(st.lists(st.sampled_from("abc"), min_size=arity,
                                      max_size=arity)))
     assert spec.node_code(name, codes) == orbit_scan(spec, name, codes)
+
+
+@pytest.mark.parametrize("spec,name", NODE_CODE_OPS,
+                         ids=[f"{s.name}-{n}" for s, n in NODE_CODE_OPS])
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_arrangements_equal_the_orbit_scan(spec, name, data):
+    # the distinct images of the items over the whole group, each once
+    arity = spec.op(name).arity
+    items = tuple(data.draw(st.lists(st.sampled_from("abc"), min_size=arity,
+                                     max_size=arity)))
+    got = spec.arrangements(name, items)
+    assert len(got) == len(set(got))
+    assert set(got) == {tuple(items[i] for i in g) for g in spec.sym_group(name)}
+
+
+def test_blocks_that_do_not_fill_a_colour_are_sorted_without_a_group():
+    # 24 slots of one colour, of which the transpositions connect 0-11: the
+    # group has 12! elements, more than a closed group may have, and is
+    # coded by sorting the first twelve codes
+    op = OpType("w", "o", ("o",) * 24, tuple(
+        (*range(i), i + 1, i, *range(i + 2, 24)) for i in range(11)))
+    spec = EndofunctorSpec(["o"], [OpType("n0", "o", ()), op])
+    assert spec._blocks["w"] == (tuple(range(12)),)
+    codes = ("_", "(n0)", "_", "_", "(n0)", "_") * 4
+    least = tuple(sorted(codes[:12])) + codes[12:]
+    assert spec.node_code("w", codes) == (
+        "(w:" + "".join(least) + ")", math.factorial(8) * math.factorial(4))
+    assert spec._groups == {}
+    with pytest.raises(SpecError, match="more than 362880 elements"):
+        group_order(op)
 
 
 def dihedral_spec(k):
@@ -362,14 +395,15 @@ def test_group_order_refuses_a_large_group_without_listing_it():
 
 def test_block_plan_needs_no_group_closure():
     exp = builtin("exp", max_arity=12)
-    assert all(exp.group_is_block_symmetric(op.name) for op in exp.ops)
+    assert all(exp._blocks[op.name] == ((tuple(range(op.arity)),) if op.arity > 1 else ())
+               for op in exp.ops)
     assert exp.node_code("n12", ("_",) * 12) == (
         "(n12:" + "_" * 12 + ")", math.factorial(12))
     assert exp._groups == {}
-    assert symmetric_two_colour_spec().group_is_block_symmetric("g")
-    assert not builtin("planar", max_arity=2).group_is_block_symmetric("n2")
-    assert not builtin("cyclic", max_arity=3).group_is_block_symmetric("n3")
-    assert not cycle_generated_s3_spec().group_is_block_symmetric("n3")
+    assert symmetric_two_colour_spec()._blocks["g"] == ((0, 1),)
+    assert builtin("planar", max_arity=2)._blocks["n2"] == ()
+    assert builtin("cyclic", max_arity=3)._blocks["n3"] is None
+    assert cycle_generated_s3_spec()._blocks["n3"] is None
 
 
 def test_rigid_op_node_code_closes_no_group():
@@ -379,12 +413,12 @@ def test_rigid_op_node_code_closes_no_group():
                                             ((0, 1, 2),))])]
     for spec in rigid:
         for op in spec.ops:
+            assert spec._blocks[op.name] == ()
             codes = tuple("(n0)" if i % 2 else "_" for i in range(op.arity))
             body = ":" + "".join(codes) if codes else ""
             assert spec.node_code(op.name, codes) == (f"({op.name}{body})", 1)
         enumerate_ptrees(spec, Bound(6))
         assert spec._groups == {}, spec.name
-    assert not builtin("planar", max_arity=2).group_is_block_symmetric("n2")
 
 
 # -- the class table -----------------------------------------------------------
