@@ -84,6 +84,9 @@ CASES = {
                                  "--max-edges", "5", *STRUCT],
     "verify-fdb-partial-blocks-s": ["verify", "fdb", *PARTIAL, "--max-nodes", "3",
                                     "--max-edges", "5", *STRUCT],
+    "verify-fdb-planar3-s": ["verify", "fdb", "--functor", "planar", "--max-arity", "3",
+                             "--max-nodes", "4", "--max-edges", "6", *STRUCT],
+    "verify-fdb-exp3": ["verify", "fdb", *EXP3, "--max-nodes", "4", "--max-edges", "6"],
     "verify-classical": ["verify", "classical", "--max-degree", "4"],
     "verify-classical-s": ["verify", "classical", "--max-degree", "4", *STRUCT],
     "verify-phi": ["verify", "phi", "--functor", "effective", "--max-arity", "3",
