@@ -52,19 +52,22 @@ function can be computed two independent ways:
   integer numerators (``profile_powers``), and reads every pair's
   coefficient from it.
 
-``fdb_checks`` checks exact equality over every pair within a budget of
-(max total nodes, max edges per side), yielding the listed pairs, and
-``verify_fdb`` collects them.  A third route builds every tree within the
-budget and counts its cuts flat, so it shares no composed record with the
-first; the graft records of a sample of pairs are also checked against
-trees grafted from the fillings that reached them, their grafting cuts
-and parsed keys.  The docstring of ``fdb_checks`` lists the stages, each
+Each is the rational of an integer pair, ``fdb_lhs_ratio`` and
+``fdb_rhs_ratio``, which ``fdb_checks`` compares as reduced numerators and
+denominators over every pair within a budget of (max total nodes, max
+edges per side), yielding the listed pairs; ``verify_fdb`` collects them.
+A third route builds every tree within the budget and counts its cuts
+flat, so it shares no composed record with the first; the graft records
+of a sample of pairs are also checked against trees grafted from the
+fillings that reached them, their grafting cuts and parsed keys.  The
+docstring of ``fdb_checks`` lists the stages, each
 of which frees what it built before the next starts.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -382,22 +385,30 @@ def profile_powers(spec: EndofunctorSpec, bound: Bound,
 # the coefficient identity, two ways
 
 
-def fdb_rhs_coefficient(crown: PForest, stump: TreeClass,
-                        powers: Mapping[Profile, Series]) -> Fraction:
+def fdb_rhs_ratio(crown: PForest, stump: TreeClass,
+                  powers: Mapping[Profile, Series]) -> tuple[int, int]:
     """Coefficient of crown in the leaf-profile power of Green functions,
-    divided by the stump's automorphism order.  ``powers`` maps leaf
-    profiles to their ``profile_powers`` under one bound, which must admit
-    the crown (sizes only add, so any such bound gives the same
-    coefficient).  A term of the power lies within its bound, so the crown's
-    sizes are summed only when it has no term."""
+    divided by the stump's automorphism order, as (numerator, denominator),
+    not reduced: the power's coefficient's numerator over its denominator
+    times |Aut stump|.  ``powers`` maps leaf profiles to their
+    ``profile_powers`` under one bound, which must admit the crown (sizes
+    only add, so any such bound gives the same coefficient).  A term of the
+    power lies within its bound, so the crown's sizes are summed only when
+    it has no term."""
     power = powers[stump.leaf_profile]
     coefficient = power.coeffs.get(crown.keys)
     if coefficient is None:  # a zero, unless the bound cut the crown off
         if not power.bound.admits_forest(crown):
             raise BoundMismatch(
                 f"crown {crown} exceeds the power's bound {power.bound}")
-        return ZERO
-    return coefficient / stump.aut if stump.aut > 1 else coefficient
+        return 0, 1
+    return coefficient.numerator, coefficient.denominator * stump.aut
+
+
+def fdb_rhs_coefficient(crown: PForest, stump: TreeClass,
+                        powers: Mapping[Profile, Series]) -> Fraction:
+    """``fdb_rhs_ratio`` as a rational."""
+    return Fraction(*fdb_rhs_ratio(crown, stump, powers))
 
 
 def _plan(c: TreeClass, crowns: Mapping[str, Sequence[TreeClass]], prev: int,
@@ -438,7 +449,11 @@ def _fill(slots: list, j: int, stack: tuple, picks: tuple, filling: tuple,
     ``picks`` are the candidate indices of the slots filled so far, and
     ``filling`` their keys."""
     if j == len(slots):
-        out.setdefault(tuple(sorted(filling)), {}).setdefault(stack[0], filling)
+        crown = tuple(sorted(filling))
+        grafts = out.get(crown)
+        if grafts is None:
+            grafts = out[crown] = {}
+        grafts.setdefault(stack[0], filling)
         return
     candidates, prev, steps = slots[j]
     room = edges_left - (len(slots) - 1 - j)
@@ -562,16 +577,16 @@ def stump_cuts(t: TreeClass, s: TreeClass, memo: dict) -> dict[ForestKey, int]:
     return out
 
 
-def fdb_lhs_coefficient(crown: PForest, stump: TreeClass,
-                        grafts: Iterable[TreeClass] | None = None,
-                        memo: dict | None = None) -> Fraction:
+def fdb_lhs_ratio(crown: PForest, stump: TreeClass,
+                  grafts: Iterable[TreeClass] | None = None,
+                  memo: dict | None = None) -> tuple[int, int]:
     """Sum over graft classes T of (#cuts of T with the crown and the
-    stump)/|Aut T|, summed in integers over a running lcm of the |Aut T|.
-    Each T's cuts are counted down the stump (``stump_cuts``), so no cut
-    table is filled.  ``grafts`` are the pair's graft classes from its
-    stump's walk (``stump_grafts``); by default ``graft_classes`` walks for
-    them.  ``memo`` is the count's, shared by pairs of one stump; by
-    default it lives for this pair."""
+    stump)/|Aut T|, summed in integers over a running lcm of the |Aut T|,
+    as (numerator, that lcm), not reduced.  Each T's cuts are counted down
+    the stump (``stump_cuts``), so no cut table is filled.  ``grafts`` are
+    the pair's graft classes from its stump's walk (``stump_grafts``); by
+    default ``graft_classes`` walks for them.  ``memo`` is the count's,
+    shared by pairs of one stump; by default it lives for this pair."""
     num, den, memo = 0, 1, {} if memo is None else memo
     for c in graft_classes(crown, stump) if grafts is None else grafts:
         if m := stump_cuts(c, stump, memo).get(crown.keys):
@@ -579,7 +594,14 @@ def fdb_lhs_coefficient(crown: PForest, stump: TreeClass,
                 lcm = math.lcm(den, c.aut)
                 num, den = num * (lcm // den), lcm
             num += m * (den // c.aut)
-    return Fraction(num, den)
+    return num, den
+
+
+def fdb_lhs_coefficient(crown: PForest, stump: TreeClass,
+                        grafts: Iterable[TreeClass] | None = None,
+                        memo: dict | None = None) -> Fraction:
+    """``fdb_lhs_ratio`` as a rational."""
+    return Fraction(*fdb_lhs_ratio(crown, stump, grafts, memo))
 
 
 def graft_oracle_agrees(stump: TreeClass, crown: PForest,
@@ -615,21 +637,43 @@ def graft_oracle_agrees(stump: TreeClass, crown: PForest,
 # verification report
 
 
-class PairCheck:
-    __slots__ = ("crown", "stump", "lhs", "rhs", "reached", "passed")
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
-    def __init__(self, crown: ForestKey, stump: str, lhs: Fraction, rhs: Fraction,
-                 reached: bool = True):
-        # ``reached`` is False when only one of the stump's walk and the
-        # forest enumeration reaches the pair; ``passed`` is decided once,
-        # when the check is made
-        self.crown, self.stump, self.lhs, self.rhs = crown, stump, lhs, rhs
-        self.reached, self.passed = reached, reached and lhs == rhs
+
+class PairCheck:
+    """One pair's check: each side held as a reduced (numerator,
+    denominator) pair of integers, as ``lhs_num``/``lhs_den`` and
+    ``rhs_num``/``rhs_den``; ``lhs`` and ``rhs`` read them as rationals."""
+    __slots__ = ("crown", "stump", "lhs_num", "lhs_den", "rhs_num", "rhs_den",
+                 "reached", "passed")
+
+    def __init__(self, crown: ForestKey, stump: str, lhs: tuple[int, int],
+                 rhs: tuple[int, int], reached: bool = True):
+        # each side is given as (numerator, denominator > 0), not necessarily
+        # reduced; ``reached`` is False when only one of the stump's walk and
+        # the forest enumeration reaches the pair; ``passed`` is decided
+        # once, when the check is made
+        self.crown, self.stump = crown, stump
+        self.lhs_num, self.lhs_den = _reduced(*lhs)
+        self.rhs_num, self.rhs_den = _reduced(*rhs)
+        self.reached = reached
+        self.passed = (reached and self.lhs_num == self.rhs_num
+                       and self.lhs_den == self.rhs_den)
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_num, self.lhs_den)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.rhs_den)
 
     def as_doc(self) -> dict:
         return {"F": forest_key_str(self.crown), "S": self.stump,
-                "lhs": format_rational(self.lhs), "rhs": format_rational(self.rhs),
-                "pass": self.passed}
+                "lhs": f"{self.lhs_num}/{self.lhs_den}",
+                "rhs": f"{self.rhs_num}/{self.rhs_den}", "pass": self.passed}
 
 
 class FdbReport:
@@ -686,9 +730,10 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
 def check_fdb_pair(crown: PForest, stump: TreeClass, powers: Mapping[Profile, Series],
                    grafts: Iterable[TreeClass] | None = None,
                    memo: dict | None = None, reached: bool = True) -> PairCheck:
-    lhs = fdb_lhs_coefficient(crown, stump, grafts, memo)
-    rhs = fdb_rhs_coefficient(crown, stump, powers)
-    return PairCheck(crown.keys, stump.key, lhs, rhs, reached)
+    """The pair's check, both sides in integers (``fdb_lhs_ratio``,
+    ``fdb_rhs_ratio``)."""
+    return PairCheck(crown.keys, stump.key, fdb_lhs_ratio(crown, stump, grafts, memo),
+                     fdb_rhs_ratio(crown, stump, powers), reached)
 
 
 def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
@@ -809,7 +854,26 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
        fails; in rooted mode, each whose stump has the rooted colour.
 
     Oracle and accumulation failures count in ``cross_failed``.
+
+    Each pair's votes are compared in integers: both sides are reduced
+    (numerator, denominator) pairs (``PairCheck``), and the accumulation's
+    coefficient is compared with the LHS by its numerator and denominator,
+    so no rational is built per listed pair.  The stages make no cyclic
+    garbage, so they run with the cyclic collector paused; the state found
+    is restored when the generator is exhausted, raises or is closed, and
+    a collector the caller had turned off stays off.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield from _fdb_stages(spec, report)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _fdb_stages(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
+    """The stages of ``fdb_checks``, in its order."""
     max_total_nodes, max_edges_side = report.max_total_nodes, report.max_edges_side
     rooted = report.rooted
     acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
@@ -820,17 +884,20 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
     edges = {f.keys: f.edge_count() for fs in by_profile.values() for _, f in fs}
 
     def settle(p: PairCheck, s: TreeClass, failed: bool) -> bool:
-        """Count a computed pair and compare it with the accumulation when
-        its grafts fit the budget; true if it is listed (failed or nonzero)."""
+        """Count a computed pair and compare it with the accumulation, by
+        numerator and denominator, when its grafts fit the budget; true if
+        it is listed (failed or nonzero)."""
         report.zero_pairs -= 1
         report.failed += failed
         found = acc.pop((p.crown, p.stump), ZERO)
-        crown_edges = edges[p.crown] if p.crown in edges else \
-            PForest(spec, p.crown).edge_count()  # a crown only the walk reached
+        crown_edges = edges.get(p.crown)
+        if crown_edges is None:  # a crown only the walk reached
+            crown_edges = PForest(spec, p.crown).edge_count()
         if crown_edges + s.edges - s.leaves <= max_edges_side:
             report.cross_checked += 1
-            report.cross_failed += found != p.lhs
-        return bool(failed or p.lhs or p.rhs)
+            report.cross_failed += (found.numerator != p.lhs_num
+                                    or found.denominator != p.lhs_den)
+        return bool(failed or p.lhs_num or p.rhs_num)
 
     side_bound = Bound(max_edges_side, max_total_nodes)
     listed: list[tuple[TreeClass, list[PForest]]] = []
@@ -866,10 +933,12 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
         yield from (p for p in checks if settle(p, s, not p.passed))
     del composed
 
-    # spot-check that sampled profile-mismatched pairs really vanish
+    # spot-check, through the stand-alone coefficients (each LHS walks
+    # ``graft_classes``), that sampled profile-mismatched pairs really vanish
     for s, f in sampled:
-        chk = check_fdb_pair(f, s, powers)
-        if chk.lhs or chk.rhs or not chk.passed:
+        lhs, rhs = fdb_lhs_coefficient(f, s), fdb_rhs_coefficient(f, s, powers)
+        if lhs or rhs:
+            chk = PairCheck(f.keys, s.key, lhs.as_integer_ratio(), rhs.as_integer_ratio())
             settle(chk, s, True)
             yield chk
 

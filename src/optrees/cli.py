@@ -27,6 +27,7 @@ only ``groupoid``, ``verify groupoid`` and an exception that reaches
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -160,11 +161,12 @@ def _write(pieces: Iterable[str]):
 
 
 def _pair_row(p: PairCheck) -> Row:
-    """``_item(p.as_doc())``, formatted from the check: a listed pair's row."""
+    """``_item(p.as_doc())``, formatted from the check's reduced integers: a
+    listed pair's row."""
     return Row(f'{{\n      "F": {_string(forest_key_str(p.crown))},\n      "S": '
-               f'{_string(p.stump)},\n      "lhs": "{format_rational(p.lhs)}",\n      '
+               f'{_string(p.stump)},\n      "lhs": "{p.lhs_num}/{p.lhs_den}",\n      '
                f'"pass": {"true" if p.passed else "false"},\n      '
-               f'"rhs": "{format_rational(p.rhs)}"\n    }}')
+               f'"rhs": "{p.rhs_num}/{p.rhs_den}"\n    }}')
 
 
 def _class_row(c: TreeClass, profiles: dict) -> Row:
@@ -278,17 +280,20 @@ def cmd_verify_fdb(args) -> int:
     if args.rooted is not None:
         _check_colour(spec, args.rooted)
     report = FdbReport(spec.name, args.max_nodes, args.max_edges, args.rooted)
-    checks = fdb_checks(spec, report)
-    if args.format == "structured":  # the summary sorts after the pairs
-        emit_structured("verify-fdb", {**report.frame(), "pairs": map(_pair_row, checks),
-                                       "summary": lambda: report.frame()["summary"]})
-    else:
-        for p in checks:
-            print(f"{'ok' if p.passed else 'FAIL'}  F={forest_key_str(p.crown)}  "
-                  f"S={p.stump}  lhs={format_rational(p.lhs)}  rhs={format_rational(p.rhs)}")
-        print(f"checked={report.checked} failed={report.failed} "
-              f"cross_checked={report.cross_checked} "
-              f"cross_failed={report.cross_failed}")
+    # closed on any exit, so the collector that the check pauses is resumed
+    with contextlib.closing(fdb_checks(spec, report)) as checks:
+        if args.format == "structured":  # the summary sorts after the pairs
+            emit_structured("verify-fdb", {
+                **report.frame(), "pairs": map(_pair_row, checks),
+                "summary": lambda: report.frame()["summary"]})
+        else:
+            for p in checks:
+                print(f"{'ok' if p.passed else 'FAIL'}  F={forest_key_str(p.crown)}  "
+                      f"S={p.stump}  lhs={p.lhs_num}/{p.lhs_den}  "
+                      f"rhs={p.rhs_num}/{p.rhs_den}")
+            print(f"checked={report.checked} failed={report.failed} "
+                  f"cross_checked={report.cross_checked} "
+                  f"cross_failed={report.cross_failed}")
     return 0 if report.passed else 1
 
 

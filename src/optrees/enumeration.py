@@ -125,6 +125,7 @@ def _slot_fillings(spec: EndofunctorSpec, op: OpType, cells: dict, edges: int,
                 walk(i + 1, edges_left - ce, nodes_left - cn, picks + (j,))
 
     walk(0, edges, nodes, ())
+    del walk  # it calls itself: empty its cell, or it is a cycle
     for picks in found:
         if all(prev[i] == i or picks[i] != picks[prev[i]] for i in range(1, k)):
             yield from itertools.product(*(rows[i][j][2] for i, j in enumerate(picks)))

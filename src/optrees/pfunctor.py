@@ -137,8 +137,11 @@ def group_order(op: OpType) -> int:
                     f"block-symmetric group by transpositions")
             todo.extend(_perm_mul(s, h) for s in gens[k])
 
-    for g in op.sym_gens:
-        add(0, g)
+    try:
+        for g in op.sym_gens:
+            add(0, g)
+    finally:
+        del add  # it calls itself: empty its cell, or it is a cycle
     return math.prod(map(len, reps))
 
 
@@ -332,6 +335,8 @@ class EndofunctorSpec:
         when it has no blocks), without listing its group; any other op
         scans its group once."""
         blocks = self._blocks.get(name)
+        if blocks == ():
+            return [tuple(items)]
         if blocks is None:
             return list(dict.fromkeys(tuple(map(items.__getitem__, g))
                                       for g in self.sym_group(name)))

@@ -862,6 +862,67 @@ def test_the_lhs_leaves_no_cyclic_garbage(template):
         gc.enable()
 
 
+@pytest.mark.parametrize("template", [
+    builtin("planar", 3), builtin("exp", 3), builtin("cyclic", 3), two_colour_spec(),
+    partial_blocks_spec()], ids=lambda s: s.name)
+def test_a_check_on_a_fresh_spec_leaves_no_cyclic_garbage(template):
+    # the check runs with the collector paused, so what it leaves is only
+    # freed by reference counts: the recursive walks must leave no cycle
+    spec = fresh(template)
+    gc.disable()
+    try:
+        gc.collect()
+        assert verify_fdb(spec, 4, 6).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def fdb_check_gen(spec=None):
+    spec = builtin("planar", 3) if spec is None else spec
+    return bialgebra.fdb_checks(spec, FdbReport(spec.name, 3, 4, None))
+
+
+def test_the_check_pauses_the_collector_and_restores_it_when_exhausted():
+    checks = fdb_check_gen()
+    assert gc.isenabled()
+    next(checks)
+    assert not gc.isenabled()
+    assert list(checks) and gc.isenabled()
+
+
+def test_the_collector_is_restored_when_a_stage_raises(monkeypatch):
+    def broken(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(bialgebra, "_fdb_pair_space", broken)
+    with pytest.raises(RuntimeError, match="stage failed"):
+        list(fdb_check_gen())
+    assert gc.isenabled()
+
+
+def test_the_collector_is_restored_when_a_half_read_check_is_closed():
+    checks = fdb_check_gen()
+    next(checks)
+    assert not gc.isenabled()
+    checks.close()
+    assert gc.isenabled()
+
+
+def test_a_collector_the_caller_turned_off_stays_off():
+    gc.disable()
+    try:
+        assert list(fdb_check_gen())
+        assert not gc.isenabled()
+        checks = fdb_check_gen()
+        next(checks)
+        checks.close()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("spec", [builtin("planar", 3), two_colour_spec()],
                          ids=["planar(3)", "two-colour"])
 def test_fdb_pairs_and_phi_build_no_tree(monkeypatch, spec):
@@ -979,10 +1040,11 @@ def test_series_and_report_records(exp3):
         "spec": "exp(3)", "bound": {"max_total_nodes": 4, "max_edges_side": 6},
         "rooted": None, "summary": {"checked": 5, "failed": 0, "zero_pairs": 3,
                                     "cross_checked": 0, "cross_failed": 0}}
-    check = PairCheck(("_",), "(n2:__)", Fraction(1, 2), Fraction(1, 2))
+    check = PairCheck(("_",), "(n2:__)", (1, 2), (2, 4))
     assert check.reached and check.passed and not hasattr(check, "__dict__")
-    assert not PairCheck(("_",), "_", one, Fraction(2)).passed
-    assert not PairCheck(("_",), "_", one, one, reached=False).passed
+    assert (check.lhs, check.rhs) == (Fraction(1, 2), Fraction(1, 2))
+    assert not PairCheck(("_",), "_", (1, 1), (2, 1)).passed
+    assert not PairCheck(("_",), "_", (1, 1), (1, 1), reached=False).passed
 
 
 def test_series_text_and_equality(exp3):
@@ -1075,20 +1137,22 @@ def test_series_mul_stops_at_the_edge_bound_and_drops_by_nodes(exp3):
     (builtin("exp", max_arity=3), 4, 6), (two_colour_spec(), 5, 8)],
     ids=["exp(3)", "two-colour"])
 def test_profile_powers_give_the_standalone_rhs(monkeypatch, spec, nodes, edges):
-    standalone, calls = bialgebra.fdb_rhs_coefficient, []
+    # every RHS of the check, listed or sampled, is read by ``fdb_rhs_ratio``
+    ratio, calls = bialgebra.fdb_rhs_ratio, []
 
     def recorded(crown, stump, powers):
-        value = standalone(crown, stump, powers)
+        value = ratio(crown, stump, powers)
         calls.append((crown, stump, value))
         return value
 
-    monkeypatch.setattr(bialgebra, "fdb_rhs_coefficient", recorded)
+    monkeypatch.setattr(bialgebra, "fdb_rhs_ratio", recorded)
     report = verify_fdb(spec, nodes, edges)
+    monkeypatch.undo()  # the standalone RHS reads the ratio too
     assert report.passed
     listed = sum(s.leaf_profile == f.root_profile() for f, s, _ in calls)
     assert listed and len(calls) > listed  # listed and sampled pairs
-    for crown, stump, value in calls:
-        assert standalone_rhs(crown, stump) == value
+    for crown, stump, (num, den) in calls:
+        assert standalone_rhs(crown, stump) == Fraction(num, den)
 
 
 @pytest.mark.parametrize("name, nodes, edges", [("exp", 5, 6), ("planar", 4, 5)])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -9,10 +10,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import two_colour_spec
 from optrees import bialgebra, cli, groupoid_suite, pfunctor
-from optrees.bialgebra import BoundMismatch, profile_str
+from optrees.bialgebra import BoundMismatch, PairCheck, profile_str
 from optrees.cli import main
 from optrees.enumeration import Bound, enumerate_classes
 from optrees.groupoids import (Group, discrete, disjoint_union_groupoids,
@@ -128,10 +131,9 @@ def test_verify_fdb_passes(capsys):
 def test_verify_exit_code_contract():
     # the mapping from report outcome to exit status
     from optrees.bialgebra import FdbReport, PairCheck
-    from fractions import Fraction
     good = FdbReport("x", 1, 1, None, [], 1, 0, 0, 1, 0)
     bad = FdbReport("x", 1, 1, None,
-                    [PairCheck((), "_", Fraction(0), Fraction(1))], 1, 1, 0, 1, 0)
+                    [PairCheck((), "_", (0, 1), (1, 1))], 1, 1, 0, 1, 0)
     assert good.passed and not bad.passed
 
 
@@ -723,13 +725,13 @@ def plant_fault(monkeypatch, fault):
         return target[0] == pair
 
     if fault == "lhs-off-by-one":
-        lhs = bialgebra.fdb_lhs_coefficient
+        lhs = bialgebra.fdb_lhs_ratio
 
         def planted(crown, stump, *rest):
-            value = lhs(crown, stump, *rest)
-            return value + 1 if value and first((crown.keys, stump.key)) else value
+            num, den = lhs(crown, stump, *rest)
+            return (num + den, den) if num and first((crown.keys, stump.key)) else (num, den)
 
-        monkeypatch.setattr(bialgebra, "fdb_lhs_coefficient", planted)
+        monkeypatch.setattr(bialgebra, "fdb_lhs_ratio", planted)
     elif fault == "sampled-pair-does-not-vanish":
         rhs = bialgebra.fdb_rhs_coefficient
 
@@ -802,6 +804,45 @@ def test_a_pair_row_is_the_item_of_its_document(monkeypatch, fault):
     if not fault:
         assert any(d["F"] == "ε" for d in docs)
         assert any("_a" in d["F"] for d in docs) and any("_b" in d["F"] for d in docs)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 10**40), st.integers(1, 10**40), st.integers(1, 10**6),
+       st.integers(1, 10**6))
+@example(0, 1, 1, 1)
+@example(0, 6, 4, 1)
+@example(6, 4, 3, 2)
+def test_a_pair_check_side_prints_as_its_rational(n, d, k, j):
+    # each side is given unreduced, as the LHS and the RHS hand it over
+    # (0 over any d too), and printed from the reduced integers it keeps
+    check = PairCheck(("_",), "_", (n * k, d * k), (0, d * j), reached=False)
+    doc = check.as_doc()
+    assert doc["lhs"] == bialgebra.format_rational(Fraction(n, d))
+    assert doc["rhs"] == bialgebra.format_rational(Fraction(0)) == "0/1"
+    assert (check.lhs, check.rhs) == (Fraction(n, d), 0)
+    assert cli._pair_row(check) == cli._item(doc)
+
+
+@pytest.mark.parametrize("fault, code", [
+    (None, 0), ("lhs-off-by-one", 1), ("stage-raises", 3), ("writer-raises", 3)])
+def test_verify_fdb_resumes_the_collector_on_every_exit(monkeypatch, capsys, fault, code):
+    # the check pauses the collector while it runs; the command closes it
+    # on every exit, also when its writer raises while the check is paused
+    def broken(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("planted")
+
+    if fault == "stage-raises":
+        monkeypatch.setattr(bialgebra, "_stump_checks", broken)
+    elif fault == "writer-raises":
+        monkeypatch.setattr(cli, "_pair_row", broken)
+    elif fault:
+        plant_fault(monkeypatch, fault)
+    assert gc.isenabled()
+    assert main(fdb_argv("planar", 3) + ["--format", "structured"]) == code
+    assert gc.isenabled()
+    if code == 3:
+        assert "internal error: RuntimeError: planted" in capsys.readouterr().err
 
 
 def test_a_class_row_is_the_item_of_its_document():
