@@ -516,7 +516,7 @@ def graft_classes(crown: PForest, stump: TreeClass) -> dict[TreeClass, tuple[str
     along some matching, once each, in the order first reached, each with
     the filling that reached it: the stump's walk restricted to the crown's
     classes and sizes.  A class that the class table lacks gets a record of
-    this call's walk only."""
+    this call's walk only.  Only the stand-alone coefficients read it."""
     return stump_grafts(stump, _crown_candidates(dict.fromkeys(crown.classes())),
                         crown.node_count(), crown.edge_count()).get(crown.keys, {})
 
@@ -605,22 +605,21 @@ def fdb_lhs_coefficient(crown: PForest, stump: TreeClass,
 
 
 def graft_oracle_agrees(stump: TreeClass, crown: PForest,
-                        trees: dict[str, PTree] | None = None) -> bool:
-    """Check the pair's graft records against the tree oracles: there is
-    one, and for each, the tree ``graft_decorated`` builds on the stump's
-    tree from the filling that reached it, in slot order, has the key, and
-    its grafting cut (the stump tree's nodes, which the graft keeps) gives
-    the pair, coded from that tree's own pass; a parse of the key has the
-    sizes, leaf profile and |Aut|.  The stump's and the crown classes'
-    trees are built from their records' children (``tree_in``) in the table
-    ``trees``, which is the caller's (by default this call's), so no record
-    is given one."""
+                        grafts: Mapping[TreeClass, tuple[str, ...]],
+                        trees: dict[str, PTree]) -> bool:
+    """Check the pair's graft records, as a walk of the stump gave them in
+    ``grafts``, against the tree oracles: there is one, and for each, the
+    tree ``graft_decorated`` builds on the stump's tree from the filling
+    that reached it, in slot order, has the key, and its grafting cut (the
+    stump tree's nodes, which the graft keeps) gives the pair, coded from
+    that tree's own pass; a parse of the key has the sizes, leaf profile and
+    |Aut|.  The stump's and the crown classes' trees are built from their
+    records' children (``tree_in``) in the caller's table ``trees``, so no
+    record is given one."""
     spec, pair = stump.spec, (crown.keys, stump.key)
-    trees = {} if trees is None else trees
     tree = tree_in(stump, trees)
     # ``build_ptree`` numbers a record's tree so leaf ids ascend in slot order
     leaves = sorted(tree.shape.leaves)
-    grafts = graft_classes(crown, stump)
     for c, filling in grafts.items():
         g = graft_decorated(tree, {leaf: tree_in(tree_class(spec, key), trees)
                                    for leaf, key in zip(leaves, filling)})
@@ -710,21 +709,44 @@ class FdbReport:
 
 def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
                     max_edges_side: int, rooted: str | None):
-    """Stump classes, (node count, crown) lists indexed by root profile, and
-    the total number of in-budget pairs."""
+    """Each stump class with its listed crowns (the fitting forests of its
+    leaf profile, in enumeration order), the sampled profile-mismatched pairs,
+    the number of in-budget pairs and each crown's edges, in one pass each."""
     side_bound = Bound(max_edges_side, max_total_nodes)
     stumps = enumerate_classes(spec, side_bound, root_colour=rooted)
     by_profile: dict[Profile, list[tuple[int, PForest]]] = {}
     crowns_by_nodes: dict[int, int] = {}
+    edges: dict[ForestKey, int] = {}
     for f in enumerate_pforests(spec, side_bound):
         n = f.node_count()
         by_profile.setdefault(f.root_profile(), []).append((n, f))
         crowns_by_nodes[n] = crowns_by_nodes.get(n, 0) + 1
-    total_pairs = 0
+        edges[f.keys] = f.edge_count()
+    listed: list[tuple[TreeClass, list[PForest]]] = []
+    sampled: list[tuple[TreeClass, PForest]] = []
+    checked = 0
+    per_stump = max(1, SAMPLE // max(len(stumps), 1))
+    # each leaf profile's crowns that fit in each room, which many stumps share
+    fitting: dict[tuple[Profile, int], list[PForest]] = {}
     for s in stumps:
         room = max_total_nodes - s.nodes
-        total_pairs += sum(m for n, m in crowns_by_nodes.items() if n <= room)
-    return stumps, by_profile, total_pairs
+        checked += sum(m for n, m in crowns_by_nodes.items() if n <= room)
+        crowns = fitting.get((s.leaf_profile, room))
+        if crowns is None:
+            crowns = fitting[(s.leaf_profile, room)] = [
+                f for n, f in by_profile.get(s.leaf_profile, ()) if n <= room]
+        listed.append((s, crowns))
+        if len(sampled) < SAMPLE:
+            taken = 0
+            for other, fs in by_profile.items():
+                if other == s.leaf_profile or taken >= per_stump:
+                    continue
+                for n, f in fs:
+                    if n <= room:
+                        sampled.append((s, f))
+                        taken += 1
+                        break
+    return listed, sampled, checked, edges
 
 
 def check_fdb_pair(crown: PForest, stump: TreeClass, powers: Mapping[Profile, Series],
@@ -762,16 +784,19 @@ def _direct_accumulation(spec: EndofunctorSpec, max_total_nodes: int,
 def _stump_checks(s: TreeClass, crowns: list[PForest],
                   candidates: Mapping[str, Sequence[TreeClass]],
                   powers: Mapping[Profile, Series], max_nodes: int,
-                  max_edges: int, composed: defaultdict) -> list[PairCheck]:
+                  max_edges: int, composed: defaultdict, kept: dict) -> list[PairCheck]:
     """The checks of one stump's pairs, by crown: its listed crowns and the
     crowns only its walk reached.  One ``stump_cuts`` memo serves them all
     and is dropped on return; the walk keeps its composites, and the graft
-    records that the class table lacks, in ``composed``."""
+    records that the class table lacks, in ``composed``.  A listed pair that
+    is a key of ``kept`` gets its walk's graft records as its value there."""
     grafts = stump_grafts(s, candidates, max_nodes, max_edges, composed)
     memo: dict = {}
     out = []
     for f in crowns:
         found = grafts.pop(f.keys, None)
+        if (s, f) in kept:
+            kept[s, f] = found or {}
         out.append(check_fdb_pair(f, s, powers, found or (), memo, found is not None))
     for keys, found in grafts.items():  # reached by the walk alone
         out.append(check_fdb_pair(PForest(s.spec, keys), s, powers, found, memo, False))
@@ -823,8 +848,8 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
        it shares no record with the LHS.
        Each tree is dropped once its cuts are counted, and only the
        accumulated coefficient of each pair is kept.
-    2. The pair space: the stump records and the crown forests within the
-       budget, each record composed from its children's.
+    2. The pair space (``_fdb_pair_space``), its records composed from their
+       children's: listed crowns, mismatched sample, ``checked``, crown edges.
     3. The RHS powers (``profile_powers``, integer numerators over one
        denominator per profile), and the LHS walk of each stump in key
        order (``stump_grafts``): it fills the stump's leaves in slot
@@ -843,13 +868,13 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
        enumeration reaches fails and is listed.
     4. The spot checks: the sampled profile-mismatched pairs must vanish,
        and an evenly spaced sample of at most ``SAMPLE`` listed pairs
-       (``_oracle_sample``) must pass ``graft_oracle_agrees``, which runs the
-       same walk restricted to the pair's crown and grafts trees for the
-       records the LHS summed: the grafting cut of each must give the pair,
-       and a parse of each record's key (one pass, into one tree) must give
-       its sizes, leaf profile and |Aut|.  The sample's trees share one
-       table, which no record holds; each of these walks keeps its graft
-       records in a memo of its own.
+       (``_oracle_sample``, taken before the walks) must pass
+       ``graft_oracle_agrees`` on the records and first fillings that the
+       LHS walk made, grafting a tree for each record the LHS summed: the
+       grafting cut of each must give the pair, and a parse of each
+       record's key (one pass, into one tree) must give its sizes, leaf
+       profile and |Aut|.  The sample's trees share one table, which no
+       record holds.
     5. Each nonzero pair left in the accumulation, which no route computed,
        fails; in rooted mode, each whose stump has the rooted colour.
 
@@ -877,11 +902,9 @@ def _fdb_stages(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]
     max_total_nodes, max_edges_side = report.max_total_nodes, report.max_edges_side
     rooted = report.rooted
     acc = _direct_accumulation(spec, max_total_nodes, max_edges_side)
-    stumps, by_profile, total_pairs = _fdb_pair_space(
+    listed, sampled, report.checked, edges = _fdb_pair_space(
         spec, max_total_nodes, max_edges_side, rooted)
-    report.checked = report.zero_pairs = total_pairs
-    # each crown's edges, summed once
-    edges = {f.keys: f.edge_count() for fs in by_profile.values() for _, f in fs}
+    report.zero_pairs = report.checked
 
     def settle(p: PairCheck, s: TreeClass, failed: bool) -> bool:
         """Count a computed pair and compare it with the accumulation, by
@@ -900,36 +923,13 @@ def _fdb_stages(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]
         return bool(failed or p.lhs_num or p.rhs_num)
 
     side_bound = Bound(max_edges_side, max_total_nodes)
-    listed: list[tuple[TreeClass, list[PForest]]] = []
-    sampled: list[tuple[TreeClass, PForest]] = []
-    per_stump = max(1, SAMPLE // max(len(stumps), 1))
-    # the crowns of each leaf profile that fit in each room, in the order
-    # of ``by_profile``; many stumps share both
-    fitting: dict[tuple[Profile, int], list[PForest]] = {}
-    for s in stumps:
-        room = max_total_nodes - s.nodes
-        crowns = fitting.get((s.leaf_profile, room))
-        if crowns is None:
-            crowns = fitting[(s.leaf_profile, room)] = [
-                f for n, f in by_profile.get(s.leaf_profile, ()) if n <= room]
-        listed.append((s, crowns))
-        if len(sampled) < SAMPLE:
-            taken = 0
-            for other, fs in by_profile.items():
-                if other == s.leaf_profile or taken >= per_stump:
-                    continue
-                for n, f in fs:
-                    if n <= room:
-                        sampled.append((s, f))
-                        taken += 1
-                        break
-
-    powers = profile_powers(spec, side_bound, {s.leaf_profile for s in stumps})
+    powers = profile_powers(spec, side_bound, {s.leaf_profile for s, _ in listed})
     candidates = _crown_candidates(enumerate_classes(spec, side_bound))
+    kept = dict.fromkeys(_oracle_sample(listed))  # the walks give each its records
     composed = defaultdict(dict)  # all walks' composites, and their records
     for s, crowns in listed:  # stumps in key order
-        checks = _stump_checks(s, crowns, candidates, powers,
-                               max_total_nodes - s.nodes, max_edges_side, composed)
+        checks = _stump_checks(s, crowns, candidates, powers, max_total_nodes - s.nodes,
+                               max_edges_side, composed, kept)
         yield from (p for p in checks if settle(p, s, not p.passed))
     del composed
 
@@ -942,12 +942,12 @@ def _fdb_stages(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]
             settle(chk, s, True)
             yield chk
 
-    # the graft records of an evenly spaced sample of listed pairs, their
-    # trees in one table for the sample
+    # the graft records that the walks gave an evenly spaced sample of
+    # listed pairs, their trees in one table for the sample
     trees: dict[str, PTree] = {}
-    report.cross_failed += sum(not graft_oracle_agrees(s, f, trees)
-                               for s, f in _oracle_sample(listed))
-    del trees
+    report.cross_failed += sum(not graft_oracle_agrees(s, f, grafts, trees)
+                               for (s, f), grafts in kept.items())
+    del trees, kept
 
     report.cross_failed += sum(1 for (_, stump), val in acc.items() if val and (
         rooted is None or tree_class(spec, stump).root == rooted))

@@ -33,17 +33,16 @@ GROUP_CATALOG: list[Group] = [
     Group.symmetric(3),
 ]
 
-# Keyed by object ids; each entry keeps its groups alive, so an id in the
-# key cannot be reused by another group while the entry exists.
-_HOM_CACHE: dict[tuple[int, int], tuple[Group, Group, list[dict]]] = {}
+# Keyed by the groups, which hash by identity; a key keeps its groups alive,
+# so no other group can match it while the entry exists.
+_HOM_CACHE: dict[tuple[Group, Group], list[dict]] = {}
 
 
 def all_homs(g: Group, h: Group) -> list[dict]:
     """All group homomorphisms g -> h, by exhaustive search (cached)."""
-    key = (id(g), id(h))
-    got = _HOM_CACHE.get(key)
+    got = _HOM_CACHE.get((g, h))
     if got is not None:
-        return got[2]
+        return got
     out: list[dict] = []
     els = list(g.elements)
 
@@ -69,7 +68,7 @@ def all_homs(g: Group, h: Group) -> list[dict]:
         del hom[a]
 
     rec(0, {})
-    _HOM_CACHE[key] = (g, h, out)
+    _HOM_CACHE[g, h] = out
     return out
 
 

@@ -1,9 +1,10 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
 from optrees.bialgebra import delta_monomial
-from optrees.pfunctor import EndofunctorSpec, OpType, builtin
+from optrees.pfunctor import EndofunctorSpec, OpType, builtin, group_order
 
 
 def all_builtin_specs(max_arity=3):
@@ -78,6 +79,40 @@ def cut_specs():
     return all_builtin_specs() + [two_colour_spec(), symmetric_two_colour_spec(),
                                   split_block_spec(), cycle_generated_s3_spec(),
                                   partial_blocks_spec()]
+
+
+def truncated_product(a, b, max_edges, max_nodes):
+    """The product of two {(edges, nodes): coefficient} series, truncated to
+    at most ``max_edges`` edges and ``max_nodes`` nodes."""
+    out = {}
+    for (e, n), x in a.items():
+        for (f, m), y in b.items():
+            if e + f <= max_edges and n + m <= max_nodes:
+                out[e + f, n + m] = out.get((e + f, n + m), 0) + x * y
+    return out
+
+
+def cardinality_series(spec, bound):
+    """Per root colour, Σ x^edges y^nodes / |Aut T| over the trees T within
+    the bound, as {(colour, edges, nodes): Fraction}: the fixed point of
+    g_c = x + x·y·Σ_{op: out = c} Π_i g_{in_i} / |G_op|, truncated to the
+    bound.  It reads each op's input colours and group order, and no slot
+    rule, record or tree."""
+    max_nodes = bound.max_edges if bound.max_nodes is None else bound.max_nodes
+    orders = {op.name: group_order(op) for op in spec.ops}
+
+    def times(a, b):
+        return truncated_product(a, b, bound.max_edges, max_nodes)
+
+    g = {c: {(1, 0): Fraction(1)} for c in spec.colours}
+    for _ in range(bound.max_edges):  # each round fixes the next edge count
+        new = {c: {(1, 0): Fraction(1)} for c in spec.colours}
+        for op in spec.ops:
+            term = functools.reduce(times, (g[c] for c in op.ins), {(0, 0): Fraction(1)})
+            for (e, n), x in times({(1, 1): Fraction(1)}, term).items():
+                new[op.out][e, n] = new[op.out].get((e, n), 0) + x / orders[op.name]
+        g = new
+    return {(c, e, n): x for c, terms in g.items() for (e, n), x in terms.items() if x}
 
 
 def triple_left(spec, ts, bound):

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (all_builtin_specs, cut_specs, cycle_generated_s3_spec,
-                      partial_blocks_spec, symmetric_two_colour_spec, triple_left,
-                      triple_right, two_colour_spec)
+from conftest import (all_builtin_specs, cardinality_series, cut_specs,
+                      cycle_generated_s3_spec, partial_blocks_spec, split_block_spec,
+                      symmetric_two_colour_spec, triple_left, triple_right,
+                      truncated_product, two_colour_spec)
 from optrees import bialgebra, pfunctor
 from optrees.classical import verify_phi
 from optrees.bialgebra import (Bound, BoundMismatch, FdbReport, PairCheck, Series,
@@ -28,7 +29,7 @@ from optrees.bialgebra import (Bound, BoundMismatch, FdbReport, PairCheck, Serie
 from optrees.enumeration import (Bound, enumerate_classes, enumerate_pforests,
                                  enumerate_ptrees)
 from optrees.pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, PForest,
-                              TreeClass, aut_order, automorphisms, builtin,
+                              TreeClass, aut_order, aut_order_forest, automorphisms, builtin,
                               cuts_in, parse_ptree, prune_decorated, tree_class,
                               tree_in, trivial_ptree)
 from optrees.trees import Cut, cut_node_tuples, enumerate_cuts
@@ -458,9 +459,7 @@ def test_the_oracle_sample_is_the_evenly_spaced_slice(monkeypatch, spec, sample)
     # taken while walking the listed pairs, the sample is the stride slice
     # of the list of all of them
     nodes, edges = 4, 6
-    stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, nodes, edges, None)
-    listed = [(s, [f for n, f in by_profile.get(s.leaf_profile, ())
-                   if n <= nodes - s.nodes]) for s in stumps]
+    listed = listed_pairs(spec, nodes, edges)
     tasks = [(s, f) for s, crowns in listed for f in crowns]
     monkeypatch.setattr(bialgebra, "SAMPLE", sample)
     stride = max(1, -(-len(tasks) // sample))
@@ -532,10 +531,10 @@ def test_integer_sums_equal_the_sums_of_fractions(template):
     # Both routes sum integer numerators over a common denominator; the
     # terms summed as fractions give the same coefficients.
     spec = fresh(template)
-    stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, 4, 6, None)
+    forests = enumerate_pforests(spec, Bound(6, 4))
     mixed, table = 0, {}
-    for s in stumps:
-        for _, f in by_profile.get(s.leaf_profile, ()):
+    for s in enumerate_classes(spec, Bound(6, 4)):
+        for f in (f for f in forests if f.root_profile() == s.leaf_profile):
             terms = [(m, c.aut) for c in bialgebra.graft_classes(f, s)
                      if (m := cuts_in(c, table).get((f.keys, s.key)))]
             mixed += len({aut for _, aut in terms}) > 1
@@ -624,9 +623,10 @@ def test_graft_oracle_catches_a_graft_on_the_wrong_leaf(monkeypatch):
         with monkeypatch.context() as m:
             if empty_cuts:
                 m.setattr(bialgebra, "cuts_in", lambda c, table: {})
-            right = graft_oracle_agrees(stump, crown)
+            grafts = bialgebra.graft_classes(crown, stump)
+            right = graft_oracle_agrees(stump, crown, grafts, {})
             m.setattr(bialgebra, "graft_decorated", onto_the_wrong_leaf)
-            verdicts.append((right, graft_oracle_agrees(stump, crown)))
+            verdicts.append((right, graft_oracle_agrees(stump, crown, grafts, {})))
     assert verdicts == [(True, False), (True, False)]
 
 
@@ -648,19 +648,48 @@ def test_graft_oracle_rejects_a_record_whose_filling_is_wrong(monkeypatch):
     right = fillings[crown.keys][t]
     assert t in fillings[other.keys] and right != right[::-1]
     monkeypatch.setattr(bialgebra, "SAMPLE", 10**6)  # every listed pair
-    verdicts = []
+    walk, verdicts = bialgebra.stump_grafts, []
     for forged in (None, right[::-1], fillings[other.keys][t]):
-        def pair_grafts(f, s, forged=forged):
-            grafts = honest(f, s)
-            if forged is None or (f.keys, s.key) != (crown.keys, stump.key):
-                return grafts
-            return {c: forged if c.key == t else filling
-                    for c, filling in grafts.items()}
-        monkeypatch.setattr(bialgebra, "graft_classes", pair_grafts)
+        def forging(s, *args, forged=forged):
+            # the walk's map for the pair gives t's record the forged filling
+            out = walk(s, *args)
+            if forged is not None and s.key == stump.key and crown.keys in out:
+                out[crown.keys] = {c: forged if c.key == t else filling
+                                   for c, filling in out[crown.keys].items()}
+            return out
+        monkeypatch.setattr(bialgebra, "stump_grafts", forging)
         report = verify_fdb(spec, 4, 7)
-        verdicts.append((graft_oracle_agrees(stump, crown), report.failed,
-                         report.cross_failed))
+        verdicts.append((graft_oracle_agrees(stump, crown, honest(crown, stump), {}),
+                         report.failed, report.cross_failed))
     assert verdicts == [(True, 0, 0), (False, 0, 1), (False, 0, 1)]
+
+
+@pytest.mark.parametrize("template", [builtin("planar", 3), builtin("binary")],
+                         ids=lambda s: s.name)
+def test_the_oracle_checks_the_records_the_lhs_summed(monkeypatch, template):
+    # each sampled pair's oracle reads the records of its stump's walk, the
+    # ones the LHS summed, so even a graft record that the class table
+    # lacks, which only the walks' memo holds, is the very object both read
+    spec, summed, checked = fresh(template), {}, {}
+    lhs, oracle = bialgebra.fdb_lhs_ratio, bialgebra.graft_oracle_agrees
+
+    def summing(crown, stump, grafts=None, memo=None):
+        if grafts is not None:
+            summed[crown.keys, stump.key] = list(grafts)
+        return lhs(crown, stump, grafts, memo)
+
+    def checking(stump, crown, *rest):
+        checked[crown.keys, stump.key] = list(rest[0])
+        return oracle(stump, crown, *rest)
+
+    monkeypatch.setattr(bialgebra, "fdb_lhs_ratio", summing)
+    monkeypatch.setattr(bialgebra, "graft_oracle_agrees", checking)
+    assert verify_fdb(spec, 3, 4).passed
+    assert checked
+    for pair, records in checked.items():
+        assert len(records) == len(summed[pair]), pair
+        assert all(a is b for a, b in zip(records, summed[pair])), pair
+    assert any(c.key not in spec.classes for records in checked.values() for c in records)
 
 
 def test_a_records_tree_is_built_from_its_children_when_a_parse_of_its_key_is_interned():
@@ -685,7 +714,7 @@ def test_a_records_tree_is_built_from_its_children_when_a_parse_of_its_key_is_in
                if f.root_profile() == record.leaf_profile]
     assert len(fitting) > 8
     for f in fitting:
-        assert graft_oracle_agrees(record, f), f
+        assert graft_oracle_agrees(record, f, bialgebra.graft_classes(f, record), {}), f
 
 
 def test_graft_record_fills_leaves_in_slot_order_colour_by_colour(two_colour):
@@ -705,9 +734,7 @@ def crown_candidates(spec, nodes, edges):
 
 def listed_pairs(spec, nodes, edges):
     """Each stump of the pair space with its profile-matched fitting crowns."""
-    stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, nodes, edges, None)
-    return [(s, [f for n, f in by_profile.get(s.leaf_profile, ()) if n <= nodes - s.nodes])
-            for s in stumps]
+    return bialgebra._fdb_pair_space(spec, nodes, edges, None)[0]
 
 
 def by_key(grafts):
@@ -931,11 +958,13 @@ def test_fdb_pairs_and_phi_build_no_tree(monkeypatch, spec):
     monkeypatch.setattr(pfunctor, "build_ptree",
                         lambda *args: built.append(args) or real(*args))
     nodes, edges = 4, 6
-    stumps, by_profile, total = bialgebra._fdb_pair_space(spec, nodes, edges, None)
+    total = bialgebra._fdb_pair_space(spec, nodes, edges, None)[2]
+    stumps = enumerate_classes(spec, Bound(edges, nodes))
+    forests = enumerate_pforests(spec, Bound(edges, nodes))
     powers = profile_powers(spec, Bound(edges, nodes), {s.leaf_profile for s in stumps})
     # every in-budget pair: the listed (profile-matched) and the sampled ones
     checks = [bialgebra.check_fdb_pair(f, s, powers) for s in stumps
-              for fs in by_profile.values() for n, f in fs if n <= nodes - s.nodes]
+              for f in forests if f.node_count() <= nodes - s.nodes]
     assert len(checks) == total
     assert all(p.passed for p in checks) and any(p.lhs for p in checks)
     assert verify_phi(builtin("effective", 3), 4, Bound(8)).passed
@@ -1278,16 +1307,76 @@ def test_verify_fdb_small_specs():
         assert rep.checked > 0
 
 
+def matching_cardinality(crown, stump):
+    """The cardinality of the fibre over (crown F, stump S) of the prune
+    functor, which maps a tree with a cut to (S, F, a colour-keeping
+    matching of S's leaves to F's roots): Π_c m_c(S)! matchings, with m_c(S)
+    the leaves of S of colour c, over |Aut F| · |Aut S|; none when F's root
+    profile is not S's leaf profile."""
+    if crown.root_profile() != stump.leaf_profile:
+        return Fraction(0)
+    return Fraction(math.prod(math.factorial(m) for _, m in stump.leaf_profile),
+                    aut_order_forest(crown) * stump.aut)
+
+
+@pytest.mark.parametrize("spec, rooted", [
+    (builtin("planar", 3), None), (builtin("exp", 3), None), (builtin("stable", 3), None),
+    (builtin("cyclic", 3), None), (builtin("binary"), None), (builtin("identity"), None),
+    (two_colour_spec(), None), (two_colour_spec(), "a"), (split_block_spec(), None),
+    (split_block_spec(), "a"), (partial_blocks_spec(), None)],
+    ids=lambda x: getattr(x, "name", f"rooted-{x}" if x else "unrooted"))
+def test_every_listed_pair_is_the_cardinality_of_its_matchings(spec, rooted):
+    # a third vote, with no walk, cut or series: it also covers the pairs
+    # whose grafts exceed the side budget, which the accumulation does not
+    report, wrong = verify_fdb(spec, 4, 6, rooted), []
+    for p in report.pairs:
+        vote = matching_cardinality(PForest(spec, p.crown), tree_class(spec, p.stump))
+        if not p.lhs == p.rhs == vote:
+            wrong.append((p.crown, p.stump, p.lhs, p.rhs, vote))
+    assert report.pairs and wrong == []
+
+
+@pytest.mark.parametrize("spec", [
+    builtin("planar", 3), builtin("exp", 3), builtin("stable", 3), builtin("cyclic", 3),
+    builtin("binary"), two_colour_spec(), partial_blocks_spec(), split_block_spec()],
+    ids=lambda s: s.name)
+def test_each_stumps_lhs_sums_to_its_leaf_profile_power_of_cardinalities(spec):
+    # counting is a ring map, so over a stump S's listed crowns F,
+    # Σ lhs(F, S) x^edges(F) y^nodes(F) = Π_c g_c^{m_c(S)} / |Aut S| within
+    # the crown budget, where g_c counts the trees rooted at c by groupoid
+    # cardinality (``cardinality_series``: op colours and group orders only)
+    nodes, edges = 4, 6
+    report = verify_fdb(spec, nodes, edges)
+    lhs = {(p.crown, p.stump): p.lhs for p in report.pairs}
+    g = {c: {} for c in spec.colours}
+    for (c, e, n), x in cardinality_series(spec, Bound(edges, nodes)).items():
+        g[c][e, n] = x
+    wrong, leafless = [], 0
+    for s, crowns in bialgebra._fdb_pair_space(spec, nodes, edges, None)[0]:
+        summed, power = {}, {(0, 0): Fraction(1, s.aut)}
+        for f in crowns:
+            cell = (f.edge_count(), f.node_count())
+            summed[cell] = summed.get(cell, 0) + lhs.get((f.keys, s.key), 0)
+        for c, m in s.leaf_profile:
+            for _ in range(m):
+                power = truncated_product(power, g[c], edges, nodes - s.nodes)
+        if {k: v for k, v in summed.items() if v} != {k: v for k, v in power.items() if v}:
+            wrong.append(s.key)
+        leafless += not s.leaves
+    assert report.passed and wrong == []
+    assert bool(leafless) == any(not op.ins for op in spec.ops)  # a nullary op's stumps
+
+
 @pytest.mark.parametrize("spec", [builtin("planar", 3), two_colour_spec()],
                          ids=["planar(3)", "two-colour"])
 def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
     # the listed pairs, and with them the graft-oracle sample, follow the
     # stumps in order and each stump's fitting crowns in enumeration order
     nodes, edges = 4, 6
-    stumps, by_profile, _ = bialgebra._fdb_pair_space(spec, nodes, edges, None)
-    expected = [(s.key, f.keys) for s in stumps
-                for n, f in by_profile.get(s.leaf_profile, ())
-                if n <= nodes - s.nodes]
+    forests = enumerate_pforests(spec, Bound(edges, nodes))
+    expected = [(s.key, f.keys) for s in enumerate_classes(spec, Bound(edges, nodes))
+                for f in forests if f.root_profile() == s.leaf_profile
+                and f.node_count() <= nodes - s.nodes]
     checked, sampled = [], []
     check, oracle = bialgebra.check_fdb_pair, bialgebra.graft_oracle_agrees
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (all_builtin_specs, cycle_generated_s3_spec,
+from conftest import (all_builtin_specs, cardinality_series, cycle_generated_s3_spec,
                       partial_blocks_spec, split_block_spec,
                       symmetric_two_colour_spec, two_colour_spec)
 from optrees import pfunctor
@@ -15,7 +15,7 @@ from optrees.cli import main
 from optrees.enumeration import (Bound, BoundError, enumerate_classes,
                                  enumerate_pforests, enumerate_ptrees, matchings)
 from optrees.pfunctor import (EndofunctorSpec, PForest, PTree, SpecError, aut_order,
-                              builtin, group_order, intern, parse_ptree, tree_class,
+                              builtin, intern, parse_ptree, tree_class,
                               trivial_ptree, validate_ptree)
 from optrees.trees import validate_tree
 
@@ -363,34 +363,6 @@ def test_rigid_and_block_symmetric_ops_compose_each_class_once(
     classes = enumerate_classes(spec, bound)
     # every class but the trivial ones is composed, and only once
     assert len(composed) == len(classes) - len(spec.colours) == calls
-
-
-def cardinality_series(spec, bound):
-    """Per root colour, Σ x^edges y^nodes / |Aut T| over the trees T within
-    the bound, as {(edges, nodes): Fraction}: the fixed point of
-    g_c = x + x·y·Σ_{op: out = c} Π_i g_{in_i} / |G_op|, truncated to the
-    bound.  It reads each op's input colours and group order, and no slot
-    rule, record or tree."""
-    max_nodes = bound.max_edges if bound.max_nodes is None else bound.max_nodes
-    orders = {op.name: group_order(op) for op in spec.ops}
-
-    def times(a, b):
-        out = {}
-        for (e, n), x in a.items():
-            for (f, m), y in b.items():
-                if e + f <= bound.max_edges and n + m <= max_nodes:
-                    out[e + f, n + m] = out.get((e + f, n + m), 0) + x * y
-        return out
-
-    g = {c: {(1, 0): Fraction(1)} for c in spec.colours}
-    for _ in range(bound.max_edges):  # each round fixes the next edge count
-        new = {c: {(1, 0): Fraction(1)} for c in spec.colours}
-        for op in spec.ops:
-            term = functools.reduce(times, (g[c] for c in op.ins), {(0, 0): Fraction(1)})
-            for (e, n), x in times({(1, 1): Fraction(1)}, term).items():
-                new[op.out][e, n] = new[op.out].get((e, n), 0) + x / orders[op.name]
-        g = new
-    return {(c, e, n): x for c, terms in g.items() for (e, n), x in terms.items() if x}
 
 
 @pytest.mark.parametrize("spec", all_builtin_specs() + [
