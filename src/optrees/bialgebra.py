@@ -711,7 +711,9 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
                     max_edges_side: int, rooted: str | None):
     """Each stump class with its listed crowns (the fitting forests of its
     leaf profile, in enumeration order), the sampled profile-mismatched pairs,
-    the number of in-budget pairs and each crown's edges, in one pass each."""
+    the number of in-budget pairs and each crown's edges, in one pass each.
+    The mismatched pairs are sampled ``_evenly_spaced`` from the stumps in key
+    order, each with the first fitting crown of every other root profile."""
     side_bound = Bound(max_edges_side, max_total_nodes)
     stumps = enumerate_classes(spec, side_bound, root_colour=rooted)
     by_profile: dict[Profile, list[tuple[int, PForest]]] = {}
@@ -723,30 +725,21 @@ def _fdb_pair_space(spec: EndofunctorSpec, max_total_nodes: int,
         crowns_by_nodes[n] = crowns_by_nodes.get(n, 0) + 1
         edges[f.keys] = f.edge_count()
     listed: list[tuple[TreeClass, list[PForest]]] = []
-    sampled: list[tuple[TreeClass, PForest]] = []
+    mismatched: list[tuple[TreeClass, list[PForest]]] = []
     checked = 0
-    per_stump = max(1, SAMPLE // max(len(stumps), 1))
-    # each leaf profile's crowns that fit in each room, which many stumps share
-    fitting: dict[tuple[Profile, int], list[PForest]] = {}
+    # each room's fitting crowns by root profile (the profiles in the order the
+    # enumeration first meets them), which many stumps share
+    fitting: dict[int, dict[Profile, list[PForest]]] = {}
     for s in stumps:
         room = max_total_nodes - s.nodes
         checked += sum(m for n, m in crowns_by_nodes.items() if n <= room)
-        crowns = fitting.get((s.leaf_profile, room))
-        if crowns is None:
-            crowns = fitting[(s.leaf_profile, room)] = [
-                f for n, f in by_profile.get(s.leaf_profile, ()) if n <= room]
-        listed.append((s, crowns))
-        if len(sampled) < SAMPLE:
-            taken = 0
-            for other, fs in by_profile.items():
-                if other == s.leaf_profile or taken >= per_stump:
-                    continue
-                for n, f in fs:
-                    if n <= room:
-                        sampled.append((s, f))
-                        taken += 1
-                        break
-    return listed, sampled, checked, edges
+        if room not in fitting:
+            fitting[room] = {p: [f for n, f in fs if n <= room]
+                             for p, fs in by_profile.items()}
+        listed.append((s, fitting[room].get(s.leaf_profile, [])))
+        mismatched.append((s, [fs[0] for p, fs in fitting[room].items()
+                               if fs and p != s.leaf_profile]))
+    return listed, _evenly_spaced(mismatched), checked, edges
 
 
 def check_fdb_pair(crown: PForest, stump: TreeClass, powers: Mapping[Profile, Series],
@@ -804,17 +797,16 @@ def _stump_checks(s: TreeClass, crowns: list[PForest],
     return out
 
 
-def _oracle_sample(listed: Sequence[tuple[TreeClass, Sequence[PForest]]]
+def _evenly_spaced(groups: Sequence[tuple[TreeClass, Sequence[PForest]]]
                    ) -> list[tuple[TreeClass, PForest]]:
-    """Every stride-th of the listed (stump, crown) pairs, in listed order,
-    taken while walking ``listed``; the stride is the least that leaves at
-    most ``SAMPLE`` of them."""
-    stride = max(1, -(-sum(len(crowns) for _, crowns in listed) // SAMPLE))
-    out, start = [], 0  # ``start``: the index of the stump's first pair
-    for s, crowns in listed:
-        out += [(s, f) for f in crowns[-start % stride::stride]]
-        start += len(crowns)
-    return out
+    """The one sampling rule of both spot checks: of the n (stump, crown)
+    pairs of ``groups``, in order, the m = min(``SAMPLE``, n) at indices
+    k·n // m for k < m."""
+    n = sum(len(crowns) for _, crowns in groups)
+    m = min(SAMPLE, n)
+    picks = {k * n // m for k in range(m)}
+    pairs = ((s, f) for s, crowns in groups for f in crowns)
+    return [pair for i, pair in enumerate(pairs) if i in picks]
 
 
 def verify_fdb(spec: EndofunctorSpec, max_total_nodes: int, max_edges_side: int,
@@ -831,8 +823,8 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
 
     Pairs whose crown root profile differs from the stump leaf profile have
     no grafts and no monomial in the profile power, so both sides vanish;
-    they are counted in bulk (a deterministic sample of about ``SAMPLE`` of
-    them is pushed through the full computation as a spot check).  Only
+    they are counted in bulk (an evenly spaced sample of at most ``SAMPLE``
+    of them is pushed through the full computation as a spot check).  Only
     profile-matched pairs with a nonzero side, and any failures, are listed:
     they are yielded in report order, by stump key, then crown, then the
     failed spot checks, each stump's as soon as its stump is done.  The
@@ -849,7 +841,9 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
        Each tree is dropped once its cuts are counted, and only the
        accumulated coefficient of each pair is kept.
     2. The pair space (``_fdb_pair_space``), its records composed from their
-       children's: listed crowns, mismatched sample, ``checked``, crown edges.
+       children's: listed crowns, the mismatched sample (``_evenly_spaced``
+       over each stump's first fitting crown of every other root profile),
+       ``checked`` and crown edges.
     3. The RHS powers (``profile_powers``, integer numerators over one
        denominator per profile), and the LHS walk of each stump in key
        order (``stump_grafts``): it fills the stump's leaves in slot
@@ -867,8 +861,8 @@ def fdb_checks(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]:
        yielded.  A pair that only one of the walk and the forest
        enumeration reaches fails and is listed.
     4. The spot checks: the sampled profile-mismatched pairs must vanish,
-       and an evenly spaced sample of at most ``SAMPLE`` listed pairs
-       (``_oracle_sample``, taken before the walks) must pass
+       and the listed pairs' sample by the same rule (``_evenly_spaced``,
+       taken before the walks) must pass
        ``graft_oracle_agrees`` on the records and first fillings that the
        LHS walk made, grafting a tree for each record the LHS summed: the
        grafting cut of each must give the pair, and a parse of each
@@ -925,7 +919,7 @@ def _fdb_stages(spec: EndofunctorSpec, report: FdbReport) -> Iterator[PairCheck]
     side_bound = Bound(max_edges_side, max_total_nodes)
     powers = profile_powers(spec, side_bound, {s.leaf_profile for s, _ in listed})
     candidates = _crown_candidates(enumerate_classes(spec, side_bound))
-    kept = dict.fromkeys(_oracle_sample(listed))  # the walks give each its records
+    kept = dict.fromkeys(_evenly_spaced(listed))  # the walks give each its records
     composed = defaultdict(dict)  # all walks' composites, and their records
     for s, crowns in listed:  # stumps in key order
         checks = _stump_checks(s, crowns, candidates, powers, max_total_nodes - s.nodes,

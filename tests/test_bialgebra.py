@@ -454,18 +454,28 @@ def test_a_walk_reaches_one_record_per_class_when_the_class_table_grows_between_
 
 @pytest.mark.parametrize("spec", [builtin("planar", 3), two_colour_spec()],
                          ids=["planar(3)", "two-colour"])
-@pytest.mark.parametrize("sample", [1, 7, 200, 10**6])
+@pytest.mark.parametrize("sample", [1, 7, 200, 10**6, "n-1"])
 def test_the_oracle_sample_is_the_evenly_spaced_slice(monkeypatch, spec, sample):
-    # taken while walking the listed pairs, the sample is the stride slice
-    # of the list of all of them
+    # both spot-check samples, the oracle's of the listed pairs and the
+    # zero-pair one of the mismatched candidates, hold the m = min(SAMPLE, n)
+    # pairs at indices k·n // m of their population; at n = SAMPLE + 1 (the
+    # "n-1" case) a stride rule would take only ⌈n / 2⌉ of them
     nodes, edges = 4, 6
     listed = listed_pairs(spec, nodes, edges)
-    tasks = [(s, f) for s, crowns in listed for f in crowns]
-    monkeypatch.setattr(bialgebra, "SAMPLE", sample)
-    stride = max(1, -(-len(tasks) // sample))
-    assert len(tasks) > 20
-    assert bialgebra._oracle_sample(listed) == tasks[::stride][:sample]
-    assert bialgebra._oracle_sample([]) == []
+    monkeypatch.setattr(bialgebra, "SAMPLE", 10**9)
+    for population, sample_of in [
+            ([(s.key, f.keys) for s, crowns in listed for f in crowns],
+             lambda: [(s.key, f.keys) for s, f in bialgebra._evenly_spaced(listed)]),
+            (zero_pair_sample(spec, nodes, edges),
+             lambda: zero_pair_sample(spec, nodes, edges))]:
+        n = len(population)
+        size = n - 1 if sample == "n-1" else sample
+        m = min(size, n)
+        monkeypatch.setattr(bialgebra, "SAMPLE", size)
+        assert n > 20
+        assert sample_of() == [population[k * n // m] for k in range(m)]
+    assert bialgebra._evenly_spaced([]) == []
+    assert bialgebra._evenly_spaced([(s, []) for s, _ in listed]) == []
 
 
 def test_rooted_mode_checks_every_accumulated_pair(monkeypatch, two_colour):
@@ -735,6 +745,11 @@ def crown_candidates(spec, nodes, edges):
 def listed_pairs(spec, nodes, edges):
     """Each stump of the pair space with its profile-matched fitting crowns."""
     return bialgebra._fdb_pair_space(spec, nodes, edges, None)[0]
+
+
+def zero_pair_sample(spec, nodes, edges):
+    """The (stump, crown) keys of the pair space's profile-mismatched sample."""
+    return [(s.key, f.keys) for s, f in bialgebra._fdb_pair_space(spec, nodes, edges, None)[1]]
 
 
 def by_key(grafts):
@@ -1392,8 +1407,8 @@ def test_verify_fdb_lists_pairs_by_stump_then_crown(monkeypatch, spec):
     monkeypatch.setattr(bialgebra, "graft_oracle_agrees", recorded_oracle)
     assert verify_fdb(spec, nodes, edges).passed
     assert checked[:len(expected)] == expected
-    stride = max(1, -(-len(expected) // bialgebra.SAMPLE))
-    assert sampled == expected[::stride][:bialgebra.SAMPLE]
+    m = min(bialgebra.SAMPLE, len(expected))
+    assert sampled == [expected[k * len(expected) // m] for k in range(m)]
 
 
 @pytest.mark.parametrize("spec, nodes, edges, sha256", [
@@ -1495,30 +1510,75 @@ def test_format_rational():
     assert format_rational(Fraction(0)) == "0/1"
 
 
-# (checked, zero_pairs, cross_checked, listed pairs, oracle-sampled pairs) of
-# verify_fdb at (4, 7) on the six specs of acceptance criterion 1.  A faster
-# check must still cover as many pairs by every route.
+# (checked, zero_pairs, cross_checked, listed pairs, oracle-sampled pairs,
+# zero-pair-sampled pairs) of verify_fdb at (4, 7) on the six specs of
+# acceptance criterion 1.  A faster check must still cover as many pairs by
+# every route.
 FDB_SIX_COVERAGE = {
-    ("identity", None): (117, 102, 15, 15, 15),
-    ("constant", None): (56, 53, 3, 3, 3),
-    ("binary", None): (159, 125, 23, 34, 34),
-    ("planar", 3): (13325, 10799, 1790, 2526, 195),
-    ("exp", 3): (4853, 4002, 625, 851, 171),
-    ("stable", 3): (236, 195, 24, 41, 41),
+    ("identity", None): (117, 102, 15, 15, 15, 35),
+    ("constant", None): (56, 53, 3, 3, 3, 14),
+    ("binary", None): (159, 125, 23, 34, 34, 63),
+    ("planar", 3): (13325, 10799, 1790, 2526, 200, 200),
+    ("exp", 3): (4853, 4002, 625, 851, 200, 200),
+    ("stable", 3): (236, 195, 24, 41, 41, 63),
 }
 
 
 @pytest.mark.parametrize("name, arity", FDB_SIX_COVERAGE,
                          ids=[n if a is None else f"{n}({a})" for n, a in FDB_SIX_COVERAGE])
 def test_fdb_coverage_per_route_is_pinned(monkeypatch, name, arity):
-    oracle, sampled = bialgebra.graft_oracle_agrees, []
+    oracle, lhs, sampled, zero_sampled = (bialgebra.graft_oracle_agrees,
+                                          bialgebra.fdb_lhs_coefficient, [], [])
 
     def counted(*args):
         sampled.append(args[:2])
         return oracle(*args)
 
+    def counted_lhs(crown, stump):  # only the zero-pair spot check calls it
+        zero_sampled.append((stump, crown))
+        return lhs(crown, stump)
+
     monkeypatch.setattr(bialgebra, "graft_oracle_agrees", counted)
+    monkeypatch.setattr(bialgebra, "fdb_lhs_coefficient", counted_lhs)
     rep = verify_fdb(builtin(name, arity), 4, 7)
     assert rep.failed == rep.cross_failed == 0
     assert (rep.checked, rep.zero_pairs, rep.cross_checked, len(rep.pairs),
-            len(set(sampled))) == FDB_SIX_COVERAGE[(name, arity)]
+            len(set(sampled)), len(set(zero_sampled))) == FDB_SIX_COVERAGE[(name, arity)]
+
+
+def test_a_fault_only_a_late_stump_shows_fails_the_check(monkeypatch):
+    # planar(3) at (4, 7) has 511 stumps; a wrong RHS on the mismatched
+    # pairs of the last 100 in key order is seen only if the zero-pair
+    # sample reaches them, and each sample holds min(SAMPLE, n) pairs
+    spec, nodes, edges = builtin("planar", 3), 4, 7
+    stumps = enumerate_classes(spec, Bound(edges, nodes))
+    forests = enumerate_pforests(spec, Bound(edges, nodes))
+    late = {s.key for s in stumps[-100:]}
+    # the fitting crowns of each room, counted by root profile
+    fitting = {room: Counter(f.root_profile() for f in forests if f.node_count() <= room)
+               for room in {nodes - s.nodes for s in stumps}}
+    matched = sum(fitting[nodes - s.nodes][s.leaf_profile] for s in stumps)
+    mismatched = sum(len(fitting[nodes - s.nodes].keys() - {s.leaf_profile}) for s in stumps)
+    rhs, oracle, oracle_sampled, zero_sampled = (bialgebra.fdb_rhs_coefficient,
+                                                 bialgebra.graft_oracle_agrees, [], [])
+
+    def planted(crown, stump, powers):
+        zero_sampled.append((stump.key, crown.keys))
+        if crown.root_profile() != stump.leaf_profile and stump.key in late:
+            return Fraction(1)
+        return rhs(crown, stump, powers)
+
+    def counted(stump, crown, *rest):
+        oracle_sampled.append((stump.key, crown.keys))
+        return oracle(stump, crown, *rest)
+
+    monkeypatch.setattr(bialgebra, "fdb_rhs_coefficient", planted)
+    monkeypatch.setattr(bialgebra, "graft_oracle_agrees", counted)
+    rep = verify_fdb(spec, nodes, edges)
+    assert not rep.passed and rep.failed > 0 and rep.cross_failed == 0
+    assert len(stumps) == 511 and mismatched > matched > bialgebra.SAMPLE
+    assert len(set(zero_sampled)) == len(zero_sampled) == bialgebra.SAMPLE
+    assert len(set(oracle_sampled)) == len(oracle_sampled) == bialgebra.SAMPLE
+    kept = len(rep.pairs) - rep.failed
+    assert all(p.passed for p in rep.pairs[:kept]) and rep.pairs[:kept] != []
+    assert all(not p.passed and p.stump in late for p in rep.pairs[kept:])

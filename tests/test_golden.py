@@ -9,8 +9,8 @@ strings.  ``tests/golden.json`` is written only by running this file:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-A change that alters output on purpose regenerates the table and names the
-cases whose digests moved.
+A change that alters output on purpose regenerates the table; the write
+prints each case whose row moved, with its old and new md5 and length.
 """
 
 import hashlib
@@ -207,8 +207,32 @@ def test_grammar_readers_give_the_recorded_outcomes(golden):
     assert grammar_outcome() == golden["grammar-corpus"]
 
 
+def moved_rows(old: dict, new: dict) -> list[str]:
+    """One line per case whose row differs between two tables, in name
+    order: its name, then its old and its new md5 and length (``-`` for a
+    case that one of the tables lacks)."""
+    def cell(row):
+        return "-" if row is None else f"md5 {row['md5']} length {row['length']}"
+    return [f"{name}: {cell(old.get(name))} -> {cell(new.get(name))}"
+            for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+
+
+def test_moved_rows_names_each_changed_case_with_both_digests():
+    row = {"code": 0, "md5": "a" * 32, "length": 3}
+    old = {"same": row, "moved": row, "gone": row}
+    new = {"same": row, "moved": {**row, "md5": "b" * 32, "length": 4},
+           "added": {**row, "code": 1}}
+    assert moved_rows(old, new) == [
+        f"added: - -> md5 {'a' * 32} length 3",
+        f"gone: md5 {'a' * 32} length 3 -> -",
+        f"moved: md5 {'a' * 32} length 3 -> md5 {'b' * 32} length 4"]
+    assert moved_rows(old, old) == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    TABLE.write_text(json.dumps(current_table(), indent=2, sort_keys=True) + "\n",
-                     encoding="utf-8")
+    old = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
+    new = current_table()
+    print("\n".join(moved_rows(old, new)) or "no case moved")
+    TABLE.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n", encoding="utf-8")
