@@ -51,7 +51,8 @@ _MODULE_OF = {
     **dict.fromkeys(("FiniteGroupoid", "Group", "GroupAction", "GroupoidError",
                      "GroupoidMap", "discrete", "homotopy_fiber", "homotopy_pullback",
                      "homotopy_quotient", "homotopy_sum", "is_equivalence",
-                     "one_object", "pushforward_cardinality", "relative_cardinality"),
+                     "one_object", "pushforward_cardinality", "relative_cardinality",
+                     "sum_projection"),
                     "groupoids"),
     "SuiteReport": "groupoid_suite", "run_suite": "groupoid_suite"}
 

