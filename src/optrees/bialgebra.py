@@ -75,7 +75,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .enumeration import (Bound, Profile, enumerate_classes, enumerate_pforests,
-                          enumerate_ptrees)
+                          enumerate_ptrees, profile_str)
 from .pfunctor import (EMPTY_FOREST_KEY, EndofunctorSpec, ForestKey, PForest,
                        PTree, TreeClass, aut_order, cuts_in, forest_key_str,
                        graft_decorated, intern, parse_ptree, tree_class,
@@ -89,10 +89,6 @@ SAMPLE = 200  # pairs in each spot-check sample of ``verify_fdb``
 
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def profile_str(profile: Profile) -> str:
-    return ",".join(f"{c}:{m}" for c, m in profile) if profile else "-"
 
 
 class BoundMismatch(ValueError):

@@ -17,11 +17,11 @@ by size: ``enumerate`` and ``verify fdb`` hand it generators of ``Row``s
 formatted from each class record or pair check, so neither builds a list of
 its rows; other lists' objects of scalars go through the C encoder.
 
-``groupoids`` and ``groupoid_suite`` are lazy modules (see ``optrees``):
-their names are looked up on them when a command calls or catches them, so
-only ``groupoid``, ``verify groupoid`` and an exception that reaches
-``main``'s handlers load them.
-``classical`` is imported by its own commands.
+A command compiles only the modules it runs.  The other modules of the
+package are lazy modules (see ``optrees``), bound here as modules: a
+command looks their names up on them when it calls or catches them, so
+importing this module compiles none of them, and ``main``'s handlers load
+the modules of the error classes only when an exception reaches them.
 """
 
 from __future__ import annotations
@@ -34,14 +34,8 @@ import sys
 import time
 from typing import Iterable, Iterator
 
-from . import groupoid_suite, groupoids
-# ``verify_fdb`` is unused here; perfbench's selftest checks the tracer wraps it
-from .bialgebra import (Bound, FdbReport, PairCheck, delta_tree, fdb_checks,
-                        format_rational, green, profile_str, verify_fdb)
-from .enumeration import BoundError, enumerate_classes
-from .pfunctor import (EndofunctorSpec, SpecError, TreeClass, aut_order, builtin,
-                       forest_key_str, load_spec, parse_ptree_or_shape)
-from .trees import GrammarError
+from . import (bialgebra, classical, enumeration, groupoid_suite, groupoids, pfunctor,
+               trees)
 
 SCHEMA_VERSION = 1
 # a write of structured output, but the last, holds at least 8 * BATCH
@@ -61,14 +55,14 @@ class UsageError(Exception):
     pass
 
 
-def _spec_from_args(args) -> EndofunctorSpec:
+def _spec_from_args(args) -> pfunctor.EndofunctorSpec:
     if getattr(args, "spec_file", None):
         if getattr(args, "functor", None):
             raise UsageError("give either --functor or --spec-file, not both")
-        return load_spec(args.spec_file)
+        return pfunctor.load_spec(args.spec_file)
     if not getattr(args, "functor", None):
         raise UsageError("a spec source is required (--functor or --spec-file)")
-    return builtin(args.functor, max_arity=args.max_arity)
+    return pfunctor.builtin(args.functor, max_arity=args.max_arity)
 
 
 def _parse_profile(text: str) -> tuple[tuple[str, int], ...]:
@@ -96,7 +90,7 @@ def _at_least(value: int, least: int, what: str) -> int:
     return value
 
 
-def _check_colour(spec: EndofunctorSpec, colour: str):
+def _check_colour(spec: pfunctor.EndofunctorSpec, colour: str):
     if colour not in spec.colours:
         raise UsageError(f"unknown colour {colour!r}; spec has "
                          f"{', '.join(spec.colours)}")
@@ -160,20 +154,21 @@ def _write(pieces: Iterable[str]):
         sys.stdout.write("".join(batch))
 
 
-def _pair_row(p: PairCheck) -> Row:
+def _pair_row(p: bialgebra.PairCheck) -> Row:
     """``_item(p.as_doc())``, formatted from the check's reduced integers: a
     listed pair's row."""
-    return Row(f'{{\n      "F": {_string(forest_key_str(p.crown))},\n      "S": '
-               f'{_string(p.stump)},\n      "lhs": "{p.lhs_num}/{p.lhs_den}",\n      '
+    crown = _string(pfunctor.forest_key_str(p.crown))
+    return Row(f'{{\n      "F": {crown},\n      "S": {_string(p.stump)},\n      '
+               f'"lhs": "{p.lhs_num}/{p.lhs_den}",\n      '
                f'"pass": {"true" if p.passed else "false"},\n      '
                f'"rhs": "{p.rhs_num}/{p.rhs_den}"\n    }}')
 
 
-def _class_row(c: TreeClass, profiles: dict) -> Row:
+def _class_row(c: pfunctor.TreeClass, profiles: dict) -> Row:
     """``_item`` of the class's ``enumerate`` row, formatted from the record;
     ``profiles`` keeps each shared leaf profile's string, once formatted."""
     profile = profiles.get(c.leaf_profile) or profiles.setdefault(
-        c.leaf_profile, _string(profile_str(c.leaf_profile)))
+        c.leaf_profile, _string(enumeration.profile_str(c.leaf_profile)))
     key = _string(c.key)
     return Row(f'{{\n      "aut_order": {c.aut},\n      "edges": {c.edges},\n      '
                f'"key": {key},\n      "leaf_profile": {profile},\n      '
@@ -187,12 +182,12 @@ def _class_row(c: TreeClass, profiles: dict) -> Row:
 
 def cmd_enumerate(args) -> int:
     spec = _spec_from_args(args)
-    bound = Bound(args.max_edges, args.max_nodes)
+    bound = enumeration.Bound(args.max_edges, args.max_nodes)
     profile = None if args.leaf_profile is None else _parse_profile(args.leaf_profile)
     if args.root_colour is not None:
         _check_colour(spec, args.root_colour)
-    classes = enumerate_classes(spec, bound, root_colour=args.root_colour,
-                                leaf_profile=profile)
+    classes = enumeration.enumerate_classes(spec, bound, root_colour=args.root_colour,
+                                            leaf_profile=profile)
     if args.format == "structured":
         profiles = {}
         rows = (_class_row(c, profiles) for c in classes)
@@ -201,15 +196,16 @@ def cmd_enumerate(args) -> int:
     else:
         for c in classes:
             print(f"{c.key}\taut={c.aut}\troot={c.root}\tleaves="
-                  f"{profile_str(c.leaf_profile)}\tedges={c.edges}\tnodes={c.nodes}")
+                  f"{enumeration.profile_str(c.leaf_profile)}\tedges={c.edges}\t"
+                  f"nodes={c.nodes}")
         print(f"# {len(classes)} classes", file=sys.stderr)
     return 0
 
 
 def cmd_aut(args) -> int:
     spec = _spec_from_args(args)
-    t = parse_ptree_or_shape(spec, args.tree)
-    order = aut_order(t)
+    t = pfunctor.parse_ptree_or_shape(spec, args.tree)
+    order = pfunctor.aut_order(t)
     if args.format == "structured":
         emit_structured("aut", {"spec": spec.name, "tree": t.key(),
                                 "aut_order": order})
@@ -220,10 +216,10 @@ def cmd_aut(args) -> int:
 
 def cmd_delta(args) -> int:
     spec = _spec_from_args(args)
-    t = parse_ptree_or_shape(spec, args.tree)
-    ts = delta_tree(t)
-    terms = [{"F": forest_key_str(left), "S": forest_key_str(right),
-              "coeff": format_rational(c)}
+    t = pfunctor.parse_ptree_or_shape(spec, args.tree)
+    ts = bialgebra.delta_tree(t)
+    terms = [{"F": pfunctor.forest_key_str(left), "S": pfunctor.forest_key_str(right),
+              "coeff": bialgebra.format_rational(c)}
              for (left, right), c in sorted(ts.coeffs.items())]
     if args.format == "structured":
         emit_structured("delta", {"spec": spec.name, "tree": t.key(),
@@ -237,13 +233,14 @@ def cmd_delta(args) -> int:
 
 def cmd_green(args) -> int:
     spec = _spec_from_args(args)
-    bound = Bound(args.max_edges, args.max_nodes)
+    bound = enumeration.Bound(args.max_edges, args.max_nodes)
     profile = None if args.leaf_profile is None else _parse_profile(args.leaf_profile)
     if args.root_colour is not None:
         _check_colour(spec, args.root_colour)
-    series = green(spec, bound, root_colour=args.root_colour,
-                   leaf_profile=profile)
-    terms = [{"monomial": forest_key_str(k), "coeff": format_rational(c)}
+    series = bialgebra.green(spec, bound, root_colour=args.root_colour,
+                             leaf_profile=profile)
+    terms = [{"monomial": pfunctor.forest_key_str(k),
+              "coeff": bialgebra.format_rational(c)}
              for k, c in sorted(series.coeffs.items())]
     if args.format == "structured":
         emit_structured("green", {"spec": spec.name, "bound": bound.label(),
@@ -264,13 +261,13 @@ def cmd_groupoid(args) -> int:
     if args.format == "structured":
         emit_structured("groupoid", {
             "objects": len(g.objects), "arrows": len(g.arrows),
-            "components": rows, "cardinality": format_rational(card)})
+            "components": rows, "cardinality": bialgebra.format_rational(card)})
     else:
         print(f"objects: {len(g.objects)}  arrows: {len(g.arrows)}")
         for r in rows:
             print(f"class {r['class']}: {r['objects']} objects, "
                   f"vertex group order {r['aut_order']}")
-        print(f"cardinality: {format_rational(card)}")
+        print(f"cardinality: {bialgebra.format_rational(card)}")
     return 0
 
 
@@ -279,16 +276,17 @@ def cmd_verify_fdb(args) -> int:
     spec = _spec_from_args(args)
     if args.rooted is not None:
         _check_colour(spec, args.rooted)
-    report = FdbReport(spec.name, args.max_nodes, args.max_edges, args.rooted)
+    report = bialgebra.FdbReport(spec.name, args.max_nodes, args.max_edges, args.rooted)
     # closed on any exit, so the collector that the check pauses is resumed
-    with contextlib.closing(fdb_checks(spec, report)) as checks:
+    with contextlib.closing(bialgebra.fdb_checks(spec, report)) as checks:
         if args.format == "structured":  # the summary sorts after the pairs
             emit_structured("verify-fdb", {
                 **report.frame(), "pairs": map(_pair_row, checks),
                 "summary": lambda: report.frame()["summary"]})
         else:
             for p in checks:
-                print(f"{'ok' if p.passed else 'FAIL'}  F={forest_key_str(p.crown)}  "
+                crown = pfunctor.forest_key_str(p.crown)
+                print(f"{'ok' if p.passed else 'FAIL'}  F={crown}  "
                       f"S={p.stump}  lhs={p.lhs_num}/{p.lhs_den}  "
                       f"rhs={p.rhs_num}/{p.rhs_den}")
             print(f"checked={report.checked} failed={report.failed} "
@@ -298,8 +296,7 @@ def cmd_verify_fdb(args) -> int:
 
 
 def cmd_verify_classical(args) -> int:
-    from .classical import classical_verify
-    report = classical_verify(_at_least(args.max_degree, 0, "--max-degree"))
+    report = classical.classical_verify(_at_least(args.max_degree, 0, "--max-degree"))
     if args.format == "structured":
         emit_structured("verify-classical", report.as_doc())
     else:
@@ -312,10 +309,9 @@ def cmd_verify_classical(args) -> int:
 
 
 def cmd_verify_phi(args) -> int:
-    from .classical import verify_phi
     spec = _spec_from_args(args)
-    report = verify_phi(spec, max_n=_at_least(args.max_n, 0, "--max-n"),
-                        bound=Bound(args.max_edges))
+    report = classical.verify_phi(spec, max_n=_at_least(args.max_n, 0, "--max-n"),
+                                  bound=enumeration.Bound(args.max_edges))
     if args.format == "structured":
         emit_structured("verify-phi", report.as_doc())
     else:
@@ -329,7 +325,7 @@ def cmd_verify_phi(args) -> int:
 
 def cmd_verify_groupoid(args) -> int:
     report = groupoid_suite.run_suite(count=_at_least(args.count, 1, "--count"),
-                       seed=args.seed)
+                                      seed=args.seed)
     if args.format == "structured":
         emit_structured("verify-groupoid", report.as_doc())
     else:
@@ -445,8 +441,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader is an error here, not at exit
-    except (UsageError, SpecError, GrammarError, groupoids.GroupoidError, BoundError,
-            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (UsageError, pfunctor.SpecError, trees.GrammarError, groupoids.GroupoidError,
+            enumeration.BoundError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError):  # so the flush at exit writes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

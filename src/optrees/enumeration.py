@@ -25,6 +25,10 @@ from .trees import ForestDiagram, disjoint_union
 Profile = tuple[tuple[str, int], ...]  # (colour, count) pairs, sorted by colour
 
 
+def profile_str(profile: Profile) -> str:
+    return ",".join(f"{c}:{m}" for c, m in profile) if profile else "-"
+
+
 class BoundError(ValueError):
     """A bound out of range."""
 

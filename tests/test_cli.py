@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import two_colour_spec
 from optrees import bialgebra, cli, groupoid_suite, pfunctor
-from optrees.bialgebra import BoundMismatch, PairCheck, profile_str
+from optrees.bialgebra import BoundMismatch, PairCheck
 from optrees.cli import main
-from optrees.enumeration import Bound, enumerate_classes
+from optrees.enumeration import Bound, enumerate_classes, profile_str
 from optrees.groupoids import (Group, discrete, disjoint_union_groupoids,
                                groupoid_to_doc, one_object)
 from optrees.pfunctor import builtin, load_spec, save_spec
@@ -384,7 +384,7 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys, error):
     def broken(t):
         raise error
 
-    monkeypatch.setattr(cli, "delta_tree", broken)
+    monkeypatch.setattr(bialgebra, "delta_tree", broken)
     assert main(["delta", "--functor", "identity", "--tree", "(_)"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -894,13 +894,46 @@ def test_a_class_row_is_the_item_of_its_document():
     assert max(c.aut for c in classes) > 1
 
 
+# a fresh process's prefix that lists, in ``ran``, the file name of each
+# module of the package whose code runs
+RAN = ("import importlib.util, os, sys\n"
+       "package = os.path.dirname(importlib.util.find_spec('optrees').origin)\n"
+       "ran = []\n"
+       "sys.addaudithook(lambda event, args: event == 'exec' and os.path.dirname(\n"
+       "    getattr(args[0], 'co_filename', '')) == package\n"
+       "    and ran.append(os.path.basename(args[0].co_filename)))\n")
+CLI_FILES = ["__init__.py", "cli.py"]
+ENUMERATE_FILES = CLI_FILES + ["enumeration.py", "pfunctor.py", "trees.py"]
+FDB_FILES = ENUMERATE_FILES + ["bialgebra.py"]
+
+
+@pytest.mark.parametrize("args, files", [
+    ([], CLI_FILES),
+    (["enumerate", "--functor", "exp", "--max-arity", "3", "--max-edges", "4"],
+     ENUMERATE_FILES),
+    (["verify", "fdb", "--functor", "exp", "--max-arity", "2", "--max-nodes", "3",
+      "--max-edges", "3"], FDB_FILES),
+    (["verify", "groupoid", "--count", "10"],
+     CLI_FILES + ["groupoid_suite.py", "groupoids.py"]),
+    (["verify", "classical", "--max-degree", "3"], FDB_FILES + ["classical.py"])],
+    ids=["import", "enumerate", "verify-fdb", "verify-groupoid", "verify-classical"])
+def test_a_command_runs_only_the_package_modules_it_needs(args, files):
+    # every submodule is lazy: importing the CLI runs none of them, and a
+    # command runs only the modules whose names it reads
+    code = (RAN + "import optrees.cli\n"
+            f"code = optrees.cli.main({args!r}) if {args!r} else 0\n"
+            "print(code, sorted(set(ran)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == f"0 {sorted(files)}", proc.stderr
+
+
 def test_importing_the_cli_leaves_classical_unloaded():
-    # ``classical`` is loaded by its own commands and by its names on the
-    # package, on first access
-    code = ("import sys, optrees.cli\n"
-            "print('optrees.classical' in sys.modules)\n"
+    # ``classical`` is run by its own commands and by its names on the
+    # package, on first access; it is in ``sys.modules`` from the start
+    code = (RAN + "import optrees.cli\n"
+            "print('classical.py' in ran)\n"
             "from optrees import classical_verify\n"
-            "print('optrees.classical' in sys.modules)")
+            "print('classical.py' in ran)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout.split() == ["False", "True"], proc.stderr
 
@@ -929,20 +962,16 @@ GROUPOID_NAMES = {
 def test_importing_the_cli_runs_no_groupoid_module():
     # the groupoid modules are lazy: ``import optrees.cli`` neither imports
     # nor runs them, and their names resolve on the package and on them
-    code = ("import sys\n"
-            "ran = []\n"
-            "sys.addaudithook(lambda event, args: event == 'exec' and ran.append(\n"
-            "    getattr(args[0], 'co_filename', '').rpartition('/')[2]))\n"
-            "import optrees.cli\n"
+    code = (RAN + "import optrees.cli\n"
             "print(sorted(f for f in ran if f.startswith('groupoid')),\n"
-            "      'optrees.classical' in sys.modules)\n"
+            "      'classical.py' in ran)\n"
             "import optrees\n"
             f"for module, names in {GROUPOID_NAMES!r}.items():\n"
             "    for name in names:\n"
             "        exec(f'from optrees import {name} as value')\n"
             "        assert value is getattr(getattr(optrees, module), name), name\n"
             "print(sorted(f for f in ran if f.startswith('groupoid')),\n"
-            "      'optrees.classical' in sys.modules)\n")
+            "      'classical.py' in ran)\n")
     proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
                           capture_output=True, text=True)
     assert proc.stdout.splitlines() == [
@@ -954,12 +983,31 @@ def test_importing_the_cli_runs_no_groupoid_module():
                            "optrees.classical"}
 
 
+TREE_NAMES = {
+    "trees": ("Cut", "CycleDetected", "DiagramError", "ForestDiagram", "GrammarError",
+              "MatchingNotBijective", "MultipleRoots", "NoRoot", "NonInjectiveS",
+              "NonInjectiveT", "TreeDiagram", "enumerate_cuts", "graft", "ideal_subtree",
+              "parse_forest", "parse_tree", "print_forest", "print_tree", "prune",
+              "trivial_tree", "validate_forest", "validate_tree"),
+    "pfunctor": ("ArityMismatch", "BUILTIN_NAMES", "ColourMismatch", "EndofunctorSpec",
+                 "OpType", "PForest", "PTree", "SpecError", "UnknownBuiltin", "UnknownOp",
+                 "aut_order", "aut_order_forest", "automorphisms", "builtin",
+                 "forest_mul", "graft_decorated", "isomorphisms_brute", "load_spec",
+                 "parse_pforest", "parse_ptree", "prune_decorated", "save_spec",
+                 "trivial_ptree", "validate_ptree"),
+    "enumeration": ("Bound", "enumerate_classes", "enumerate_pforests",
+                    "enumerate_ptrees", "matchings"),
+    "bialgebra": ("FdbReport", "Series", "TensorSeries", "counit", "delta_monomial",
+                  "delta_series", "delta_tree", "fdb_lhs_coefficient",
+                  "fdb_rhs_coefficient", "green", "series_mul", "verify_fdb")}
+
+
 def test_a_lazy_package_name_is_the_name_of_its_module():
     import optrees
     names = {**GROUPOID_NAMES, "classical": (
         "ClassicalReport", "NullaryOpsPresent", "PhiReport", "classical_verify",
         "delta_generator", "phi", "set_partitions", "surjection_delta",
-        "type_count_closed_form", "verify_phi")}
+        "type_count_closed_form", "verify_phi"), **TREE_NAMES}
     for module, module_names in names.items():
         for name in module_names:
             assert getattr(optrees, name) is getattr(
@@ -969,8 +1017,8 @@ def test_a_lazy_package_name_is_the_name_of_its_module():
 
 
 def test_errors_of_a_fresh_process_keep_their_exit_codes(tmp_path):
-    # ``main`` catches ``groupoids.GroupoidError`` by reading it from the lazy
-    # module when an error reaches it, in a process that has not loaded it
+    # ``main`` catches the error classes by reading them from their lazy
+    # modules when an error reaches it, in a process that has not loaded them
     bad_doc = tmp_path / "g.json"
     bad_doc.write_text('{"objects": [0], "arrows": [{"src": 0, "dst": 1, '
                        '"label": "e"}], "compose": []}')
@@ -988,8 +1036,8 @@ def test_errors_of_a_fresh_process_keep_their_exit_codes(tmp_path):
         code, out, err = run_cli(args)
         assert (code, out) == (2, ""), (args, err)
         assert len(err.splitlines()) == 1 and err.startswith(message), (args, err)
-    code = ("import sys, optrees.cli as cli\n"
-            "cli.delta_tree = lambda t: 1 / 0\n"
+    code = ("import sys, optrees.bialgebra, optrees.cli as cli\n"
+            "optrees.bialgebra.delta_tree = lambda t: 1 / 0\n"
             "sys.exit(cli.main(['delta', '--functor', 'identity', '--tree', '(_)']))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (3, "")
